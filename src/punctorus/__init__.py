@@ -29,7 +29,6 @@ from .closedform import (
 from .hypgeom import (
     ComplexPoint,
     CrossRatio,
-    GeodesicLengthPair,
     MoebiusMap,
     canonical_representative,
     cross_ratio,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -33,6 +34,7 @@ _UNITS_EPILOG = (
 _GRID_LAWS = ("crossratio_full", "quad_cr", "length", "length_dual", "star",
               "modulus", "teich")
 _SAMPLE_LAWS = mc.LAWS
+_TABLE_NODES = inspect.signature(modmap.build_cr_table).parameters["n"].default
 
 
 def _pdf_value(law: str, x: np.ndarray) -> np.ndarray:
@@ -61,6 +63,14 @@ def _fmt(v: float, precision: int) -> str:
     return format(v, f".{precision}g")
 
 
+def _write(args, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit_rows(args, header: tuple[str, ...], rows: list[tuple]) -> None:
     precision = args.precision
     if args.format == "json":
@@ -74,11 +84,7 @@ def _emit_rows(args, header: tuple[str, ...], rows: list[tuple]) -> None:
             w.writerow([_fmt(v, precision) if isinstance(v, float) else v
                         for v in row])
         text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
 
 
 def _grid(args) -> np.ndarray:
@@ -118,28 +124,9 @@ def _cmd_sample(args) -> int:
                       law=args.law)
     summary = mc.run_law(cfg)
     if args.format == "json":
-        text = json.dumps(summary.to_json_dict(), indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, json.dumps(summary.to_json_dict(), indent=2) + "\n")
     else:
-        if args.out:
-            summary.to_csv(args.out)
-        else:
-            tmp = io.StringIO()
-            widths = np.diff(summary.bin_edges)
-            dens = summary.counts / (summary.n * widths)
-            w = csv.writer(tmp)
-            w.writerow(("bin_left", "bin_right", "count", "density"))
-            for left, right, cnt, d in zip(summary.bin_edges[:-1],
-                                           summary.bin_edges[1:],
-                                           summary.counts, dens):
-                w.writerow((_fmt(left.item(), args.precision),
-                            _fmt(right.item(), args.precision), int(cnt),
-                            _fmt(d.item(), args.precision)))
-            sys.stdout.write(tmp.getvalue())
+        _write(args, summary.csv_text(args.precision))
     return 0
 
 
@@ -154,13 +141,7 @@ def _emit_record(args, rec: dict) -> None:
 def _cmd_cr_map(args) -> int:
     if args.table:
         table = modmap.build_cr_table(args.mmin, args.mmax, args.points)
-        if args.out:
-            table.to_csv(args.out)
-        else:
-            w = csv.writer(sys.stdout)
-            w.writerow(modmap._CSV_COLUMNS)
-            for rec in sorted(table.records, key=lambda r: r["m"]):
-                w.writerow(format(rec[k], ".17g") for k in modmap._CSV_COLUMNS)
+        _write(args, table.csv_text())
         return 0
     if args.modulus is None:
         raise ValueError("cr-map needs --modulus or --table")
@@ -266,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true", help="emit a node table")
     p.add_argument("--mmin", type=float, default=1.0)
     p.add_argument("--mmax", type=float, default=50.0)
-    p.add_argument("--points", type=int, default=256)
+    p.add_argument("--points", type=int, default=_TABLE_NODES)
     _add_common(p)
     p.set_defaults(fn=_cmd_cr_map)
 
@@ -300,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the built-in verification suite",
                        epilog=_UNITS_EPILOG)
     p.add_argument("--quick", action="store_true",
-                   help="smaller table and sample sizes")
+                   help="smaller sample sizes and fewer solves")
     _add_common(p)
     p.set_defaults(fn=_cmd_verify)
 

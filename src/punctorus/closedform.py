@@ -9,6 +9,7 @@ sampling used by the group samplers and the Monte Carlo module.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -329,13 +330,15 @@ class QuadCrInverseCdf:
 
 
 _default_inverse: QuadCrInverseCdf | None = None
+_default_inverse_lock = threading.Lock()
 
 
 def _get_default_inverse() -> QuadCrInverseCdf:
     global _default_inverse
-    if _default_inverse is None:
-        _default_inverse = QuadCrInverseCdf()
-    return _default_inverse
+    with _default_inverse_lock:
+        if _default_inverse is None:
+            _default_inverse = QuadCrInverseCdf()
+        return _default_inverse
 
 
 def sample_quad_cr_values(n: int, rng: np.random.Generator,

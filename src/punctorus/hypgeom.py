@@ -16,7 +16,6 @@ __all__ = [
     "ComplexPoint",
     "CrossRatio",
     "MoebiusMap",
-    "GeodesicLengthPair",
     "cross_ratio",
     "s4_orbit",
     "canonical_representative",
@@ -103,18 +102,6 @@ class MoebiusMap:
         if den == 0:
             return ComplexPoint.infinity()
         return ComplexPoint.from_complex((self.a * w + self.b) / den)
-
-
-@dataclass(frozen=True)
-class GeodesicLengthPair:
-    """Lengths of two dual simple geodesics, both positive."""
-
-    ell_r: float
-    ell_s: float
-
-    def __post_init__(self) -> None:
-        if not (self.ell_r > 0 and self.ell_s > 0):
-            raise ValueError("geodesic lengths must be positive")
 
 
 def _as_point(z: complex | float | ComplexPoint) -> ComplexPoint:

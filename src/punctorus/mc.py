@@ -1,15 +1,17 @@
 """Monte Carlo validation of every closed-form law in the package.
 
 Samplers draw i.i.d. uniform points on the circle (or push the
-quadrilateral law through the relevant change of variables), accumulate
-histograms, and score the empirical CDF against the closed forms with
-the Kolmogorov-Smirnov distance.  Randomness is counter-based: the
+quadrilateral law through the relevant change of variables; the modulus
+laws use modmap's inverse of the modulus map), accumulate histograms,
+and score the empirical CDF against the closed forms with the
+Kolmogorov-Smirnov distance.  Randomness is counter-based: the
 sample index alone determines the stream position, so the worker count
 can never change the output.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -93,16 +95,22 @@ class EmpiricalSummary:
     ks_distance: float
     stats: dict
 
-    def to_csv(self, path) -> None:
+    def csv_text(self, precision: int = 17) -> str:
+        """The histogram as CSV, floats to the given significant digits."""
+        fmt = f".{precision}g"
         widths = np.diff(self.bin_edges)
         dens = self.counts / (self.n * widths)
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(("bin_left", "bin_right", "count", "density"))
+        for left, right, cnt, d in zip(self.bin_edges[:-1], self.bin_edges[1:],
+                                       self.counts, dens):
+            w.writerow((format(left, fmt), format(right, fmt), int(cnt), format(d, fmt)))
+        return buf.getvalue()
+
+    def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("bin_left", "bin_right", "count", "density"))
-            for left, right, cnt, d in zip(self.bin_edges[:-1], self.bin_edges[1:],
-                                           self.counts, dens):
-                w.writerow((format(left, ".17g"), format(right, ".17g"),
-                            int(cnt), format(d, ".17g")))
+            fh.write(self.csv_text())
 
     def to_json_dict(self) -> dict:
         return {"law": self.law, "n": self.n, "seed": self.seed,
@@ -156,56 +164,10 @@ def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
     q = np.asarray(_get_default_inverse()(u))
     if law == "length":
         return 2.0 * np.arctanh(1.0 / np.sqrt(np.maximum(q, 2.0)))
-    m = _inverse_moduli(q, table)
+    m = modmap.modulus_of_cr(q, table)
     if law == "modulus":
         return m
     return np.log(m)  # teich
-
-
-def _inverse_moduli(q: np.ndarray, table: modmap.CrMapTable | None) -> np.ndarray:
-    t = table if table is not None else modmap.default_table()
-    inv = PchipPair.for_table(t)
-    return inv(q)
-
-
-class PchipPair:
-    """Vectorized inverse of a table's forward spline.
-
-    A monotone interpolation of the reversed nodes gives the first
-    guess; two Newton corrections through the forward spline bring the
-    round-trip error to rounding level.  Cached per table.
-    """
-
-    _cache: dict[int, "PchipPair"] = {}
-
-    def __init__(self, table: modmap.CrMapTable):
-        from scipy.interpolate import PchipInterpolator
-
-        self._table = table
-        self._rough = PchipInterpolator(table.crs, table.ms)
-
-    @classmethod
-    def for_table(cls, table: modmap.CrMapTable) -> "PchipPair":
-        key = id(table)
-        if key not in cls._cache:
-            cls._cache[key] = cls(table)
-        return cls._cache[key]
-
-    def __call__(self, q: np.ndarray) -> np.ndarray:
-        t = self._table
-        q = np.asarray(q, dtype=float)
-        out = np.empty_like(q)
-        inside = q < t.cr_max
-        qi = np.clip(q[inside], t.crs[0], t.cr_max)
-        m = np.asarray(self._rough(qi))
-        for _ in range(2):
-            m = m - (t.interpolant(m) - qi) / t.deriv(m)
-            m = np.clip(m, t.ms[0], t.m_max)
-        out[inside] = m
-        far = ~inside
-        if far.any():
-            out[far] = 0.5 * math.pi * np.sqrt(q[far]) - t.c_hat
-        return out
 
 
 def _law_cdf(law: str, xs: np.ndarray, table: modmap.CrMapTable | None) -> np.ndarray:

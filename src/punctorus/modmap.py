@@ -1,30 +1,30 @@
 """The modulus-to-cross-ratio map and the laws pushed through it.
 
-A table of tangency solves over a modulus grid backs a monotone spline
-for the increasing map m -> CR(m) from [1, inf) onto [2, inf), its
-numerical derivative at 1, the functional-equation extension below
-m = 1, an asymptotic extension above the table, the inverse map, the
-modulus and log-modulus probability densities, their summary
-statistics, and the quasi-Moebius comparison constant.
+Tangency solves at Chebyshev points in s = 1/m back one Chebyshev
+series for the increasing map m -> CR(m) from [1, inf) onto [2, inf),
+and a second series for its inverse.  From them come the derivative
+at 1, the functional-equation extension below m = 1, an asymptotic
+extension above the table, the modulus and log-modulus probability
+densities, their summary statistics, and the quasi-Moebius comparison
+constant.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import dataclass
-from typing import Callable
+import threading
 
 import numpy as np
+from numpy.polynomial import Chebyshev
+from numpy.polynomial.chebyshev import chebpts2
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq, least_squares
 
 from . import lame
 from .closedform import _prep, _ret, quad_cr_median, quad_cr_pdf
 
 __all__ = [
     "CrMapTable",
-    "DerivedPdf",
     "build_cr_table",
     "default_table",
     "set_default_table",
@@ -35,7 +35,6 @@ __all__ = [
     "teich_pdf",
     "summary_stats",
     "quasimobius_K",
-    "derived_pdf",
 ]
 
 _PI = math.pi
@@ -44,22 +43,52 @@ _PI2 = math.pi**2
 _CSV_COLUMNS = ("m", "tau", "lambda_acc", "cross_ratio",
                 "a1", "r1", "a2", "r2", "residual")
 
-# Modulus cluster used for the derivative estimate at the left endpoint.
-_CLUSTER_H = 0.02
-_CLUSTER = tuple(1.0 + _CLUSTER_H * k for k in range(7))
+# Seven 0.02-spaced moduli next to the square, solved in every build so
+# the derivative there can be checked against a local fit of the nodes.
+_CLUSTER = tuple(1.0 + 0.02 * k for k in range(7))
 
-# One-sided finite-difference stencils on the 0.02-spaced cluster.
-_FD1 = np.array([-137 / 60, 5.0, -5.0, 10 / 3, -5 / 4, 1 / 5])
-_FD2 = np.array([15 / 4, -77 / 6, 107 / 6, -13.0, 61 / 12, -5 / 6])
+# Degree cap of the forward series; 16 terms reach the solver's own
+# accuracy on m in [1, 50].
+_DEGREE = 15
+# Points at which the inverse series interpolates the inverted forward
+# series, and the Newton steps that invert it there.
+_INVERSE_POINTS = 24
+_NEWTON_STEPS = 8
+# Array evaluations run over blocks of this many points, so the series'
+# temporaries stay small next to the caller's arrays.
+_BLOCK = 1 << 15
+
+
+def _blockwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn applied elementwise to x, one block of points at a time."""
+    out = np.empty_like(x)
+    for i in range(0, len(x), _BLOCK):
+        out[i:i + _BLOCK] = fn(x[i:i + _BLOCK])
+    return out
+
+
+def _chebpts(lo: float, hi: float, n: int) -> np.ndarray:
+    """n Chebyshev points of the second kind on [lo, hi], ends exact."""
+    x = lo + 0.5 * (hi - lo) * (1.0 + chebpts2(n))
+    x[-1] = hi
+    return x
 
 
 class CrMapTable:
-    """Monotone (modulus, cross ratio) nodes with a spline and metadata.
+    """Solved (modulus, cross ratio) nodes and the map they determine.
 
-    a_estimate is the derivative of the map at modulus 1, obtained from
-    a one-sided stencil on the 0.02-spaced cluster of nodes next to 1
-    and refined by a local fit constrained to the curvature relation
-    CR''(1) = a^2 - a.  c_hat is the deficit (pi/2) sqrt(CR) - m at the
+    With y = (pi/2) sqrt(CR), the map is y(m) = m + g(1/m), where the
+    deficit g(s) = (pi/2) sqrt(CR(1/s)) - 1/s is smooth in s = 1/m.
+    One least-squares Chebyshev series of degree min(15, nodes - 1)
+    through every node represents g.  The inverse is a second series
+    k(t) = y - m in t = 1/y, interpolating at 24 Chebyshev points where
+    Newton's method on the forward series gives m; a lookup is then
+    m = 1/t - k(t).  Both are pure functions of the nodes.
+
+    a_estimate is CR'(1) and curvature_gap is |CR''(1) - (a^2 - a)|,
+    the residual of the curvature relation the functional equation
+    forces at the square, both from the forward series at the first
+    node (modulus 1 in every built table).  c_hat is the deficit at the
     last node; the asymptotic extension beyond the table reuses it, so
     the extended map is continuous there.  Instances are immutable in
     practice and safe to share across threads.
@@ -72,58 +101,94 @@ class CrMapTable:
             raise ValueError("need matching 1-d node arrays with at least 8 nodes")
         if not np.all(np.diff(ms) > 0) or not np.all(np.diff(crs) > 0):
             raise ValueError("table nodes must be strictly increasing")
+        if ms[0] <= 0 or crs[0] <= 0:
+            raise ValueError("table nodes must be positive")
         self.ms = ms
         self.crs = crs
         self.records = records
-        self.interpolant = PchipInterpolator(ms, crs)
-        self.deriv = self.interpolant.derivative()
         self.m_max = ms[-1].item()
         self.cr_max = crs[-1].item()
         self.c_hat = 0.5 * _PI * math.sqrt(self.cr_max) - self.m_max
-        self.a_estimate, self.curvature_gap = self._derivative_estimate()
+
+        s = 1.0 / ms
+        self._deficit = Chebyshev.fit(s, 0.5 * _PI * np.sqrt(crs) - ms,
+                                      min(_DEGREE, len(ms) - 1),
+                                      domain=[s[-1], s[0]])
+        self._deficit_d1 = self._deficit.deriv()
+
+        m0 = ms[0].item()
+        s0 = 1.0 / m0
+        y0, dy0 = self._y(m0).item(), self._dy(m0).item()
+        d2y0 = s0**4 * self._deficit.deriv(2)(s0) + 2.0 * s0**3 * self._deficit_d1(s0)
+        a = 8.0 * y0 * dy0 / _PI2
+        self.a_estimate = a
+        self.curvature_gap = float(abs(8.0 * (dy0**2 + y0 * d2y0) / _PI2 - (a * a - a)))
+
+        t_lo, t_hi = 2.0 / (_PI * np.sqrt(crs[[-1, 0]]))
+        ts = _chebpts(t_lo, t_hi, _INVERSE_POINTS)
+        ys = 1.0 / ts
+        m = ys - self.c_hat
+        for _ in range(_NEWTON_STEPS):
+            m = np.clip(m - (self._y(m) - ys) / self._dy(m), m0, self.m_max)
+        self._excess = Chebyshev.fit(ts, ys - m, _INVERSE_POINTS - 1, domain=[t_lo, t_hi])
 
     @property
     def nodes(self) -> list[tuple[float, float]]:
         return list(zip(self.ms.tolist(), self.crs.tolist()))
 
-    def _derivative_estimate(self) -> tuple[float, float]:
-        idx = []
-        for mc in _CLUSTER:
-            j = int(np.argmin(np.abs(self.ms - mc)))
-            if abs(self.ms[j] - mc) > 1e-12:
-                break
-            idx.append(j)
-        if len(idx) < 7:
-            # hand-assembled table without the cluster: fall back to the
-            # spline derivative, which is what the stencil refines
-            d = self.deriv(self.ms[0]).item()
-            return d, math.nan
-        cl = self.crs[idx]
-        a_fd = (_FD1 @ cl[:6]) / _CLUSTER_H
-        cr2_fd = (_FD2 @ cl[:6]) / _CLUSTER_H**2
-        x = np.asarray(_CLUSTER) - 1.0
+    def _y(self, m):
+        """y = (pi/2) sqrt(CR(m)) at moduli m >= 1.
 
-        def resid(p):
-            a, c3, c4 = p
-            return 2.0 + a * x + (a * a - a) * x * x / 2 + c3 * x**3 + c4 * x**4 - cl
+        The deficit series inside the table, the frozen deficit c_hat
+        above it.
+        """
+        return m + np.where(m <= self.m_max, self._deficit(1.0 / m), self.c_hat)
 
-        fit = least_squares(resid, [a_fd, 0.0, 0.0])
-        a = fit.x[0].item()
-        return a, abs(cr2_fd - (a_fd * a_fd - a_fd))
+    def _dy(self, m):
+        """dy/dm at moduli m >= 1."""
+        s = 1.0 / m
+        return np.where(m <= self.m_max, 1.0 - s * s * self._deficit_d1(s), 1.0)
+
+    def _cr(self, m: np.ndarray) -> np.ndarray:
+        """CR(m) at moduli m > 0, by the functional equation below 1.
+
+        From 1 up the value is clamped to the square's exact 2, which
+        the solved node at 1 undershoots by a few 1e-11.
+        """
+        q = np.maximum((2.0 * self._y(np.maximum(m, 1.0 / m)) / _PI) ** 2, 2.0)
+        return np.where(m < 1.0, 1.0 + 1.0 / (q - 1.0), q)
+
+    def _pdf(self, m: np.ndarray) -> np.ndarray:
+        """The modulus density f(CR(m)) CR'(m) at moduli m >= 1."""
+        y = self._y(m)
+        q = np.maximum((2.0 * y / _PI) ** 2, 2.0)
+        return np.asarray(quad_cr_pdf(q)) * (8.0 * y * self._dy(m) / _PI2)
+
+    def _modulus(self, y: np.ndarray) -> np.ndarray:
+        """The modulus with (pi/2) sqrt(CR) = y, for y at least the square's."""
+        m = np.where(y < self.m_max + self.c_hat,
+                     y - self._excess(1.0 / y), y - self.c_hat)
+        return np.maximum(m, self.ms[0])
+
+    def csv_text(self) -> str:
+        """The per-node solve records as CSV, 17 significant digits."""
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(_CSV_COLUMNS)
+        for rec in sorted(self.records, key=lambda r: r["m"]):
+            w.writerow(format(rec[k], ".17g") for k in _CSV_COLUMNS)
+        return buf.getvalue()
 
     def to_csv(self, path) -> None:
         """Write the per-node solve records, 17 significant digits."""
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(_CSV_COLUMNS)
-            for rec in sorted(self.records, key=lambda r: r["m"]):
-                w.writerow(format(rec[k], ".17g") for k in _CSV_COLUMNS)
+            fh.write(self.csv_text())
 
     @classmethod
     def from_csv(cls, path) -> "CrMapTable":
         """Rebuild a table from its CSV emission, without re-solving.
 
-        All derived quantities (spline, a_estimate, c_hat) are
+        All derived quantities (both series, a_estimate, c_hat) are
         recomputed from the stored rows, so a write/read cycle is a
         faithful round trip.
         """
@@ -141,37 +206,22 @@ class CrMapTable:
         return cls(ms, crs, records)
 
 
-@dataclass(frozen=True)
-class DerivedPdf:
-    """A density derived from the table: the modulus law or its log."""
-
-    kind: str
-    evaluator: Callable
-
-    def __call__(self, x):
-        return self.evaluator(x)
-
-
-def build_cr_table(m_min: float = 1.0, m_max: float = 50.0, n: int = 256) -> CrMapTable:
+def build_cr_table(m_min: float = 1.0, m_max: float = 50.0, n: int = 16) -> CrMapTable:
     """Solve the tangency problem over a modulus grid and tabulate.
 
-    Half the nodes are linear on [m_min, 4], half geometric above, plus
-    the seven-node derivative cluster at 1.  Solves run in increasing
-    modulus so each root warm-starts the next.  Any node failures are
-    collected and reported together as a build error.
+    The n nodes are Chebyshev points of the second kind in s = 1/m on
+    [1/m_max, 1/m_min], so both ends are nodes; the seven-node cluster
+    at 1 is added to them.  Solves run in increasing modulus so each
+    root warm-starts the next.  Any node failures are collected and
+    reported together as a build error.
     """
     if not (1.0 <= m_min < m_max):
         raise ValueError("need 1 <= m_min < m_max")
     if n < 16:
         raise ValueError("need at least 16 nodes")
-    if m_max <= 4.0:
-        grid = np.linspace(m_min, m_max, n)
-    else:
-        lo = np.linspace(m_min, 4.0, n // 2)
-        hi = np.geomspace(4.0, m_max, n - n // 2 + 1)[1:]
-        grid = np.concatenate([lo, hi])
+    grid = 1.0 / _chebpts(1.0 / m_max, 1.0 / m_min, n)
+    grid[[0, -1]] = m_max, m_min
     ms = np.unique(np.concatenate([np.asarray(_CLUSTER), grid]))
-
     records: list[dict] = []
     crs = np.empty_like(ms)
     failures: list[tuple[float, str]] = []
@@ -199,20 +249,25 @@ def build_cr_table(m_min: float = 1.0, m_max: float = 50.0, n: int = 256) -> CrM
 
 
 _default: CrMapTable | None = None
+_default_lock = threading.Lock()
 
 
 def default_table() -> CrMapTable:
-    """The lazily built standard table, m in [1, 50] with 256 nodes."""
+    """The standard table, m in [1, 50], built once on first use."""
     global _default
-    if _default is None:
-        _default = build_cr_table()
-    return _default
+    with _default_lock:
+        if _default is None:
+            _default = build_cr_table()
+        return _default
 
 
 def set_default_table(table: CrMapTable) -> None:
     """Install a prebuilt table as the module default."""
     global _default
-    _default = table
+    with _default_lock:
+        _default = table
+
+
 
 
 def cr_of_modulus(m, table: CrMapTable | None = None):
@@ -226,40 +281,20 @@ def cr_of_modulus(m, table: CrMapTable | None = None):
     m, scalar = _prep(m)
     if (m <= 0).any():
         raise ValueError("modulus must be positive")
-    out = np.empty_like(m)
-    low = m < 1.0
-    if low.any():
-        q = np.asarray(cr_of_modulus(1.0 / m[low], t))
-        out[low] = q / (q - 1.0)
-    mid = (m >= 1.0) & (m <= t.m_max)
-    if mid.any():
-        out[mid] = t.interpolant(m[mid])
-    high = m > t.m_max
-    if high.any():
-        out[high] = (2.0 * (m[high] + t.c_hat) / _PI) ** 2
-    return _ret(out, scalar)
+    return _ret(_blockwise(t._cr, m), scalar)
 
 
 def modulus_of_cr(Q, table: CrMapTable | None = None):
     """Inverse of the cross-ratio map on [2, inf).
 
-    Root-finds on the forward spline inside the table and switches to
-    the shifted asymptotic inverse above it.
+    One pass of the table's inverse series inside the table, the
+    shifted asymptotic inverse above it.
     """
     t = table if table is not None else default_table()
     Q, scalar = _prep(Q)
     if (Q < 2.0).any():
         raise ValueError("cross ratio must be at least 2")
-    out = np.empty_like(Q)
-    for i, q in enumerate(Q):
-        if q >= t.cr_max:
-            out[i] = 0.5 * _PI * math.sqrt(q) - t.c_hat
-        elif q <= t.crs[0]:
-            out[i] = t.ms[0]
-        else:
-            out[i] = brentq(lambda x: t.interpolant(x) - q,
-                            t.ms[0].item(), t.m_max, xtol=1e-12)
-    return _ret(out, scalar)
+    return _ret(_blockwise(t._modulus, 0.5 * _PI * np.sqrt(Q)), scalar)
 
 
 def asymptotic_bounds(Q):
@@ -282,25 +317,15 @@ def modulus_pdf(m, table: CrMapTable | None = None):
     """Density of the modulus of a random ideal quadrilateral, m >= 1.
 
     The canonical cross-ratio law pushed through the inverse map:
-    density of CR times the spline derivative inside the table, the
-    asymptotic-extension analogue above it.  The spline value is clamped
-    to the law's support edge at 2, where rounding can undershoot.
+    density of CR at CR(m) times CR'(m), from the series inside the
+    table and the asymptotic extension above it.  CR is clamped to the
+    law's support edge at 2, where rounding can undershoot.
     """
     t = table if table is not None else default_table()
     m, scalar = _prep(m)
     if (m < 1.0).any():
         raise ValueError("modulus law is supported on m >= 1")
-    out = np.empty_like(m)
-    mid = m <= t.m_max
-    if mid.any():
-        mm = m[mid]
-        out[mid] = np.asarray(quad_cr_pdf(np.maximum(t.interpolant(mm), 2.0))) * t.deriv(mm)
-    high = ~mid
-    if high.any():
-        mh = m[high]
-        q = (2.0 * (mh + t.c_hat) / _PI) ** 2
-        out[high] = np.asarray(quad_cr_pdf(q)) * (8.0 * (mh + t.c_hat) / _PI2)
-    return _ret(out, scalar)
+    return _ret(_blockwise(t._pdf, m), scalar)
 
 
 def teich_pdf(d, table: CrMapTable | None = None):
@@ -347,12 +372,3 @@ def quasimobius_K(Q_src: float, Q_dst: float, table: CrMapTable | None = None) -
     a = modulus_of_cr(Q_src, table)
     b = modulus_of_cr(Q_dst, table)
     return max(a / b, b / a)
-
-
-def derived_pdf(kind: str, table: CrMapTable | None = None) -> DerivedPdf:
-    """Package the modulus or log-modulus density as a DerivedPdf."""
-    if kind == "modulus":
-        return DerivedPdf(kind, lambda m: modulus_pdf(m, table))
-    if kind == "teich":
-        return DerivedPdf(kind, lambda d: teich_pdf(d, table))
-    raise ValueError(f"unknown derived density {kind!r}")

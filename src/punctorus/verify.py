@@ -244,13 +244,10 @@ def run_checks(quick: bool = False,
                table: modmap.CrMapTable | None = None) -> list[CheckResult]:
     """Run every verification check and return the results in order.
 
-    Builds a cross-ratio table when none is supplied: the standard 256
-    nodes, or 64 in quick mode.  The table is installed as the module
-    default so downstream sampling reuses it.
+    Checks the module's default cross-ratio table when none is supplied.
     """
     if table is None:
-        table = modmap.build_cr_table(1.0, 50.0, 64 if quick else 256)
-        modmap.set_default_table(table)
+        table = modmap.default_table()
     results: list[CheckResult] = []
     for check in _CHECKS:
         results.extend(check(quick, table))

@@ -1,11 +1,12 @@
 """Shared fixtures.
 
-The cross-ratio table is expensive (hundreds of ODE boundary solves),
-so one standard table is built per session, timed for the acceptance
+The cross-ratio table is expensive (tens of ODE boundary solves), so
+one standard table is built per session, timed for the acceptance
 gate, and installed as the module default for everything downstream.
 """
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -25,3 +26,27 @@ def cr_table_build() -> tuple[modmap.CrMapTable, float]:
 @pytest.fixture(scope="session")
 def cr_table(cr_table_build) -> modmap.CrMapTable:
     return cr_table_build[0]
+
+
+@pytest.fixture
+def concurrent_first_calls():
+    """Call fn from four threads released together; return the results."""
+
+    def run(fn):
+        barrier = threading.Barrier(4)
+        results = []
+
+        def worker():
+            barrier.wait(timeout=10)
+            results.append(fn())
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == 4
+        return results
+
+    return run

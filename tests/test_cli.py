@@ -100,6 +100,16 @@ class TestSampleCommand:
         assert out == ""
         assert json.loads(path.read_text())["n"] == 512
 
+    def test_stdout_and_out_file_agree(self, tmp_path, capsysbinary):
+        argv = ["sample", "--law", "star", "--n", "4096", "--seed", "11",
+                "--precision", "6"]
+        assert cli.main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        path = tmp_path / "s.csv"
+        assert cli.main(argv + ["--out", str(path)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert path.read_bytes() == stdout
+
     def test_seed_env_default(self, monkeypatch):
         monkeypatch.setenv("PUNCTORUS_SEED", "777")
         args = cli.build_parser().parse_args(
@@ -182,11 +192,8 @@ class TestTeichAndQuasimobius:
 
 class TestVerifyCommand:
     def test_quick_run_is_nominal(self, capsys, cr_table):
-        try:
-            code, out, _ = run(capsys, ["verify", "--quick"])
-        finally:
-            # the quick run installs its own small table as the default
-            modmap.set_default_table(cr_table)
+        code, out, _ = run(capsys, ["verify", "--quick"])
+        assert modmap.default_table() is cr_table
         assert code == 0
         assert "(expected FAIL)" in out
         assert "** NOT NOMINAL **" not in out

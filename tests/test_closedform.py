@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from punctorus import closedform
 from punctorus.closedform import (
     LENGTH_THRESHOLD,
     QuadCrInverseCdf,
@@ -209,6 +211,21 @@ class TestInverseCdf:
         r = inv(np.array([1.0 - 1e-13]))
         assert np.isfinite(r).all()
         assert r[0] > 1e9
+
+    def test_default_built_once_under_threads(self, monkeypatch,
+                                              concurrent_first_calls):
+        calls = []
+
+        def slow_inverse():
+            calls.append(None)
+            time.sleep(0.2)
+            return object()
+
+        monkeypatch.setattr(closedform, "_default_inverse", None)
+        monkeypatch.setattr(closedform, "QuadCrInverseCdf", slow_inverse)
+        got = concurrent_first_calls(closedform._get_default_inverse)
+        assert len(calls) == 1
+        assert all(g is got[0] for g in got)
 
     def test_sampler_determinism(self):
         a = sample_quad_cr_values(4096, np.random.default_rng(3))

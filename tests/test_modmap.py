@@ -2,19 +2,19 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.integrate import fixed_quad, quad
 
-from punctorus import lame
+from punctorus import lame, modmap
 from punctorus.closedform import quad_cr_median
 from punctorus.modmap import (
     CrMapTable,
     asymptotic_bounds,
     build_cr_table,
     cr_of_modulus,
-    derived_pdf,
     modulus_of_cr,
     modulus_pdf,
     quasimobius_K,
@@ -54,6 +54,21 @@ class TestTableConstruction:
         with pytest.raises(ValueError):
             build_cr_table(1.0, 10.0, n=8)
 
+    def test_default_table_built_once_under_threads(self, monkeypatch,
+                                                    concurrent_first_calls):
+        calls = []
+
+        def slow_build():
+            calls.append(None)
+            time.sleep(0.2)
+            return object()
+
+        monkeypatch.setattr(modmap, "_default", None)
+        monkeypatch.setattr(modmap, "build_cr_table", slow_build)
+        got = concurrent_first_calls(modmap.default_table)
+        assert len(calls) == 1
+        assert all(g is got[0] for g in got)
+
     def test_derivative_cluster_present(self, cr_table):
         for k in range(7):
             target = 1.0 + 0.02 * k
@@ -69,6 +84,13 @@ class TestTableConstruction:
 class TestForwardMap:
     def test_square_endpoint(self, cr_table):
         assert cr_of_modulus(1.0, cr_table) == pytest.approx(2.0, abs=2e-6)
+
+    def test_matches_direct_solves_off_the_nodes(self, cr_table):
+        ms = (1.3, 2.5, 4.2, 7.7, 13.0, 27.0, 44.0)
+        assert np.abs(cr_table.ms[:, None] - np.array(ms)).min() > 1e-3
+        errs = [abs(cr_of_modulus(m, cr_table) / lame.solve_accessory(1.0 / m).cross_ratio
+                    - 1.0) for m in ms]
+        assert max(errs) <= 1e-9
 
     def test_functional_equation_against_direct_solve(self, cr_table):
         # a torus with modulus below 1 solved directly, no reflection
@@ -133,8 +155,8 @@ class TestInverseMap:
 
 
 def _piecewise_mass(fn, breaks) -> float:
-    # the spline derivative has C1 kinks at every node; Gauss on each
-    # inter-node interval sidesteps the roundoff quad would fight there
+    # 12-point Gauss on each inter-node interval: the series density is
+    # smooth there, and the last break is the switch to the asymptote
     total = 0.0
     for a, b in zip(breaks[:-1], breaks[1:]):
         v, _ = fixed_quad(fn, a, b, n=12)
@@ -186,14 +208,11 @@ class TestDerivedDensities:
         assert median == pytest.approx(
             math.log(modulus_of_cr(quad_cr_median(), cr_table)), rel=1e-12)
 
-    def test_derived_pdf_dispatch(self, cr_table):
-        mp = derived_pdf("modulus", cr_table)
-        tp = derived_pdf("teich", cr_table)
-        assert mp(2.0) == pytest.approx(modulus_pdf(2.0, cr_table), rel=1e-15)
-        assert tp(0.5) == pytest.approx(teich_pdf(0.5, cr_table), rel=1e-15)
-        assert mp.kind == "modulus"
-        with pytest.raises(ValueError):
-            derived_pdf("star")
+    def test_teich_pdf_flat_then_falling_at_the_square(self, cr_table):
+        # T'(0) = 0 and T''(0) = -0.46 from direct solves, so the change
+        # over the first 0.01 is about T''(0) 0.01^2 / 2 = -2.3e-5
+        step = teich_pdf(0.01, cr_table) - teich_pdf(0.0, cr_table)
+        assert -3e-5 <= step <= -1.5e-5
 
 
 class TestQuasimobius:
