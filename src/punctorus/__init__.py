@@ -54,12 +54,6 @@ from .mc import (
     EmpiricalSummary,
     McConfig,
     run_law,
-    sample_crossratio,
-    sample_length,
-    sample_modulus,
-    sample_quad_cr,
-    sample_star,
-    sample_teich,
 )
 from .modmap import (
     CrMapTable,

@@ -23,7 +23,6 @@ import sys
 
 import numpy as np
 
-from . import closedform as cf
 from . import lame, mc, modmap, verify
 
 _UNITS_EPILOG = (
@@ -31,41 +30,16 @@ _UNITS_EPILOG = (
     "is d = log m, the logarithm of the extremal dilatation."
 )
 
-_GRID_LAWS = ("crossratio_full", "quad_cr", "length", "length_dual", "star",
-              "modulus", "teich")
-_SAMPLE_LAWS = mc.LAWS
 _TABLE_NODES = inspect.signature(modmap.build_cr_table).parameters["n"].default
-
-
-def _pdf_value(law: str, x: np.ndarray) -> np.ndarray:
-    if law == "crossratio_full":
-        return np.array([cf.crossratio_pdf(v) for v in x])
-    fn = {"quad_cr": cf.quad_cr_pdf, "length": cf.length_pdf,
-          "length_dual": cf.length_pdf_dual, "star": cf.star_pdf,
-          "modulus": modmap.modulus_pdf, "teich": modmap.teich_pdf}[law]
-    return np.asarray(fn(x))
-
-
-def _cdf_value(law: str, x: np.ndarray) -> np.ndarray:
-    if law in ("crossratio_full", "quad_cr", "length", "star"):
-        fn = {"crossratio_full": cf.crossratio_cdf, "quad_cr": cf.quad_cr_cdf,
-              "length": cf.length_cdf, "star": cf.star_cdf}[law]
-        return np.asarray(fn(x))
-    if law == "modulus":
-        return np.asarray(cf.quad_cr_cdf(np.maximum(modmap.cr_of_modulus(x), 2.0)))
-    if law == "teich":
-        q = modmap.cr_of_modulus(np.exp(np.asarray(x, dtype=float)))
-        return np.asarray(cf.quad_cr_cdf(np.maximum(q, 2.0)))
-    raise ValueError(f"no closed-form CDF for law {law!r}")
 
 
 def _fmt(v: float, precision: int) -> str:
     return format(v, f".{precision}g")
 
 
-def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
+def _write(out: str | None, text: str) -> None:
+    if out:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -84,7 +58,7 @@ def _emit_rows(args, header: tuple[str, ...], rows: list[tuple]) -> None:
             w.writerow([_fmt(v, precision) if isinstance(v, float) else v
                         for v in row])
         text = buf.getvalue()
-    _write(args, text)
+    _write(args.out, text)
 
 
 def _grid(args) -> np.ndarray:
@@ -98,25 +72,25 @@ def _grid(args) -> np.ndarray:
 
 def _cmd_curve(args, evaluate, colname: str) -> int:
     if args.at is not None:
-        val = float(np.asarray(evaluate(args.law, np.array([args.at])))[0])
+        val = float(np.asarray(evaluate(np.array([args.at])))[0])
         if args.format == "json":
             _emit_rows(args, ("law", "x", colname), [(args.law, args.at, val)])
         else:
-            sys.stdout.write(_fmt(val, args.precision) + "\n")
+            _write(args.out, _fmt(val, args.precision) + "\n")
         return 0
     xs = _grid(args)
-    ys = np.asarray(evaluate(args.law, xs))
+    ys = np.asarray(evaluate(xs))
     _emit_rows(args, ("x", colname),
                [(x.item(), y.item()) for x, y in zip(xs, ys)])
     return 0
 
 
 def _cmd_pdf(args) -> int:
-    return _cmd_curve(args, _pdf_value, "pdf")
+    return _cmd_curve(args, mc.CURVES[args.law][0], "pdf")
 
 
 def _cmd_cdf(args) -> int:
-    return _cmd_curve(args, _cdf_value, "cdf")
+    return _cmd_curve(args, mc.CURVES[args.law][1], "cdf")
 
 
 def _cmd_sample(args) -> int:
@@ -124,9 +98,9 @@ def _cmd_sample(args) -> int:
                       law=args.law)
     summary = mc.run_law(cfg)
     if args.format == "json":
-        _write(args, json.dumps(summary.to_json_dict(), indent=2) + "\n")
+        _write(args.out, json.dumps(summary.to_json_dict(), indent=2) + "\n")
     else:
-        _write(args, summary.csv_text(args.precision))
+        _write(args.out, summary.csv_text(args.precision))
     return 0
 
 
@@ -141,7 +115,7 @@ def _emit_record(args, rec: dict) -> None:
 def _cmd_cr_map(args) -> int:
     if args.table:
         table = modmap.build_cr_table(args.mmin, args.mmax, args.points)
-        _write(args, table.csv_text())
+        _emit_rows(args, *table.rows())
         return 0
     if args.modulus is None:
         raise ValueError("cr-map needs --modulus or --table")
@@ -168,7 +142,7 @@ def _cmd_teich(args) -> int:
     args.law = "teich"
     if args.at is None and args.start is None:
         args.start, args.stop, args.step = 0.0, 4.0, 0.01
-    return _cmd_curve(args, _pdf_value, "pdf")
+    return _cmd_pdf(args)
 
 
 def _cmd_quasimobius(args) -> int:
@@ -180,23 +154,21 @@ def _cmd_quasimobius(args) -> int:
 def _cmd_verify(args) -> int:
     results = verify.run_checks(quick=args.quick)
     wide = max(len(r.name) for r in results)
-    nominal = True
+    lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         note = "" if r.expected_pass else " (expected FAIL)"
         flag = "" if r.nominal else "  ** NOT NOMINAL **"
-        sys.stdout.write(f"{r.name:{wide}s}  {status}{note}  {r.detail}{flag}\n")
-        nominal = nominal and r.nominal
-    sys.stdout.write("result: " + ("nominal\n" if nominal else "NOT nominal\n"))
+        lines.append(f"{r.name:{wide}s}  {status}{note}  {r.detail}{flag}\n")
+    nominal = all(r.nominal for r in results)
+    lines.append("result: " + ("nominal\n" if nominal else "NOT nominal\n"))
+    _write(None, "".join(lines))
     return 0 if nominal else 1
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("PUNCTORUS_SEED", "0")),
-                   help="RNG seed (default: PUNCTORUS_SEED or 0)")
     p.add_argument("--precision", type=int, default=17,
                    help="significant digits for emitted floats")
 
@@ -218,25 +190,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pdf", help="evaluate a probability density",
                        epilog=_UNITS_EPILOG)
-    p.add_argument("--law", choices=_GRID_LAWS, required=True)
+    p.add_argument("--law", choices=tuple(mc.CURVES), required=True)
     _add_grid(p)
     _add_common(p)
     p.set_defaults(fn=_cmd_pdf)
 
     p = sub.add_parser("cdf", help="evaluate a cumulative distribution",
                        epilog=_UNITS_EPILOG)
-    p.add_argument("--law",
-                   choices=("crossratio_full", "quad_cr", "length", "star",
-                            "modulus", "teich"), required=True)
+    p.add_argument("--law", choices=tuple(mc.CURVES), required=True)
     _add_grid(p)
     _add_common(p)
     p.set_defaults(fn=_cmd_cdf)
 
     p = sub.add_parser("sample", help="Monte Carlo sample a law",
                        epilog=_UNITS_EPILOG)
-    p.add_argument("--law", choices=_SAMPLE_LAWS, required=True)
+    p.add_argument("--law", choices=mc.LAWS, required=True)
     p.add_argument("--n", type=int, required=True, help="sample count")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted; the output does not depend on it")
+    p.add_argument("--seed", type=int,
+                   default=int(os.environ.get("PUNCTORUS_SEED", "0")),
+                   help="RNG seed (default: PUNCTORUS_SEED or 0)")
     _add_common(p)
     p.set_defaults(fn=_cmd_sample)
 
@@ -261,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("teich",
                        help="Teichmueller-distance density or its moments",
                        epilog=_UNITS_EPILOG)
-    p.add_argument("--pdf", action="store_true",
-                   help="emit the density curve (default)")
     p.add_argument("--stats", action="store_true",
                    help="emit mean/median/sd instead")
     _add_grid(p)
@@ -282,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_UNITS_EPILOG)
     p.add_argument("--quick", action="store_true",
                    help="smaller sample sizes and fewer solves")
-    _add_common(p)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

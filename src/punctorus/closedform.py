@@ -284,25 +284,32 @@ def star_cdf(r):
     return _ret(0.5 + np.arctan(r) / math.pi, scalar)
 
 
+# Table of the inverse CDF: Chebyshev-spaced nodes in log r on [2, r_max].
+_INV_NODES = 2048
+_INV_R_MAX = 1e9
+
+
 class QuadCrInverseCdf:
     """Inverse CDF of the quadrilateral law via a monotone table.
 
-    2048 Chebyshev-spaced nodes in log r cover [2, r_max]; lookups
+    2048 Chebyshev-spaced nodes in log r cover [2, 1e9]; lookups
     interpolate the monotone (cdf, log r) pairs with a PCHIP spline and
-    polish with Newton steps on the closed-form CDF.  Above the table the
-    survival-function asymptotic seeds a fixed-point iteration instead.
-    The finished table is immutable and shareable across threads.
+    polish with one Newton step on the closed-form CDF.  Above the table
+    the survival-function asymptotic seeds a fixed-point iteration
+    instead.  The finished table is immutable and shareable across
+    threads; every sampler in the package reads the one default
+    instance through :func:`sample_quad_cr_values`.
     """
 
-    def __init__(self, n_nodes: int = 2048, r_max: float = 1e9):
-        k = np.arange(n_nodes)
-        t = 0.5 * (1.0 - np.cos(math.pi * k / (n_nodes - 1)))
-        self.r_nodes = 2.0 * (r_max / 2.0) ** t
+    def __init__(self):
+        k = np.arange(_INV_NODES)
+        t = 0.5 * (1.0 - np.cos(math.pi * k / (_INV_NODES - 1)))
+        self.r_nodes = 2.0 * (_INV_R_MAX / 2.0) ** t
         self.u_nodes = np.asarray(quad_cr_cdf(self.r_nodes))
         self.u_max = float(self.u_nodes[-1])
         self._inv = PchipInterpolator(self.u_nodes, np.log(self.r_nodes))
 
-    def __call__(self, u, newton_steps: int = 1):
+    def __call__(self, u):
         u, scalar = _prep(u)
         u = np.clip(u, 0.0, 1.0 - 1e-15)
         r = np.empty_like(u)
@@ -320,12 +327,9 @@ class QuadCrInverseCdf:
             r[far] = rt
         if inside.any():
             ri = r[inside]
-            ui = u[inside]
-            for _ in range(newton_steps):
-                f = np.asarray(quad_cr_cdf(ri)) - ui
-                df = np.asarray(_quad_law_expression(ri))
-                ri = np.maximum(ri - f / np.where(df > 0.0, df, 1.0), 2.0)
-            r[inside] = ri
+            f = np.asarray(quad_cr_cdf(ri)) - u[inside]
+            df = np.asarray(_quad_law_expression(ri))
+            r[inside] = np.maximum(ri - f / np.where(df > 0.0, df, 1.0), 2.0)
         return _ret(r, scalar)
 
 
@@ -341,21 +345,18 @@ def _get_default_inverse() -> QuadCrInverseCdf:
         return _default_inverse
 
 
-def sample_quad_cr_values(n: int, rng: np.random.Generator,
-                          inverse: QuadCrInverseCdf | None = None) -> np.ndarray:
+def sample_quad_cr_values(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n values from the quadrilateral law by inverse-CDF sampling."""
-    inv = inverse if inverse is not None else _get_default_inverse()
-    return np.asarray(inv(rng.uniform(size=n)))
+    return np.asarray(_get_default_inverse()(rng.uniform(size=n)))
 
 
-def sample_length_values(n: int, rng: np.random.Generator,
-                         inverse: QuadCrInverseCdf | None = None) -> np.ndarray:
+def sample_length_values(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n values from the full-line length density X.
 
     A fair coin picks the branch; each branch is the image of the
     quadrilateral law under its half-angle substitution.
     """
-    inv = inverse if inverse is not None else _get_default_inverse()
+    inv = _get_default_inverse()
     u = rng.uniform(size=n)
     short = u < 0.5
     x = np.empty_like(u)

@@ -29,10 +29,6 @@ __all__ = [
     "TAU_MAX",
     "BracketError",
     "SolverFailure",
-    "ThetaParams",
-    "theta1",
-    "theta3",
-    "theta1_prime0",
     "wp",
     "LameEndpointData",
     "integrate_lame",
@@ -65,76 +61,6 @@ class SolverFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# theta series
-
-
-@dataclass(frozen=True)
-class ThetaParams:
-    """A half-period ratio together with its nome.
-
-    The series evaluators truncate when the next term falls below 1e-15
-    relative to the leading one, which for any nome in (0, 1) reachable
-    from the supported tau range keeps the truncation error under 1e-15.
-    """
-
-    tau: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.q < 1.0:
-            raise ValueError("nome must lie in (0, 1) for the series to converge")
-
-    @classmethod
-    def from_tau(cls, tau: float) -> "ThetaParams":
-        if not tau > 0:
-            raise ValueError("half-period ratio must be positive")
-        return cls(tau=tau, q=math.exp(-_PI / tau))
-
-
-def _check_nome(q: float) -> None:
-    if not 0.0 < q < 1.0:
-        raise ValueError("theta series diverges unless 0 < q < 1")
-
-
-def theta1(u: complex, q: float) -> complex:
-    """First theta function, 2 sum (-1)^n q^((n+1/2)^2) sin((2n+1)u)."""
-    _check_nome(q)
-    b = abs(complex(u).imag)
-    acc = 0j
-    for n in range(64):
-        w = q ** ((n + 0.5) ** 2)
-        if n >= 4 and w * math.exp((2 * n + 1) * b) < 1e-18:
-            break
-        acc += (-1) ** n * w * cmath.sin((2 * n + 1) * u)
-    return 2.0 * acc
-
-
-def theta3(u: complex, q: float) -> complex:
-    """Third theta function, 1 + 2 sum q^(n^2) cos(2nu)."""
-    _check_nome(q)
-    b = abs(complex(u).imag)
-    acc = 0j
-    for n in range(1, 64):
-        w = q ** (n * n)
-        if n >= 4 and w * math.exp(2 * n * b) < 1e-18:
-            break
-        acc += w * cmath.cos(2 * n * u)
-    return 1.0 + 2.0 * acc
-
-
-def theta1_prime0(q: float) -> float:
-    """Derivative of theta1 at the origin, term-by-term differentiated."""
-    _check_nome(q)
-    acc = 0.0
-    for n in range(64):
-        w = (2 * n + 1) * q ** ((n + 0.5) ** 2)
-        if n >= 4 and w < 1e-18:
-            break
-        acc += (-1) ** n * w
-    return 2.0 * acc
-
-
-# ---------------------------------------------------------------------------
 # the lattice potential
 #
 # Series are carried through exponent/multiplier lists so every hyperbolic
@@ -148,12 +74,10 @@ def _term_list(logq: float, kind: str) -> list[tuple[float, int, float]]:
     for n in range(24):
         if kind == "t1":
             K, m, sgn = n * (n + 1) * logq, 2 * n + 1, float((-1) ** n)
-        elif kind == "t3":
+        else:  # t3
             if n == 0:
                 continue
             K, m, sgn = n * n * logq, 2 * n, 2.0
-        else:  # t1p
-            K, m, sgn = n * (n + 1) * logq, 2 * n + 1, float((-1) ** n)
         if n >= 3 and math.exp(K) < 1e-18:
             break
         out.append((K, m, sgn))
@@ -161,7 +85,7 @@ def _term_list(logq: float, kind: str) -> list[tuple[float, int, float]]:
 
 
 def _series_prefactor(logq: float) -> float:
-    t1p = sum(s * m * math.exp(K) for K, m, s in _term_list(logq, "t1p"))
+    t1p = sum(s * m * math.exp(K) for K, m, s in _term_list(logq, "t1"))
     t30 = 1.0 + sum(s * math.exp(K) for K, m, s in _term_list(logq, "t3"))
     return _PI * _PI * math.exp(logq) * (t1p / t30) ** 2
 

@@ -1,12 +1,14 @@
 """Monte Carlo validation of every closed-form law in the package.
 
-Samplers draw i.i.d. uniform points on the circle (or push the
-quadrilateral law through the relevant change of variables; the modulus
-laws use modmap's inverse of the modulus map), accumulate histograms,
-and score the empirical CDF against the closed forms with the
-Kolmogorov-Smirnov distance.  Randomness is counter-based: the
-sample index alone determines the stream position, so the worker count
-can never change the output.
+``CURVES`` holds each law's density and CDF, the one copy that the
+command line and the Kolmogorov-Smirnov scoring here both read.
+Samplers draw i.i.d. uniform points on the circle, or push the
+quadrilateral law's inverse-CDF draws through the relevant change of
+variables (the modulus laws through modmap's inverse of the modulus
+map), accumulate histograms, and score the empirical CDF against the
+closed forms.  Randomness is counter-based: the sample index alone
+determines the stream position, and chunks run in index order on the
+calling thread, so the worker count never changes the output.
 """
 from __future__ import annotations
 
@@ -14,33 +16,21 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import closedform as cf
 from . import modmap
-from .closedform import (
-    LENGTH_THRESHOLD,
-    _get_default_inverse,
-    crossratio_cdf,
-    quad_cr_cdf,
-    star_cdf,
-)
 
 __all__ = [
     "LAWS",
+    "CURVES",
     "PAIRING_PROBABILITY",
     "McConfig",
     "EmpiricalSummary",
     "run_law",
-    "sample_crossratio",
-    "sample_quad_cr",
-    "sample_star",
-    "sample_length",
-    "sample_modulus",
-    "sample_teich",
 ]
 
 LAWS = ("crossratio_full", "quad_cr", "length", "star", "modulus", "teich")
@@ -55,13 +45,55 @@ _CHUNK = 1 << 14
 _ADVANCE_PER_CHUNK = 1 << 20
 _BINS = 200
 
+# The laws read through the modulus map; their curves take the map's
+# table as an optional second argument (None: the default table).
+_MAP_LAWS = ("modulus", "teich")
+
 _HIST_RANGE = {
     "crossratio_full": (-5.0, 5.0),
     "quad_cr": (2.0, 25.0),
-    "length": (0.0, LENGTH_THRESHOLD),
+    "length": (0.0, cf.LENGTH_THRESHOLD),
     "star": (-8.0, 8.0),
     "modulus": (1.0, 8.0),
     "teich": (0.0, 4.0),
+}
+
+
+def _crossratio_pdf(r):
+    return np.array([cf.crossratio_pdf(v) for v in r])
+
+
+def _quad_cr_cdf(r):
+    # below the support the CDF is 0, not a domain error
+    return cf.quad_cr_cdf(np.maximum(r, 2.0))
+
+
+def _length_cdf(x):
+    """Shortest-branch CDF, 1 - F_Q(coth^2(x/2)): 0 at 0, 1 at the threshold."""
+    with np.errstate(divide="ignore"):
+        q = 1.0 / np.tanh(0.5 * np.maximum(x, 0.0)) ** 2
+    return 1.0 - np.asarray(cf.quad_cr_cdf(np.maximum(q, 2.0)))
+
+
+def _modulus_cdf(m, table=None):
+    return cf.quad_cr_cdf(np.maximum(np.asarray(modmap.cr_of_modulus(m, table)), 2.0))
+
+
+def _teich_cdf(d, table=None):
+    return _modulus_cdf(np.exp(d), table)
+
+
+# Density and CDF of every law, keyed by law name.  Each takes an array;
+# the modulus-map laws also take an optional table.  The keys are the
+# sampled LAWS plus length_dual, the full-line length law.
+CURVES = {
+    "crossratio_full": (_crossratio_pdf, cf.crossratio_cdf),
+    "quad_cr": (cf.quad_cr_pdf, _quad_cr_cdf),
+    "length": (cf.length_pdf, _length_cdf),
+    "length_dual": (cf.length_pdf_dual, cf.length_cdf),
+    "star": (cf.star_pdf, cf.star_cdf),
+    "modulus": (modmap.modulus_pdf, _modulus_cdf),
+    "teich": (modmap.teich_pdf, _teich_cdf),
 }
 
 
@@ -160,8 +192,7 @@ def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
     if law == "star":
         th = rng.random(count) * (2.0 * math.pi)
         return np.tan(0.5 * th)
-    u = rng.random(count)
-    q = np.asarray(_get_default_inverse()(u))
+    q = cf.sample_quad_cr_values(count, rng)
     if law == "length":
         return 2.0 * np.arctanh(1.0 / np.sqrt(np.maximum(q, 2.0)))
     m = modmap.modulus_of_cr(q, table)
@@ -170,25 +201,10 @@ def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
     return np.log(m)  # teich
 
 
-def _law_cdf(law: str, xs: np.ndarray, table: modmap.CrMapTable | None) -> np.ndarray:
-    if law == "crossratio_full":
-        return np.asarray(crossratio_cdf(xs))
-    if law == "quad_cr":
-        return np.asarray(quad_cr_cdf(np.maximum(xs, 2.0)))
-    if law == "star":
-        return np.asarray(star_cdf(xs))
-    if law == "length":
-        q = 1.0 / np.tanh(0.5 * xs) ** 2
-        return 1.0 - np.asarray(quad_cr_cdf(np.maximum(q, 2.0)))
-    t = table if table is not None else modmap.default_table()
-    m = xs if law == "modulus" else np.exp(xs)
-    return np.asarray(quad_cr_cdf(np.maximum(
-        np.asarray(modmap.cr_of_modulus(m, t)), 2.0)))
-
-
 def _ks_distance(values: np.ndarray, law: str, table: modmap.CrMapTable | None) -> float:
     xs = np.sort(values)
-    f = _law_cdf(law, xs, table)
+    cdf = CURVES[law][1]
+    f = np.asarray(cdf(xs, table) if law in _MAP_LAWS else cdf(xs))
     n = len(xs)
     upper = np.arange(1, n + 1) / n - f
     lower = f - np.arange(0, n) / n
@@ -212,24 +228,18 @@ def run_law(cfg: McConfig, table: modmap.CrMapTable | None = None) -> EmpiricalS
     """Sample one law per the config and summarize.
 
     Chunks of 2^14 samples each own a fixed slice of the Philox counter
-    space; workers grab whole chunks and results concatenate in index
-    order, so output is a function of (seed, n) only.
+    space and are drawn in index order on the calling thread, so the
+    output is a function of (seed, n) only; ``cfg.workers`` is accepted
+    and changes nothing.  The modulus-map laws read ``table``, or the
+    default table when it is None.
     """
     n = cfg.n_samples
     n_chunks = (n + _CHUNK - 1) // _CHUNK
-    if cfg.law in ("modulus", "teich") and table is None:
+    if cfg.law in _MAP_LAWS and table is None:
         table = modmap.default_table()
-
-    def one(c: int) -> np.ndarray:
-        count = min(_CHUNK, n - c * _CHUNK)
-        return _sample_chunk(cfg.law, cfg.seed, c, count, table)
-
-    if cfg.workers == 1 or n_chunks == 1:
-        parts = [one(c) for c in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(one, range(n_chunks)))
-    values = np.concatenate(parts)
+    values = np.concatenate([
+        _sample_chunk(cfg.law, cfg.seed, c, min(_CHUNK, n - c * _CHUNK), table)
+        for c in range(n_chunks)])
 
     ks = _ks_distance(values, cfg.law, table)
     lo, hi = _HIST_RANGE[cfg.law]
@@ -238,33 +248,3 @@ def run_law(cfg: McConfig, table: modmap.CrMapTable | None = None) -> EmpiricalS
     return EmpiricalSummary(
         law=cfg.law, n=n, seed=cfg.seed, bin_edges=edges, counts=counts,
         ks_distance=ks, stats=_stats(values, cfg.law, clipped))
-
-
-def sample_crossratio(cfg: McConfig) -> EmpiricalSummary:
-    """Cross ratios of i.i.d. uniform quadruples on the circle."""
-    return run_law(replace(cfg, law="crossratio_full"))
-
-
-def sample_quad_cr(cfg: McConfig) -> EmpiricalSummary:
-    """Canonical (orbit-maximal) cross ratios, supported on [2, inf)."""
-    return run_law(replace(cfg, law="quad_cr"))
-
-
-def sample_star(cfg: McConfig) -> EmpiricalSummary:
-    """The one-free-point pencil law tan(theta/2), standard Cauchy."""
-    return run_law(replace(cfg, law="star"))
-
-
-def sample_length(cfg: McConfig) -> EmpiricalSummary:
-    """Shortest-geodesic lengths, the image of the quadrilateral law."""
-    return run_law(replace(cfg, law="length"))
-
-
-def sample_modulus(cfg: McConfig, table: modmap.CrMapTable | None = None) -> EmpiricalSummary:
-    """Moduli of random ideal quadrilaterals via the inverse map."""
-    return run_law(replace(cfg, law="modulus"), table)
-
-
-def sample_teich(cfg: McConfig, table: modmap.CrMapTable | None = None) -> EmpiricalSummary:
-    """Log-moduli (distances to the square torus)."""
-    return run_law(replace(cfg, law="teich"), table)

@@ -170,13 +170,19 @@ class CrMapTable:
                      y - self._excess(1.0 / y), y - self.c_hat)
         return np.maximum(m, self.ms[0])
 
+    def rows(self) -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
+        """Column names and the per-node solve records by increasing m."""
+        return _CSV_COLUMNS, [tuple(rec[k] for k in _CSV_COLUMNS)
+                              for rec in sorted(self.records, key=lambda r: r["m"])]
+
     def csv_text(self) -> str:
         """The per-node solve records as CSV, 17 significant digits."""
+        header, rows = self.rows()
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(_CSV_COLUMNS)
-        for rec in sorted(self.records, key=lambda r: r["m"]):
-            w.writerow(format(rec[k], ".17g") for k in _CSV_COLUMNS)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(format(v, ".17g") for v in row)
         return buf.getvalue()
 
     def to_csv(self, path) -> None:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closedform import QuadCrInverseCdf, _get_default_inverse, sample_length_values
+from .closedform import sample_length_values
 from .hypgeom import ComplexPoint, MoebiusMap
 
 __all__ = [
@@ -242,7 +242,7 @@ def angle_relation(ell1: float, ell2: float) -> AngleRelation:
     return AngleRelation(theta=theta, quad_cr=quad_cr)
 
 
-def sample_torus(rng_seed, inverse_cdf: QuadCrInverseCdf | None = None) -> TorusSample:
+def sample_torus(rng_seed) -> TorusSample:
     """Draw one random punctured torus.
 
     Both lengths come from the geodesic length law by inverse-CDF
@@ -251,9 +251,8 @@ def sample_torus(rng_seed, inverse_cdf: QuadCrInverseCdf | None = None) -> Torus
     is i.i.d.-from-the-law conditioned on describing an actual torus.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    inv = inverse_cdf if inverse_cdf is not None else _get_default_inverse()
     while True:
-        x, y = sample_length_values(2, rng, inv)
+        x, y = sample_length_values(2, rng)
         prod = math.sinh(0.5 * x) * math.sinh(0.5 * y)
         if prod >= 1.0:
             theta = math.asin(min(1.0 / prod, 1.0))

@@ -9,8 +9,14 @@ import math
 import numpy as np
 import pytest
 
-from punctorus import cli, lame, modmap
-from punctorus.closedform import quad_cr_median, star_pdf
+from punctorus import cli, lame, mc, modmap
+from punctorus.closedform import (
+    LENGTH_THRESHOLD,
+    length_branch_median,
+    quad_cr_median,
+    star_cdf,
+    star_pdf,
+)
 
 
 def run(capsys, argv):
@@ -58,6 +64,33 @@ class TestCurveCommands:
                                     format(quad_cr_median(), ".17g")])
         assert code == 0
         assert float(out) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("cmd, fn", [("pdf", star_pdf), ("cdf", star_cdf)])
+    def test_scalar_to_file(self, tmp_path, capsys, cmd, fn):
+        path = tmp_path / "value.txt"
+        code, out, _ = run(capsys, [cmd, "--law", "star", "--at", "1",
+                                    "--out", str(path)])
+        assert code == 0
+        assert out == ""
+        assert path.read_text() == format(fn(1.0), ".17g") + "\n"
+
+    @pytest.mark.parametrize("law, at, want", [
+        ("length", LENGTH_THRESHOLD, 1.0),
+        ("length", length_branch_median(), 0.5),
+        ("length_dual", LENGTH_THRESHOLD, 0.5),
+    ])
+    def test_length_cdfs(self, capsys, law, at, want):
+        code, out, _ = run(capsys, ["cdf", "--law", law, "--at",
+                                    format(at, ".17g")])
+        assert code == 0
+        assert float(out) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("cmd", ["pdf", "cdf"])
+    def test_every_law_has_both_curves(self, cmd):
+        parser = cli.build_parser()
+        assert len(mc.CURVES) == 7
+        for law in mc.CURVES:
+            assert parser.parse_args([cmd, "--law", law, "--at", "1"]).law == law
 
     def test_teich_cdf_starts_at_zero(self, capsys, cr_table):
         code, out, _ = run(capsys, ["cdf", "--law", "teich", "--at", "0"])
@@ -141,6 +174,33 @@ class TestSolverCommands:
         doc = json.loads(out)
         assert doc[0]["cross_ratio"] == pytest.approx(2.41174363, rel=1e-6)
 
+    @pytest.fixture
+    def stub_build(self, monkeypatch, cr_table):
+        calls = []
+
+        def build(m_min, m_max, n):
+            calls.append((m_min, m_max, n))
+            return cr_table
+
+        monkeypatch.setattr(cli.modmap, "build_cr_table", build)
+        return calls
+
+    def test_cr_map_table_csv(self, capsys, stub_build, cr_table):
+        code, out, _ = run(capsys, ["cr-map", "--table", "--points", "16"])
+        assert code == 0
+        assert stub_build == [(1.0, 50.0, 16)]
+        assert out == cr_table.csv_text()
+        code, out, _ = run(capsys, ["cr-map", "--table", "--precision", "6"])
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1][3] == format(cr_table.records[0]["cross_ratio"], ".6g")
+
+    def test_cr_map_table_json_is_the_records(self, capsys, stub_build,
+                                              cr_table):
+        code, out, _ = run(capsys, ["cr-map", "--table", "--points", "16",
+                                    "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == sorted(cr_table.records, key=lambda r: r["m"])
+
     def test_cr_map_requires_a_mode(self, capsys):
         code, _, err = run(capsys, ["cr-map"])
         assert code == 2
@@ -210,6 +270,25 @@ class TestParserSurface:
         with pytest.raises(SystemExit) as exc:
             cli.main(["pdf", "--law", "gaussian", "--at", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["teich", "--pdf"],
+        ["verify", "--out", "report.txt"],
+        ["verify", "--format", "json"],
+        ["verify", "--seed", "1"],
+        ["verify", "--precision", "6"],
+        ["pdf", "--law", "star", "--at", "1", "--seed", "1"],
+        ["cdf", "--law", "star", "--at", "1", "--seed", "1"],
+        ["accessory", "--tau", "0.8", "--seed", "1"],
+        ["cr-map", "--modulus", "3", "--seed", "1"],
+        ["teich", "--stats", "--seed", "1"],
+        ["quasimobius", "--src", "2", "--dst", "3", "--seed", "1"],
+    ])
+    def test_removed_flags_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["pdf", "sample", "teich", "verify"])
     def test_help_names_the_units(self, capsys, sub):

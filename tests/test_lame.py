@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 import pytest
@@ -13,52 +12,12 @@ from punctorus.lame import (
     TAU_MIN,
     BracketError,
     SolverFailure,
-    ThetaParams,
     circle_invariants,
     integrate_lame,
     solve_accessory,
-    theta1,
-    theta1_prime0,
-    theta3,
     wp,
     _make_potentials,
 )
-
-
-class TestThetaSeries:
-    def test_against_long_brute_force(self):
-        # same series, no early exit, many more terms: pins truncation
-        q, u = 0.37, 0.8 + 0.3j
-        ref1 = 2.0 * sum((-1) ** n * q ** ((n + 0.5) ** 2)
-                         * cmath.sin((2 * n + 1) * u) for n in range(200))
-        ref3 = 1.0 + 2.0 * sum(q ** (n * n) * cmath.cos(2 * n * u)
-                               for n in range(1, 200))
-        assert abs(theta1(u, q) - ref1) < 1e-14 * abs(ref1)
-        assert abs(theta3(u, q) - ref3) < 1e-14 * abs(ref3)
-
-    def test_parity_and_period(self):
-        q = 0.2
-        for u in (0.4, 1.1 + 0.2j):
-            assert theta1(-u, q) == pytest.approx(-theta1(u, q), rel=1e-13)
-            assert theta3(-u, q) == pytest.approx(theta3(u, q), rel=1e-13)
-            assert theta1(u + math.pi, q) == pytest.approx(-theta1(u, q),
-                                                           rel=1e-12)
-            assert theta3(u + math.pi, q) == pytest.approx(theta3(u, q),
-                                                           rel=1e-12)
-
-    def test_derivative_at_origin(self):
-        q = 0.37
-        h = 1e-6
-        fd = (theta1(h, q) - theta1(-h, q)).real / (2.0 * h)
-        assert theta1_prime0(q) == pytest.approx(fd, rel=1e-9)
-
-    def test_nome_validation(self):
-        with pytest.raises(ValueError):
-            theta1(0.3, 1.0)
-        with pytest.raises(ValueError):
-            ThetaParams(tau=1.0, q=0.0)
-        assert ThetaParams.from_tau(2.0).q == pytest.approx(
-            math.exp(-math.pi / 2.0), rel=1e-15)
 
 
 class TestLatticePotential:

@@ -8,18 +8,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from punctorus.closedform import quad_cr_median
+from punctorus.closedform import LENGTH_THRESHOLD, quad_cr_median
 from punctorus.mc import (
+    CURVES,
     LAWS,
     PAIRING_PROBABILITY,
     EmpiricalSummary,
     McConfig,
     run_law,
-    sample_length,
-    sample_quad_cr,
-    sample_star,
-    sample_teich,
     _sample_chunk,
 )
 
@@ -47,6 +45,39 @@ class TestConfig:
     def test_law_roster(self):
         assert set(LAWS) == {"crossratio_full", "quad_cr", "length", "star",
                              "modulus", "teich"}
+
+
+class TestLawCurves:
+    INTERVALS = {
+        "crossratio_full": [(-3.0, -0.5), (0.2, 0.8), (1.5, 6.0)],
+        "quad_cr": [(2.0, 3.0), (3.0, 10.0), (10.0, 100.0)],
+        "length": [(0.1, 0.5), (0.2, 0.8), (1.0, LENGTH_THRESHOLD)],
+        "length_dual": [(0.2, 0.8), (1.0, 3.0), (2.0, 6.0)],
+        "star": [(-3.0, -1.0), (-0.5, 2.0), (1.0, 10.0)],
+        "modulus": [(1.0, 1.5), (1.5, 4.0), (4.0, 20.0)],
+        "teich": [(0.0, 0.5), (0.5, 1.5), (1.5, 3.0)],
+    }
+
+    def test_every_sampled_law_has_curves(self):
+        assert set(LAWS) | {"length_dual"} == set(CURVES) == set(self.INTERVALS)
+
+    @pytest.mark.parametrize("law", sorted(INTERVALS))
+    def test_pdf_integrates_to_cdf_differences(self, law, cr_table):
+        # modulus and teich read the default table, which cr_table installs
+        pdf, cdf = CURVES[law]
+        for a, b in self.INTERVALS[law]:
+            mass, _ = quad(lambda t: float(np.asarray(pdf(np.array([t])))[0]),
+                           a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
+            fa, fb = np.asarray(cdf(np.array([a, b])))
+            assert mass == pytest.approx(fb - fa, abs=1e-9)
+
+    def test_length_is_the_shortest_branch(self):
+        cdf = CURVES["length"][1]
+        assert float(cdf(np.array([LENGTH_THRESHOLD]))[0]) == pytest.approx(1.0, abs=1e-12)
+        assert float(cdf(np.array([0.9992969432455838]))[0]) == pytest.approx(0.5, abs=1e-12)
+        assert float(cdf(np.array([0.0]))[0]) == 0.0
+        full = CURVES["length_dual"][1]
+        assert float(full(np.array([LENGTH_THRESHOLD]))[0]) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestDeterminism:
@@ -88,7 +119,7 @@ class TestAgainstClosedForm:
         assert large.ks_distance < small.ks_distance
 
     def test_quad_median(self):
-        out = sample_quad_cr(cfg("quad_cr"))
+        out = run_law(cfg("quad_cr"))
         assert out.stats["median"] == pytest.approx(quad_cr_median(), abs=0.05)
 
     def test_full_law_median_and_orbit_mass(self):
@@ -98,17 +129,17 @@ class TestAgainstClosedForm:
         assert np.mean(values >= 2.0) == pytest.approx(1.0 / 6.0, abs=0.01)
 
     def test_star_location_and_scale(self):
-        out = sample_star(cfg("star"))
+        out = run_law(cfg("star"))
         assert out.stats["median"] == pytest.approx(0.0, abs=0.01)
         assert out.stats["iqr"] == pytest.approx(2.0, abs=0.02)
 
     def test_length_moments(self):
-        out = sample_length(cfg("length", n=1_000_000))
+        out = run_law(cfg("length", n=1_000_000))
         assert out.stats["mean"] == pytest.approx(0.9841540409, abs=0.005)
         assert out.stats["median"] == pytest.approx(0.9992969432, abs=0.005)
 
     def test_teich_channel(self, cr_table):
-        out = sample_teich(cfg("teich", n=65_536), table=cr_table)
+        out = run_law(cfg("teich", n=65_536), table=cr_table)
         assert out.ks_distance < 0.01
         assert out.stats["median"] == pytest.approx(0.83187, abs=0.02)
         assert out.bin_edges[0] == 0.0
