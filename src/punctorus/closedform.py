@@ -73,33 +73,45 @@ def dilog(x):
     return _ret(out, scalar)
 
 
-def _nlog1p_over(x: float) -> float:
+def _nlog1p_over(x):
     """-log(1-x)/x, the slowly varying factor of every pdf branch.
 
     Series expansion inside |x| < 1e-6 sidesteps the 0/0 at the origin.
+    Takes and returns 1-d arrays.
     """
-    if abs(x) < _SERIES_CUT:
-        return 1.0 + x * (0.5 + x * (1.0 / 3.0 + x * 0.25))
-    return -math.log1p(-x) / x
+    out = np.empty_like(x)
+    small = np.abs(x) < _SERIES_CUT
+    xs, xb = x[small], x[~small]
+    out[small] = 1.0 + xs * (0.5 + xs * (1.0 / 3.0 + xs * 0.25))
+    out[~small] = -np.log1p(-xb) / xb
+    return out
 
 
-def crossratio_pdf(r: float) -> float:
+def crossratio_pdf(r):
     """Density of the cross ratio of four independent uniform circle points.
 
     Defined on the whole line with logarithmic divergences at r = 0 and
     r = 1 (the coincidence configurations); those two points return inf.
     The three branches are assembled from the single helper
     h(x) = -log(1-x)/x, which makes continuity across branch boundaries
-    automatic.
+    automatic.  Scalars or arrays.
     """
-    r = float(r)
-    if r == 0.0 or r == 1.0:
-        return math.inf
-    if 0.0 < r < 1.0:
-        return (_nlog1p_over(r) + _nlog1p_over(1.0 - r)) / _PI2
-    if r > 1.0:
-        return (_nlog1p_over(1.0 - r) / r + _nlog1p_over(1.0 / r) / r**2) / _PI2
-    return (_nlog1p_over(r) - _nlog1p_over(1.0 / r) / r) / ((1.0 - r) * _PI2)
+    r, scalar = _prep(r)
+    h = _nlog1p_over
+    out = np.full_like(r, np.inf)
+    mid = (r > 0.0) & (r < 1.0)
+    if mid.any():
+        rm = r[mid]
+        out[mid] = (h(rm) + h(1.0 - rm)) / _PI2
+    hi = r > 1.0
+    if hi.any():
+        rh = r[hi]
+        out[hi] = (h(1.0 - rh) / rh + h(1.0 / rh) / rh**2) / _PI2
+    lo = ~(r >= 0.0)  # negative or nan
+    if lo.any():
+        rl = r[lo]
+        out[lo] = (h(rl) - h(1.0 / rl) / rl) / ((1.0 - rl) * _PI2)
+    return _ret(out, scalar)
 
 
 def crossratio_cdf(r):

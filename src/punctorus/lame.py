@@ -43,6 +43,11 @@ _PI = math.pi
 TAU_MIN = 0.02
 TAU_MAX = 50.0
 
+# Trial steps (accepted or rejected) allowed on one leg.  Solves over
+# the supported range take at most about 1.8k, scans of inadmissible
+# lambda included.
+_MAX_STEPS = 10_000
+
 
 class BracketError(RuntimeError):
     """Endpoint data shows oscillation: lambda is outside the admissible
@@ -212,6 +217,9 @@ def _rkf45_leg(V: Callable[[float], float], L: float, rtol: float,
     Fehlberg 4(5) with a shared potential evaluation per stage across
     both columns, per-component error control, and sign-change counting
     on accepted steps.  Returns (endpoint 4-tuple, flip census, |W - 1|).
+    Raises :class:`BracketError` when the solution overflows (the error
+    estimate is no longer finite) or the leg needs more than _MAX_STEPS
+    trial steps; both happen only for lambda far outside the bracket.
     """
     t = 0.0
     y = (1.0, 0.0, 0.0, 1.0)
@@ -223,7 +231,11 @@ def _rkf45_leg(V: Callable[[float], float], L: float, rtol: float,
     def deriv(v: float, w: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
         return (w[1], v * w[0], w[3], v * w[2])
 
+    steps = 0
     while t < L:
+        steps += 1
+        if steps > _MAX_STEPS:
+            raise BracketError(f"{_MAX_STEPS} RKF45 steps did not finish a leg of length {L}")
         if t + h > L:
             h = L - t
         k1 = deriv(V(t), y)
@@ -248,6 +260,8 @@ def _rkf45_leg(V: Callable[[float], float], L: float, rtol: float,
                      + k5[i] / 50 + 2 * k6[i] / 55))
             / (atol + rtol * max(abs(y[i]), abs(ynew[i])))
             for i in range(4))
+        if not math.isfinite(err):
+            raise BracketError(f"the solution overflowed at t={t} on a leg of length {L}")
         if err <= 1.0:
             t += h
             if not first:

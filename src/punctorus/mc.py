@@ -59,10 +59,6 @@ _HIST_RANGE = {
 }
 
 
-def _crossratio_pdf(r):
-    return np.array([cf.crossratio_pdf(v) for v in r])
-
-
 def _quad_cr_cdf(r):
     # below the support the CDF is 0, not a domain error
     return cf.quad_cr_cdf(np.maximum(r, 2.0))
@@ -87,7 +83,7 @@ def _teich_cdf(d, table=None):
 # the modulus-map laws also take an optional table.  The keys are the
 # sampled LAWS plus length_dual, the full-line length law.
 CURVES = {
-    "crossratio_full": (_crossratio_pdf, cf.crossratio_cdf),
+    "crossratio_full": (cf.crossratio_pdf, cf.crossratio_cdf),
     "quad_cr": (cf.quad_cr_pdf, _quad_cr_cdf),
     "length": (cf.length_pdf, _length_cdf),
     "length_dual": (cf.length_pdf_dual, cf.length_cdf),

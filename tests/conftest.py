@@ -3,6 +3,7 @@
 The cross-ratio table is expensive (tens of ODE boundary solves), so
 one standard table is built per session, timed for the acceptance
 gate, and installed as the module default for everything downstream.
+The full verification run on it (about five seconds) is also made once.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import time
 
 import pytest
 
-from punctorus import modmap
+from punctorus import modmap, verify
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +27,11 @@ def cr_table_build() -> tuple[modmap.CrMapTable, float]:
 @pytest.fixture(scope="session")
 def cr_table(cr_table_build) -> modmap.CrMapTable:
     return cr_table_build[0]
+
+
+@pytest.fixture(scope="session")
+def verify_results(cr_table) -> list[verify.CheckResult]:
+    return verify.run_checks(table=cr_table)
 
 
 @pytest.fixture

@@ -2,168 +2,109 @@
 
 Each criterion gets one test (criteria 9 and 10 split into lettered
 clauses), so the verbose run shows one pass/fail line per clause.
-Clause 09a states a Teichmueller median this implementation measurably
-misses; it is asserted as stated, fails, and carries the measured value
-in its message.  Clauses 09d and 10a assert the shape and the tail
-coefficient that the modulus law provably has; their docstrings give
-the derivations.  The numbering mirrors verify.run_checks.
+Every number is computed once, by verify.run_checks, whose check names
+these tests carry; the tests only hold the bounds.  Clause 09a states a
+Teichmueller median this implementation measurably misses; it is
+asserted as stated, fails, and carries the measured value in its
+message.  Clauses 09d and 10a assert the shape and the tail coefficient
+that the modulus law provably has; their docstrings give the
+derivations.
 """
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-
-from punctorus import lame, mc, modmap
-from punctorus.closedform import (
-    LENGTH_THRESHOLD,
-    crossratio_pdf,
-    length_branch_median,
-    length_mean,
-    length_pdf,
-    length_pdf_dual,
-    quad_cr_median,
-    quad_cr_pdf,
-    star_pdf,
-)
-from punctorus.hypgeom import cross_ratio
-from punctorus.torusgroup import (
-    commutator,
-    nonrectangular_pair,
-    rectangular_generators,
-    tangency_vertices,
-)
-
-SEED = 20260819
 
 
-def test_criterion_01_pdf_normalization():
-    t0 = time.perf_counter()
-    full = (quad(crossratio_pdf, -np.inf, 0.0, limit=200)[0]
-            + quad(crossratio_pdf, 0.0, 1.0, limit=200)[0]
-            + quad(crossratio_pdf, 1.0, np.inf, limit=200)[0])
-    quad_mass = quad(quad_cr_pdf, 2.0, np.inf, limit=200)[0]
-    length_mass = quad(length_pdf, 0.0, LENGTH_THRESHOLD, limit=200)[0]
-    dual_mass = (quad(length_pdf_dual, 0.0, LENGTH_THRESHOLD)[0]
-                 + quad(length_pdf_dual, LENGTH_THRESHOLD, np.inf)[0])
-    star_mass = quad(star_pdf, -np.inf, np.inf)[0]
-    elapsed = time.perf_counter() - t0
-    masses = {"full": full, "quad": quad_mass, "length": length_mass,
-              "dual": dual_mass, "star": star_mass}
-    for name, m in masses.items():
+@pytest.fixture(scope="module")
+def checks(verify_results):
+    return {r.name: r.values for r in verify_results}
+
+
+def test_criterion_01_pdf_normalization(checks):
+    v = checks["01-pdf-normalization"]
+    for name, m in v["masses"].items():
         assert abs(m - 1.0) < 1e-8, f"{name} law mass {m!r}"
-    assert elapsed < 1.0, f"normalization took {elapsed:.2f}s"
+    assert v["seconds"] < 1.0, f"normalization took {v['seconds']:.2f}s"
 
 
-def test_criterion_02_quad_median():
-    t0 = time.perf_counter()
-    med = quad_cr_median()
-    elapsed = time.perf_counter() - t0
-    assert med == pytest.approx(4.6883, abs=5e-4), f"median {med!r}"
-    assert elapsed < 0.1, f"median took {elapsed:.3f}s"
+def test_criterion_02_quad_median(checks):
+    v = checks["02-quad-median"]
+    assert v["median"] == pytest.approx(4.6883, abs=5e-4), f"median {v['median']!r}"
+    assert v["seconds"] < 0.1, f"median took {v['seconds']:.3f}s"
 
 
-def test_criterion_03_length_checkpoints():
-    t0 = time.perf_counter()
-    mean = length_mean()
-    med = length_branch_median()
-    elapsed = time.perf_counter() - t0
-    assert mean == pytest.approx(0.984154, abs=1e-4), f"mean {mean!r}"
-    assert med == pytest.approx(0.99929, abs=1e-3), f"branch median {med!r}"
-    assert elapsed < 1.0, f"checkpoints took {elapsed:.2f}s"
+def test_criterion_03_length_checkpoints(checks):
+    v = checks["03-length-checkpoints"]
+    assert v["mean"] == pytest.approx(0.984154, abs=1e-4), f"mean {v['mean']!r}"
+    assert v["branch_median"] == pytest.approx(0.99929, abs=1e-3), \
+        f"branch median {v['branch_median']!r}"
+    assert v["seconds"] < 1.0, f"checkpoints took {v['seconds']:.2f}s"
 
 
-def test_criterion_04_monte_carlo_ks():
-    t0 = time.perf_counter()
-    distances = {}
-    for law in ("crossratio_full", "quad_cr", "length", "star"):
-        cfg = mc.McConfig(n_samples=1_000_000, seed=SEED, workers=4, law=law)
-        distances[law] = mc.run_law(cfg).ks_distance
-    rerun_a = mc.run_law(mc.McConfig(n_samples=1_000_000, seed=SEED,
-                                     workers=4, law="quad_cr"))
-    rerun_b = mc.run_law(mc.McConfig(n_samples=1_000_000, seed=SEED,
-                                     workers=1, law="quad_cr"))
-    elapsed = time.perf_counter() - t0
-    for law, d in distances.items():
+def test_criterion_04_monte_carlo_ks(checks):
+    v = checks["04-monte-carlo-ks"]
+    for law, d in v["ks"].items():
         assert d < 0.005, f"{law} KS {d!r}"
-    np.testing.assert_array_equal(rerun_a.counts, rerun_b.counts)
-    assert rerun_a.ks_distance == rerun_b.ks_distance
-    assert elapsed < 30.0, f"Monte Carlo took {elapsed:.1f}s"
+    np.testing.assert_array_equal(*v["rerun_counts"])
+    ks_a, ks_b = v["rerun_ks"]
+    assert v["ks"]["quad_cr"] == ks_a == ks_b
+    assert v["seconds"] < 30.0, f"Monte Carlo took {v['seconds']:.1f}s"
 
 
-def test_criterion_05_square_torus_solve():
-    t0 = time.perf_counter()
-    sol = lame.solve_accessory(1.0)
-    elapsed = time.perf_counter() - t0
-    assert sol.cross_ratio == pytest.approx(2.0, abs=1e-6), \
-        f"CR {sol.cross_ratio!r}"
-    assert abs(sol.diagnostics["tangency_residual"]) < 1e-10
-    assert sol.diagnostics["wronskian_drift"] < 1e-9
-    assert elapsed < 0.5, f"solve took {elapsed:.2f}s"
+def test_criterion_05_square_torus_solve(checks):
+    v = checks["05-square-torus-solve"]
+    assert v["cross_ratio"] == pytest.approx(2.0, abs=1e-6), f"CR {v['cross_ratio']!r}"
+    assert abs(v["tangency"]) < 1e-10
+    assert v["drift"] < 1e-9
+    assert v["seconds"] < 0.5, f"solve took {v['seconds']:.2f}s"
 
 
-def test_criterion_06_functional_equation():
-    t0 = time.perf_counter()
-    gaps = {}
-    for m in (1.25, 1.5, 2.0, 3.0, 5.0):
-        cr_m = lame.solve_accessory(1.0 / m).cross_ratio
-        cr_recip = lame.solve_accessory(m).cross_ratio
-        gaps[m] = abs(cr_recip - cr_m / (cr_m - 1.0))
-    elapsed = time.perf_counter() - t0
-    for m, g in gaps.items():
+def test_criterion_06_functional_equation(checks):
+    v = checks["06-functional-equation"]
+    for m, g in v["gaps"].items():
         assert g < 1e-5, f"m={m}: functional-equation gap {g!r}"
-    assert elapsed < 10.0, f"ten solves took {elapsed:.1f}s"
+    assert v["seconds"] < 10.0, f"ten solves took {v['seconds']:.1f}s"
 
 
-def test_criterion_07_asymptotic_sandwich(cr_table_build):
-    table, build_seconds = cr_table_build
-    sel = table.ms >= 2.0
-    ms = table.ms[sel]
-    up = 0.5 * math.pi * np.sqrt(table.crs[sel])
-    lo = up - 0.5 * math.pi
-    bad_low = ms[ms < lo]
-    bad_high = ms[ms > up]
-    assert bad_low.size == 0 and bad_high.size == 0, \
-        f"sandwich violated at {bad_low[:3]} {bad_high[:3]}"
-    tail = table.ms >= 20.0
-    deficit = 0.5 * math.pi * np.sqrt(table.crs[tail]) - table.ms[tail]
-    assert deficit.min() >= 0.5 and deficit.max() <= 1.3, \
-        f"deficit range [{deficit.min():.4f}, {deficit.max():.4f}]"
+def test_criterion_07_asymptotic_sandwich(checks, cr_table_build):
+    v = checks["07-asymptotic-sandwich"]
+    assert v["below"].size == 0 and v["above"].size == 0, \
+        f"sandwich violated at {v['below'][:3]} {v['above'][:3]}"
+    lo, hi = v["deficit"]
+    assert lo >= 0.5 and hi <= 1.3, f"deficit range [{lo:.4f}, {hi:.4f}]"
+    build_seconds = cr_table_build[1]
     assert build_seconds < 180.0, f"table build took {build_seconds:.0f}s"
 
 
-def test_criterion_08_derivative_at_square(cr_table):
-    a = cr_table.a_estimate
+def test_criterion_08_derivative_at_square(checks):
+    v = checks["08-derivative-at-square"]
+    a = v["a"]
     assert 0.98 * math.pi / 2 <= a <= 1.02 * math.pi / 2, f"a_estimate {a!r}"
-    cluster = np.abs(cr_table.ms[:, None]
-                     - (1.0 + 0.02 * np.arange(7))).argmin(axis=0)
-    x = cr_table.ms[cluster] - 1.0
-    coeffs = np.polynomial.polynomial.polyfit(x, cr_table.crs[cluster], 4)
-    cr2 = 2.0 * coeffs[2]
-    assert abs(cr2 - (a * a - a)) < 0.02 * a * a, \
-        f"CR''(1) {cr2!r} vs a^2-a {a * a - a!r}"
+    assert v["curvature_gap"] < 0.02 * a * a, f"curvature gap {v['curvature_gap']!r}"
+    assert abs(v["cr2"] - (a * a - a)) < 0.02 * a * a, \
+        f"CR''(1) {v['cr2']!r} vs a^2-a {a * a - a!r}"
 
 
-def test_criterion_09a_teich_median(cr_table):
-    _, median, _ = modmap.summary_stats(cr_table)
+def test_criterion_09a_teich_median(checks):
+    median = checks["09a-teich-median"]["median"]
     assert median == pytest.approx(0.779, abs=0.02), \
         f"measured median {median:.5f}; see the README acceptance notes"
 
 
-def test_criterion_09b_teich_sd(cr_table):
-    _, _, sd = modmap.summary_stats(cr_table)
+def test_criterion_09b_teich_sd(checks):
+    sd = checks["09b-teich-sd"]["sd"]
     assert sd == pytest.approx(0.803, abs=0.02), f"measured sd {sd:.5f}"
 
 
-def test_criterion_09c_teich_mean(cr_table):
-    mean, _, _ = modmap.summary_stats(cr_table)
+def test_criterion_09c_teich_mean(checks):
+    mean = checks["09c-teich-mean"]["mean"]
     assert mean == pytest.approx(1.0, abs=0.05), f"measured mean {mean:.5f}"
 
 
-def test_criterion_09d_teich_initially_increasing(cr_table):
+def test_criterion_09d_teich_initially_increasing(checks):
     """The log-modulus density is flat at the square torus, then decreasing.
 
     Write phi(d) = CR(e^d) and f for the quadrilateral density, so the
@@ -178,41 +119,27 @@ def test_criterion_09d_teich_initially_increasing(cr_table):
 
     The clause was first written as "initially increasing", which would
     need T''(0) > 0.  Direct accessory solves at m = e^{kh}, k = -2..2,
-    outside the table, give T''(0) = -0.470, -0.460, -0.458 at
+    outside the table, give T''(0) = -0.443, -0.454, -0.456 at
     h = 0.1, 0.05, 0.025: the density decreases from the start.  The
-    grid begins at 0.01 because the spline's derivative error near m = 1
-    exceeds the true change of T between 0 and 0.01.
+    check takes f, f', f'' from one-sided stencils at q = 2 and phi from
+    the solves at h = 0.05.  The grid begins at 0.01 because the
+    spline's derivative error near m = 1 exceeds the true change of T
+    between 0 and 0.01.
     """
-    assert cr_table.a_estimate > 1.0
-
-    # one-sided stencils for f, f', f'' at the support edge q = 2
-    e = 1e-3
-    fs = np.asarray(quad_cr_pdf(2.0 + e * np.arange(5)))
-    f0 = fs[0]
-    f1 = (-25 * fs[0] + 48 * fs[1] - 36 * fs[2] + 16 * fs[3] - 3 * fs[4]) / (12 * e)
-    f2 = (35 * fs[0] - 104 * fs[1] + 114 * fs[2] - 56 * fs[3] + 11 * fs[4]) / (12 * e * e)
+    v = checks["09d-teich-initially-increasing"]
+    assert v["a_table"] > 1.0
+    f0, f1 = v["f0"], v["f1"]
     assert abs(f1 + f0) < 1e-8 * f0, f"f'(2) {f1!r} vs -f(2) {-f0!r}"
-
-    # central differences of phi from direct solves; CR(1) = 2 exactly
-    h = 0.05
-    phi = {k: lame.solve_accessory(math.exp(-k * h)).cross_ratio
-           for k in (-2, -1, 1, 2)}
-    phi[0] = 2.0
-    a = (8.0 * (phi[1] - phi[-1]) - (phi[2] - phi[-2])) / (12.0 * h)
-    phi2 = (phi[1] - 2.0 * phi[0] + phi[-1]) / h**2
-    phi3 = (phi[2] - 2.0 * phi[1] + 2.0 * phi[-1] - phi[-2]) / (2.0 * h**3)
+    a, phi2 = v["a"], v["phi2"]
     assert abs(phi2 - a * a) < 0.01 * a * a, f"phi''(0) {phi2!r} vs a^2 {a * a!r}"
-    t2 = a**3 * (f2 - 3.0 * f0) + f0 * phi3
+    t2 = v["t2"]
     assert t2 < 0.0, f"T''(0) = {t2!r} from direct solves"
-
-    ds = np.array([0.01, 0.05, 0.15, 0.3])
-    vals = modmap.teich_pdf(ds, cr_table)
-    assert np.all(np.diff(vals) < 0), \
-        (f"density at d={ds.tolist()} is {np.round(vals, 6).tolist()}, "
+    assert np.all(np.diff(v["ts"]) < 0), \
+        (f"density at d={v['ds'].tolist()} is {np.round(v['ts'], 6).tolist()}, "
          f"not strictly decreasing although T''(0) = {t2:.3f}")
 
 
-def test_criterion_10a_modulus_tail_coefficient(cr_table):
+def test_criterion_10a_modulus_tail_coefficient(checks):
     """The modulus density decays like 6 log m / m^3.
 
     Clause 10b fixes the quadrilateral tail f(q) ~ (6/pi^2)(log q + 1)/q^2,
@@ -220,50 +147,29 @@ def test_criterion_10a_modulus_tail_coefficient(cr_table):
     07 puts m between (pi/2) sqrt(q) - pi/2 and (pi/2) sqrt(q), so
     P(m > x) lies between P(q > (2x/pi)^2) and P(q > (2(x + pi/2)/pi)^2),
     and both are ~ 3 log x / x^2.  Hence M(m) ~ 6 log m / m^3, and the
-    scaled values approach 1 at rate 1/log m (0.965 to 0.997 here).
+    scaled values M(m) m^3 / (6 log m) on m = geomspace(50, 200, 7)
+    approach 1 at rate 1/log m (0.965 to 0.997 here).
 
     The clause was first written as M(m) pi^5 m^3 / (192 log m), which by
     the same argument tends to pi^5/32 = 9.563, not 1.  The band still
     rejects a coefficient off by a factor of 1.51 or more upward, or of 2
     or more downward.
     """
-    ms = np.geomspace(50.0, 200.0, 7)
-    dens = modmap.modulus_pdf(ms, cr_table)
-    scaled = dens * ms**3 / (6.0 * np.log(ms))
+    scaled = checks["10a-modulus-tail-coefficient"]["scaled"]
     assert np.all((0.5 <= scaled) & (scaled <= 1.5)), \
         f"M*m^3/(6 log m) spans [{scaled.min():.3f}, {scaled.max():.3f}]"
 
 
-def test_criterion_10b_quad_tail_residual():
-    r = np.geomspace(1e2, 1e4, 60)
+def test_criterion_10b_quad_tail_residual(checks):
+    scaled = checks["10b-quad-tail-residual"]["scaled"]
     c = 6.0 / math.pi**2
-    two_term = c * ((np.log(r) + 1.0) / r**2 + (np.log(r) + 0.5) / r**3)
-    scaled = (np.asarray(quad_cr_pdf(r)) - two_term) * r**4
     bound = 20.0 * c
     assert np.all(np.abs(scaled) <= bound), \
         f"residual x r^4 peaks at {np.abs(scaled).max():.3f} (bound {bound:.3f})"
 
 
-def test_criterion_11_group_identities():
-    rng = np.random.default_rng(5)
-    worst_rect = worst_gen = worst_vertex = 0.0
-    for _ in range(1000):
-        r = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
-        pair = rectangular_generators(r)
-        com = commutator(pair.A, pair.B)
-        worst_rect = max(worst_rect, abs(complex(com.a + com.d) + 2.0) / 2.0)
-        # the sheared draws stay inside [1/8, 8] x [1/20, 5]: the matrix
-        # commutator rounds like eps * |u|^2 |v|^2, which already reaches
-        # the 1e-9 demand near r=20, lam=8 however exact the identity is
-        r_sheared = math.exp(rng.uniform(math.log(0.125), math.log(8.0)))
-        lam = math.exp(rng.uniform(math.log(0.05), math.log(5.0)))
-        u, v = nonrectangular_pair(r_sheared, lam)
-        com_uv = commutator(u, v)
-        worst_gen = max(worst_gen,
-                        abs(complex(com_uv.a + com_uv.d) + 2.0) / 2.0)
-        raw = complex(cross_ratio(*tangency_vertices(pair)).value)
-        worst_vertex = max(worst_vertex, abs(raw.real - (1.0 + r * r)),
-                           abs(raw.imag))
-    assert worst_rect < 1e-9, f"rectangular commutator trace off by {worst_rect!r}"
-    assert worst_gen < 1e-9, f"sheared commutator trace off by {worst_gen!r}"
-    assert worst_vertex < 1e-10, f"vertex cross ratio off by {worst_vertex!r}"
+def test_criterion_11_group_identities(checks):
+    v = checks["11-group-identities"]
+    assert v["rect"] < 1e-9, f"rectangular commutator trace off by {v['rect']!r}"
+    assert v["general"] < 1e-9, f"sheared commutator trace off by {v['general']!r}"
+    assert v["vertex"] < 1e-10, f"vertex cross ratio off by {v['vertex']!r}"

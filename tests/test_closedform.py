@@ -77,6 +77,32 @@ class TestFullCrossRatioLaw:
         assert math.isinf(crossratio_pdf(0.0))
         assert math.isinf(crossratio_pdf(1.0))
 
+    def test_array_matches_pointwise_scalars(self):
+        # the three branches evaluated one float at a time with math.log1p
+        def h(x):
+            if abs(x) < 1e-6:
+                return 1.0 + x * (0.5 + x * (1.0 / 3.0 + x * 0.25))
+            return -math.log1p(-x) / x
+
+        def pointwise(r):
+            if r == 0.0 or r == 1.0:
+                return math.inf
+            if 0.0 < r < 1.0:
+                return (h(r) + h(1.0 - r)) / PI2
+            if r > 1.0:
+                return (h(1.0 - r) / r + h(1.0 / r) / r**2) / PI2
+            return (h(r) - h(1.0 / r) / r) / ((1.0 - r) * PI2)
+
+        near = np.linspace(-1e-7, 1e-7, 41)
+        rs = np.concatenate([-np.geomspace(1e6, 1e-9, 200), near, 1.0 + near,
+                             np.linspace(-3.0, 4.0, 141), np.geomspace(1e-9, 1e6, 200)])
+        got = crossratio_pdf(rs)
+        want = np.array([pointwise(r) for r in rs.tolist()])
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        fin = np.isfinite(want)
+        np.testing.assert_allclose(got[fin], want[fin], rtol=1e-15, atol=0.0)
+        assert [crossratio_pdf(r) for r in rs[:5].tolist()] == got[:5].tolist()
+
     def test_cdf_thirds(self):
         assert crossratio_cdf(0.0) == pytest.approx(1.0 / 3.0, abs=1e-14)
         assert crossratio_cdf(1.0) == pytest.approx(2.0 / 3.0, abs=1e-14)

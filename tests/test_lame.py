@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import cmath
+import time
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from punctorus import lame
 from punctorus.lame import (
     TAU_MAX,
     TAU_MIN,
@@ -113,6 +115,18 @@ class TestTwoLegIntegration:
     def test_oscillatory_lambda_raises_with_census(self):
         with pytest.raises(BracketError, match=r"flip census \(1, 1, 1, 1\)"):
             integrate_lame(1.0, -15.0)
+
+    @pytest.mark.parametrize("tau, lam", [(50.0, -1e4), (0.02, 1e6), (50.0, 1e4)])
+    def test_far_lambda_raises_promptly(self, tau, lam):
+        t0 = time.perf_counter()
+        with pytest.raises(BracketError):
+            integrate_lame(tau, lam)
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_overflow_raises_before_the_step_cap(self, monkeypatch):
+        monkeypatch.setattr(lame, "_MAX_STEPS", 10**6)
+        with pytest.raises(BracketError, match="overflowed"):
+            integrate_lame(0.02, 1e6)
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
