@@ -10,7 +10,7 @@ endpoint data, and move lambda until the two circles become tangent.
 
 Everything is real arithmetic on the two legs (the potential is real on
 both axes), with series and quotients arranged so no intermediate ever
-overflows over the supported range tau in [0.02, 50].
+overflows over the supported range tau in [0.005, 50].
 """
 from __future__ import annotations
 
@@ -40,12 +40,20 @@ __all__ = [
 
 _PI = math.pi
 
-TAU_MIN = 0.02
+# Below about tau = 0.0044 (m above about 226) the potential quotient in
+# _make_potentials overflows on the far end of the real leg and raises a
+# bare OverflowError; 0.005 keeps that path unreachable.
+TAU_MIN = 0.005
 TAU_MAX = 50.0
 
+# Relative tolerance of the RKF45 legs in a solve, and the looser one
+# of the coarse lambda scan that looks for a sign change.
+_SOLVE_RTOL = 1e-11
+_SCAN_RTOL = 1e-7
+
 # Trial steps (accepted or rejected) allowed on one leg.  Solves over
-# the supported range take at most about 1.8k, scans of inadmissible
-# lambda included.
+# the supported range take at most about 2.0k (the failing lambda scan
+# at tau = 50), and at most 250 for tau below 0.02, scans included.
 _MAX_STEPS = 10_000
 
 
@@ -295,7 +303,7 @@ def _integrate_with(pots, tau: float, lambda_acc: float, rtol: float) -> LameEnd
         wronskian_drift=max(w1, w2))
 
 
-def integrate_lame(tau: float, lambda_acc: float, rtol: float = 1e-11) -> LameEndpointData:
+def integrate_lame(tau: float, lambda_acc: float, rtol: float = _SOLVE_RTOL) -> LameEndpointData:
     """Endpoint data of the c, s solutions at z = 1 and z = i tau.
 
     Integrates the real form of the equation separately on each leg.
@@ -392,8 +400,7 @@ class AccessorySolve:
         }
 
 
-def solve_accessory(tau: float, bracket: tuple[float, float] | None = None,
-                    rtol: float = 1e-11, scan_rtol: float = 1e-7) -> AccessorySolve:
+def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> AccessorySolve:
     """Find the accessory parameter making the two circles tangent.
 
     A warm-start bracket can be supplied (table builds hand one solve's
@@ -407,7 +414,7 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None,
                          f"[{TAU_MIN}, {TAU_MAX}]")
     pots = _make_potentials(tau)
 
-    def root_at(lam: float, rt: float) -> float:
+    def root_at(lam: float, rt: float = _SOLVE_RTOL) -> float:
         try:
             return _signed_root(circle_invariants(_integrate_with(pots, tau, lam, rt)))
         except BracketError:
@@ -415,7 +422,7 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None,
 
     lo = hi = None
     if bracket is not None:
-        fa, fb = root_at(bracket[0], rtol), root_at(bracket[1], rtol)
+        fa, fb = root_at(bracket[0]), root_at(bracket[1])
         if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0:
             lo, hi = bracket
     scanned: list[tuple[float, float]] = []
@@ -424,11 +431,11 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None,
         pot_floor = min(on_real(x) for x in np.linspace(1e-9, 1.0, 41))
         for cand in (-2.0, -8.0, -32.0, pot_floor):
             xs = np.linspace(cand, 1.0, 64)
-            vals = np.array([root_at(x, scan_rtol) for x in xs])
+            vals = np.array([root_at(x, _SCAN_RTOL) for x in xs])
             scanned.append((cand, float(np.count_nonzero(~np.isnan(vals)))))
             ok = ~np.isnan(vals)
             for i in np.where(ok[:-1] & ok[1:] & (vals[:-1] * vals[1:] < 0))[0]:
-                fa, fb = root_at(xs[i].item(), rtol), root_at(xs[i + 1].item(), rtol)
+                fa, fb = root_at(xs[i].item()), root_at(xs[i + 1].item())
                 if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0:
                     lo, hi = xs[i].item(), xs[i + 1].item()
                     break
@@ -440,8 +447,8 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None,
                 diagnostics={"tau": tau, "scan_starts": [s[0] for s in scanned],
                              "finite_fraction": [s[1] / 64.0 for s in scanned]})
 
-    lam = brentq(lambda x: root_at(x, rtol), lo, hi, xtol=1e-13, rtol=9e-16)
-    data = _integrate_with(pots, tau, lam, rtol)
+    lam = brentq(root_at, lo, hi, xtol=1e-13, rtol=9e-16)
+    data = _integrate_with(pots, tau, lam, _SOLVE_RTOL)
     inv = circle_invariants(data)
     diagnostics = {
         "tangency_residual": inv.tangency_residual(),

@@ -3,10 +3,10 @@
 Tangency solves at Chebyshev points in s = 1/m back one Chebyshev
 series for the increasing map m -> CR(m) from [1, inf) onto [2, inf),
 and a second series for its inverse.  From them come the derivative
-at 1, the functional-equation extension below m = 1, an asymptotic
-extension above the table, the modulus and log-modulus probability
-densities, their summary statistics, and the quasi-Moebius comparison
-constant.
+at 1, the functional-equation extension below m = 1, the modulus and
+log-modulus probability densities, their summary statistics, and the
+quasi-Moebius comparison constant.  Both series reach s = 0, so one
+smooth map serves every modulus, beyond the last node included.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ _CSV_COLUMNS = ("m", "tau", "lambda_acc", "cross_ratio",
 _CLUSTER = tuple(1.0 + 0.02 * k for k in range(7))
 
 # Degree cap of the forward series; 16 terms reach the solver's own
-# accuracy on m in [1, 50].
+# accuracy on m in [1, 50] and about 5e-11 out to m = 200.
 _DEGREE = 15
 # Points at which the inverse series interpolates the inverted forward
 # series, and the Newton steps that invert it there.
@@ -80,18 +80,19 @@ class CrMapTable:
     With y = (pi/2) sqrt(CR), the map is y(m) = m + g(1/m), where the
     deficit g(s) = (pi/2) sqrt(CR(1/s)) - 1/s is smooth in s = 1/m.
     One least-squares Chebyshev series of degree min(15, nodes - 1)
-    through every node represents g.  The inverse is a second series
-    k(t) = y - m in t = 1/y, interpolating at 24 Chebyshev points where
-    Newton's method on the forward series gives m; a lookup is then
-    m = 1/t - k(t).  Both are pure functions of the nodes.
+    through every node represents g on [0, 1/m_min], so m -> infinity
+    (s = 0) is inside its domain and no node sits there.  The inverse
+    is a second series k(t) = y - m on t = 1/y in [0, 1/y(m_min)],
+    interpolating at 24 Chebyshev points where Newton's method solves
+    k = g(t / (1 - t k)); a lookup is then m = 1/t - k(t).  Both are
+    pure functions of the nodes.
 
     a_estimate is CR'(1) and curvature_gap is |CR''(1) - (a^2 - a)|,
     the residual of the curvature relation the functional equation
     forces at the square, both from the forward series at the first
     node (modulus 1 in every built table).  c_hat is the deficit at the
-    last node; the asymptotic extension beyond the table reuses it, so
-    the extended map is continuous there.  Instances are immutable in
-    practice and safe to share across threads.
+    last node.  Instances are immutable in practice and safe to share
+    across threads.
     """
 
     def __init__(self, ms: np.ndarray, crs: np.ndarray, records: list[dict]):
@@ -113,7 +114,7 @@ class CrMapTable:
         s = 1.0 / ms
         self._deficit = Chebyshev.fit(s, 0.5 * _PI * np.sqrt(crs) - ms,
                                       min(_DEGREE, len(ms) - 1),
-                                      domain=[s[-1], s[0]])
+                                      domain=[0.0, s[0]])
         self._deficit_d1 = self._deficit.deriv()
 
         m0 = ms[0].item()
@@ -124,30 +125,26 @@ class CrMapTable:
         self.a_estimate = a
         self.curvature_gap = float(abs(8.0 * (dy0**2 + y0 * d2y0) / _PI2 - (a * a - a)))
 
-        t_lo, t_hi = 2.0 / (_PI * np.sqrt(crs[[-1, 0]]))
-        ts = _chebpts(t_lo, t_hi, _INVERSE_POINTS)
-        ys = 1.0 / ts
-        m = ys - self.c_hat
+        t_hi = 2.0 / (_PI * math.sqrt(crs[0]))
+        ts = _chebpts(0.0, t_hi, _INVERSE_POINTS)
+        k = np.full_like(ts, self._deficit(0.0))
         for _ in range(_NEWTON_STEPS):
-            m = np.clip(m - (self._y(m) - ys) / self._dy(m), m0, self.m_max)
-        self._excess = Chebyshev.fit(ts, ys - m, _INVERSE_POINTS - 1, domain=[t_lo, t_hi])
+            s = ts / (1.0 - ts * k)
+            k -= (k - self._deficit(s)) / (1.0 - s * s * self._deficit_d1(s))
+        self._excess = Chebyshev.fit(ts, k, _INVERSE_POINTS - 1, domain=[0.0, t_hi])
 
     @property
     def nodes(self) -> list[tuple[float, float]]:
         return list(zip(self.ms.tolist(), self.crs.tolist()))
 
     def _y(self, m):
-        """y = (pi/2) sqrt(CR(m)) at moduli m >= 1.
-
-        The deficit series inside the table, the frozen deficit c_hat
-        above it.
-        """
-        return m + np.where(m <= self.m_max, self._deficit(1.0 / m), self.c_hat)
+        """y = (pi/2) sqrt(CR(m)) at moduli m >= 1."""
+        return m + self._deficit(1.0 / m)
 
     def _dy(self, m):
         """dy/dm at moduli m >= 1."""
         s = 1.0 / m
-        return np.where(m <= self.m_max, 1.0 - s * s * self._deficit_d1(s), 1.0)
+        return 1.0 - s * s * self._deficit_d1(s)
 
     def _cr(self, m: np.ndarray) -> np.ndarray:
         """CR(m) at moduli m > 0, by the functional equation below 1.
@@ -166,9 +163,7 @@ class CrMapTable:
 
     def _modulus(self, y: np.ndarray) -> np.ndarray:
         """The modulus with (pi/2) sqrt(CR) = y, for y at least the square's."""
-        m = np.where(y < self.m_max + self.c_hat,
-                     y - self._excess(1.0 / y), y - self.c_hat)
-        return np.maximum(m, self.ms[0])
+        return np.maximum(y - self._excess(1.0 / y), self.ms[0])
 
     def rows(self) -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
         """Column names and the per-node solve records by increasing m."""
@@ -280,8 +275,7 @@ def cr_of_modulus(m, table: CrMapTable | None = None):
     """The cross ratio of the torus with the given modulus.
 
     Below 1 the functional equation CR(1/m) = CR(m)/(CR(m) - 1) takes
-    over; above the table the squared-linear asymptote continues the
-    map.  Scalars or arrays.
+    over.  Scalars or arrays.
     """
     t = table if table is not None else default_table()
     m, scalar = _prep(m)
@@ -293,8 +287,8 @@ def cr_of_modulus(m, table: CrMapTable | None = None):
 def modulus_of_cr(Q, table: CrMapTable | None = None):
     """Inverse of the cross-ratio map on [2, inf).
 
-    One pass of the table's inverse series inside the table, the
-    shifted asymptotic inverse above it.
+    One pass of the table's inverse series, which covers every cross
+    ratio from the first node's up to infinity.
     """
     t = table if table is not None else default_table()
     Q, scalar = _prep(Q)
@@ -323,9 +317,9 @@ def modulus_pdf(m, table: CrMapTable | None = None):
     """Density of the modulus of a random ideal quadrilateral, m >= 1.
 
     The canonical cross-ratio law pushed through the inverse map:
-    density of CR at CR(m) times CR'(m), from the series inside the
-    table and the asymptotic extension above it.  CR is clamped to the
-    law's support edge at 2, where rounding can undershoot.
+    density of CR at CR(m) times CR'(m), both from the forward series.
+    CR is clamped to the law's support edge at 2, where rounding can
+    undershoot.
     """
     t = table if table is not None else default_table()
     m, scalar = _prep(m)
@@ -356,9 +350,7 @@ def summary_stats(table: CrMapTable | None = None) -> tuple[float, float, float]
         def f(q: float) -> float:
             return math.log(modulus_of_cr(q, t)) ** p * quad_cr_pdf(q)
 
-        v1, _ = quad(f, 2.0, t.cr_max, limit=400)
-        v2, _ = quad(f, t.cr_max, np.inf, limit=400)
-        return v1 + v2
+        return quad(f, 2.0, np.inf, limit=400)[0]
 
     mean = moment(1)
     sd = math.sqrt(moment(2) - mean * mean)

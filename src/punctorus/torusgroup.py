@@ -58,23 +58,17 @@ class IsometricCircle:
 class GeneratorPair:
     """Two Moebius generators of a punctured-torus group.
 
-    r and s are the isometric-circle radii of A and B; the twist
-    parameters are zero for the rectangular configuration and positive
-    for the sheared pairs of :func:`nonrectangular_pair`.
+    r and s are the isometric-circle radii of A and B.
     """
 
     A: MoebiusMap
     B: MoebiusMap
     r: float
     s: float
-    lambda_param: float = 0.0
-    mu_param: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.r > 0 and self.s > 0):
             raise ValueError("radii must be positive")
-        if self.lambda_param < 0 or self.mu_param < 0:
-            raise ValueError("twist parameters must be nonnegative")
 
     def circles(self) -> tuple[IsometricCircle, IsometricCircle,
                                IsometricCircle, IsometricCircle]:

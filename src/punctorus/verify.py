@@ -149,8 +149,7 @@ def _check_functional_equation(quick: bool, table) -> list[CheckResult]:
 def _check_sandwich(quick: bool, table) -> list[CheckResult]:
     sel = table.ms >= 2.0
     ms = table.ms[sel]
-    upper = 0.5 * math.pi * np.sqrt(table.crs[sel])
-    lower = upper - 0.5 * math.pi
+    lower, upper = modmap.asymptotic_bounds(table.crs[sel])
     below, above = ms[ms < lower], ms[ms > upper]
     tail = ms >= 20.0
     deficit = upper[tail] - ms[tail]

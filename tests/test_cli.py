@@ -207,7 +207,7 @@ class TestSolverCommands:
         assert "modulus" in err
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
-        def boom(tau, bracket=None, rtol=1e-11, scan_rtol=1e-7):
+        def boom(tau, bracket=None):
             raise lame.SolverFailure("no bracket", {"tau": tau})
 
         monkeypatch.setattr(cli.lame, "solve_accessory", boom)

@@ -86,7 +86,7 @@ class TestForwardMap:
         assert cr_of_modulus(1.0, cr_table) == pytest.approx(2.0, abs=2e-6)
 
     def test_matches_direct_solves_off_the_nodes(self, cr_table):
-        ms = (1.3, 2.5, 4.2, 7.7, 13.0, 27.0, 44.0)
+        ms = (1.3, 2.5, 4.2, 7.7, 13.0, 27.0, 44.0, 55.0, 80.0, 120.0, 170.0, 200.0)
         assert np.abs(cr_table.ms[:, None] - np.array(ms)).min() > 1e-3
         errs = [abs(cr_of_modulus(m, cr_table) / lame.solve_accessory(1.0 / m).cross_ratio
                     - 1.0) for m in ms]
@@ -115,6 +115,18 @@ class TestForwardMap:
     def test_derivative_estimate(self, cr_table):
         assert 0.98 * math.pi / 2 < cr_table.a_estimate < 1.02 * math.pi / 2
         assert cr_table.curvature_gap < 0.02 * cr_table.a_estimate**2
+
+    def test_observed_limits_at_infinity(self, cr_table):
+        """The series' limits as m -> infinity against two closed forms.
+
+        These are observations, not theorems: the forward series, fitted
+        to nodes that end at m = 50, gives (pi/2) sqrt(CR(m)) - m ->
+        ln 16 / pi (the Groetzsch ring constant, mu(r) ~ log(4/r)) to
+        about 1e-9, and a deficit slope at s = 1/m = 0 within 3e-7
+        relative of pi^2 / 12.
+        """
+        assert cr_table._y(1e8) - 1e8 == pytest.approx(math.log(16.0) / math.pi, abs=1e-6)
+        assert cr_table._deficit_d1(0.0) == pytest.approx(math.pi**2 / 12.0, rel=1e-4)
 
     def test_asymptotic_continuation_is_continuous(self, cr_table):
         below = cr_of_modulus(cr_table.m_max - 1e-9, cr_table)
@@ -155,8 +167,8 @@ class TestInverseMap:
 
 
 def _piecewise_mass(fn, breaks) -> float:
-    # 12-point Gauss on each inter-node interval: the series density is
-    # smooth there, and the last break is the switch to the asymptote
+    # 12-point Gauss on each inter-node interval, where the series
+    # density is smooth; callers add the tail past the last node by quad
     total = 0.0
     for a, b in zip(breaks[:-1], breaks[1:]):
         v, _ = fixed_quad(fn, a, b, n=12)
