@@ -3,16 +3,16 @@
 Implements the full cross-ratio law on the line, the canonical
 quadrilateral law on [2, inf), the geodesic length laws with their dual
 branch, and the normalized Cauchy law, together with closed-form
-cumulative distributions, the quadrilateral median, and fast inverse-CDF
-sampling used by the group samplers and the Monte Carlo module.
+cumulative distributions built on the quadrilateral law's exact survival
+function, the quadrilateral median, and inverse-CDF sampling by one
+Chebyshev series, used by the group samplers and the Monte Carlo module.
 """
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from numpy.polynomial import Chebyshev, polynomial
 from scipy.optimize import brentq
 from scipy.special import spence
 
@@ -55,18 +55,39 @@ def _ret(out, scalar):
     return out[0].item() if scalar else out
 
 
+# Array evaluations run over blocks of this many points, so their
+# temporaries stay small next to the caller's arrays.
+_BLOCK = 1 << 15
+
+
+def _blockwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn applied elementwise to x, one block of points at a time."""
+    out = np.empty_like(x)
+    for i in range(0, len(x), _BLOCK):
+        out[i:i + _BLOCK] = fn(x[i:i + _BLOCK])
+    return out
+
+
+# Li2(x) = sum x^k / k^2; 13 terms reach double precision for |x| < 1/16.
+_DILOG_SERIES_CUT = 1.0 / 16.0
+_DILOG_COEFFS = np.concatenate([[0.0], 1.0 / np.arange(1, 14) ** 2])
+
+
 def dilog(x):
     """Real dilogarithm Li2(x) on the real line.
 
     For x > 1 the principal branch acquires an imaginary part; this
     evaluator returns its real part via the inversion identity, which is
-    the combination every closed form here needs.  Scalars or arrays.
+    the combination every closed form here needs.  Near 0 it sums the
+    series, as spence(1 - x) rounds away a small x's low bits.
     """
     x, scalar = _prep(x)
     out = np.empty_like(x)
-    lo = x <= 1.0
+    small = np.abs(x) < _DILOG_SERIES_CUT
+    out[small] = polynomial.polyval(x[small], _DILOG_COEFFS)
+    lo = ~small & (x <= 1.0)
     out[lo] = spence(1.0 - x[lo])
-    hi = ~lo
+    hi = ~(small | lo)
     if hi.any():
         xh = x[hi]
         out[hi] = _PI2 / 3.0 - 0.5 * np.log(xh) ** 2 - spence(1.0 - 1.0 / xh)
@@ -134,9 +155,8 @@ def crossratio_cdf(r):
             out[mid] = 1.0 / 3.0 + (spence(1.0 - rm) - spence(rm) + _PI2 / 6.0) / _PI2
         hi = r > 1.0
         if hi.any():
-            out[hi] = 1.0 + _quad_cdf_core(r[hi]) / _PI2
+            out[hi] = 1.0 - _quad_sf(r[hi]) / 6.0
     out[np.isneginf(r)] = 0.0
-    out[np.isposinf(r)] = 1.0
     return _ret(out, scalar)
 
 
@@ -150,14 +170,17 @@ def _quad_law_expression(r):
     return 6.0 * (np.log(r) / ((r - 1.0) * r) - np.log1p(-1.0 / r) / r) / _PI2
 
 
-def _quad_cdf_core(r):
-    """Dilogarithmic antiderivative of the quadrilateral expression.
+def _quad_sf(r):
+    """Survival 1 - F of the quadrilateral law (continued below 2 for r > 1).
 
-    Normalized to -pi^2/6 at r = 2 and to 0 as r -> inf, so the
-    probability CDF is 6/pi^2 times (core + pi^2/6).
+    Integrating the density (6/pi^2) sum_{k>=2} r^-k (log r + 1/(k-1))
+    term by term gives (6/pi^2)(2 Li2(1/r) - log r log(1 - 1/r)), two
+    positive terms that keep full relative accuracy as r -> inf.
     """
     r = np.asarray(r, dtype=float)
-    return -spence(r) - 0.5 * np.log(r) ** 2 - spence(1.0 - 1.0 / r) - _PI2 / 6.0
+    with np.errstate(invalid="ignore"):
+        out = 6.0 / _PI2 * (2.0 * dilog(1.0 / r) - np.log(r) * np.log1p(-1.0 / r))
+    return np.where(np.isposinf(r), 0.0, out)
 
 
 def quad_cr_pdf(r):
@@ -173,10 +196,7 @@ def quad_cr_cdf(r):
     r, scalar = _prep(r)
     if (r < 2.0).any():
         raise ValueError("canonical cross ratio law is supported on r >= 2")
-    with np.errstate(invalid="ignore"):
-        out = 6.0 * (_quad_cdf_core(r) + _PI2 / 6.0) / _PI2
-    out[np.isposinf(r)] = 1.0
-    return _ret(out, scalar)
+    return _ret(1.0 - _quad_sf(r), scalar)
 
 
 def quad_cr_median() -> float:
@@ -258,12 +278,12 @@ def length_cdf(x):
     if shortb.any():
         xs = x[shortb]
         q = 1.0 / np.tanh(0.5 * xs) ** 2
-        out[shortb] = 0.5 * (1.0 - quad_cr_cdf(np.maximum(q, 2.0)))
+        out[shortb] = 0.5 * _quad_sf(np.maximum(q, 2.0))
     longb = x > LENGTH_THRESHOLD
     if longb.any():
         xl = x[longb]
         q = np.cosh(np.minimum(0.5 * xl, 350.0)) ** 2
-        out[longb] = 0.5 + 0.5 * quad_cr_cdf(np.maximum(q, 2.0))
+        out[longb] = 1.0 - 0.5 * _quad_sf(np.maximum(q, 2.0))
     return _ret(out, scalar)
 
 
@@ -296,70 +316,56 @@ def star_cdf(r):
     return _ret(0.5 + np.arctan(r) / math.pi, scalar)
 
 
-# Table of the inverse CDF: Chebyshev-spaced nodes in log r on [2, r_max].
-_INV_NODES = 2048
-_INV_R_MAX = 1e9
+# The inverse CDF is a series in z = log(1 - log(1 - u)), which maps
+# u in [0, 1 - 2^-53], every double below 1, onto [0, log(1 + 53 log 2)].
+_U_MAX = 1.0 - 2.0**-53
+_Z_MAX = math.log1p(53.0 * math.log(2.0))
+_INVERSE_DEGREE = 30
+_NEWTON_STEPS = 6
+
+
+def _log_quantile(z):
+    """log r with S(r) = exp(1 - e^z), by Newton's method on log S.
+
+    The start is the tail S ~ (6/pi^2)(log r + 2)/r solved once for
+    log r, kept at or above log 2.
+    """
+    v = np.expm1(z)
+    y = np.maximum(v + np.log(6.0 * (v + 2.0) / _PI2), math.log(2.0))
+    for _ in range(_NEWTON_STEPS):
+        r = np.exp(y)
+        sf = _quad_sf(r)
+        y = y + (np.log(sf) + v) * sf / (r * _quad_law_expression(r))
+    return y
 
 
 class QuadCrInverseCdf:
-    """Inverse CDF of the quadrilateral law via a monotone table.
+    """Inverse CDF of the quadrilateral law as one Chebyshev series.
 
-    2048 Chebyshev-spaced nodes in log r cover [2, 1e9]; lookups
-    interpolate the monotone (cdf, log r) pairs with a PCHIP spline and
-    polish with one Newton step on the closed-form CDF.  Above the table
-    the survival-function asymptotic seeds a fixed-point iteration
-    instead.  The finished table is immutable and shareable across
-    threads; every sampler in the package reads the one default
-    instance through :func:`sample_quad_cr_values`.
+    log r is smooth in z = log(1 - log(1 - u)), growing like e^z in the
+    tail.  A degree-30 series interpolates it, at nodes where Newton's
+    method inverts the exact survival function, over the image of every
+    double u < 1, so one expression covers the whole law.  Instances are
+    immutable and shareable across threads; every sampler in the package
+    reads the module's one instance.
     """
 
     def __init__(self):
-        k = np.arange(_INV_NODES)
-        t = 0.5 * (1.0 - np.cos(math.pi * k / (_INV_NODES - 1)))
-        self.r_nodes = 2.0 * (_INV_R_MAX / 2.0) ** t
-        self.u_nodes = np.asarray(quad_cr_cdf(self.r_nodes))
-        self.u_max = float(self.u_nodes[-1])
-        self._inv = PchipInterpolator(self.u_nodes, np.log(self.r_nodes))
+        self._log_r = Chebyshev.interpolate(_log_quantile, _INVERSE_DEGREE,
+                                            domain=[0.0, _Z_MAX])
 
     def __call__(self, u):
         u, scalar = _prep(u)
-        u = np.clip(u, 0.0, 1.0 - 1e-15)
-        r = np.empty_like(u)
-        inside = u <= self.u_max
-        r[inside] = np.exp(self._inv(u[inside]))
-        far = ~inside
-        if far.any():
-            # survival ~ (6/pi^2)(log r + 1)/r: a contraction in r.  No
-            # Newton polish out here; the CDF evaluates as 1 minus a
-            # cancellation-dominated residual and a step would only add
-            # rounding noise.
-            rt = np.full(int(far.sum()), self.r_nodes[-1])
-            for _ in range(6):
-                rt = (6.0 / _PI2) * (np.log(rt) + 1.0) / (1.0 - u[far])
-            r[far] = rt
-        if inside.any():
-            ri = r[inside]
-            f = np.asarray(quad_cr_cdf(ri)) - u[inside]
-            df = np.asarray(_quad_law_expression(ri))
-            r[inside] = np.maximum(ri - f / np.where(df > 0.0, df, 1.0), 2.0)
-        return _ret(r, scalar)
+        z = np.log1p(-np.log1p(-np.clip(u, 0.0, _U_MAX)))
+        return _ret(np.maximum(np.exp(self._log_r(z)), 2.0), scalar)
 
 
-_default_inverse: QuadCrInverseCdf | None = None
-_default_inverse_lock = threading.Lock()
-
-
-def _get_default_inverse() -> QuadCrInverseCdf:
-    global _default_inverse
-    with _default_inverse_lock:
-        if _default_inverse is None:
-            _default_inverse = QuadCrInverseCdf()
-        return _default_inverse
+_INVERSE = QuadCrInverseCdf()
 
 
 def sample_quad_cr_values(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n values from the quadrilateral law by inverse-CDF sampling."""
-    return np.asarray(_get_default_inverse()(rng.uniform(size=n)))
+    return _INVERSE(rng.uniform(size=n))
 
 
 def sample_length_values(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -368,14 +374,7 @@ def sample_length_values(n: int, rng: np.random.Generator) -> np.ndarray:
     A fair coin picks the branch; each branch is the image of the
     quadrilateral law under its half-angle substitution.
     """
-    inv = _get_default_inverse()
     u = rng.uniform(size=n)
     short = u < 0.5
-    x = np.empty_like(u)
-    if short.any():
-        q = np.asarray(inv(np.clip(1.0 - 2.0 * u[short], 1e-16, 1.0)))
-        x[short] = 2.0 * np.arctanh(1.0 / np.sqrt(np.maximum(q, 2.0)))
-    if (~short).any():
-        q = np.asarray(inv(np.clip(2.0 * u[~short] - 1.0, 0.0, 1.0)))
-        x[~short] = 2.0 * np.arccosh(np.sqrt(np.maximum(q, 2.0)))
-    return x
+    q = _INVERSE(np.where(short, 1.0 - 2.0 * u, 2.0 * u - 1.0))
+    return np.where(short, 2.0 * np.arctanh(1.0 / np.sqrt(q)), 2.0 * np.arccosh(np.sqrt(q)))

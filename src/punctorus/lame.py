@@ -46,6 +46,13 @@ _PI = math.pi
 TAU_MIN = 0.005
 TAU_MAX = 50.0
 
+
+def _check_tau(tau: float) -> None:
+    if not TAU_MIN <= tau <= TAU_MAX:
+        raise ValueError(f"tau={tau} outside the supported range "
+                         f"[{TAU_MIN}, {TAU_MAX}]")
+
+
 # Relative tolerance of the RKF45 legs in a solve, and the looser one
 # of the coarse lambda scan that looks for a sign change.
 _SOLVE_RTOL = 1e-11
@@ -309,10 +316,10 @@ def integrate_lame(tau: float, lambda_acc: float, rtol: float = _SOLVE_RTOL) -> 
     Integrates the real form of the equation separately on each leg.
     Raises :class:`BracketError` when either fundamental solution
     oscillates, which is the signature of an accessory parameter outside
-    the admissible bracket.
+    the admissible bracket, and ValueError for tau outside
+    [TAU_MIN, TAU_MAX].
     """
-    if not tau > 0:
-        raise ValueError("half-period ratio must be positive")
+    _check_tau(tau)
     return _integrate_with(_make_potentials(tau), tau, lambda_acc, rtol)
 
 
@@ -409,9 +416,7 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
     function, and brentq polishes it.  Raises :class:`SolverFailure`
     with scan diagnostics when no sign change exists.
     """
-    if not TAU_MIN <= tau <= TAU_MAX:
-        raise ValueError(f"tau={tau} outside the supported range "
-                         f"[{TAU_MIN}, {TAU_MAX}]")
+    _check_tau(tau)
     pots = _make_potentials(tau)
 
     def root_at(lam: float, rt: float = _SOLVE_RTOL) -> float:

@@ -68,7 +68,7 @@ def _length_cdf(x):
     """Shortest-branch CDF, 1 - F_Q(coth^2(x/2)): 0 at 0, 1 at the threshold."""
     with np.errstate(divide="ignore"):
         q = 1.0 / np.tanh(0.5 * np.maximum(x, 0.0)) ** 2
-    return 1.0 - np.asarray(cf.quad_cr_cdf(np.maximum(q, 2.0)))
+    return cf._quad_sf(np.maximum(q, 2.0))
 
 
 def _modulus_cdf(m, table=None):
@@ -199,8 +199,8 @@ def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
 
 def _ks_distance(values: np.ndarray, law: str, table: modmap.CrMapTable | None) -> float:
     xs = np.sort(values)
-    cdf = CURVES[law][1]
-    f = np.asarray(cdf(xs, table) if law in _MAP_LAWS else cdf(xs))
+    curve = CURVES[law][1]
+    f = cf._blockwise((lambda x: curve(x, table)) if law in _MAP_LAWS else curve, xs)
     n = len(xs)
     upper = np.arange(1, n + 1) / n - f
     lower = f - np.arange(0, n) / n

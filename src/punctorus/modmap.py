@@ -21,7 +21,7 @@ from numpy.polynomial.chebyshev import chebpts2
 from scipy.integrate import quad
 
 from . import lame
-from .closedform import _prep, _ret, quad_cr_median, quad_cr_pdf
+from .closedform import _blockwise, _prep, _ret, quad_cr_median, quad_cr_pdf
 
 __all__ = [
     "CrMapTable",
@@ -54,17 +54,6 @@ _DEGREE = 15
 # series, and the Newton steps that invert it there.
 _INVERSE_POINTS = 24
 _NEWTON_STEPS = 8
-# Array evaluations run over blocks of this many points, so the series'
-# temporaries stay small next to the caller's arrays.
-_BLOCK = 1 << 15
-
-
-def _blockwise(fn, x: np.ndarray) -> np.ndarray:
-    """fn applied elementwise to x, one block of points at a time."""
-    out = np.empty_like(x)
-    for i in range(0, len(x), _BLOCK):
-        out[i:i + _BLOCK] = fn(x[i:i + _BLOCK])
-    return out
 
 
 def _chebpts(lo: float, hi: float, n: int) -> np.ndarray:

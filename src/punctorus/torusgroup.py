@@ -203,17 +203,15 @@ def nonrectangular_pair(r: float, lam: float) -> tuple[MoebiusMap, MoebiusMap]:
     return u, v
 
 
-def commutator_trace_general(lam: float, mu: float, r: float) -> float:
+def commutator_trace_general(lam: float, mu: float) -> float:
     """tr[u, v] - 2 at twists (lam, mu), in closed form.
 
     Equals -4 exactly when the twists agree (the parabolic, cusped
-    case).  The value does not depend on r; the argument is kept because
-    the underlying pair does, and the matrix-product oracle in the tests
-    confirms the independence.
+    case).  The value does not depend on the radius of the underlying
+    pair; the matrix-product oracle in the tests confirms it.
     """
     if lam <= 0 or mu <= 0:
         raise ValueError("closed form is singular at zero twist")
-    del r
     l2, m2 = lam * lam, mu * mu
     num = l2 * (m2 + 1.0) - 2.0 * math.sqrt((l2 + 1.0) * (m2 + 1.0)) + m2 + 2.0
     return -4.0 * num / (l2 * m2)

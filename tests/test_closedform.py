@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -45,6 +44,10 @@ class TestDilog:
         assert dilog(0.5) == pytest.approx(PI2 / 12 - 0.5 * math.log(2.0) ** 2,
                                            rel=1e-14)
         assert dilog(2.0) == pytest.approx(PI2 / 4, rel=1e-14)
+
+    def test_small_arguments_keep_their_low_bits(self):
+        for x in (1e-9, -1e-9, 1e-12):
+            assert dilog(x) == pytest.approx(x + x**2 / 4 + x**3 / 9, rel=1e-15, abs=0.0)
 
     @given(st.floats(min_value=1.0001, max_value=1e6))
     def test_inversion_identity(self, x):
@@ -149,6 +152,14 @@ class TestQuadLaw:
             want = quad(quad_cr_pdf, 2.0, r)[0]
             assert quad_cr_cdf(r) == pytest.approx(want, abs=1e-12)
 
+    def test_survival_matches_tail_quadrature(self):
+        # integral of the density over [r, inf), taken as r * int_1^inf f(r t) dt
+        # so the quadrature's own change of variables sees a unit scale
+        for r in (1e3, 1e6, 1e9):
+            want = r * quad(lambda t: quad_cr_pdf(r * t), 1.0, np.inf,
+                            epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            assert closedform._quad_sf(r) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_median_value(self):
         med = quad_cr_median()
         assert med == pytest.approx(4.688303105472306, rel=1e-12)
@@ -238,20 +249,15 @@ class TestInverseCdf:
         assert np.isfinite(r).all()
         assert r[0] > 1e9
 
-    def test_default_built_once_under_threads(self, monkeypatch,
-                                              concurrent_first_calls):
-        calls = []
-
-        def slow_inverse():
-            calls.append(None)
-            time.sleep(0.2)
-            return object()
-
-        monkeypatch.setattr(closedform, "_default_inverse", None)
-        monkeypatch.setattr(closedform, "QuadCrInverseCdf", slow_inverse)
-        got = concurrent_first_calls(closedform._get_default_inverse)
-        assert len(calls) == 1
-        assert all(g is got[0] for g in got)
+    def test_tail_matches_survival(self):
+        # up to the largest double below 1, through u = 1 - 1.3814e-8 (r = 1e9)
+        u = np.sort(np.concatenate([np.linspace(0.0, 1.0 - 1e-6, 1001),
+                                    1.0 - np.geomspace(1e-6, 2.0**-53, 1001),
+                                    1.0 - 1.3814e-8 * np.array([0.999, 1.0, 1.001])]))
+        r = QuadCrInverseCdf()(u)
+        assert (r >= 2.0).all()
+        assert np.all(np.diff(r) >= 0.0)
+        np.testing.assert_allclose(closedform._quad_sf(r), 1.0 - u, rtol=1e-10)
 
     def test_sampler_determinism(self):
         a = sample_quad_cr_values(4096, np.random.default_rng(3))

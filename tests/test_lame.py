@@ -129,8 +129,10 @@ class TestTwoLegIntegration:
             integrate_lame(0.02, 1e6)
 
     def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            integrate_lame(-1.0, 0.0)
+        # 0.0043 overflowed in the potential quotient before the range check
+        for tau in (-1.0, 0.0043, 60.0):
+            with pytest.raises(ValueError):
+                integrate_lame(tau, -0.5)
 
 
 class TestCircleGeometry:

@@ -176,12 +176,9 @@ class TestNonrectangularPair:
 
 class TestGeneralCommutator:
     def test_parabolic_iff_equal_twists(self):
-        assert commutator_trace_general(1.0, 1.0, 0.8) == pytest.approx(-4.0,
-                                                                        rel=1e-14)
-        assert commutator_trace_general(3.0, 3.0, 2.0) == pytest.approx(-4.0,
-                                                                        rel=1e-14)
-        assert commutator_trace_general(1.0, 2.0, 0.8) != pytest.approx(-4.0,
-                                                                        abs=0.1)
+        assert commutator_trace_general(1.0, 1.0) == pytest.approx(-4.0, rel=1e-14)
+        assert commutator_trace_general(3.0, 3.0) == pytest.approx(-4.0, rel=1e-14)
+        assert commutator_trace_general(1.0, 2.0) != pytest.approx(-4.0, abs=0.1)
 
     def test_matrix_oracle(self):
         rng = np.random.default_rng(4)
@@ -192,17 +189,13 @@ class TestGeneralCommutator:
             u, _ = nonrectangular_pair(r, 1.0 / lam)
             _, v = nonrectangular_pair(r, 1.0 / mu)
             got = complex(tr(commutator(u, v))) - 2.0
-            want = commutator_trace_general(lam, mu, r)
+            want = commutator_trace_general(lam, mu)
             assert got.real == pytest.approx(want, rel=1e-9, abs=1e-9)
             assert abs(got.imag) < 1e-9
 
-    def test_r_independence(self):
-        vals = [commutator_trace_general(1.0, 2.0, r) for r in (0.3, 1.0, 7.0)]
-        assert vals[0] == vals[1] == vals[2]
-
     def test_zero_twist_rejected(self):
         with pytest.raises(ValueError):
-            commutator_trace_general(0.0, 1.0, 1.0)
+            commutator_trace_general(0.0, 1.0)
 
     def test_parabolicity_sweep(self):
         rng = np.random.default_rng(6)
