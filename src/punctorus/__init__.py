@@ -47,7 +47,6 @@ from .lame import (
     circle_invariants,
     integrate_lame,
     solve_accessory,
-    wp,
 )
 from .mc import (
     PAIRING_PROBABILITY,

@@ -140,10 +140,10 @@ def crossratio_cdf(r):
 
     Closed form in terms of the dilogarithm; each of the three pieces is
     validated against adaptive quadrature of :func:`crossratio_pdf` in the
-    test suite.  Accepts scalars or arrays.
+    test suite.  Accepts scalars or arrays; nan maps to nan.
     """
     r, scalar = _prep(r)
-    out = np.empty_like(r)
+    out = np.full_like(r, np.nan)  # nan in, nan out
     with np.errstate(invalid="ignore", divide="ignore"):
         neg = r < 0.0
         if neg.any():
@@ -196,7 +196,8 @@ def quad_cr_cdf(r):
     r, scalar = _prep(r)
     if (r < 2.0).any():
         raise ValueError("canonical cross ratio law is supported on r >= 2")
-    return _ret(1.0 - _quad_sf(r), scalar)
+    # _quad_sf(2) rounds to 1 + 1.3e-15
+    return _ret(np.clip(1.0 - _quad_sf(r), 0.0, 1.0), scalar)
 
 
 def quad_cr_median() -> float:

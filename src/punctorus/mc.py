@@ -66,9 +66,10 @@ def _quad_cr_cdf(r):
 
 def _length_cdf(x):
     """Shortest-branch CDF, 1 - F_Q(coth^2(x/2)): 0 at 0, 1 at the threshold."""
+    x, scalar = cf._prep(x)
     with np.errstate(divide="ignore"):
         q = 1.0 / np.tanh(0.5 * np.maximum(x, 0.0)) ** 2
-    return cf._quad_sf(np.maximum(q, 2.0))
+    return cf._ret(np.clip(cf._quad_sf(np.maximum(q, 2.0)), 0.0, 1.0), scalar)
 
 
 def _modulus_cdf(m, table=None):

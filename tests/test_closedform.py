@@ -112,6 +112,11 @@ class TestFullCrossRatioLaw:
         assert crossratio_cdf(0.5) == pytest.approx(0.5, abs=1e-14)
         assert crossratio_cdf(2.0) == pytest.approx(5.0 / 6.0, abs=1e-14)
 
+    def test_cdf_of_nan_is_nan(self):
+        assert math.isnan(crossratio_cdf(math.nan))
+        got = crossratio_cdf(np.array([np.nan] * 1000 + [0.5]))
+        assert np.isnan(got[:-1]).all() and got[-1] == pytest.approx(0.5, abs=1e-14)
+
     def test_cdf_matches_quadrature(self):
         xs = np.array([-7.0, -1.2, 0.3, 0.8, 1.6, 3.0, 12.0])
         got = np.asarray(crossratio_cdf(xs))
