@@ -145,10 +145,17 @@ def crossratio_cdf(r):
     r, scalar = _prep(r)
     out = np.full_like(r, np.nan)  # nan in, nan out
     with np.errstate(invalid="ignore", divide="ignore"):
-        neg = r < 0.0
+        neg = (r < 0.0) & (r > -1.0)
         if neg.any():
             rn = r[neg]
             out[neg] = (2.0 * spence(1.0 - rn) + np.log(-rn) * np.log1p(-rn)) / _PI2 + 1.0 / 3.0
+        # For r <= -1 the inversion Li2(r) = -pi^2/6 - log^2(-r)/2 - Li2(1/r)
+        # cancels the 1/3 exactly and leaves two positive terms, together
+        # about (log|r| + 2)/(pi^2 |r|) for large |r|, so no digits are lost.
+        far = r <= -1.0
+        if far.any():
+            rf = r[far]
+            out[far] = (np.log(-rf) * np.log1p(-1.0 / rf) - 2.0 * dilog(1.0 / rf)) / _PI2
         mid = (r >= 0.0) & (r <= 1.0)
         if mid.any():
             rm = r[mid]
@@ -274,7 +281,8 @@ def length_pdf_dual(ell):
 def length_cdf(x):
     """Cumulative distribution of the full-line length density."""
     x, scalar = _prep(x)
-    out = np.zeros_like(x)
+    out = np.full_like(x, np.nan)  # nan in, nan out
+    out[x <= 0.0] = 0.0
     shortb = (x > 0.0) & (x <= LENGTH_THRESHOLD)
     if shortb.any():
         xs = x[shortb]

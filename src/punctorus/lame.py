@@ -70,6 +70,9 @@ _STEPS = np.diff(_NODES)
 _GAUSS = (_NODES[:-1, None]
           + _STEPS[:, None] * (0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0))
 
+# Secant steps a seeded solve may take before it falls back to the scan.
+_SECANT_STEPS = 12
+
 
 class BracketError(RuntimeError):
     """Endpoint data shows oscillation: lambda is outside the admissible
@@ -328,31 +331,72 @@ class AccessorySolve:
         }
 
 
+def _secant(trial, x0: float, x1: float):
+    """Secant iteration on the tangency root from the seed pair (x0, x1).
+
+    trial(lam) returns (root value, endpoint data, invariants); each
+    iterate is integrated once.  Returns (lambda, data, invariants) of
+    the last iterate once a step is within brentq's tolerance
+    1e-13 + 4e-16 |lambda|, or None when an iterate has no invariants
+    (BracketError), two root values coincide, or the steps run out.
+    """
+    try:
+        f0 = trial(x0)[0]
+        f1, data, inv = trial(x1)
+        for _ in range(_SECANT_STEPS):
+            if f1 == f0:
+                return None
+            x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+            if x1 == x0:
+                return x0, data, inv
+            f1, data, inv = trial(x1)
+            if abs(x1 - x0) <= 1e-13 + 4e-16 * abs(x1):
+                return x1, data, inv
+    except BracketError:
+        return None
+    return None
+
+
 def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> AccessorySolve:
     """Find the accessory parameter making the two circles tangent.
 
-    A warm-start bracket can be supplied (table builds hand one solve's
-    root neighborhood to the next); otherwise a 64-point scan over
-    progressively wider lambda ranges locates a sign change of the root
-    function, and brentq polishes it with the same integrator.  Raises :class:`SolverFailure`
+    bracket is a seed pair for a secant iteration on lambda (table
+    builds pass one extrapolated from the nodes already solved); it need
+    not straddle the root.  Without one, or when the secant fails (an
+    iterate outside the oscillation-free window, a flat step, or no
+    convergence in 12 steps), a 64-point scan over progressively wider
+    lambda ranges locates a sign change of the root function and brentq
+    polishes it with the same integrator.  Raises :class:`SolverFailure`
     with scan diagnostics when no sign change exists.
+
+    diagnostics holds the tangency residual, the root gap, the Wronskian
+    drift, lambda_trials (integrations made) and warm (True when the
+    seed pair gave the root; bracket is then the seed pair itself).
     """
     _check_tau(tau)
     pots = _leg_potentials(tau, _GAUSS)
+    trials = 0
+
+    def trial(lam: float) -> tuple[float, LameEndpointData, CircleInvariants]:
+        nonlocal trials
+        trials += 1
+        data = _integrate_with(pots, tau, lam)
+        inv = circle_invariants(data)
+        return _signed_root(inv), data, inv
 
     def root_at(lam: float) -> float:
         try:
-            return _signed_root(circle_invariants(_integrate_with(pots, tau, lam)))
+            return trial(lam)[0]
         except BracketError:
             return math.nan
 
-    lo = hi = None
-    if bracket is not None:
-        fa, fb = root_at(bracket[0]), root_at(bracket[1])
-        if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0:
-            lo, hi = bracket
-    scanned: list[tuple[float, float]] = []
-    if lo is None:
+    found = None if bracket is None else _secant(trial, *bracket)
+    if found is not None:
+        lam, data, inv = found
+        lo, hi = bracket
+    else:
+        lo = hi = None
+        scanned: list[tuple[float, float]] = []
         pot_floor = _leg_potentials(tau, np.linspace(1e-9, 1.0, 41))[0].min().item()
         for cand in (-2.0, -8.0, -32.0, pot_floor):
             xs = np.linspace(cand, 1.0, 64)
@@ -368,14 +412,14 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
                 f"no sign change of the tangency root function at tau={tau}",
                 diagnostics={"tau": tau, "scan_starts": [s[0] for s in scanned],
                              "finite_fraction": [s[1] / 64.0 for s in scanned]})
-
-    lam = brentq(root_at, lo, hi, xtol=1e-13, rtol=9e-16)
-    data = _integrate_with(pots, tau, lam)
-    inv = circle_invariants(data)
+        lam = brentq(root_at, lo, hi, xtol=1e-13, rtol=9e-16)
+        _, data, inv = trial(lam)
     diagnostics = {
         "tangency_residual": inv.tangency_residual(),
         "root_gap": _signed_root(inv),
         "wronskian_drift": data.wronskian_drift,
+        "lambda_trials": trials,
+        "warm": found is not None,
     }
     return AccessorySolve(
         tau=tau, lambda_acc=lam, bracket=(lo, hi),

@@ -196,14 +196,30 @@ class CrMapTable:
         return cls(ms, crs, records)
 
 
+def _extrapolate(points: list[tuple[float, float]], x: float) -> float:
+    """The Lagrange polynomial through points, evaluated at x (0 if none)."""
+    total = 0.0
+    for i, (xi, yi) in enumerate(points):
+        w = yi
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                w *= (x - xj) / (xi - xj)
+        total += w
+    return total
+
+
 def build_cr_table(m_min: float = 1.0, m_max: float = 50.0, n: int = 16) -> CrMapTable:
     """Solve the tangency problem over a modulus grid and tabulate.
 
     The n nodes are Chebyshev points of the second kind in s = 1/m on
     [1/m_max, 1/m_min], so both ends are nodes; the seven-node cluster
-    at 1 is added to them.  Solves run in increasing modulus so each
-    root warm-starts the next.  Any node failures are collected and
-    reported together as a build error.
+    at 1 is added to them.  Solves run in increasing modulus, each
+    seeded with the accessory parameter extrapolated in tau from the
+    last three solved nodes.  With no node solved yet the seed is 0,
+    the exact value at the square (the quarter turn gives
+    lambda(tau) tau^2 = -lambda(1/tau)); a failed node empties that
+    history.  Any node failures are collected and reported together as
+    a build error.
     """
     if not (1.0 <= m_min < m_max):
         raise ValueError("need 1 <= m_min < m_max")
@@ -215,23 +231,24 @@ def build_cr_table(m_min: float = 1.0, m_max: float = 50.0, n: int = 16) -> CrMa
     records: list[dict] = []
     crs = np.empty_like(ms)
     failures: list[tuple[float, str]] = []
-    bracket = None
-    for i, m in enumerate(ms):
+    solved: list[tuple[float, float]] = []
+    for i, m in enumerate(ms.tolist()):
+        tau = 1.0 / m
+        seed = _extrapolate(solved[-3:], tau)
         try:
-            sol = lame.solve_accessory(1.0 / m, bracket=bracket)
+            sol = lame.solve_accessory(tau, bracket=(seed, seed + 1e-6))
         except (lame.SolverFailure, lame.BracketError, ValueError) as exc:
-            failures.append((m.item(), str(exc)))
-            bracket = None
+            failures.append((m, str(exc)))
+            solved.clear()
             continue
+        solved.append((tau, sol.lambda_acc))
         crs[i] = sol.cross_ratio
         rec = sol.as_record()
         records.append({
-            "m": m.item(), "tau": rec["tau"], "lambda_acc": rec["lambda"],
+            "m": m, "tau": rec["tau"], "lambda_acc": rec["lambda"],
             "cross_ratio": rec["cross_ratio"], "a1": rec["a1"], "r1": rec["r1"],
             "a2": rec["a2"], "r2": rec["r2"], "residual": rec["tangency_residual"],
         })
-        w = max(0.02, 0.4 * abs(sol.lambda_acc) + 0.01)
-        bracket = (sol.lambda_acc - w, sol.lambda_acc + w)
     if failures:
         listing = ", ".join(f"m={m:g} ({msg})" for m, msg in failures[:8])
         raise RuntimeError(f"table build failed at {len(failures)} node(s): {listing}")

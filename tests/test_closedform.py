@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -116,6 +117,23 @@ class TestFullCrossRatioLaw:
         assert math.isnan(crossratio_cdf(math.nan))
         got = crossratio_cdf(np.array([np.nan] * 1000 + [0.5]))
         assert np.isnan(got[:-1]).all() and got[-1] == pytest.approx(0.5, abs=1e-14)
+
+    def test_length_cdf_of_nan_is_nan(self):
+        assert math.isnan(length_cdf(math.nan))
+        got = length_cdf(np.array([np.nan, -np.inf, 0.0, np.inf]))
+        assert np.isnan(got[0]) and got[1:].tolist() == [0.0, 0.0, 1.0]
+
+    def test_cdf_far_negative_tail(self):
+        # F(r) = (2 Li2(r) + log(-r) log(1 - r))/pi^2 + 1/3 cancels to
+        # about log|r|/|r|; carry enough digits to keep what is left
+        rs = -np.geomspace(1e3, 1e300, 12)
+        want = []
+        for r in rs.tolist():
+            with mpmath.workdps(int(math.log10(-r)) + 40):
+                x = mpmath.mpf(r)
+                want.append(float((2 * mpmath.polylog(2, x) + mpmath.log(-x) * mpmath.log(1 - x))
+                                  / mpmath.pi ** 2 + mpmath.mpf(1) / 3))
+        np.testing.assert_allclose(crossratio_cdf(rs), want, rtol=1e-12, atol=0)
 
     def test_cdf_matches_quadrature(self):
         xs = np.array([-7.0, -1.2, 0.3, 0.8, 1.6, 3.0, 12.0])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from punctorus import lame
 from punctorus.lame import (
     TAU_MAX,
     TAU_MIN,
@@ -257,6 +258,34 @@ class TestAccessorySolve:
         lam = cold.lambda_acc
         warm = solve_accessory(0.5, bracket=(lam - 0.01, lam + 0.01))
         assert warm.lambda_acc == pytest.approx(lam, abs=1e-10)
+
+    def test_seeds_need_not_straddle_the_root(self, monkeypatch):
+        cold = solve_accessory(0.5)
+        lam = cold.lambda_acc
+        assert not cold.diagnostics["warm"]
+        tried = []
+        integrate = lame._integrate_with
+
+        def record(pots, tau, lam_):
+            tried.append(lam_)
+            return integrate(pots, tau, lam_)
+
+        monkeypatch.setattr(lame, "_integrate_with", record)
+        seeds = (lam + 1e-3, lam + 2e-3)
+        warm = solve_accessory(0.5, bracket=seeds)
+        assert warm.diagnostics["warm"] and warm.bracket == seeds
+        assert warm.lambda_acc == pytest.approx(lam, abs=1e-12)
+        # every iterate is integrated once, the last one included
+        assert warm.diagnostics["lambda_trials"] == len(tried) == len(set(tried)) <= 8
+        assert tried[-1] == warm.lambda_acc
+
+    def test_oscillatory_seed_falls_back_to_the_scan(self):
+        cold = solve_accessory(0.5)
+        got = solve_accessory(0.5, bracket=(50.0, 50.0 + 1e-6))
+        assert not got.diagnostics["warm"]
+        assert got.bracket == cold.bracket
+        assert got.lambda_acc == cold.lambda_acc
+        assert got.diagnostics["lambda_trials"] == cold.diagnostics["lambda_trials"] + 1
 
     def test_record_shape(self):
         rec = solve_accessory(0.8).as_record()

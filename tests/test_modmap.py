@@ -80,6 +80,30 @@ class TestTableConstruction:
         np.testing.assert_allclose(np.sort(rec_ms), cr_table.ms, rtol=0)
         assert max(abs(r["residual"]) for r in cr_table.records) < 1e-9
 
+    @pytest.mark.parametrize("m", [1.32, 1.51])
+    def test_seeded_nodes_match_cold_solves(self, cr_table, m):
+        # the nodes next to 1.32 and 1.51, where a fixed-width warm
+        # bracket around the previous root missed the root
+        rec = min(cr_table.records, key=lambda r: abs(r["m"] - m))
+        assert abs(rec["m"] - m) < 0.01
+        cold = lame.solve_accessory(rec["tau"])
+        assert not cold.diagnostics["warm"]
+        assert rec["lambda_acc"] == pytest.approx(cold.lambda_acc, abs=1e-11)
+
+    def test_build_work_count(self, monkeypatch):
+        calls = []
+        invariants = lame.circle_invariants
+
+        def counted(data):
+            calls.append(None)
+            return invariants(data)
+
+        monkeypatch.setattr(lame, "circle_invariants", counted)
+        build_cr_table()
+        # 22 nodes at 4-7 lambda trials each; the lower end also shows the
+        # calls still go through the module global
+        assert 22 * 4 <= len(calls) <= 160
+
 
 class TestForwardMap:
     def test_square_endpoint(self, cr_table):
