@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import Chebyshev, polynomial
-from scipy.optimize import brentq
-from scipy.special import spence
+from numpy.polynomial import Chebyshev, legendre
 
 __all__ = [
     "LENGTH_THRESHOLD",
@@ -68,9 +66,56 @@ def _blockwise(fn, x: np.ndarray) -> np.ndarray:
     return out
 
 
-# Li2(x) = sum x^k / k^2; 13 terms reach double precision for |x| < 1/16.
-_DILOG_SERIES_CUT = 1.0 / 16.0
-_DILOG_COEFFS = np.concatenate([[0.0], 1.0 / np.arange(1, 14) ** 2])
+# On [-1, 1/2], z = -log(1 - x) stays in [-log 2, log 2], where the
+# Bernoulli series Li2 = sum_n B_n z^(n+1) / (n+1)! = z - z^2/4 + z^3 P(z^2)
+# converges fast: P's coefficients are B_2k / (2k+1)!, and after k = 10
+# the terms fall below 1e-22 of Li2 (Zagier, "The dilogarithm function",
+# 2007).
+_BERNOULLI_EVEN = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                   -3617 / 510, 43867 / 798, -174611 / 330)
+_LI2_SERIES = np.array([b / math.factorial(2 * k + 1)
+                        for k, b in enumerate(_BERNOULLI_EVEN, 1)])
+
+
+def _li2_series(z):
+    """Li2(x) from z = -log(1 - x), x in [-1, 1/2]: the series in Horner form."""
+    w = z * z
+    out = np.full_like(z, _LI2_SERIES[-1])
+    for c in _LI2_SERIES[-2::-1]:
+        out *= w
+        out += c
+    out *= z
+    out -= 0.25
+    out *= w
+    out += z
+    return out
+
+
+def _dilog(x):
+    """Li2 (its real part above 1) of a 1-d array, one series per point.
+
+    Each range maps onto an argument y in [-1, 1/2] with
+    Li2(x) = add + sign Li2(y): inversion below -1, reflection on
+    (1/2, 1], reflection of the inversion on (1, 2] and inversion
+    above 2.  nan falls through to the series and stays nan.
+    """
+    y = x.copy()
+    add = np.zeros_like(x)
+    sign = np.ones_like(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lx = np.log(np.abs(x))
+        m = x < -1.0
+        y[m], add[m], sign[m] = 1.0 / x[m], -_PI2 / 6.0 - 0.5 * lx[m] ** 2, -1.0
+        m = (x > 0.5) & (x <= 1.0)
+        y[m] = 1.0 - x[m]
+        add[m] = _PI2 / 6.0 - np.where(y[m] > 0.0, lx[m] * np.log(y[m]), 0.0)
+        sign[m] = -1.0
+        m = (x > 1.0) & (x <= 2.0)
+        y[m] = (x[m] - 1.0) / x[m]
+        add[m] = _PI2 / 6.0 - 0.5 * lx[m] ** 2 - lx[m] * np.log(y[m])
+        m = x > 2.0
+        y[m], add[m], sign[m] = 1.0 / x[m], _PI2 / 3.0 - 0.5 * lx[m] ** 2, -1.0
+    return add + sign * _li2_series(-np.log1p(-y))
 
 
 def dilog(x):
@@ -78,20 +123,27 @@ def dilog(x):
 
     For x > 1 the principal branch acquires an imaginary part; this
     evaluator returns its real part via the inversion identity, which is
-    the combination every closed form here needs.  Near 0 it sums the
-    series, as spence(1 - x) rounds away a small x's low bits.
+    the combination every closed form here needs.  One Bernoulli series
+    in -log(1 - y), for y in [-1, 1/2] reached by the inversion and
+    reflection identities, keeps full relative accuracy down to the
+    smallest arguments.  Scalars or arrays.
     """
     x, scalar = _prep(x)
-    out = np.empty_like(x)
-    small = np.abs(x) < _DILOG_SERIES_CUT
-    out[small] = polynomial.polyval(x[small], _DILOG_COEFFS)
-    lo = ~small & (x <= 1.0)
-    out[lo] = spence(1.0 - x[lo])
-    hi = ~(small | lo)
-    if hi.any():
-        xh = x[hi]
-        out[hi] = _PI2 / 3.0 - 0.5 * np.log(xh) ** 2 - spence(1.0 - 1.0 / xh)
-    return _ret(out, scalar)
+    return _ret(_blockwise(_dilog, x), scalar)
+
+
+def _li2_gap(x):
+    """Li2(x) - Li2(1 - x) (real parts) for x in [-1, 2], one series each.
+
+    By the reflection identity it is 2 Li2(y) + log|y| log(1 - y) - pi^2/6
+    at y = min(x, 1 - x), with the sign of 1/2 - x; so it is odd about
+    x = 1/2 by construction and exactly 0 there (+0, not -0).
+    """
+    y = np.minimum(x, 1.0 - x)
+    z = -np.log1p(-y)
+    # log|y| log(1 - y) -> 0 at y = 0
+    ll = np.log(np.abs(y), out=np.zeros_like(y), where=y != 0.0) * z
+    return np.sign(0.5 - x) * (2.0 * _li2_series(z) - ll - _PI2 / 6.0) + 0.0
 
 
 def _nlog1p_over(x):
@@ -145,22 +197,20 @@ def crossratio_cdf(r):
     r, scalar = _prep(r)
     out = np.full_like(r, np.nan)  # nan in, nan out
     with np.errstate(invalid="ignore", divide="ignore"):
-        neg = (r < 0.0) & (r > -1.0)
-        if neg.any():
-            rn = r[neg]
-            out[neg] = (2.0 * spence(1.0 - rn) + np.log(-rn) * np.log1p(-rn)) / _PI2 + 1.0 / 3.0
         # For r <= -1 the inversion Li2(r) = -pi^2/6 - log^2(-r)/2 - Li2(1/r)
         # cancels the 1/3 exactly and leaves two positive terms, together
         # about (log|r| + 2)/(pi^2 |r|) for large |r|, so no digits are lost.
         far = r <= -1.0
         if far.any():
             rf = r[far]
-            out[far] = (np.log(-rf) * np.log1p(-1.0 / rf) - 2.0 * dilog(1.0 / rf)) / _PI2
-        mid = (r >= 0.0) & (r <= 1.0)
+            z = -np.log1p(-1.0 / rf)  # the series variable of Li2(1/r)
+            out[far] = -(np.log(-rf) * z + 2.0 * _li2_series(z)) / _PI2
+        # on (-1, 2), F = 1/3 + (Li2(r) - Li2(1 - r) + pi^2/6)/pi^2, which
+        # the law's symmetry F(1 - r) = 1 - F(r) carries past r = 1
+        mid = (r > -1.0) & (r < 2.0)
         if mid.any():
-            rm = r[mid]
-            out[mid] = 1.0 / 3.0 + (spence(1.0 - rm) - spence(rm) + _PI2 / 6.0) / _PI2
-        hi = r > 1.0
+            out[mid] = 0.5 + _li2_gap(r[mid]) / _PI2
+        hi = r >= 2.0
         if hi.any():
             out[hi] = 1.0 - _quad_sf(r[hi]) / 6.0
     out[np.isneginf(r)] = 0.0
@@ -178,15 +228,17 @@ def _quad_law_expression(r):
 
 
 def _quad_sf(r):
-    """Survival 1 - F of the quadrilateral law (continued below 2 for r > 1).
+    """Survival 1 - F of the quadrilateral law, r >= 2.
 
     Integrating the density (6/pi^2) sum_{k>=2} r^-k (log r + 1/(k-1))
     term by term gives (6/pi^2)(2 Li2(1/r) - log r log(1 - 1/r)), two
-    positive terms that keep full relative accuracy as r -> inf.
+    positive terms that keep full relative accuracy as r -> inf; 1/r is
+    in the series' range, whose variable z is also the second log.
     """
     r = np.asarray(r, dtype=float)
+    z = -np.log1p(-1.0 / r)  # the series variable of Li2(1/r)
     with np.errstate(invalid="ignore"):
-        out = 6.0 / _PI2 * (2.0 * dilog(1.0 / r) - np.log(r) * np.log1p(-1.0 / r))
+        out = 6.0 / _PI2 * (2.0 * _li2_series(z) + np.log(r) * z)
     return np.where(np.isposinf(r), 0.0, out)
 
 
@@ -203,13 +255,14 @@ def quad_cr_cdf(r):
     r, scalar = _prep(r)
     if (r < 2.0).any():
         raise ValueError("canonical cross ratio law is supported on r >= 2")
-    # _quad_sf(2) rounds to 1 + 1.3e-15
-    return _ret(np.clip(1.0 - _quad_sf(r), 0.0, 1.0), scalar)
+    # 1 - S = (6/pi^2)(Li2(1 - 1/r) - Li2(1/r)) by the reflection identity:
+    # exactly 0 at r = 2, exactly 1 at inf
+    return _ret(_li2_gap(1.0 - 1.0 / r) / (_PI2 / 6.0), scalar)
 
 
 def quad_cr_median() -> float:
-    """The median of the quadrilateral law, bracketed in [4, 5]."""
-    return brentq(lambda r: quad_cr_cdf(r) - 0.5, 4.0, 5.0, xtol=1e-12)
+    """The median of the quadrilateral law: the quantile at z = log(1 + log 2)."""
+    return math.exp(_log_quantile(math.log1p(math.log(2.0))))
 
 
 def _sampling_density(x):
@@ -297,12 +350,10 @@ def length_cdf(x):
 
 
 def length_mean() -> float:
-    """Mean shortest-geodesic length, by adaptive quadrature."""
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda t: t * length_pdf(t), 0.0, LENGTH_THRESHOLD,
-                  epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
+    """Mean shortest-geodesic length, 2 artanh(Q^-1/2) averaged over the
+    quadrilateral law Q."""
+    q, w = _quad_law_rule()
+    return float(w @ (2.0 * np.arctanh(1.0 / np.sqrt(q))))
 
 
 def length_branch_median() -> float:
@@ -346,6 +397,23 @@ def _log_quantile(z):
         sf = _quad_sf(r)
         y = y + (np.log(sf) + v) * sf / (r * _quad_law_expression(r))
     return y
+
+
+_RULE_NODES = 40
+
+
+def _quad_law_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes q and weights w with E[g(Q)] = sum w g(q) over the quadrilateral law.
+
+    E[g(Q)] is the integral of g at the quantile of u over [0, 1]; in
+    z = log(1 - log(1 - u)), with du = exp(z - expm1(z)) dz, the
+    integrand is smooth on [0, log(1 + 53 log 2)], past which only 2^-53
+    of the mass lies, and a 40-node Gauss-Legendre rule integrates it.
+    """
+    x, w = legendre.leggauss(_RULE_NODES)
+    z = 0.5 * _Z_MAX * (x + 1.0)
+    q = np.maximum(np.exp(_log_quantile(z)), 2.0)
+    return q, 0.5 * _Z_MAX * w * np.exp(z - np.expm1(z))
 
 
 class QuadCrInverseCdf:

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .hypgeom import ComplexPoint
 
@@ -70,8 +69,10 @@ _STEPS = np.diff(_NODES)
 _GAUSS = (_NODES[:-1, None]
           + _STEPS[:, None] * (0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0))
 
-# Secant steps a seeded solve may take before it falls back to the scan.
+# Secant steps a seeded solve may take before it falls back to the scan,
+# and steps the scan's bracket polish may take.
 _SECANT_STEPS = 12
+_POLISH_STEPS = 100
 
 
 class BracketError(RuntimeError):
@@ -168,13 +169,44 @@ class LameEndpointData:
     wronskian_drift: float
 
 
-def _magnus_leg(L: float, q: np.ndarray) -> tuple[tuple[float, float, float, float],
-                                                  tuple[int, int, int, int], float]:
-    """Transfer y'' = q(t) y for the (c, s) columns over [0, L].
+class _Legs:
+    """One tau's two legs, ready for lambda trials, and their scratch.
 
-    q, shaped (N, 2), holds q(t) at the two Gauss points of each step.
+    On [0, 1] the equation reads y'' = (lambda - V) y and on [0, i tau]
+    y'' = (V - lambda) y, V the potential at the two Gauss points of
+    every step.  Per leg this keeps what no trial changes: the steps h,
+    the Magnus correction d = (sqrt(3)/12) h^2 (q1 - q2), from which
+    lambda cancels, and the Gauss mean of V.  A trial writes everything
+    else into the scratch, so it allocates no array of a leg's length:
+    when it did, glibc could return and map afresh tens of pages per
+    trial, depending on how its allocation thresholds had moved before.
+    Every solve makes its own, so concurrent solves share nothing.
+    """
+
+    def __init__(self, tau: float):
+        on_real, on_imag = _leg_potentials(tau, _GAUSS)
+        self.legs = tuple(self._constants(L, V, sign)
+                          for L, V, sign in ((1.0, on_real, 1.0), (tau, on_imag, -1.0)))
+        self.work = np.empty((5, _N))
+        self.grow = np.empty(_N, dtype=bool)
+        self.steps = np.empty((_BLOCK, _BLOCK, 2, 2))
+        self.nodes = np.empty((_BLOCK, _BLOCK, 2, 2))
+
+    @staticmethod
+    def _constants(L: float, V: np.ndarray, sign: float):
+        """(L, sign, h, h^2, d, d^2, sign times the Gauss mean of V) for
+        q = sign (lambda - V)."""
+        h = L * _STEPS
+        d = (-sign * math.sqrt(3.0) / 12.0) * h * h * (V[:, 0] - V[:, 1])
+        return L, sign, h, h * h, d, d * d, sign * 0.5 * (V[:, 0] + V[:, 1])
+
+
+def _magnus_leg(legs: _Legs, leg: int, lambda_acc: float) -> tuple[tuple[float, float, float, float],
+                                                                   tuple[int, int, int, int], float]:
+    """Transfer y'' = q(t) y for the (c, s) columns over leg 0 or 1 of legs.
+
     Each step is the fourth-order Magnus exponential exp(Omega) with
-    Omega = [[d, h], [h qbar, -d]], qbar the Gauss mean and
+    Omega = [[d, h], [h qbar, -d]], qbar the Gauss mean of q and
     d = (sqrt(3)/12) h^2 (q1 - q2); Omega^2 = Delta I, so
     exp(Omega) = C I + S Omega with C = cosh(sqrt Delta) and
     S = sinh(sqrt Delta)/sqrt Delta (cos and sin for Delta < 0), and its
@@ -185,20 +217,27 @@ def _magnus_leg(L: float, q: np.ndarray) -> tuple[tuple[float, float, float, flo
     :class:`BracketError` when the endpoint overflows, which happens
     only for lambda far outside the bracket.
     """
-    h = L * _STEPS
-    qbar = 0.5 * (q[:, 0] + q[:, 1])
-    d = (math.sqrt(3.0) / 12.0) * h * h * (q[:, 0] - q[:, 1])
-    delta = d * d + h * h * qbar
-    r = np.sqrt(np.abs(delta))
-    grow = delta > 0.0
-    C = np.where(grow, np.cosh(r), np.cos(r))
-    S = np.divide(np.where(grow, np.sinh(r), np.sin(r)), r, out=np.ones_like(r), where=r > 0.0)
-    step = np.empty((_BLOCK, _BLOCK, 2, 2))
+    L, sign, h, hh, d, dd, shift = legs.legs[leg]
+    qbar, delta, r, C, S = legs.work
+    np.subtract(sign * lambda_acc, shift, out=qbar)
+    np.multiply(hh, qbar, out=delta)
+    delta += dd
+    np.sqrt(np.abs(delta, out=r), out=r)
+    grow = np.greater(delta, 0.0, out=legs.grow)
+    shrink = ~grow
+    np.cosh(r, out=C, where=grow)
+    np.cos(r, out=C, where=shrink)
+    np.sinh(r, out=S, where=grow)
+    np.sin(r, out=S, where=shrink)
+    np.divide(S, r, out=S, where=r > 0.0)
+    np.copyto(S, 1.0, where=r == 0.0)
+    step = legs.steps
     flat = step.reshape(_N, 2, 2)
-    flat[:, 0, 0] = C + S * d
-    flat[:, 0, 1] = S * h
-    flat[:, 1, 0] = S * h * qbar
-    flat[:, 1, 1] = C - S * d
+    Sd = np.multiply(S, d, out=delta)
+    np.add(C, Sd, out=flat[:, 0, 0])
+    np.subtract(C, Sd, out=flat[:, 1, 1])
+    np.multiply(S, h, out=flat[:, 0, 1])
+    np.multiply(flat[:, 0, 1], qbar, out=flat[:, 1, 0])
     # products within each block, all blocks at once ...
     for j in range(1, _BLOCK):
         np.matmul(step[:, j], step[:, j - 1], out=step[:, j])
@@ -207,22 +246,21 @@ def _magnus_leg(L: float, q: np.ndarray) -> tuple[tuple[float, float, float, flo
     start[0] = np.eye(2)
     for b in range(1, _BLOCK):
         np.matmul(step[b - 1, -1], start[b - 1], out=start[b])
-    nodes = np.matmul(step, start[:, None]).reshape(_N, 2, 2)
+    nodes = np.matmul(step, start[:, None], out=legs.nodes).reshape(_N, 2, 2)
     if not np.isfinite(nodes[-1]).all():
         raise BracketError(f"the solution overflowed on a leg of length {L}")
     (c, s), (cp, sp) = nodes[-1].tolist()
     # the step off node 0 = I counts too; c' and s start at 0 and cannot flip on it
-    flips = np.count_nonzero(nodes[:-1] * nodes[1:] < 0.0, axis=0) + (np.eye(2) * nodes[0] < 0.0)
+    signs = np.multiply(nodes[:-1], nodes[1:], out=flat[:-1])
+    flips = np.count_nonzero(signs < 0.0, axis=0) + (np.eye(2) * nodes[0] < 0.0)
     (fc, fs), (fcp, fsp) = flips.tolist()
     return (c, cp, s, sp), (fc, fcp, fs, fsp), abs(c * sp - cp * s - 1.0)
 
 
-def _integrate_with(pots: tuple[np.ndarray, np.ndarray], tau: float,
-                    lambda_acc: float) -> LameEndpointData:
-    on_real, on_imag = pots
+def _integrate_with(legs: _Legs, tau: float, lambda_acc: float) -> LameEndpointData:
     with np.errstate(over="ignore", invalid="ignore"):
-        e1, f1, w1 = _magnus_leg(1.0, lambda_acc - on_real)
-        e2, f2, w2 = _magnus_leg(tau, on_imag - lambda_acc)
+        e1, f1, w1 = _magnus_leg(legs, 0, lambda_acc)
+        e2, f2, w2 = _magnus_leg(legs, 1, lambda_acc)
     if f1[0] or f1[2] or f2[0] or f2[2]:
         raise BracketError(
             "c or s changes sign along a leg (flip census "
@@ -244,7 +282,7 @@ def integrate_lame(tau: float, lambda_acc: float) -> LameEndpointData:
     [TAU_MIN, TAU_MAX].
     """
     _check_tau(tau)
-    return _integrate_with(_leg_potentials(tau, _GAUSS), tau, lambda_acc)
+    return _integrate_with(_Legs(tau), tau, lambda_acc)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +374,9 @@ def _secant(trial, x0: float, x1: float):
 
     trial(lam) returns (root value, endpoint data, invariants); each
     iterate is integrated once.  Returns (lambda, data, invariants) of
-    the last iterate once a step is within brentq's tolerance
-    1e-13 + 4e-16 |lambda|, or None when an iterate has no invariants
-    (BracketError), two root values coincide, or the steps run out.
+    the last iterate once a step is within 1e-13 + 4e-16 |lambda|, or
+    None when an iterate has no invariants (BracketError), two root
+    values coincide, or the steps run out.
     """
     try:
         f0 = trial(x0)[0]
@@ -357,6 +395,45 @@ def _secant(trial, x0: float, x1: float):
     return None
 
 
+def _polish(trial, pre, cur):
+    """The tangency root between the scan's sign-change pair.
+
+    pre and cur are (lambda, trial(lambda)) at the two ends, as the scan
+    computed them.  Each step is the secant through the last two
+    iterates, kept only while it is shorter than half the step before
+    the last and lands in the three quarters of the bracket next to the
+    best iterate; otherwise the step bisects (Brent, "Algorithms for
+    Minimization without Derivatives", 1973, ch. 4).  A
+    step shorter than the tolerance is lengthened to it, so the bracket
+    also closes from the far side.  Stops once the bracket is within
+    1e-13 + 9e-16 |lambda| and returns (lambda, data, invariants) of the
+    end with the smaller root value; each iterate is integrated once.
+    """
+    (xp, rp), (xc, rc) = pre, cur
+    for _ in range(_POLISH_STEPS):
+        if rp[0] * rc[0] < 0.0:
+            (xb, rb), step = (xp, rp), xc - xp
+            last = step
+        if abs(rb[0]) < abs(rc[0]):
+            (xp, rp), (xc, rc), (xb, rb) = (xc, rc), (xb, rb), (xc, rc)
+        tol = 0.5 * (1e-13 + 9e-16 * abs(xc))
+        half = 0.5 * (xb - xc)
+        if rc[0] == 0.0 or abs(half) < tol:
+            return xc, rc[1], rc[2]
+        if abs(last) > tol and abs(rc[0]) < abs(rp[0]):
+            secant = -rc[0] * (xc - xp) / (rc[0] - rp[0])
+            if 2.0 * abs(secant) < min(abs(last), 3.0 * abs(half) - tol):
+                last, step = step, secant
+            else:
+                last = step = half
+        else:
+            last = step = half
+        xp, rp = xc, rc
+        xc = xc + (step if abs(step) > tol else math.copysign(tol, half))
+        rc = trial(xc)
+    raise SolverFailure(f"the tangency root polish did not converge in {_POLISH_STEPS} steps")
+
+
 def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> AccessorySolve:
     """Find the accessory parameter making the two circles tangent.
 
@@ -365,30 +442,31 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
     not straddle the root.  Without one, or when the secant fails (an
     iterate outside the oscillation-free window, a flat step, or no
     convergence in 12 steps), a 64-point scan over progressively wider
-    lambda ranges locates a sign change of the root function and brentq
-    polishes it with the same integrator.  Raises :class:`SolverFailure`
-    with scan diagnostics when no sign change exists.
+    lambda ranges locates a sign change of the root function, and a
+    secant with a bisection guard polishes it inside that pair, reusing
+    the scan's two root values.  Raises :class:`SolverFailure` with scan
+    diagnostics when no sign change exists.
 
     diagnostics holds the tangency residual, the root gap, the Wronskian
     drift, lambda_trials (integrations made) and warm (True when the
     seed pair gave the root; bracket is then the seed pair itself).
     """
     _check_tau(tau)
-    pots = _leg_potentials(tau, _GAUSS)
+    legs = _Legs(tau)
     trials = 0
 
     def trial(lam: float) -> tuple[float, LameEndpointData, CircleInvariants]:
         nonlocal trials
         trials += 1
-        data = _integrate_with(pots, tau, lam)
+        data = _integrate_with(legs, tau, lam)
         inv = circle_invariants(data)
         return _signed_root(inv), data, inv
 
-    def root_at(lam: float) -> float:
+    def attempt(lam: float):
         try:
-            return trial(lam)[0]
+            return trial(lam)
         except BracketError:
-            return math.nan
+            return None
 
     found = None if bracket is None else _secant(trial, *bracket)
     if found is not None:
@@ -399,21 +477,22 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
         scanned: list[tuple[float, float]] = []
         pot_floor = _leg_potentials(tau, np.linspace(1e-9, 1.0, 41))[0].min().item()
         for cand in (-2.0, -8.0, -32.0, pot_floor):
-            xs = np.linspace(cand, 1.0, 64)
-            vals = np.array([root_at(x) for x in xs])
+            xs = np.linspace(cand, 1.0, 64).tolist()
+            got = [attempt(x) for x in xs]
+            vals = np.array([math.nan if g is None else g[0] for g in got])
             scanned.append((cand, float(np.count_nonzero(~np.isnan(vals)))))
             # a nan (no invariants) never compares below zero
             hits = np.flatnonzero(vals[:-1] * vals[1:] < 0)
             if hits.size:
-                lo, hi = xs[hits[0]].item(), xs[hits[0] + 1].item()
+                i = hits[0].item()
+                lo, hi = xs[i], xs[i + 1]
                 break
         if lo is None:
             raise SolverFailure(
                 f"no sign change of the tangency root function at tau={tau}",
                 diagnostics={"tau": tau, "scan_starts": [s[0] for s in scanned],
                              "finite_fraction": [s[1] / 64.0 for s in scanned]})
-        lam = brentq(root_at, lo, hi, xtol=1e-13, rtol=9e-16)
-        _, data, inv = trial(lam)
+        lam, data, inv = _polish(trial, (lo, got[i]), (hi, got[i + 1]))
     diagnostics = {
         "tangency_residual": inv.tangency_residual(),
         "root_gap": _signed_root(inv),

@@ -65,11 +65,16 @@ def _quad_cr_cdf(r):
 
 
 def _length_cdf(x):
-    """Shortest-branch CDF, 1 - F_Q(coth^2(x/2)): 0 at 0, 1 at the threshold."""
+    """Shortest-branch CDF, 1 - F_Q(coth^2(x/2)): 0 at 0, 1 from the threshold on.
+
+    coth^2 of the rounded threshold is 2 plus an ulp, so the support's
+    right end is set to 1 explicitly.
+    """
     x, scalar = cf._prep(x)
     with np.errstate(divide="ignore"):
         q = 1.0 / np.tanh(0.5 * np.maximum(x, 0.0)) ** 2
-    return cf._ret(np.clip(cf._quad_sf(np.maximum(q, 2.0)), 0.0, 1.0), scalar)
+    out = np.clip(cf._quad_sf(np.maximum(q, 2.0)), 0.0, 1.0)
+    return cf._ret(np.where(x >= cf.LENGTH_THRESHOLD, 1.0, out), scalar)
 
 
 def _modulus_cdf(m, table=None):

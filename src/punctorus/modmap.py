@@ -18,10 +18,9 @@ import threading
 import numpy as np
 from numpy.polynomial import Chebyshev
 from numpy.polynomial.chebyshev import chebpts2
-from scipy.integrate import quad
 
 from . import lame
-from .closedform import _blockwise, _prep, _ret, quad_cr_median, quad_cr_pdf
+from .closedform import _blockwise, _prep, _quad_law_rule, _ret, quad_cr_median, quad_cr_pdf
 
 __all__ = [
     "CrMapTable",
@@ -346,20 +345,15 @@ def teich_pdf(d, table: CrMapTable | None = None):
 def summary_stats(table: CrMapTable | None = None) -> tuple[float, float, float]:
     """(mean, median, sd) of the log-modulus law.
 
-    Moments by quadrature in cross-ratio space, where the integrand is
-    the exact closed-form law times powers of log(inverse map); the
-    median is the pushforward of the cross-ratio median.
+    Moments of log(inverse map) over the quadrilateral law, by one
+    Gauss-Legendre rule on its quantile function; the median is the
+    pushforward of the cross-ratio median.
     """
     t = table if table is not None else default_table()
-
-    def moment(p: float) -> float:
-        def f(q: float) -> float:
-            return math.log(modulus_of_cr(q, t)) ** p * quad_cr_pdf(q)
-
-        return quad(f, 2.0, np.inf, limit=400)[0]
-
-    mean = moment(1)
-    sd = math.sqrt(moment(2) - mean * mean)
+    q, w = _quad_law_rule()
+    d = np.log(modulus_of_cr(q, t))
+    mean = float(w @ d)
+    sd = math.sqrt(w @ (d * d) - mean * mean)
     median = math.log(modulus_of_cr(quad_cr_median(), t))
     return mean, median, sd
 

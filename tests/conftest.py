@@ -7,11 +7,16 @@ The full verification run on it (about five seconds) is also made once.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import punctorus
 from punctorus import modmap, verify
 
 
@@ -54,5 +59,21 @@ def concurrent_first_calls():
         assert not any(th.is_alive() for th in threads)
         assert len(results) == 4
         return results
+
+    return run
+
+
+@pytest.fixture
+def fresh_python():
+    """Run a fresh interpreter on args with this package importable."""
+    src = str(Path(punctorus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc
 
     return run

@@ -1,4 +1,5 @@
-"""End-to-end command-line checks, run in process through main()."""
+"""End-to-end command-line checks, run in process through main(), and the
+runtime imports of fresh interpreters."""
 from __future__ import annotations
 
 import csv
@@ -299,3 +300,31 @@ class TestParserSurface:
         assert "Units:" in out
         assert "log of the extremal dilatation" in out or \
             "logarithm of the extremal dilatation" in out
+
+
+class TestRuntimeImports:
+    """Only verify imports scipy, and only when clause 01 runs."""
+
+    @staticmethod
+    def imported(run, *args):
+        """stdout, and the top-level names of every module imported."""
+        proc = run("-X", "importtime", *args)
+        lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("import time:")]
+        return proc.stdout, {ln.rsplit("|", 1)[1].strip().split(".")[0] for ln in lines}
+
+    def test_package_import_leaves_scipy_out(self, fresh_python):
+        _, mods = self.imported(fresh_python, "-c", "import punctorus, punctorus.cli")
+        assert "numpy" in mods and "punctorus" in mods
+        assert "scipy" not in mods
+
+    def test_one_shot_pdf_leaves_scipy_out(self, fresh_python):
+        out, mods = self.imported(fresh_python, "-m", "punctorus.cli", "pdf", "--law",
+                                  "quad_cr", "--at", "3")
+        assert float(out) == pytest.approx(float(np.asarray(mc.CURVES["quad_cr"][0](3.0))),
+                                           rel=1e-15)
+        assert "scipy" not in mods
+
+    def test_verify_imports_scipy_for_its_normalization_clause(self, fresh_python):
+        _, mods = self.imported(fresh_python, "-c", "from punctorus import verify; "
+                                "verify._check_normalization(True, None)")
+        assert "scipy" in mods

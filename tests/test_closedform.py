@@ -50,6 +50,17 @@ class TestDilog:
         for x in (1e-9, -1e-9, 1e-12):
             assert dilog(x) == pytest.approx(x + x**2 / 4 + x**3 / 9, rel=1e-15, abs=0.0)
 
+    def test_against_mpmath(self):
+        # 40-digit real part of the principal branch as the oracle
+        xs = np.concatenate([np.geomspace(1e-12, 1e8, 401), -np.geomspace(1e-12, 1e8, 401),
+                             np.linspace(-3.0, 3.0, 601)])
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.re(mpmath.polylog(2, mpmath.mpf(x))))
+                             for x in xs.tolist()])
+        err = np.abs(np.asarray(dilog(xs)) - want)
+        assert np.all(err <= 4e-15 * np.maximum(1.0, np.abs(want)))
+        assert [dilog(x) for x in xs[::97].tolist()] == np.asarray(dilog(xs[::97])).tolist()
+
     @given(st.floats(min_value=1.0001, max_value=1e6))
     def test_inversion_identity(self, x):
         lhs = dilog(x) + dilog(1.0 / x) + 0.5 * math.log(x) ** 2
@@ -169,6 +180,13 @@ class TestQuadLaw:
         assert quad_cr_cdf(2.0) == pytest.approx(0.0, abs=1e-14)
         assert quad_cr_cdf(1e12) == pytest.approx(1.0, abs=1e-10)
         assert quad_cr_cdf(np.inf) == 1.0
+
+    def test_cdf_leaves_zero_upward(self):
+        # 0 at 2 by construction, then nondecreasing ulp by ulp
+        r = 2.0 + np.arange(20001) * np.spacing(2.0)
+        got = np.asarray(quad_cr_cdf(r))
+        assert got[0] == 0.0 and math.copysign(1.0, got[0]) == 1.0
+        assert np.all(np.diff(got) >= 0.0) and got[-1] > 0.0
 
     def test_cdf_matches_quadrature(self):
         for r in (2.5, 4.0, 9.0, 150.0):

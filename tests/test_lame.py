@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import time
 
 import numpy as np
@@ -266,9 +267,9 @@ class TestAccessorySolve:
         tried = []
         integrate = lame._integrate_with
 
-        def record(pots, tau, lam_):
+        def record(legs, tau, lam_):
             tried.append(lam_)
-            return integrate(pots, tau, lam_)
+            return integrate(legs, tau, lam_)
 
         monkeypatch.setattr(lame, "_integrate_with", record)
         seeds = (lam + 1e-3, lam + 2e-3)
@@ -278,6 +279,42 @@ class TestAccessorySolve:
         # every iterate is integrated once, the last one included
         assert warm.diagnostics["lambda_trials"] == len(tried) == len(set(tried)) <= 8
         assert tried[-1] == warm.lambda_acc
+
+    @pytest.mark.parametrize("tau,most", [(0.05, 72), (0.5, 72), (1.0, 68), (2.0, 73), (5.0, 76)])
+    def test_cold_solve_integrates_each_lambda_once(self, monkeypatch, tau, most):
+        # most: the integrations the scan + brentq cold path made, which
+        # re-integrated both ends of the scan's pair and brentq's root
+        tried = []
+        integrate = lame._integrate_with
+
+        def record(legs, tau_, lam_):
+            tried.append(lam_)
+            return integrate(legs, tau_, lam_)
+
+        monkeypatch.setattr(lame, "_integrate_with", record)
+        sol = solve_accessory(tau)
+        assert not sol.diagnostics["warm"]
+        assert len(set(tried)) == len(tried) == sol.diagnostics["lambda_trials"] <= most
+        assert sol.lambda_acc in tried
+        assert abs(sol.diagnostics["tangency_residual"]) < 1e-13
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+    def test_cold_solves_reuse_their_scratch(self, fresh_python):
+        # In a fresh interpreter without scipy, glibc can map fresh pages
+        # for the arrays a lambda trial would allocate: about 45,000
+        # minor faults over these four solves with none of the per-solve
+        # scratch, 21,000 with only the product arrays in it, and
+        # 850-1,500 with everything a trial writes in it.
+        script = ("import resource, sys\n"
+                  "from punctorus import lame\n"
+                  "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                  "for tau in (0.5, 2.0, 0.1, 1.5):\n"
+                  "    lame.solve_accessory(tau)\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0,"
+                  " any(m.startswith('scipy') for m in sys.modules))\n")
+        faults, scipy_loaded = fresh_python("-c", script).stdout.split()
+        assert scipy_loaded == "False"
+        assert int(faults) <= 2000
 
     def test_oscillatory_seed_falls_back_to_the_scan(self):
         cold = solve_accessory(0.5)

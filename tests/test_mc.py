@@ -80,7 +80,7 @@ class TestLawCurves:
         assert float(full(np.array([LENGTH_THRESHOLD]))[0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_cdfs_stay_in_the_unit_interval_at_the_support_edge(self):
-        # the quadrilateral survival function rounds to 1 + 1.3e-15 at 2
+        # each edge value is exact, not a rounding of the closed form
         quad_cr, length = CURVES["quad_cr"][1], CURVES["length"][1]
         assert quad_cr(1.5) == quad_cr(2.0) == 0.0
         for x in (LENGTH_THRESHOLD, 3.0):
