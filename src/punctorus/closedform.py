@@ -164,26 +164,32 @@ def crossratio_pdf(r):
     """Density of the cross ratio of four independent uniform circle points.
 
     Defined on the whole line with logarithmic divergences at r = 0 and
-    r = 1 (the coincidence configurations); those two points return inf.
-    The three branches are assembled from the single helper
-    h(x) = -log(1-x)/x, which makes continuity across branch boundaries
-    automatic.  Scalars or arrays.
+    r = 1 (the coincidence configurations); those two points return inf,
+    +-inf return 0 and nan stays nan.  The three branches are assembled
+    from the single helper h(x) = -log(1-x)/x, which makes continuity
+    across branch boundaries automatic.  1 - r rounds to 1 below 1e-16
+    and 1/r overflows near 0, so h(1 - r) = -log(r)/(1 - r) on (0, 1)
+    and h(1/r)/r = log(-r) - log(1 - r) on (-1, 0) are taken from r
+    itself.  Scalars or arrays.
     """
     r, scalar = _prep(r)
     h = _nlog1p_over
     out = np.full_like(r, np.inf)
-    mid = (r > 0.0) & (r < 1.0)
-    if mid.any():
-        rm = r[mid]
-        out[mid] = (h(rm) + h(1.0 - rm)) / _PI2
-    hi = r > 1.0
-    if hi.any():
-        rh = r[hi]
-        out[hi] = (h(1.0 - rh) / rh + h(1.0 / rh) / rh**2) / _PI2
-    lo = ~(r >= 0.0)  # negative or nan
-    if lo.any():
-        rl = r[lo]
-        out[lo] = (h(rl) - h(1.0 / rl) / rl) / ((1.0 - rl) * _PI2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mid = (r > 0.0) & (r < 1.0)
+        if mid.any():
+            rm = r[mid]
+            out[mid] = (h(rm) - np.log(rm) / (1.0 - rm)) / _PI2
+        hi = r > 1.0
+        if hi.any():
+            rh = r[hi]
+            out[hi] = (h(1.0 - rh) / rh + h(1.0 / rh) / rh**2) / _PI2
+        lo = ~(r >= 0.0)  # negative or nan
+        if lo.any():
+            rl = r[lo]
+            inv = np.where(rl > -1.0, np.log1p(-rl) - np.log(-rl), np.log1p(-1.0 / rl))
+            out[lo] = (h(rl) + inv) / ((1.0 - rl) * _PI2)
+    out[np.isinf(r)] = 0.0
     return _ret(out, scalar)
 
 
@@ -243,21 +249,19 @@ def _quad_sf(r):
 
 
 def quad_cr_pdf(r):
-    """Density of the canonical quadrilateral cross ratio on [2, inf)."""
+    """Density of the canonical quadrilateral cross ratio on [2, inf), 0 outside."""
     r, scalar = _prep(r)
-    if (r < 2.0).any():
-        raise ValueError("canonical cross ratio law is supported on r >= 2")
-    return _ret(_quad_law_expression(r), scalar)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.where((r < 2.0) | np.isposinf(r), 0.0, _quad_law_expression(r))
+    return _ret(out, scalar)
 
 
 def quad_cr_cdf(r):
-    """Cumulative distribution of the canonical quadrilateral law."""
+    """Cumulative distribution of the canonical quadrilateral law, 0 below 2."""
     r, scalar = _prep(r)
-    if (r < 2.0).any():
-        raise ValueError("canonical cross ratio law is supported on r >= 2")
     # 1 - S = (6/pi^2)(Li2(1 - 1/r) - Li2(1/r)) by the reflection identity:
     # exactly 0 at r = 2, exactly 1 at inf
-    return _ret(_li2_gap(1.0 - 1.0 / r) / (_PI2 / 6.0), scalar)
+    return _ret(_li2_gap(1.0 - 1.0 / np.maximum(r, 2.0)) / (_PI2 / 6.0), scalar)
 
 
 def quad_cr_median() -> float:
@@ -265,16 +269,30 @@ def quad_cr_median() -> float:
     return math.exp(_log_quantile(math.log1p(math.log(2.0))))
 
 
-def _sampling_density(x):
-    """The full-line length density X, in overflow-safe form.
+def length_pdf(ell):
+    """Density of the shortest-geodesic length on (0, LENGTH_THRESHOLD].
 
-    Three regimes: a series below 1e-6, the direct expression (with the
-    exact rewriting cosh x - 1 = 2 sinh^2(x/2)) up to x = 350, and the
-    exponential tail beyond, where cosh would overflow.  Nonpositive
-    entries return 0; callers apply their own domain policy.
+    Out-of-support arguments return 0 rather than raising; the dual
+    branch beyond the threshold is covered by :func:`length_pdf_dual`.
     """
-    x, scalar = _prep(x)
-    out = np.zeros_like(x)
+    ell, scalar = _prep(ell)
+    out = np.where(ell > LENGTH_THRESHOLD, 0.0, 2.0 * length_pdf_dual(ell))
+    return _ret(out, scalar)
+
+
+def length_pdf_dual(ell):
+    """The full-line sampling density X of geodesic lengths, x > 0.
+
+    Half the shortest-geodesic expression extended to all positive x: its
+    restriction below the threshold covers the shortest geodesic, above
+    it the dual, and coth^2(x/2) pushes the law forward to the
+    quadrilateral law.  Three regimes: a series below 1e-6, the direct
+    expression (with the exact rewriting cosh x - 1 = 2 sinh^2(x/2)) up
+    to x = 350, and the exponential tail beyond, where cosh would
+    overflow.  Nonpositive arguments and inf return 0; nan stays nan.
+    """
+    x, scalar = _prep(ell)
+    out = np.where(np.isnan(x), np.nan, 0.0)
 
     small = (x > 0.0) & (x <= _SERIES_CUT)
     if small.any():
@@ -294,41 +312,16 @@ def _sampling_density(x):
         bracket = 4.0 * logcosh + 4.0 * sh * sh * logcoth
         out[mid] = 3.0 / _PI2 * bracket / np.sinh(xm)
 
-    tail = x > 350.0
+    tail = (x > 350.0) & (x < np.inf)
     if tail.any():
         xt = x[tail]
         # csch -> 2e^{-x}, 4 log cosh(x/2) -> 4(x/2 - log 2), the second
         # bracket term -> 2; everything below e^{-350} in relative size
-        # is dropped.
-        out[tail] = 3.0 / _PI2 * 2.0 * np.exp(-xt) * (4.0 * (0.5 * xt - math.log(2.0)) + 2.0)
+        # is dropped.  The product (3/pi^2) 2e^{-x} (2x + 2 - 4 log 2)
+        # is grouped so that no factor overflows.
+        out[tail] = 12.0 / _PI2 * np.exp(-xt) * (xt + 1.0 - 2.0 * math.log(2.0))
 
     return _ret(out, scalar)
-
-
-def length_pdf(ell):
-    """Density of the shortest-geodesic length on (0, LENGTH_THRESHOLD].
-
-    Out-of-support arguments return 0 rather than raising; the dual
-    branch beyond the threshold is covered by :func:`length_pdf_dual`.
-    """
-    ell, scalar = _prep(ell)
-    inside = (ell > 0.0) & (ell <= LENGTH_THRESHOLD)
-    out = np.where(inside, 2.0 * _sampling_density(ell), 0.0)
-    return _ret(out, scalar)
-
-
-def length_pdf_dual(ell):
-    """The full-line sampling density X of geodesic lengths, x > 0.
-
-    Half the shortest-geodesic expression extended to all positive x: its
-    restriction below the threshold covers the shortest geodesic, above
-    it the dual, and coth^2(x/2) pushes the law forward to the
-    quadrilateral law.  Nonpositive arguments are a domain error.
-    """
-    ell, scalar = _prep(ell)
-    if (ell <= 0.0).any():
-        raise ValueError("length must be positive")
-    return _ret(np.asarray(_sampling_density(ell)), scalar)
 
 
 def length_cdf(x):
@@ -339,7 +332,8 @@ def length_cdf(x):
     shortb = (x > 0.0) & (x <= LENGTH_THRESHOLD)
     if shortb.any():
         xs = x[shortb]
-        q = 1.0 / np.tanh(0.5 * xs) ** 2
+        with np.errstate(divide="ignore", over="ignore"):
+            q = 1.0 / np.tanh(0.5 * xs) ** 2
         out[shortb] = 0.5 * _quad_sf(np.maximum(q, 2.0))
     longb = x > LENGTH_THRESHOLD
     if longb.any():
@@ -368,7 +362,8 @@ def length_branch_median() -> float:
 def star_pdf(r):
     """Standard Cauchy density: the law of the tan(theta/2) cross ratio."""
     r, scalar = _prep(r)
-    return _ret(1.0 / (math.pi * (1.0 + r * r)), scalar)
+    with np.errstate(over="ignore"):
+        return _ret(1.0 / (math.pi * (1.0 + r * r)), scalar)
 
 
 def star_cdf(r):

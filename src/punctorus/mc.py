@@ -59,11 +59,6 @@ _HIST_RANGE = {
 }
 
 
-def _quad_cr_cdf(r):
-    # below the support the CDF is 0, not a domain error
-    return cf.quad_cr_cdf(np.maximum(r, 2.0))
-
-
 def _length_cdf(x):
     """Shortest-branch CDF, 1 - F_Q(coth^2(x/2)): 0 at 0, 1 from the threshold on.
 
@@ -71,18 +66,24 @@ def _length_cdf(x):
     right end is set to 1 explicitly.
     """
     x, scalar = cf._prep(x)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         q = 1.0 / np.tanh(0.5 * np.maximum(x, 0.0)) ** 2
     out = np.clip(cf._quad_sf(np.maximum(q, 2.0)), 0.0, 1.0)
     return cf._ret(np.where(x >= cf.LENGTH_THRESHOLD, 1.0, out), scalar)
 
 
 def _modulus_cdf(m, table=None):
-    return cf.quad_cr_cdf(np.maximum(np.asarray(modmap.cr_of_modulus(m, table)), 2.0))
+    """F_Q(CR(m)) from the square torus up, 0 below it."""
+    m, scalar = cf._prep(m)
+    out = cf.quad_cr_cdf(modmap.cr_of_modulus(np.maximum(m, 1.0), table))
+    return cf._ret(np.where(m < 1.0, 0.0, out), scalar)
 
 
 def _teich_cdf(d, table=None):
-    return _modulus_cdf(np.exp(d), table)
+    d, scalar = cf._prep(d)
+    with np.errstate(over="ignore"):
+        e = np.exp(d)
+    return cf._ret(np.where(d < 0.0, 0.0, _modulus_cdf(e, table)), scalar)
 
 
 # Density and CDF of every law, keyed by law name.  Each takes an array;
@@ -90,7 +91,7 @@ def _teich_cdf(d, table=None):
 # sampled LAWS plus length_dual, the full-line length law.
 CURVES = {
     "crossratio_full": (cf.crossratio_pdf, cf.crossratio_cdf),
-    "quad_cr": (cf.quad_cr_pdf, _quad_cr_cdf),
+    "quad_cr": (cf.quad_cr_pdf, cf.quad_cr_cdf),
     "length": (cf.length_pdf, _length_cdf),
     "length_dual": (cf.length_pdf_dual, cf.length_cdf),
     "star": (cf.star_pdf, cf.star_cdf),

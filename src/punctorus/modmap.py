@@ -20,7 +20,8 @@ from numpy.polynomial import Chebyshev
 from numpy.polynomial.chebyshev import chebpts2
 
 from . import lame
-from .closedform import _blockwise, _prep, _quad_law_rule, _ret, quad_cr_median, quad_cr_pdf
+from .closedform import (_blockwise, _prep, _quad_law_expression, _quad_law_rule, _ret,
+                         quad_cr_median)
 
 __all__ = [
     "CrMapTable",
@@ -41,10 +42,6 @@ _PI2 = math.pi**2
 
 _CSV_COLUMNS = ("m", "tau", "lambda_acc", "cross_ratio",
                 "a1", "r1", "a2", "r2", "residual")
-
-# Seven 0.02-spaced moduli next to the square, solved in every build so
-# the derivative there can be checked against a local fit of the nodes.
-_CLUSTER = tuple(1.0 + 0.02 * k for k in range(7))
 
 # Degree cap of the forward series; 16 terms reach the solver's own
 # accuracy on m in [1, 50] and about 5e-11 out to m = 200.
@@ -67,9 +64,10 @@ class CrMapTable:
 
     With y = (pi/2) sqrt(CR), the map is y(m) = m + g(1/m), where the
     deficit g(s) = (pi/2) sqrt(CR(1/s)) - 1/s is smooth in s = 1/m.
-    One least-squares Chebyshev series of degree min(15, nodes - 1)
-    through every node represents g on [0, 1/m_min], so m -> infinity
-    (s = 0) is inside its domain and no node sits there.  The inverse
+    One Chebyshev series of degree min(15, nodes - 1) represents g on
+    [0, 1/m_min], so m -> infinity (s = 0) is inside its domain and no
+    node sits there.  On a default build's 16 Chebyshev nodes it
+    interpolates; more nodes are fitted by least squares.  The inverse
     is a second series k(t) = y - m on t = 1/y in [0, 1/y(m_min)],
     interpolating at 24 Chebyshev points where Newton's method solves
     k = g(t / (1 - t k)); a lookup is then m = 1/t - k(t).  Both are
@@ -137,17 +135,28 @@ class CrMapTable:
     def _cr(self, m: np.ndarray) -> np.ndarray:
         """CR(m) at moduli m > 0, by the functional equation below 1.
 
-        From 1 up the value is clamped to the square's exact 2, which
-        the solved node at 1 undershoots by a few 1e-11.
+        From 1 up the value is clamped to the square's exact 2, the
+        support edge of the quadrilateral law.
         """
-        q = np.maximum((2.0 * self._y(np.maximum(m, 1.0 / m)) / _PI) ** 2, 2.0)
+        with np.errstate(over="ignore"):
+            q = np.maximum((2.0 * self._y(np.maximum(m, 1.0 / m)) / _PI) ** 2, 2.0)
         return np.where(m < 1.0, 1.0 + 1.0 / (q - 1.0), q)
 
     def _pdf(self, m: np.ndarray) -> np.ndarray:
-        """The modulus density f(CR(m)) CR'(m) at moduli m >= 1."""
-        y = self._y(m)
-        q = np.maximum((2.0 * y / _PI) ** 2, 2.0)
-        return np.asarray(quad_cr_pdf(q)) * (8.0 * y * self._dy(m) / _PI2)
+        """The modulus density f(CR(m)) CR'(m), 0 below 1 and where CR overflows."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            y = self._y(m)
+            q = np.maximum((2.0 * y / _PI) ** 2, 2.0)
+            out = _quad_law_expression(q) * y * (8.0 * self._dy(m) / _PI2)
+        return np.where((m < 1.0) | np.isposinf(q), 0.0, out)
+
+    def _teich_pdf(self, d: np.ndarray) -> np.ndarray:
+        """The log-modulus density M(e^d) e^d, 0 below 0 and where e^d overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(d)
+            out = self._pdf(e) * e
+        # e^d rounds to 1 just below d = 0
+        return np.where((d < 0.0) | np.isposinf(e), 0.0, out)
 
     def _modulus(self, y: np.ndarray) -> np.ndarray:
         """The modulus with (pi/2) sqrt(CR) = y, for y at least the square's."""
@@ -211,22 +220,20 @@ def build_cr_table(m_min: float = 1.0, m_max: float = 50.0, n: int = 16) -> CrMa
     """Solve the tangency problem over a modulus grid and tabulate.
 
     The n nodes are Chebyshev points of the second kind in s = 1/m on
-    [1/m_max, 1/m_min], so both ends are nodes; the seven-node cluster
-    at 1 is added to them.  Solves run in increasing modulus, each
-    seeded with the accessory parameter extrapolated in tau from the
-    last three solved nodes.  With no node solved yet the seed is 0,
-    the exact value at the square (the quarter turn gives
-    lambda(tau) tau^2 = -lambda(1/tau)); a failed node empties that
-    history.  Any node failures are collected and reported together as
-    a build error.
+    [1/m_max, 1/m_min], so both ends are nodes; they are the only
+    solves.  Solves run in increasing modulus, each seeded with the
+    accessory parameter extrapolated in tau from the last three solved
+    nodes.  With no node solved yet the seed is 0, the exact value at
+    the square (the quarter turn gives lambda(tau) tau^2 =
+    -lambda(1/tau)); a failed node empties that history.  Any node
+    failures are collected and reported together as a build error.
     """
     if not (1.0 <= m_min < m_max):
         raise ValueError("need 1 <= m_min < m_max")
     if n < 16:
         raise ValueError("need at least 16 nodes")
-    grid = 1.0 / _chebpts(1.0 / m_max, 1.0 / m_min, n)
-    grid[[0, -1]] = m_max, m_min
-    ms = np.unique(np.concatenate([np.asarray(_CLUSTER), grid]))
+    ms = 1.0 / _chebpts(1.0 / m_max, 1.0 / m_min, n)[::-1]
+    ms[[0, -1]] = m_min, m_max
     records: list[dict] = []
     crs = np.empty_like(ms)
     failures: list[tuple[float, str]] = []
@@ -319,7 +326,7 @@ def asymptotic_bounds(Q):
 
 
 def modulus_pdf(m, table: CrMapTable | None = None):
-    """Density of the modulus of a random ideal quadrilateral, m >= 1.
+    """Density of the modulus of a random ideal quadrilateral, 0 below m = 1.
 
     The canonical cross-ratio law pushed through the inverse map:
     density of CR at CR(m) times CR'(m), both from the forward series.
@@ -328,18 +335,14 @@ def modulus_pdf(m, table: CrMapTable | None = None):
     """
     t = table if table is not None else default_table()
     m, scalar = _prep(m)
-    if (m < 1.0).any():
-        raise ValueError("modulus law is supported on m >= 1")
     return _ret(_blockwise(t._pdf, m), scalar)
 
 
 def teich_pdf(d, table: CrMapTable | None = None):
-    """Density of the log of the modulus (the distance to the square)."""
+    """Density of the log of the modulus (the distance to the square), 0 below 0."""
+    t = table if table is not None else default_table()
     d, scalar = _prep(d)
-    if (d < 0).any():
-        raise ValueError("log-modulus law is supported on d >= 0")
-    e = np.exp(d)
-    return _ret(np.asarray(modulus_pdf(e, table)) * e, scalar)
+    return _ret(_blockwise(t._teich_pdf, d), scalar)
 
 
 def summary_stats(table: CrMapTable | None = None) -> tuple[float, float, float]:

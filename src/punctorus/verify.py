@@ -161,22 +161,50 @@ def _check_sandwich(quick: bool, table) -> list[CheckResult]:
                     {"below": below, "above": above, "deficit": (lo, hi)})]
 
 
-def _check_derivative(quick: bool, table) -> list[CheckResult]:
-    a = table.a_estimate
+def _check_square_derivatives(quick: bool, table) -> list[CheckResult]:
+    # phi(d) = CR(e^d) at d = kh from direct solves off the table, made
+    # once for clauses 08 and 09d; CR(1) = 2 exactly.  Fourth-order
+    # central differences give a = phi'(0) = CR'(1), phi''(0) = CR''(1) + a.
+    h = 0.05
+    phi = {k: lame.solve_accessory(math.exp(-k * h)).cross_ratio for k in (-2, -1, 1, 2)}
+    phi[0] = 2.0
+    a = (8.0 * (phi[1] - phi[-1]) - (phi[2] - phi[-2])) / (12.0 * h)
+    phi2 = (16.0 * (phi[1] + phi[-1]) - (phi[2] + phi[-2]) - 30.0 * phi[0]) / (12.0 * h**2)
+    phi3 = (phi[2] - 2.0 * phi[1] + 2.0 * phi[-1] - phi[-2]) / (2.0 * h**3)
+    cr2 = phi2 - a
+    a_table = table.a_estimate
     gap = table.curvature_gap
-    # CR''(1) again, from a quartic through the seven 0.02-spaced nodes
-    # at the square instead of the series
-    cluster = np.abs(table.ms[:, None] - (1.0 + 0.02 * np.arange(7))).argmin(axis=0)
-    coeffs = np.polynomial.polynomial.polyfit(table.ms[cluster] - 1.0,
-                                              table.crs[cluster], 4)
-    cr2 = 2.0 * coeffs[2].item()
     half_pi = 0.5 * math.pi
-    ok = (0.98 * half_pi <= a <= 1.02 * half_pi and gap < 0.02 * a * a
-          and abs(cr2 - (a * a - a)) < 0.02 * a * a)
-    return [_result("08-derivative-at-square", ok,
-                    f"CR'(1) = {a:.8f} ({a / half_pi:.4f} of pi/2), curvature gap "
-                    f"= {gap:.2e}, cluster CR''(1) = {cr2:.5f} vs a^2-a = {a * a - a:.5f}",
-                    {"a": a, "curvature_gap": gap, "cr2": cr2})]
+    ok = (0.98 * half_pi <= a_table <= 1.02 * half_pi and gap < 0.02 * a_table**2
+          and abs(cr2 - (a_table**2 - a_table)) < 0.02 * a_table**2)
+    derivative = _result(
+        "08-derivative-at-square", ok,
+        f"CR'(1) = {a_table:.8f} ({a_table / half_pi:.4f} of pi/2), curvature gap "
+        f"= {gap:.2e}, direct CR''(1) = {cr2:.7f} vs a^2-a = {a_table**2 - a_table:.7f}",
+        {"a": a_table, "curvature_gap": gap, "cr2": cr2})
+
+    # T'(0) = a^2 (f'(2) + f(2)) = 0 and T''(0) = a^3 (f''(2) - 3 f(2))
+    # + f(2) phi'''(0); the derivation is in the 09d acceptance test.
+    # One-sided stencils for f, f', f'' at the support edge q = 2:
+    e = 1e-3
+    fs = np.asarray(cf.quad_cr_pdf(2.0 + e * np.arange(5)))
+    f0 = fs[0].item()
+    f1 = ((-25 * fs[0] + 48 * fs[1] - 36 * fs[2] + 16 * fs[3] - 3 * fs[4])
+          / (12 * e)).item()
+    f2 = ((35 * fs[0] - 104 * fs[1] + 114 * fs[2] - 56 * fs[3] + 11 * fs[4])
+          / (12 * e * e)).item()
+    t2 = a**3 * (f2 - 3.0 * f0) + f0 * phi3
+    ds = np.array([0.01, 0.05, 0.15, 0.3])
+    ts = np.asarray(modmap.teich_pdf(ds, table))
+    ok = (a_table > 1.0 and abs(f1 + f0) < 1e-8 * f0
+          and abs(phi2 - a * a) < 0.01 * a * a and t2 < 0.0
+          and np.all(np.diff(ts) < 0.0))
+    return [derivative, _result(
+        "09d-teich-initially-increasing", ok,
+        f"T''(0) = {t2:.3f}, T on {ds.tolist()} = "
+        f"{np.round(ts, 5).tolist()}, expected flat then strictly decreasing",
+        {"a_table": a_table, "f0": f0, "f1": f1, "a": a,
+         "phi2": phi2, "t2": t2, "ds": ds, "ts": ts})]
 
 
 def _check_teich_stats(quick: bool, table) -> list[CheckResult]:
@@ -188,38 +216,6 @@ def _check_teich_stats(quick: bool, table) -> list[CheckResult]:
         _result("09c-teich-mean", abs(mean - 1.0) <= 0.05, f"mean = {mean:.5f}",
                 {"mean": mean}),
     ]
-
-
-def _check_teich_shape(quick: bool, table) -> list[CheckResult]:
-    # T'(0) = a^2 (f'(2) + f(2)) = 0 and T''(0) = a^3 (f''(2) - 3 f(2))
-    # + f(2) phi'''(0); the derivation is in the 09d acceptance test.
-    # One-sided stencils for f, f', f'' at the support edge q = 2:
-    e = 1e-3
-    fs = np.asarray(cf.quad_cr_pdf(2.0 + e * np.arange(5)))
-    f0 = fs[0].item()
-    f1 = ((-25 * fs[0] + 48 * fs[1] - 36 * fs[2] + 16 * fs[3] - 3 * fs[4])
-          / (12 * e)).item()
-    f2 = ((35 * fs[0] - 104 * fs[1] + 114 * fs[2] - 56 * fs[3] + 11 * fs[4])
-          / (12 * e * e)).item()
-    # central differences of phi(d) = CR(e^d) from direct solves off the
-    # table; CR(1) = 2 exactly
-    h = 0.05
-    phi = {k: lame.solve_accessory(math.exp(-k * h)).cross_ratio for k in (-2, -1, 1, 2)}
-    phi[0] = 2.0
-    a = (8.0 * (phi[1] - phi[-1]) - (phi[2] - phi[-2])) / (12.0 * h)
-    phi2 = (phi[1] - 2.0 * phi[0] + phi[-1]) / h**2
-    phi3 = (phi[2] - 2.0 * phi[1] + 2.0 * phi[-1] - phi[-2]) / (2.0 * h**3)
-    t2 = a**3 * (f2 - 3.0 * f0) + f0 * phi3
-    ds = np.array([0.01, 0.05, 0.15, 0.3])
-    ts = np.asarray(modmap.teich_pdf(ds, table))
-    ok = (table.a_estimate > 1.0 and abs(f1 + f0) < 1e-8 * f0
-          and abs(phi2 - a * a) < 0.01 * a * a and t2 < 0.0
-          and np.all(np.diff(ts) < 0.0))
-    return [_result("09d-teich-initially-increasing", ok,
-                    f"T''(0) = {t2:.3f}, T on {ds.tolist()} = "
-                    f"{np.round(ts, 5).tolist()}, expected flat then strictly decreasing",
-                    {"a_table": table.a_estimate, "f0": f0, "f1": f1, "a": a,
-                     "phi2": phi2, "t2": t2, "ds": ds, "ts": ts})]
 
 
 def _check_tails(quick: bool, table) -> list[CheckResult]:
@@ -276,9 +272,8 @@ _CHECKS = (
     _check_square_solve,
     _check_functional_equation,
     _check_sandwich,
-    _check_derivative,
+    _check_square_derivatives,
     _check_teich_stats,
-    _check_teich_shape,
     _check_tails,
     _check_group_identities,
 )

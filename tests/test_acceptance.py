@@ -122,7 +122,9 @@ def test_criterion_09d_teich_initially_increasing(checks):
     outside the table, give T''(0) = -0.443, -0.454, -0.456 at
     h = 0.1, 0.05, 0.025: the density decreases from the start.  The
     check takes f, f', f'' from one-sided stencils at q = 2 and phi from
-    the solves at h = 0.05.  The grid begins at 0.01 because the
+    the solves at h = 0.05, with phi'' from the fourth-order central
+    stencil; clause 08 reads its CR''(1) = phi''(0) - phi'(0) from the
+    same four solves.  The grid begins at 0.01 because the
     spline's derivative error near m = 1 exceeds the true change of T
     between 0 and 0.01.
     """

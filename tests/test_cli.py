@@ -98,6 +98,16 @@ class TestCurveCommands:
         assert code == 0
         assert float(out) == pytest.approx(0.0, abs=1e-9)
 
+    def test_curves_vanish_left_of_the_support(self, capsys, cr_table):
+        code, out, _ = run(capsys, ["pdf", "--law", "length_dual", "--from", "0",
+                                    "--to", "1", "--step", "0.5"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1] == ["0", "0"] and float(rows[2][1]) > 0.0
+        code, out, _ = run(capsys, ["cdf", "--law", "modulus", "--at", "0"])
+        assert code == 0
+        assert float(out) == 0.0
+
     def test_grid_needs_all_three_flags(self, capsys):
         code, _, err = run(capsys, ["pdf", "--law", "star", "--from", "0",
                                     "--to", "1"])

@@ -103,10 +103,11 @@ class TestFullCrossRatioLaw:
             if r == 0.0 or r == 1.0:
                 return math.inf
             if 0.0 < r < 1.0:
-                return (h(r) + h(1.0 - r)) / PI2
+                return (h(r) - math.log(r) / (1.0 - r)) / PI2
             if r > 1.0:
                 return (h(1.0 - r) / r + h(1.0 / r) / r**2) / PI2
-            return (h(r) - h(1.0 / r) / r) / ((1.0 - r) * PI2)
+            inv = math.log1p(-r) - math.log(-r) if r > -1.0 else math.log1p(-1.0 / r)
+            return (h(r) + inv) / ((1.0 - r) * PI2)
 
         near = np.linspace(-1e-7, 1e-7, 41)
         rs = np.concatenate([-np.geomspace(1e6, 1e-9, 200), near, 1.0 + near,
@@ -117,6 +118,19 @@ class TestFullCrossRatioLaw:
         fin = np.isfinite(want)
         np.testing.assert_allclose(got[fin], want[fin], rtol=1e-15, atol=0.0)
         assert [crossratio_pdf(r) for r in rs[:5].tolist()] == got[:5].tolist()
+
+    def test_density_near_zero_against_mpmath(self):
+        # 1 - r rounds to 1 below 1.1e-16, so h(1 - r) must come from r
+        rs = np.geomspace(1e-8, 1e-300, 60)
+        with mpmath.workdps(40):
+            want = []
+            for r in rs.tolist():
+                x = mpmath.mpf(r)
+                h = -mpmath.log1p(-x) / x - mpmath.log(x) / (1 - x)
+                want.append(float(h / mpmath.pi ** 2))
+        np.testing.assert_allclose(crossratio_pdf(rs), want, rtol=1e-14, atol=0)
+        # r -> r/(r - 1) carries -r to about r, where 1/r would overflow
+        np.testing.assert_allclose(crossratio_pdf(-rs), crossratio_pdf(rs), rtol=1e-7)
 
     def test_cdf_thirds(self):
         assert crossratio_cdf(0.0) == pytest.approx(1.0 / 3.0, abs=1e-14)
@@ -171,10 +185,11 @@ class TestQuadLaw:
         assert quad(quad_cr_pdf, 2.0, np.inf)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_domain_guard(self):
-        with pytest.raises(ValueError):
-            quad_cr_pdf(1.99)
-        with pytest.raises(ValueError):
-            quad_cr_cdf(np.array([3.0, 1.0]))
+        # 0 below the support, 0 at inf, nan stays nan
+        assert quad_cr_pdf(1.99) == 0.0
+        assert np.asarray(quad_cr_cdf(np.array([3.0, 1.0])))[1] == 0.0
+        assert quad_cr_pdf(np.inf) == 0.0
+        assert math.isnan(quad_cr_pdf(math.nan)) and math.isnan(quad_cr_cdf(math.nan))
 
     def test_cdf_endpoints(self):
         assert quad_cr_cdf(2.0) == pytest.approx(0.0, abs=1e-14)
@@ -228,8 +243,9 @@ class TestLengthLaws:
         assert length_pdf(5.0) == 0.0
 
     def test_dual_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            length_pdf_dual(0.0)
+        got = length_pdf_dual(np.array([-1.0, 0.0, np.inf, np.nan]))
+        assert got[:3].tolist() == [0.0, 0.0, 0.0] and math.isnan(got[3])
+        assert math.isnan(length_pdf(math.nan))
 
     def test_series_regime_continuity(self):
         # straddle each branch cut tightly enough that the density's own

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 from punctorus.closedform import LENGTH_THRESHOLD, quad_cr_median
@@ -86,6 +88,33 @@ class TestLawCurves:
         for x in (LENGTH_THRESHOLD, 3.0):
             assert length(x) == 1.0
             assert type(length(x)) is float
+
+    # left end of each law's support; every curve is 0 to its left
+    LEFT = {"crossratio_full": -np.inf, "quad_cr": 2.0, "length": 0.0,
+            "length_dual": 0.0, "star": -np.inf, "modulus": 1.0, "teich": 0.0}
+    # any float array: nan, +-inf and subnormals included, edges mixed in
+    ANY_FLOATS = hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=12),
+        elements=st.floats(width=64) | st.sampled_from(
+            [0.0, -0.0, 1.0, 2.0, LENGTH_THRESHOLD, 5e-324, -5e-324, 400.0, 1e155]))
+
+    @pytest.mark.parametrize("law", sorted(LEFT))
+    @settings(deadline=None)
+    @given(x=ANY_FLOATS)
+    def test_curves_on_any_float_array(self, law, x, cr_table):
+        pdf, cdf = CURVES[law]
+        table = (cr_table,) if law in ("modulus", "teich") else ()
+        p, c = np.asarray(pdf(x, *table)), np.asarray(cdf(x, *table))
+        nan = np.isnan(x)
+        for out in (p, c):
+            assert out.shape == x.shape
+            assert np.array_equal(np.isnan(out), nan)
+        ok, left = ~nan, x < self.LEFT[law]
+        poles = ((x == 0.0) | (x == 1.0)) if law == "crossratio_full" else np.zeros_like(ok)
+        assert np.all(p[ok] >= 0.0) and np.array_equal(np.isinf(p), poles)
+        assert np.all((c[ok] >= 0.0) & (c[ok] <= 1.0))
+        assert np.all(p[left] == 0.0) and np.all(c[left] == 0.0)
+        assert np.all(np.diff(np.asarray(cdf(np.sort(x[ok]), *table))) >= 0.0)
 
 
 class TestDeterminism:

@@ -69,11 +69,6 @@ class TestTableConstruction:
         assert len(calls) == 1
         assert all(g is got[0] for g in got)
 
-    def test_derivative_cluster_present(self, cr_table):
-        for k in range(7):
-            target = 1.0 + 0.02 * k
-            assert np.min(np.abs(cr_table.ms - target)) < 1e-12
-
     def test_records_match_nodes(self, cr_table):
         assert len(cr_table.records) == len(cr_table.ms)
         rec_ms = np.array([r["m"] for r in cr_table.records])
@@ -100,14 +95,14 @@ class TestTableConstruction:
 
         monkeypatch.setattr(lame, "circle_invariants", counted)
         build_cr_table()
-        # 22 nodes at 4-7 lambda trials each; the lower end also shows the
+        # 16 nodes at 4-7 lambda trials each; the lower end also shows the
         # calls still go through the module global
-        assert 22 * 4 <= len(calls) <= 160
+        assert 16 * 4 <= len(calls) <= 16 * 7
 
 
 class TestForwardMap:
     def test_square_endpoint(self, cr_table):
-        assert cr_of_modulus(1.0, cr_table) == pytest.approx(2.0, abs=2e-6)
+        assert cr_of_modulus(1.0, cr_table) == pytest.approx(2.0, abs=1e-13)
 
     def test_matches_direct_solves_off_the_nodes(self, cr_table):
         ms = (1.3, 2.5, 4.2, 7.7, 13.0, 27.0, 44.0, 55.0, 80.0, 120.0, 170.0, 200.0)
@@ -124,7 +119,7 @@ class TestForwardMap:
         assert got == pytest.approx(direct.cross_ratio, rel=1e-7)
 
     def test_sandwich_at_every_node(self, cr_table):
-        # the solved CR at the square sits a few 1e-11 under 2
+        # the solved CR at the square may round just under 2
         lo, up = asymptotic_bounds(np.maximum(cr_table.crs, 2.0))
         assert np.all(lo <= cr_table.ms)
         assert np.all(cr_table.ms <= up)
@@ -218,10 +213,18 @@ class TestDerivedDensities:
             e = math.exp(d)
             assert teich_pdf(d, cr_table) == pytest.approx(
                 modulus_pdf(e, cr_table) * e, rel=1e-13)
-        with pytest.raises(ValueError):
-            teich_pdf(-0.1, cr_table)
-        with pytest.raises(ValueError):
-            modulus_pdf(0.9, cr_table)
+        # 0 outside the support, like every law's density
+        assert teich_pdf(-0.1, cr_table) == 0.0
+        assert modulus_pdf(0.9, cr_table) == 0.0
+
+    def test_far_tails_and_nan(self, cr_table):
+        # (2y/pi)^2 overflows from m ~ 1e155 (d ~ 356), e^d from d ~ 710
+        ms = np.array([1e155, 1e300, np.inf, np.nan])
+        got = modulus_pdf(ms, cr_table)
+        assert got[:3].tolist() == [0.0, 0.0, 0.0] and math.isnan(got[3])
+        ds = np.array([356.0, 400.0, 800.0, np.inf, np.nan])
+        got = teich_pdf(ds, cr_table)
+        assert got[:4].tolist() == [0.0] * 4 and math.isnan(got[4])
 
     def test_teich_mass_and_tail_truncation(self, cr_table):
         kink = math.log(cr_table.m_max)

@@ -20,6 +20,12 @@ def test_each_check_has_one_acceptance_test(verify_results):
     assert sorted(_acceptance_tests()) == sorted(expected)
 
 
+def test_direct_curvature_meets_the_functional_equation(verify_results):
+    # clause 08's CR''(1) from direct solves against a^2 - a from the series
+    v = next(r.values for r in verify_results if r.name == "08-derivative-at-square")
+    assert abs(v["cr2"] - (v["a"] ** 2 - v["a"])) < 1e-5
+
+
 def test_quick_mode_keeps_the_checks(verify_results, cr_table):
     quick = verify.run_checks(quick=True, table=cr_table)
     assert [r.name for r in quick] == [r.name for r in verify_results]
