@@ -13,11 +13,13 @@ from .closedform import (
     crossratio_cdf,
     crossratio_pdf,
     dilog,
+    length_branch_cdf,
     length_branch_median,
     length_cdf,
     length_mean,
     length_pdf,
     length_pdf_dual,
+    perpendicular_length,
     quad_cr_cdf,
     quad_cr_median,
     quad_cr_pdf,
@@ -27,13 +29,10 @@ from .closedform import (
     star_pdf,
 )
 from .hypgeom import (
-    ComplexPoint,
     CrossRatio,
     MoebiusMap,
     canonical_representative,
     cross_ratio,
-    dual_length,
-    perpendicular_length_from_cr,
     s4_orbit,
 )
 from .lame import (

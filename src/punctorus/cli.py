@@ -13,9 +13,7 @@ solver's diagnostics are printed to stderr as JSON).
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
-import io
 import json
 import math
 import os
@@ -24,6 +22,7 @@ import sys
 import numpy as np
 
 from . import lame, mc, modmap, verify
+from .tabular import csv_text
 
 _UNITS_EPILOG = (
     "Units: lengths are hyperbolic (natural units); Teichmueller distance "
@@ -31,10 +30,6 @@ _UNITS_EPILOG = (
 )
 
 _TABLE_NODES = inspect.signature(modmap.build_cr_table).parameters["n"].default
-
-
-def _fmt(v: float, precision: int) -> str:
-    return format(v, f".{precision}g")
 
 
 def _write(out: str | None, text: str) -> None:
@@ -46,24 +41,19 @@ def _write(out: str | None, text: str) -> None:
 
 
 def _emit_rows(args, header: tuple[str, ...], rows: list[tuple]) -> None:
-    precision = args.precision
     if args.format == "json":
         doc = [dict(zip(header, row)) for row in rows]
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v, precision) if isinstance(v, float) else v
-                        for v in row])
-        text = buf.getvalue()
+        text = csv_text(header, rows, args.precision)
     _write(args.out, text)
 
 
 def _grid(args) -> np.ndarray:
     if args.start is None or args.stop is None or args.step is None:
         raise ValueError("grid evaluation needs --from, --to and --step")
+    if not all(map(math.isfinite, (args.start, args.stop, args.step))):
+        raise ValueError("--from, --to and --step must be finite")
     if args.step <= 0 or args.stop < args.start:
         raise ValueError("need --step > 0 and --to >= --from")
     n = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
@@ -76,7 +66,7 @@ def _cmd_curve(args, evaluate, colname: str) -> int:
         if args.format == "json":
             _emit_rows(args, ("law", "x", colname), [(args.law, args.at, val)])
         else:
-            _write(args.out, _fmt(val, args.precision) + "\n")
+            _write(args.out, format(val, f".{args.precision}g") + "\n")
         return 0
     xs = _grid(args)
     ys = np.asarray(evaluate(xs))
@@ -100,7 +90,7 @@ def _cmd_sample(args) -> int:
     if args.format == "json":
         _write(args.out, json.dumps(summary.to_json_dict(), indent=2) + "\n")
     else:
-        _write(args.out, summary.csv_text(args.precision))
+        _emit_rows(args, *summary.rows())
     return 0
 
 

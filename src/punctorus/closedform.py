@@ -6,6 +6,9 @@ branch, and the normalized Cauchy law, together with closed-form
 cumulative distributions built on the quadrilateral law's exact survival
 function, the quadrilateral median, and inverse-CDF sampling by one
 Chebyshev series, used by the group samplers and the Monte Carlo module.
+The length dictionary is written here once: the perpendicular length
+2 artanh(Q^-1/2) in :func:`perpendicular_length`, its inverse
+coth^2(x/2) in :func:`length_cdf`.
 """
 from __future__ import annotations
 
@@ -25,6 +28,8 @@ __all__ = [
     "length_pdf",
     "length_pdf_dual",
     "length_cdf",
+    "length_branch_cdf",
+    "perpendicular_length",
     "length_mean",
     "length_branch_median",
     "star_pdf",
@@ -343,11 +348,36 @@ def length_cdf(x):
     return _ret(out, scalar)
 
 
+def length_branch_cdf(x):
+    """Cumulative distribution of the shortest-geodesic branch.
+
+    Twice :func:`length_cdf` below the threshold, as :func:`length_pdf`
+    is twice :func:`length_pdf_dual`, and 1 from the threshold on
+    (coth^2 of the rounded threshold is 2 plus an ulp, so the support's
+    right end is set explicitly).
+    """
+    x, scalar = _prep(x)
+    return _ret(np.where(x >= LENGTH_THRESHOLD, 1.0, 2.0 * length_cdf(x)), scalar)
+
+
+def perpendicular_length(q):
+    """Perpendicular length 2 artanh(Q^-1/2) of canonical cross ratios Q >= 2.
+
+    The inverse of Q = coth^2(l/2), from LENGTH_THRESHOLD at Q = 2 down
+    to 2/sqrt(Q) without cancellation as Q grows.  Q below 2 raises
+    ``ValueError``; nan maps to nan.  Scalars or arrays.
+    """
+    q, scalar = _prep(q)
+    if np.any(q < 2.0):
+        raise ValueError("canonical cross ratio must be >= 2")
+    return _ret(2.0 * np.arctanh(1.0 / np.sqrt(q)), scalar)
+
+
 def length_mean() -> float:
-    """Mean shortest-geodesic length, 2 artanh(Q^-1/2) averaged over the
-    quadrilateral law Q."""
+    """Mean shortest-geodesic length: the perpendicular length averaged
+    over the quadrilateral law."""
     q, w = _quad_law_rule()
-    return float(w @ (2.0 * np.arctanh(1.0 / np.sqrt(q))))
+    return float(w @ perpendicular_length(q))
 
 
 def length_branch_median() -> float:
@@ -356,7 +386,7 @@ def length_branch_median() -> float:
     The branch CDF is 1 - F_Q(coth^2(x/2)), so the median is the
     perpendicular length of the quadrilateral-law median.
     """
-    return 2.0 * math.atanh(1.0 / math.sqrt(quad_cr_median()))
+    return perpendicular_length(quad_cr_median())
 
 
 def star_pdf(r):
@@ -449,4 +479,4 @@ def sample_length_values(n: int, rng: np.random.Generator) -> np.ndarray:
     u = rng.uniform(size=n)
     short = u < 0.5
     q = _INVERSE(np.where(short, 1.0 - 2.0 * u, 2.0 * u - 1.0))
-    return np.where(short, 2.0 * np.arctanh(1.0 / np.sqrt(q)), 2.0 * np.arccosh(np.sqrt(q)))
+    return np.where(short, perpendicular_length(q), 2.0 * np.arccosh(np.sqrt(q)))

@@ -1,10 +1,12 @@
 """Moebius and cross-ratio algebra on the extended plane.
 
 Foundations used by every other module: the four-point cross ratio with
-its six-element orbit under parameter substitution, the canonical
-representative >= 2 for concyclic quadruples, and the elementary
-conversions between canonical cross ratios and hyperbolic perpendicular
-lengths.
+its six-element orbit under parameter substitution, and the canonical
+representative >= 2 for concyclic quadruples.  Points of the extended
+plane are Python ``complex`` values, with ``complex(math.inf)`` as the
+point at infinity (any value that ``cmath.isinf`` flags counts as it).
+The orbit expression is written once, in plain arithmetic, for both a
+scalar and the Monte Carlo module's arrays.
 """
 from __future__ import annotations
 
@@ -13,47 +15,16 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "ComplexPoint",
     "CrossRatio",
     "MoebiusMap",
     "cross_ratio",
     "s4_orbit",
     "canonical_representative",
-    "perpendicular_length_from_cr",
-    "dual_length",
 ]
 
 _DEGENERATE_VALUES = (0.0, 1.0)
 _REAL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ComplexPoint:
-    """A point of the extended complex plane.
-
-    Infinity is the single canonical value ``ComplexPoint.infinity()``;
-    everything else must have finite coordinates.
-    """
-
-    re: float
-    im: float = 0.0
-
-    @classmethod
-    def infinity(cls) -> "ComplexPoint":
-        return cls(math.inf, 0.0)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "ComplexPoint":
-        return cls(z.real, z.imag)
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.re) or math.isinf(self.im)
-
-    def as_complex(self) -> complex:
-        if self.is_infinite:
-            raise ValueError("infinity has no finite complex value")
-        return complex(self.re, self.im)
+_INFINITY = complex(math.inf)
 
 
 @dataclass(frozen=True)
@@ -91,69 +62,36 @@ class MoebiusMap:
         s = cmath.sqrt(self.det())
         return MoebiusMap(self.a / s, self.b / s, self.c / s, self.d / s)
 
-    def __call__(self, z: complex | ComplexPoint) -> ComplexPoint:
-        p = _as_point(z)
-        if p.is_infinite:
-            if self.c == 0:
-                return ComplexPoint.infinity()
-            return ComplexPoint.from_complex(self.a / self.c)
-        w = p.as_complex()
-        den = self.c * w + self.d
+    def __call__(self, z: complex) -> complex:
+        z = complex(z)
+        if cmath.isinf(z):
+            return _INFINITY if self.c == 0 else complex(self.a / self.c)
+        den = self.c * z + self.d
         if den == 0:
-            return ComplexPoint.infinity()
-        return ComplexPoint.from_complex((self.a * w + self.b) / den)
+            return _INFINITY
+        return complex((self.a * z + self.b) / den)
 
 
-def _as_point(z: complex | float | ComplexPoint) -> ComplexPoint:
-    if isinstance(z, ComplexPoint):
-        return z
-    zz = complex(z)
-    if cmath.isinf(zz):
-        return ComplexPoint.infinity()
-    return ComplexPoint.from_complex(zz)
-
-
-def cross_ratio(
-    z1: complex | float | ComplexPoint,
-    z2: complex | float | ComplexPoint,
-    z3: complex | float | ComplexPoint,
-    z4: complex | float | ComplexPoint,
-) -> CrossRatio:
+def cross_ratio(z1: complex, z2: complex, z3: complex, z4: complex) -> CrossRatio:
     """Cross ratio (z1-z3)(z2-z4) / ((z1-z2)(z3-z4)) of four points.
 
-    At most one point may be infinity; the two factors containing it are
-    cancelled analytically rather than evaluated, so no IEEE infinities
-    enter the arithmetic.  Input configurations that make the formula
-    indeterminate (a vanishing factor in both numerator and denominator)
-    raise ``ValueError``.
+    The points are complex or real numbers.  At most one may be
+    infinite; the two factors containing it are cancelled analytically
+    rather than evaluated, so no IEEE infinities enter the arithmetic.
+    Input configurations that make the formula indeterminate (a
+    vanishing factor in both numerator and denominator) raise
+    ``ValueError``.
 
     Returns a :class:`CrossRatio`.  The orbit and canonical fields are
     populated only for nondegenerate values; the canonical representative
     (the orbit element >= 2) exists exactly when the value is real, i.e.
     when the four points are concyclic.
     """
-    pts = [_as_point(z) for z in (z1, z2, z3, z4)]
-    n_inf = sum(p.is_infinite for p in pts)
-    if n_inf > 1:
-        raise ValueError("at most one of the four points may be infinity")
-
-    if n_inf == 1:
-        idx = next(i for i, p in enumerate(pts) if p.is_infinite)
-        a, b, c = (p.as_complex() for p in pts if not p.is_infinite)
-        # The two factors containing the infinite point cancel to +-1 in
-        # the limit; what survives depends on which argument blew up.
-        if idx == 0:
-            value = _safe_div(a - c, b - c)  # (z2-z4)/(z3-z4)
-        elif idx == 1:
-            value = -_safe_div(a - b, b - c)  # -(z1-z3)/(z3-z4)
-        elif idx == 2:
-            value = -_safe_div(b - c, a - b)  # -(z2-z4)/(z1-z2)
-        else:
-            value = _safe_div(a - c, a - b)  # (z1-z3)/(z1-z2)
-    else:
-        w1, w2, w3, w4 = (p.as_complex() for p in pts)
-        num1, num2 = w1 - w3, w2 - w4
-        den1, den2 = w1 - w2, w3 - w4
+    pts = (z1, z2, z3, z4)
+    infinite = tuple(map(cmath.isinf, pts))
+    if not any(infinite):
+        num1, num2 = z1 - z3, z2 - z4
+        den1, den2 = z1 - z2, z3 - z4
         num_zero = num1 == 0 or num2 == 0
         den_zero = den1 == 0 or den2 == 0
         if num_zero and den_zero:
@@ -162,7 +100,22 @@ def cross_ratio(
             value = math.inf
         else:
             value = (num1 * num2) / (den1 * den2)
+        return _build_record(value)
 
+    if infinite.count(True) > 1:
+        raise ValueError("at most one of the four points may be infinity")
+    idx = infinite.index(True)
+    a, b, c = (z for z, inf in zip(pts, infinite) if not inf)
+    # The two factors containing the infinite point cancel to +-1 in
+    # the limit; what survives depends on which argument blew up.
+    if idx == 0:
+        value = _safe_div(a - c, b - c)  # (z2-z4)/(z3-z4)
+    elif idx == 1:
+        value = -_safe_div(a - b, b - c)  # -(z1-z3)/(z3-z4)
+    elif idx == 2:
+        value = -_safe_div(b - c, a - b)  # -(z2-z4)/(z1-z2)
+    else:
+        value = _safe_div(a - c, a - b)  # (z1-z3)/(z1-z2)
     return _build_record(value)
 
 
@@ -188,21 +141,22 @@ def _build_record(value: complex | float) -> CrossRatio:
     return CrossRatio(value=v, orbit=orbit, canonical=None)
 
 
-def _orbit_images(lam: complex | float):
+def _orbit_images(lam):
+    """The six substitution images of lam, a scalar or a numpy array."""
     return (
         lam,
-        1 - lam,
-        lam / (lam - 1),
-        1 / lam,
-        1 / (1 - lam),
-        1 - 1 / lam,
+        1.0 - lam,
+        lam / (lam - 1.0),
+        1.0 / lam,
+        1.0 / (1.0 - lam),
+        (lam - 1.0) / lam,
     )
 
 
 def s4_orbit(lam: float) -> tuple[float, ...]:
     """The six orbit values of ``lam`` under the substitution group.
 
-    Listed in the fixed order (L, 1-L, L/(L-1), 1/L, 1/(1-L), 1-1/L);
+    Listed in the fixed order (L, 1-L, L/(L-1), 1/L, 1/(1-L), (L-1)/L);
     repeated values are kept, so the result is a multiset of size six.
     """
     if lam in (0, 1):
@@ -219,21 +173,3 @@ def canonical_representative(lam: float) -> float:
     {-1, 1/2, 2} return exactly 2.
     """
     return max(s4_orbit(lam))
-
-
-def perpendicular_length_from_cr(Q: float) -> float:
-    """Perpendicular length of the canonical cross ratio ``Q >= 2``.
-
-    Inverse of ``Q = coth(l/2)**2``; evaluated as log1p(2/(sqrt(Q)-1))
-    which stays accurate for large Q where the length underflows toward 0.
-    """
-    if not Q >= 2:
-        raise ValueError("canonical cross ratio must be >= 2")
-    return math.log1p(2.0 / (math.sqrt(Q) - 1.0))
-
-
-def dual_length(ell: float) -> float:
-    """Dual geodesic length: the involution ell -> arcsinh(1/sinh(ell))."""
-    if not ell > 0:
-        raise ValueError("length must be positive")
-    return math.asinh(1.0 / math.sinh(ell))

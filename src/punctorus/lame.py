@@ -20,13 +20,10 @@ is fixed by the grid.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .hypgeom import ComplexPoint
 
 __all__ = [
     "TAU_MIN",
@@ -291,14 +288,13 @@ def integrate_lame(tau: float, lambda_acc: float) -> LameEndpointData:
 
 @dataclass(frozen=True)
 class CircleInvariants:
-    """Center/radius data of the two boundary circles, plus the contact
-    point candidate z0 on the first of them."""
+    """Center/radius data of the two boundary circles: centers a1 on the
+    real axis and i a2 on the imaginary axis, radii r1 and r2."""
 
     a1: float
     r1: float
     a2: float
     r2: float
-    z0: ComplexPoint
 
     def tangency_residual(self) -> float:
         """(r1/a1)^2 + (r2/a2)^2 - 1, zero exactly at tangency."""
@@ -335,10 +331,7 @@ def circle_invariants(data: LameEndpointData) -> CircleInvariants:
             "must all be positive")
     a1, r1 = 0.5 * (q1 + q2), 0.5 * abs(q1 - q2)
     a2, r2 = 0.5 * (q3 + q4), 0.5 * abs(q3 - q4)
-    p = cmath.sqrt(complex(a1 * a1 - r1 * r1, 0.0))
-    z0 = p * (p + 1j * r1) / a1
-    return CircleInvariants(a1=a1, r1=r1, a2=a2, r2=r2,
-                            z0=ComplexPoint.from_complex(z0))
+    return CircleInvariants(a1=a1, r1=r1, a2=a2, r2=r2)
 
 
 @dataclass(frozen=True)

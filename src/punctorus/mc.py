@@ -4,17 +4,18 @@
 command line and the Kolmogorov-Smirnov scoring here both read.
 Samplers draw i.i.d. uniform points on the circle, or push the
 quadrilateral law's inverse-CDF draws through the relevant change of
-variables (the modulus laws through modmap's inverse of the modulus
-map), accumulate histograms, and score the empirical CDF against the
-closed forms.  Randomness is counter-based: the sample index alone
-determines the stream position, and chunks run in index order on the
-calling thread, so the worker count never changes the output.
+variables, each written once elsewhere: the substitution orbit in
+hypgeom, the perpendicular length in closedform, the modulus laws
+through modmap's inverse of the modulus map.  They accumulate
+histograms and score the empirical CDF against the closed forms.
+Randomness is counter-based: the sample index alone determines the
+stream position, and chunks run in index order on the calling thread,
+so the worker count never changes the output.  A summary hands its
+histogram to the command line as ``rows()``, which writes every CSV
+through one writer.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import closedform as cf
-from . import modmap
+from . import hypgeom, modmap
 
 __all__ = [
     "LAWS",
@@ -44,6 +45,7 @@ PAIRING_PROBABILITY = Fraction(1, 3)
 _CHUNK = 1 << 14
 _ADVANCE_PER_CHUNK = 1 << 20
 _BINS = 200
+_HIST_COLUMNS = ("bin_left", "bin_right", "count", "density")
 
 # The laws read through the modulus map; their curves take the map's
 # table as an optional second argument (None: the default table).
@@ -57,19 +59,6 @@ _HIST_RANGE = {
     "modulus": (1.0, 8.0),
     "teich": (0.0, 4.0),
 }
-
-
-def _length_cdf(x):
-    """Shortest-branch CDF, 1 - F_Q(coth^2(x/2)): 0 at 0, 1 from the threshold on.
-
-    coth^2 of the rounded threshold is 2 plus an ulp, so the support's
-    right end is set to 1 explicitly.
-    """
-    x, scalar = cf._prep(x)
-    with np.errstate(divide="ignore", over="ignore"):
-        q = 1.0 / np.tanh(0.5 * np.maximum(x, 0.0)) ** 2
-    out = np.clip(cf._quad_sf(np.maximum(q, 2.0)), 0.0, 1.0)
-    return cf._ret(np.where(x >= cf.LENGTH_THRESHOLD, 1.0, out), scalar)
 
 
 def _modulus_cdf(m, table=None):
@@ -92,7 +81,7 @@ def _teich_cdf(d, table=None):
 CURVES = {
     "crossratio_full": (cf.crossratio_pdf, cf.crossratio_cdf),
     "quad_cr": (cf.quad_cr_pdf, cf.quad_cr_cdf),
-    "length": (cf.length_pdf, _length_cdf),
+    "length": (cf.length_pdf, cf.length_branch_cdf),
     "length_dual": (cf.length_pdf_dual, cf.length_cdf),
     "star": (cf.star_pdf, cf.star_cdf),
     "modulus": (modmap.modulus_pdf, _modulus_cdf),
@@ -130,31 +119,16 @@ class EmpiricalSummary:
     ks_distance: float
     stats: dict
 
-    def csv_text(self, precision: int = 17) -> str:
-        """The histogram as CSV, floats to the given significant digits."""
-        fmt = f".{precision}g"
-        widths = np.diff(self.bin_edges)
-        dens = self.counts / (self.n * widths)
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(("bin_left", "bin_right", "count", "density"))
-        for left, right, cnt, d in zip(self.bin_edges[:-1], self.bin_edges[1:],
-                                       self.counts, dens):
-            w.writerow((format(left, fmt), format(right, fmt), int(cnt), format(d, fmt)))
-        return buf.getvalue()
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.csv_text())
+    def rows(self) -> tuple[tuple[str, ...], list[tuple]]:
+        """Column names and one (left, right, count, density) row per bin."""
+        dens = self.counts / (self.n * np.diff(self.bin_edges))
+        return _HIST_COLUMNS, list(zip(self.bin_edges[:-1].tolist(),
+                                       self.bin_edges[1:].tolist(),
+                                       self.counts.tolist(), dens.tolist()))
 
     def to_json_dict(self) -> dict:
         return {"law": self.law, "n": self.n, "seed": self.seed,
                 "ks": self.ks_distance, "stats": self.stats}
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -175,14 +149,6 @@ def _full_cr_from_angles(th: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def _canonicalize(lam: np.ndarray) -> np.ndarray:
-    """Largest value of the six-element substitution orbit, always >= 2."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        orbit = np.stack([lam, 1.0 - lam, 1.0 / lam, lam / (lam - 1.0),
-                          1.0 / (1.0 - lam), (lam - 1.0) / lam])
-    return orbit.max(axis=0)
-
-
 def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
                   table: modmap.CrMapTable | None) -> np.ndarray:
     rng = _chunk_rng(seed, chunk_index)
@@ -191,13 +157,15 @@ def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
         return _full_cr_from_angles(th)
     if law == "quad_cr":
         th = rng.random((count, 4)) * (2.0 * math.pi)
-        return _canonicalize(_full_cr_from_angles(th))
+        # the canonical representative: the orbit's largest value, >= 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.max(hypgeom._orbit_images(_full_cr_from_angles(th)), axis=0)
     if law == "star":
         th = rng.random(count) * (2.0 * math.pi)
         return np.tan(0.5 * th)
     q = cf.sample_quad_cr_values(count, rng)
     if law == "length":
-        return 2.0 * np.arctanh(1.0 / np.sqrt(np.maximum(q, 2.0)))
+        return cf.perpendicular_length(q)
     m = modmap.modulus_of_cr(q, table)
     if law == "modulus":
         return m

@@ -11,7 +11,6 @@ smooth map serves every modulus, beyond the last node included.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import threading
 
@@ -20,6 +19,7 @@ from numpy.polynomial import Chebyshev
 from numpy.polynomial.chebyshev import chebpts2
 
 from . import lame
+from .tabular import csv_text
 from .closedform import (_blockwise, _prep, _quad_law_expression, _quad_law_rule, _ret,
                          quad_cr_median)
 
@@ -119,10 +119,6 @@ class CrMapTable:
             k -= (k - self._deficit(s)) / (1.0 - s * s * self._deficit_d1(s))
         self._excess = Chebyshev.fit(ts, k, _INVERSE_POINTS - 1, domain=[0.0, t_hi])
 
-    @property
-    def nodes(self) -> list[tuple[float, float]]:
-        return list(zip(self.ms.tolist(), self.crs.tolist()))
-
     def _y(self, m):
         """y = (pi/2) sqrt(CR(m)) at moduli m >= 1."""
         return m + self._deficit(1.0 / m)
@@ -167,20 +163,10 @@ class CrMapTable:
         return _CSV_COLUMNS, [tuple(rec[k] for k in _CSV_COLUMNS)
                               for rec in sorted(self.records, key=lambda r: r["m"])]
 
-    def csv_text(self) -> str:
-        """The per-node solve records as CSV, 17 significant digits."""
-        header, rows = self.rows()
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(format(v, ".17g") for v in row)
-        return buf.getvalue()
-
     def to_csv(self, path) -> None:
         """Write the per-node solve records, 17 significant digits."""
         with open(path, "w", newline="") as fh:
-            fh.write(self.csv_text())
+            fh.write(csv_text(*self.rows()))
 
     @classmethod
     def from_csv(cls, path) -> "CrMapTable":

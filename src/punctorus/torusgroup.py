@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .closedform import sample_length_values
-from .hypgeom import ComplexPoint, MoebiusMap
+from .hypgeom import MoebiusMap
 
 __all__ = [
     "GeneratorPair",
@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 _TANGENT_TOL = 1e-9
+# Radii and twists are squared and inverted in the generator entries;
+# beyond these bounds a square or its reciprocal leaves the doubles.
+_SCALE_MAX = 1e150
+# cosh(ell/2)**2 overflows for lengths ell above about 710.
+_LENGTH_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,7 @@ class IsometricCircle:
     here are orthogonal to the unit circle.
     """
 
-    center: ComplexPoint
+    center: complex
     radius: float
 
     def __post_init__(self) -> None:
@@ -127,7 +132,15 @@ def isometric_circle(m: MoebiusMap) -> IsometricCircle:
     n = m.normalized()
     if n.c == 0:
         raise ValueError("map fixes infinity and has no isometric circle")
-    return IsometricCircle(ComplexPoint.from_complex(-n.d / n.c), 1.0 / abs(n.c))
+    return IsometricCircle(complex(-n.d / n.c), 1.0 / abs(n.c))
+
+
+def _check_radius(r: float) -> None:
+    if not r > 0:
+        raise ValueError("radius must be positive")
+    if not 1.0 / _SCALE_MAX < r < _SCALE_MAX:
+        raise ValueError(f"radius r = {r!r} is outside (1e-150, 1e150), "
+                         "where r**2 or 1/r**2 leaves the doubles")
 
 
 def rectangular_generators(r: float) -> GeneratorPair:
@@ -137,8 +150,7 @@ def rectangular_generators(r: float) -> GeneratorPair:
     and imaginary axes and are mutually tangent exactly because the radii
     are reciprocal, which is also what makes the commutator parabolic.
     """
-    if not r > 0:
-        raise ValueError("radius must be positive")
+    _check_radius(r)
     s = 1.0 / r
     qa = math.sqrt(1.0 / r**2 + 1.0)
     qb = math.sqrt(1.0 / s**2 + 1.0)
@@ -151,8 +163,7 @@ def _tangent_point(c1: complex, r1: float, c2: complex, r2: float) -> complex:
     return c1 + r1 * (c2 - c1) / (r1 + r2)
 
 
-def tangency_vertices(pair: GeneratorPair) -> tuple[ComplexPoint, ComplexPoint,
-                                                    ComplexPoint, ComplexPoint]:
+def tangency_vertices(pair: GeneratorPair) -> tuple[complex, complex, complex, complex]:
     """The four mutual tangency points of the isometric circles.
 
     Order: C(A) with C(B), C(B) with C(A^-1), C(A^-1) with C(B^-1),
@@ -162,15 +173,12 @@ def tangency_vertices(pair: GeneratorPair) -> tuple[ComplexPoint, ComplexPoint,
     if abs(pair.r * pair.s - 1.0) >= _TANGENT_TOL:
         raise ValueError("circles are not tangent: radii are not reciprocal")
     ca, ca_inv, cb, cb_inv = pair.circles()
-    za, zai = ca.center.as_complex(), ca_inv.center.as_complex()
-    zb, zbi = cb.center.as_complex(), cb_inv.center.as_complex()
-    pts = (
-        _tangent_point(za, ca.radius, zb, cb.radius),
-        _tangent_point(zb, cb.radius, zai, ca_inv.radius),
-        _tangent_point(zai, ca_inv.radius, zbi, cb_inv.radius),
-        _tangent_point(zbi, cb_inv.radius, za, ca.radius),
+    return (
+        _tangent_point(ca.center, ca.radius, cb.center, cb.radius),
+        _tangent_point(cb.center, cb.radius, ca_inv.center, ca_inv.radius),
+        _tangent_point(ca_inv.center, ca_inv.radius, cb_inv.center, cb_inv.radius),
+        _tangent_point(cb_inv.center, cb_inv.radius, ca.center, ca.radius),
     )
-    return tuple(ComplexPoint.from_complex(p) for p in pts)
 
 
 def quad_cross_ratio_from_group(pair: GeneratorPair) -> float:
@@ -191,10 +199,12 @@ def nonrectangular_pair(r: float, lam: float) -> tuple[MoebiusMap, MoebiusMap]:
     the opposite order: u to B, v to A).  Their fixed points stay
     antipodal on the unit circle for every twist.
     """
-    if not r > 0:
-        raise ValueError("radius must be positive")
+    _check_radius(r)
     if lam < 0:
         raise ValueError("twist must be nonnegative")
+    if not lam < _SCALE_MAX:
+        raise ValueError(f"twist lam = {lam!r} is not below 1e150, "
+                         "where lam**2 overflows")
     w = math.sqrt(1.0 + lam * lam)
     qa = math.sqrt(r * r + 1.0)
     qb = math.sqrt(1.0 / r**2 + 1.0)
@@ -213,6 +223,9 @@ def commutator_trace_general(lam: float, mu: float) -> float:
     if lam <= 0 or mu <= 0:
         raise ValueError("closed form is singular at zero twist")
     l2, m2 = lam * lam, mu * mu
+    if not 0.0 < l2 * m2 < math.inf:
+        raise ValueError(f"twists lam = {lam!r}, mu = {mu!r}: "
+                         "lam**2 mu**2 leaves the doubles")
     num = l2 * (m2 + 1.0) - 2.0 * math.sqrt((l2 + 1.0) * (m2 + 1.0)) + m2 + 2.0
     return -4.0 * num / (l2 * m2)
 
@@ -226,6 +239,10 @@ def angle_relation(ell1: float, ell2: float) -> AngleRelation:
     """
     if ell1 <= 0 or ell2 <= 0:
         raise ValueError("lengths must be positive")
+    for name, ell in (("ell1", ell1), ("ell2", ell2)):
+        if not ell <= _LENGTH_MAX:
+            raise ValueError(f"length {name} = {ell!r} exceeds 700, "
+                             "where cosh(ell/2)**2 overflows")
     prod = math.sinh(0.5 * ell1) * math.sinh(0.5 * ell2)
     if prod < 1.0:
         raise ValueError("no valid angle: sinh(l1/2) sinh(l2/2) < 1")

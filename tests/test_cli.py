@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from punctorus import cli, lame, mc, modmap
+from punctorus.tabular import csv_text
 from punctorus.closedform import (
     LENGTH_THRESHOLD,
     length_branch_median,
@@ -108,9 +109,16 @@ class TestCurveCommands:
         assert code == 0
         assert float(out) == 0.0
 
-    def test_grid_needs_all_three_flags(self, capsys):
-        code, _, err = run(capsys, ["pdf", "--law", "star", "--from", "0",
-                                    "--to", "1"])
+    @pytest.mark.parametrize("grid", [
+        ["--from", "0", "--to", "1"],
+        ["--from", "0", "--to", "inf", "--step", "1"],
+        ["--from=-inf", "--to", "0", "--step", "1"],
+        ["--from", "0", "--to", "1", "--step", "nan"],
+        ["--from", "nan", "--to", "1", "--step", "0.5"],
+    ], ids=["missing-step", "inf-to", "inf-from", "nan-step", "nan-from"])
+    def test_grid_needs_all_three_flags(self, capsys, grid):
+        # all three present and finite
+        code, _, err = run(capsys, ["pdf", "--law", "star", *grid])
         assert code == 2
         assert err.startswith("error:")
 
@@ -200,7 +208,7 @@ class TestSolverCommands:
         code, out, _ = run(capsys, ["cr-map", "--table", "--points", "16"])
         assert code == 0
         assert stub_build == [(1.0, 50.0, 16)]
-        assert out == cr_table.csv_text()
+        assert out == csv_text(*cr_table.rows())
         code, out, _ = run(capsys, ["cr-map", "--table", "--precision", "6"])
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[1][3] == format(cr_table.records[0]["cross_ratio"], ".6g")

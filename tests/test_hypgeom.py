@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from punctorus.closedform import (
+    LENGTH_THRESHOLD,
+    perpendicular_length,
+    sample_length_values,
+)
 from punctorus.hypgeom import (
-    ComplexPoint,
     MoebiusMap,
     canonical_representative,
     cross_ratio,
-    dual_length,
-    perpendicular_length_from_cr,
     s4_orbit,
 )
+from punctorus.mc import _chunk_rng, _full_cr_from_angles, _sample_chunk
 
-INF = ComplexPoint.infinity()
+INF = complex(math.inf)
 
 
 class TestCrossRatio:
@@ -108,35 +111,82 @@ class TestOrbit:
         with pytest.raises(ValueError):
             s4_orbit(1.0)
 
+    def test_scalar_and_sampler_orbits_agree(self):
+        """The quad_cr sampler's array canonicalisation is the scalar one.
+
+        Both evaluate the one orbit expression.  The sixth image spelled
+        1 - 1/L instead of (L - 1)/L rounds differently on about 5% of
+        uniform draws, all with the cross ratio in [-1, 0), so the draws
+        must reach that interval.
+        """
+        n, seed = 1 << 14, 7
+        th = _chunk_rng(seed, 0).random((n, 4)) * (2.0 * math.pi)
+        lam = _full_cr_from_angles(th)
+        assert np.count_nonzero((lam >= -1.0) & (lam < 0.0)) >= 1000
+        want = np.array([canonical_representative(x) for x in lam.tolist()])
+        got = _sample_chunk("quad_cr", seed, 0, n, None)
+        np.testing.assert_array_equal(got, want)
+
+
+class _FixedUniform:
+    """Stands in for a Generator whose uniform draws are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def uniform(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+def _both_branches(u):
+    """Short- and long-branch lengths at the same cross ratios.
+
+    sample_length_values sends u < 1/2 to the short branch at the
+    quantile of 1 - 2u and u >= 1/2 to the long one at that of 2u - 1,
+    so u and 1 - u read one cross ratio Q (dyadic u keep it exact).
+    """
+    u = np.asarray(u, dtype=float)
+    x = sample_length_values(2 * len(u), _FixedUniform(np.concatenate([u, 1.0 - u])))
+    return x[:len(u)], x[len(u):]
+
 
 class TestLengthDictionary:
     def test_perpendicular_length_inverts_coth_square(self):
         # only lengths up to the threshold have cross ratio >= 2
-        for ell in (0.1, 0.7, 1.3, 1.76):
-            q = 1.0 / math.tanh(ell / 2) ** 2
-            assert perpendicular_length_from_cr(q) == pytest.approx(ell, rel=1e-12)
+        ells = np.array([0.1, 0.7, 1.3, 1.76])
+        q = 1.0 / np.tanh(ells / 2) ** 2
+        np.testing.assert_allclose(perpendicular_length(q), ells, rtol=1e-12)
+        for ell, qq in zip(ells, q):
+            assert perpendicular_length(qq.item()) == pytest.approx(ell, rel=1e-12)
 
     def test_threshold_maps_to_two(self):
         thr = 2.0 * math.log(1.0 + math.sqrt(2.0))
-        assert perpendicular_length_from_cr(2.0) == pytest.approx(thr, rel=1e-14)
+        assert perpendicular_length(2.0) == pytest.approx(thr, rel=1e-14)
 
     def test_large_cr_stays_accurate(self):
         q = 1e16
-        # log1p form: length ~ 2/sqrt(Q) without cancellation
-        assert perpendicular_length_from_cr(q) == pytest.approx(2e-8, rel=1e-6)
+        # artanh form: length ~ 2/sqrt(Q) without cancellation
+        assert perpendicular_length(q) == pytest.approx(2e-8, rel=1e-6)
 
     def test_below_two_rejected(self):
         with pytest.raises(ValueError):
-            perpendicular_length_from_cr(1.999999)
+            perpendicular_length(1.999999)
+        with pytest.raises(ValueError):
+            perpendicular_length(np.array([3.0, 1.999999]))
 
     def test_dual_is_an_involution(self):
-        for ell in (0.05, 0.8815368840324138, 2.0, 7.5):
-            assert dual_length(dual_length(ell)) == pytest.approx(ell, rel=1e-12)
+        # at one cross ratio the two branches x, y satisfy
+        # sinh(x/2) sinh(y/2) = 1, the involution that swaps them
+        short, long = _both_branches([1 / 1024, 1 / 16, 0.125, 0.375, 0.4375])
+        assert np.all(short < LENGTH_THRESHOLD) and np.all(long > LENGTH_THRESHOLD)
+        np.testing.assert_allclose(np.sinh(short / 2) * np.sinh(long / 2), 1.0,
+                                   rtol=1e-12)
 
     def test_dual_fixed_point(self):
-        fixed = math.asinh(1.0)
-        assert dual_length(fixed) == pytest.approx(fixed, rel=1e-15)
-
-    def test_nonpositive_length_rejected(self):
-        with pytest.raises(ValueError):
-            dual_length(0.0)
+        # the involution fixes the threshold, where Q = 2 and the two
+        # branches meet
+        short, long = _both_branches([0.5 - 2.0**-40])
+        assert short[0] == pytest.approx(LENGTH_THRESHOLD, rel=1e-10)
+        assert long[0] == pytest.approx(LENGTH_THRESHOLD, rel=1e-10)
+        assert np.sinh(short[0] / 2) * np.sinh(long[0] / 2) == pytest.approx(1.0, rel=1e-12)

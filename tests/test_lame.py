@@ -203,9 +203,11 @@ class TestCircleGeometry:
     def test_contact_point_at_solve(self):
         sol = solve_accessory(0.8)
         inv = sol.circles
-        z0 = inv.z0.as_complex()
-        # z0 sits exactly on the first circle by construction and lands
-        # on the second one precisely when the root function vanishes
+        # the contact point candidate on the first circle, from (a1, r1)
+        # alone; it lands on the second circle precisely when the root
+        # function vanishes
+        p = math.sqrt(inv.a1**2 - inv.r1**2)
+        z0 = p * (p + 1j * inv.r1) / inv.a1
         assert abs(z0 - inv.a1) == pytest.approx(inv.r1, rel=1e-12)
         assert abs(z0 - 1j * inv.a2) == pytest.approx(inv.r2, rel=1e-8)
         assert abs(inv.tangency_residual()) < 1e-10

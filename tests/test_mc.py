@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
+from punctorus import cli
 from punctorus.closedform import LENGTH_THRESHOLD, quad_cr_median
 from punctorus.mc import (
     CURVES,
@@ -198,28 +199,35 @@ class TestSummaryEmission:
 
     def test_csv_round_trip(self, tmp_path):
         out = run_law(McConfig(n_samples=30_000, seed=6, law="star"))
+        header, body = out.rows()
+        assert header == ("bin_left", "bin_right", "count", "density")
         path = tmp_path / "star.csv"
-        out.to_csv(path)
+        assert cli.main(["sample", "--law", "star", "--n", "30000", "--seed", "6",
+                         "--out", str(path)]) == 0
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["bin_left", "bin_right", "count", "density"]
+        assert rows[0] == list(header)
         assert len(rows) == 201
         assert sum(int(r[2]) for r in rows[1:]) == out.n
+        # 17 significant digits read back to the very doubles
+        assert [(float(a), float(b), int(c), float(d)) for a, b, c, d in rows[1:]] == body
         width = float(rows[1][1]) - float(rows[1][0])
         assert float(rows[1][3]) == pytest.approx(
             int(rows[1][2]) / (out.n * width), rel=1e-12)
 
     def test_json_emission(self, tmp_path):
         out = run_law(McConfig(n_samples=10_000, seed=8, law="quad_cr"))
-        path = tmp_path / "quad.json"
-        out.to_json(path)
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = out.to_json_dict()
         assert doc["law"] == "quad_cr"
         assert doc["n"] == 10_000
         assert doc["seed"] == 8
         assert doc["ks"] == out.ks_distance
         assert doc["stats"]["median"] == out.stats["median"]
+        path = tmp_path / "quad.json"
+        assert cli.main(["sample", "--law", "quad_cr", "--n", "10000", "--seed", "8",
+                         "--format", "json", "--out", str(path)]) == 0
+        with open(path) as fh:
+            assert json.load(fh) == json.loads(json.dumps(doc))
 
     def test_summary_is_frozen(self):
         out = run_law(McConfig(n_samples=1000, seed=1, law="star"))
