@@ -54,8 +54,9 @@ class MoebiusMap:
         return self.a * self.d - self.b * self.c
 
     def __post_init__(self) -> None:
-        if self.det() == 0:
-            raise ValueError("Moebius map must have nonzero determinant")
+        det = self.det()
+        if det == 0 or not cmath.isfinite(det):
+            raise ValueError(f"Moebius map must have a finite nonzero determinant, got {det}")
 
     def normalized(self) -> "MoebiusMap":
         """Rescale the entries to determinant one (up to overall sign)."""

@@ -11,12 +11,12 @@ endpoint data, and move lambda until the two circles become tangent.
 Everything is real arithmetic on the two legs (the potential is real on
 both axes), with series and quotients arranged so no intermediate ever
 overflows over the supported range tau in [0.005, 50].  The potential
-is evaluated once per tau, as arrays at the Gauss points of a fixed
-grid on each leg; every lambda trial then costs one product of
-fourth-order Magnus step matrices per leg (Iserles, Munthe-Kaas,
-Norsett and Zanna, "Lie-group methods", Acta Numerica 2000; Blanes,
-Casas, Oteo and Ros, Phys. Rep. 470, 2009).  The work per integration
-is fixed by the grid.
+is evaluated once per tau, as arrays at the three Gauss points of
+every step of a fixed 1024-step grid on each leg; every lambda trial
+then costs one product of sixth-order Magnus step matrices per leg
+(Iserles, Munthe-Kaas, Norsett and Zanna, "Lie-group methods", Acta
+Numerica 2000; the three-point scheme of Blanes, Casas, Oteo and Ros,
+Phys. Rep. 470, 2009).  The work per integration is fixed by the grid.
 """
 from __future__ import annotations
 
@@ -54,17 +54,17 @@ def _check_tau(tau: float) -> None:
 
 
 # Steps per leg.  The nodes t_k = L sin(pi k / 2N) crowd toward the far
-# end of the leg, where the potential grows fastest.  At N = 4096 the
-# endpoint data agree with an rtol 1e-12 DOP853 integration to about
-# 1e-11 over the supported tau range.  Prefix products run over
+# end of the leg, where the potential grows fastest.  At N = 1024 the
+# sixth-order endpoint data agree with the same scheme on 16384 steps to
+# about 1e-13 over the supported tau range.  Prefix products run over
 # sqrt(N) blocks of sqrt(N) steps.
-_N = 4096
+_N = 1024
 _BLOCK = math.isqrt(_N)
 _NODES = np.sin(np.linspace(0.0, _PI / 2.0, _N + 1))
 _STEPS = np.diff(_NODES)
-# the two Gauss points of every step, as fractions of the leg
+# the three Gauss points of every step, as fractions of the leg
 _GAUSS = (_NODES[:-1, None]
-          + _STEPS[:, None] * (0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0))
+          + _STEPS[:, None] * (0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0))
 
 # Secant steps a seeded solve may take before it falls back to the scan,
 # and steps the scan's bracket polish may take.
@@ -170,10 +170,13 @@ class _Legs:
     """One tau's two legs, ready for lambda trials, and their scratch.
 
     On [0, 1] the equation reads y'' = (lambda - V) y and on [0, i tau]
-    y'' = (V - lambda) y, V the potential at the two Gauss points of
-    every step.  Per leg this keeps what no trial changes: the steps h,
-    the Magnus correction d = (sqrt(3)/12) h^2 (q1 - q2), from which
-    lambda cancels, and the Gauss mean of V.  A trial writes everything
+    y'' = (V - lambda) y, V the potential at the three Gauss points of
+    every step.  The sixth-order Magnus exponent of a step is
+    Omega = [[d, e], [f, -d]] with d = d0 + d1 q2 and f = f0 + f1 q2,
+    q2 the value of q at the middle Gauss point.  Per leg this keeps
+    what no trial changes: e, d0, d1, f0 and f1, which depend only on
+    the step and on the differences of V across it, from which lambda
+    cancels, and V at the middle points.  A trial writes everything
     else into the scratch, so it allocates no array of a leg's length:
     when it did, glibc could return and map afresh tens of pages per
     trial, depending on how its allocation thresholds had moved before.
@@ -191,37 +194,54 @@ class _Legs:
 
     @staticmethod
     def _constants(L: float, V: np.ndarray, sign: float):
-        """(L, sign, h, h^2, d, d^2, sign times the Gauss mean of V) for
-        q = sign (lambda - V)."""
+        """(L, sign, e, d0, d1, f0, f1, sign V2) for q = sign (lambda - V).
+
+        With A = E + q F (E, F, H the sl2 basis) the scheme's
+        alpha1 = h E + h q2 F, alpha2 = a F and alpha3 = b F, where
+        a = (sqrt(15) h/3)(q3 - q1) and b = (10 h/3)(q3 - 2 q2 + q1);
+        expanding its commutators gives the coefficients below.
+        """
         h = L * _STEPS
-        d = (-sign * math.sqrt(3.0) / 12.0) * h * h * (V[:, 0] - V[:, 1])
-        return L, sign, h, h * h, d, d * d, sign * 0.5 * (V[:, 0] + V[:, 1])
+        a = (-sign * math.sqrt(15.0) / 3.0) * h * (V[:, 2] - V[:, 0])
+        b = (-sign * 10.0 / 3.0) * h * (V[:, 2] - 2.0 * V[:, 1] + V[:, 0])
+        hh, ha = h * h, h * a
+        e = h + hh * (ha * a - 20.0 * b) / 3600.0
+        d0 = ha * (b * h / 30.0 - 20.0) / 240.0
+        d1 = hh * ha / 180.0
+        f0 = b / 12.0 + h * (b * b - 30.0 * a * a) / 3600.0
+        f1 = h + hh * (20.0 * b + ha * a) / 3600.0
+        return L, sign, e, d0, d1, f0, f1, sign * V[:, 1]
 
 
 def _magnus_leg(legs: _Legs, leg: int, lambda_acc: float) -> tuple[tuple[float, float, float, float],
                                                                    tuple[int, int, int, int], float]:
     """Transfer y'' = q(t) y for the (c, s) columns over leg 0 or 1 of legs.
 
-    Each step is the fourth-order Magnus exponential exp(Omega) with
-    Omega = [[d, h], [h qbar, -d]], qbar the Gauss mean of q and
-    d = (sqrt(3)/12) h^2 (q1 - q2); Omega^2 = Delta I, so
-    exp(Omega) = C I + S Omega with C = cosh(sqrt Delta) and
-    S = sinh(sqrt Delta)/sqrt Delta (cos and sin for Delta < 0), and its
-    determinant is exactly 1.  Prefix products over the nodes give the
-    endpoint and the count of sign changes of c, c', s, s' over all
-    N + 1 nodes.  Returns (endpoint (c, c', s, s'), flip census,
-    |W - 1|) and raises
+    Each step is the sixth-order three-Gauss-point Magnus exponential
+    exp(Omega) with Omega = [[d, e], [f, -d]], d = d0 + d1 q2 and
+    f = f0 + f1 q2 (see :class:`_Legs`); Omega^2 = Delta I with
+    Delta = d^2 + e f, so exp(Omega) = C I + S Omega with
+    C = cosh(sqrt Delta) and S = sinh(sqrt Delta)/sqrt Delta (cos and
+    sin for Delta < 0), and its determinant is exactly 1.  Prefix
+    products over the nodes give the endpoint and the count of sign
+    changes of c, c', s, s' over all N + 1 nodes.  Returns (endpoint
+    (c, c', s, s'), flip census, |W - 1|) and raises
     :class:`BracketError` when the endpoint overflows, which happens
     only for lambda far outside the bracket.
     """
-    L, sign, h, hh, d, dd, shift = legs.legs[leg]
-    qbar, delta, r, C, S = legs.work
-    np.subtract(sign * lambda_acc, shift, out=qbar)
-    np.multiply(hh, qbar, out=delta)
-    delta += dd
+    L, sign, e, d0, d1, f0, f1, shift = legs.legs[leg]
+    delta, d, f, r, C = legs.work
+    q2 = np.subtract(sign * lambda_acc, shift, out=delta)
+    np.multiply(d1, q2, out=d)
+    d += d0
+    np.multiply(f1, q2, out=f)
+    f += f0
+    np.multiply(e, f, out=delta)
+    delta += np.multiply(d, d, out=r)
     np.sqrt(np.abs(delta, out=r), out=r)
     grow = np.greater(delta, 0.0, out=legs.grow)
     shrink = ~grow
+    S = delta  # Delta's buffer, free once its signs are read
     np.cosh(r, out=C, where=grow)
     np.cos(r, out=C, where=shrink)
     np.sinh(r, out=S, where=grow)
@@ -230,11 +250,11 @@ def _magnus_leg(legs: _Legs, leg: int, lambda_acc: float) -> tuple[tuple[float, 
     np.copyto(S, 1.0, where=r == 0.0)
     step = legs.steps
     flat = step.reshape(_N, 2, 2)
-    Sd = np.multiply(S, d, out=delta)
-    np.add(C, Sd, out=flat[:, 0, 0])
-    np.subtract(C, Sd, out=flat[:, 1, 1])
-    np.multiply(S, h, out=flat[:, 0, 1])
-    np.multiply(flat[:, 0, 1], qbar, out=flat[:, 1, 0])
+    d *= S
+    np.add(C, d, out=flat[:, 0, 0])
+    np.subtract(C, d, out=flat[:, 1, 1])
+    np.multiply(S, e, out=flat[:, 0, 1])
+    np.multiply(S, f, out=flat[:, 1, 0])
     # products within each block, all blocks at once ...
     for j in range(1, _BLOCK):
         np.matmul(step[:, j], step[:, j - 1], out=step[:, j])
@@ -437,8 +457,11 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
     convergence in 12 steps), a 64-point scan over progressively wider
     lambda ranges locates a sign change of the root function, and a
     secant with a bisection guard polishes it inside that pair, reusing
-    the scan's two root values.  Raises :class:`SolverFailure` with scan
-    diagnostics when no sign change exists.
+    the scan's two root values.  A scan node where the root function is
+    exactly 0 and the circles touch (tangency residual below 1e-10) is
+    the root itself; bracket is then that node twice.  Raises
+    :class:`SolverFailure` with scan diagnostics when no sign change
+    exists.
 
     diagnostics holds the tangency residual, the root gap, the Wronskian
     drift, lambda_trials (integrations made) and warm (True when the
@@ -474,18 +497,26 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
             got = [attempt(x) for x in xs]
             vals = np.array([math.nan if g is None else g[0] for g in got])
             scanned.append((cand, float(np.count_nonzero(~np.isnan(vals)))))
-            # a nan (no invariants) never compares below zero
-            hits = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+            # a nan (no invariants) never compares below zero.  A node
+            # where the root function is exactly 0 is the root only when
+            # the circles touch there: far from tangency a1^2 and
+            # r1 hypot(a1, a2) can also cancel to an exact 0.
+            touch = [g is not None and g[0] == 0.0
+                     and abs(g[2].tangency_residual()) < 1e-10 for g in got]
+            hits = np.flatnonzero(np.append(vals[:-1] * vals[1:] < 0, False) | touch)
             if hits.size:
                 i = hits[0].item()
-                lo, hi = xs[i], xs[i + 1]
+                lo, hi = xs[i], xs[i if touch[i] else i + 1]
                 break
         if lo is None:
             raise SolverFailure(
                 f"no sign change of the tangency root function at tau={tau}",
                 diagnostics={"tau": tau, "scan_starts": [s[0] for s in scanned],
                              "finite_fraction": [s[1] / 64.0 for s in scanned]})
-        lam, data, inv = _polish(trial, (lo, got[i]), (hi, got[i + 1]))
+        if lo == hi:
+            lam, (_, data, inv) = lo, got[i]
+        else:
+            lam, data, inv = _polish(trial, (lo, got[i]), (hi, got[i + 1]))
     diagnostics = {
         "tangency_residual": inv.tangency_residual(),
         "root_gap": _signed_root(inv),

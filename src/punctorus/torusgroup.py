@@ -219,6 +219,12 @@ def commutator_trace_general(lam: float, mu: float) -> float:
     Equals -4 exactly when the twists agree (the parabolic, cusped
     case).  The value does not depend on the radius of the underlying
     pair; the matrix-product oracle in the tests confirms it.
+
+    With A = sqrt(lam^2 + 1) and B = sqrt(mu^2 + 1) the numerator
+    lam^2 (mu^2 + 1) - 2 A B + mu^2 + 2 of the closed form is
+    lam^2 mu^2 + (A - B)^2, and A - B = (lam^2 - mu^2)/(A + B), so the
+    value is -4 (1 + ((lam^2 - mu^2)/(lam mu (A + B)))^2), which
+    subtracts nothing but lam - mu.
     """
     if lam <= 0 or mu <= 0:
         raise ValueError("closed form is singular at zero twist")
@@ -226,8 +232,8 @@ def commutator_trace_general(lam: float, mu: float) -> float:
     if not 0.0 < l2 * m2 < math.inf:
         raise ValueError(f"twists lam = {lam!r}, mu = {mu!r}: "
                          "lam**2 mu**2 leaves the doubles")
-    num = l2 * (m2 + 1.0) - 2.0 * math.sqrt((l2 + 1.0) * (m2 + 1.0)) + m2 + 2.0
-    return -4.0 * num / (l2 * m2)
+    t = (lam - mu) / (lam * mu) * (lam + mu) / (math.sqrt(l2 + 1.0) + math.sqrt(m2 + 1.0))
+    return -4.0 * (1.0 + t * t)
 
 
 def angle_relation(ell1: float, ell2: float) -> AngleRelation:

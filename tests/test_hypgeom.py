@@ -65,6 +65,12 @@ class TestCrossRatio:
             after = cross_ratio(*(f(w) for w in z)).value
             assert complex(after) == pytest.approx(complex(before), rel=1e-9)
 
+    def test_map_needs_a_finite_nonzero_determinant(self):
+        for bad in ((1.0, 2.0, 0.5, 1.0), (math.inf, 0.0, 0.0, 1.0),
+                    (1e200, 1.0, 1.0, 1e200), (math.nan, 0.0, 0.0, 1.0)):
+            with pytest.raises(ValueError, match="determinant"):
+                MoebiusMap(*bad)
+
     def test_concyclic_points_give_real_value(self):
         th = np.array([0.3, 1.1, 2.9, 5.0])
         pts = np.exp(1j * th)

@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import re
 import sys
 import time
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from punctorus import lame
 from punctorus.lame import (
@@ -23,15 +26,16 @@ from punctorus.lame import (
 )
 
 
+@functools.lru_cache
 def _theta_terms(logq):
     """(exponent, frequency, weight) of the theta_1 and theta_3 terms,
     kept down to a nome power of 1e-18."""
     def keep(n, K):
         return n < 3 or math.exp(K) >= 1e-18
 
-    return ([(n * (n + 1) * logq, 2 * n + 1, float((-1) ** n))
-             for n in range(24) if keep(n, n * (n + 1) * logq)],
-            [(n * n * logq, 2 * n, 2.0) for n in range(1, 24) if keep(n, n * n * logq)])
+    return (tuple((n * (n + 1) * logq, 2 * n + 1, float((-1) ** n))
+                  for n in range(24) if keep(n, n * (n + 1) * logq)),
+            tuple((n * n * logq, 2 * n, 2.0) for n in range(1, 24) if keep(n, n * n * logq)))
 
 
 def wp(z: complex, tau: float) -> complex:
@@ -78,6 +82,23 @@ def wp(z: complex, tau: float) -> complex:
     if tau < 1.0:
         val = -(M * M) * val
     return val.conjugate() if conj else val
+
+
+def _dop853(tau: float, lam: float, leg: int, **options):
+    """scipy's DOP853 (rtol 1e-12) for the (c, c', s, s') columns of
+    y'' = (lam - wp) y on the real leg [0, 1] (leg 0) or of
+    y'' = (wp - lam) y on the imaginary leg [0, i tau] (leg 1)."""
+    if leg == 0:
+        end, q = 1.0, lambda x: lam - wp(x, tau).real
+    else:
+        end, q = tau, lambda t: wp(1j * t, tau).real - lam
+
+    def rhs(t, y):
+        v = q(t)
+        return [y[1], v * y[0], y[3], v * y[2]]
+
+    return solve_ivp(rhs, (0.0, end), [1.0, 0.0, 0.0, 1.0], method="DOP853",
+                     rtol=1e-12, atol=1e-14, **options)
 
 
 class TestLatticePotential:
@@ -153,20 +174,8 @@ class TestTwoLegIntegration:
     ], ids=["0.005", "0.8", "6", "50"])
     def test_against_independent_integrator(self, tau, lam):
         mine = integrate_lame(tau, lam)
-
-        def rhs_real(x, y):
-            v = lam - wp(x, tau).real
-            return [y[1], v * y[0], y[3], v * y[2]]
-
-        def rhs_imag(t, y):
-            v = wp(1j * t, tau).real - lam
-            return [y[1], v * y[0], y[3], v * y[2]]
-
-        y0 = [1.0, 0.0, 0.0, 1.0]
-        ref1 = solve_ivp(rhs_real, (0.0, 1.0), y0, method="DOP853",
-                         rtol=1e-12, atol=1e-14).y[:, -1]
-        ref2 = solve_ivp(rhs_imag, (0.0, tau), y0, method="DOP853",
-                         rtol=1e-12, atol=1e-14).y[:, -1]
+        ref1 = _dop853(tau, lam, 0).y[:, -1]
+        ref2 = _dop853(tau, lam, 1).y[:, -1]
         got1 = (mine.c_1, mine.cp_1, mine.s_1, mine.sp_1)
         got2 = (mine.c_it, mine.cp_it, mine.s_it_imag, mine.sp_it)
         np.testing.assert_allclose(got1, ref1, rtol=1e-9)
@@ -175,11 +184,40 @@ class TestTwoLegIntegration:
     def test_oscillatory_lambda_raises_with_census(self):
         with pytest.raises(BracketError, match=r"flip census \(1, 1, 1, 1\)"):
             integrate_lame(1.0, -15.0)
-        # the imaginary leg oscillates; the counts are the sign changes
-        # of a dense DOP853 solution
-        with pytest.raises(BracketError, match=r"\(0, 0, 0, 0\) on \[0,1\], "
-                                               r"\(1592, 1591, 1591, 1592\) on \[0,i\*tau\]"):
-            integrate_lame(50.0, 1e4)
+        # the imaginary leg oscillates; the census counts the sign
+        # changes of c, c', s and s' between the grid's nodes, which must
+        # be those of a dense DOP853 solution sampled at the same nodes
+        tau, lam = 50.0, 1e4
+        dense = _dop853(tau, lam, 1, dense_output=True).sol(tau * lame._NODES)
+        census = tuple(np.count_nonzero(dense[:, :-1] * dense[:, 1:] < 0.0, axis=1).tolist())
+        assert census == (418, 417, 417, 418)
+        with pytest.raises(BracketError, match=re.escape(
+                f"(0, 0, 0, 0) on [0,1], {census} on [0,i*tau]")):
+            integrate_lame(tau, lam)
+
+    @pytest.mark.parametrize("tau", [0.5, 6.0, 50.0])
+    def test_census_window_edges_match_dense_integration(self, tau):
+        # Lowering lambda on the real leg, or raising it on the imaginary
+        # one, makes the first zero of c enter at the leg's far end,
+        # which is a node of every grid.  So the edge of the
+        # oscillation-free window, bisected on the flip census, is where
+        # DOP853's c vanishes at that end.
+        legs = lame._Legs(tau)
+        for leg, outward in ((0, -1.0), (1, 1.0)):
+            def oscillates(lam):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    flips = lame._magnus_leg(legs, leg, lam)[1]
+                return flips[0] + flips[2] > 0
+
+            calm, wild = 0.0, outward
+            while not oscillates(wild):
+                calm, wild = wild, 2.0 * wild
+            while (mid := 0.5 * (calm + wild)) not in (calm, wild):
+                calm, wild = (calm, mid) if oscillates(mid) else (mid, wild)
+            edge = brentq(lambda lam: _dop853(tau, lam, leg).y[0, -1],
+                          calm * (1.0 - 1e-8), calm * (1.0 + 1e-8),
+                          xtol=1e-15 * abs(calm))
+            assert calm == pytest.approx(edge, rel=1e-10)
 
     @pytest.mark.parametrize("tau, lam", [(50.0, -1e4), (0.02, 1e6), (50.0, 1e4)])
     def test_far_lambda_raises_promptly(self, tau, lam):
@@ -299,6 +337,26 @@ class TestAccessorySolve:
         assert len(set(tried)) == len(tried) == sol.diagnostics["lambda_trials"] <= most
         assert sol.lambda_acc in tried
         assert abs(sol.diagnostics["tangency_residual"]) < 1e-13
+
+    def test_cold_scan_takes_an_exact_zero_at_the_square(self):
+        # at tau = 1 the legs are mirror images, so the root function is
+        # exactly 0 at lambda = 0, a node of the first scan grid; missing
+        # it ran all four sweeps, 260 integrations
+        sol = solve_accessory(1.0)
+        assert sol.diagnostics["lambda_trials"] <= 69
+        assert abs(sol.diagnostics["tangency_residual"]) < 1e-10
+
+    @pytest.mark.parametrize("tau", [13.85, 25.52, 34.14, 38.15])
+    def test_cold_scan_rejects_a_cancelled_zero(self, tau):
+        # here a1^2 and r1 hypot(a1, a2) cancel to an exact 0 at
+        # lambda = 0, far from tangency: the scan must not take it
+        inv = circle_invariants(integrate_lame(tau, 0.0))
+        assert lame._signed_root(inv) == 0.0 and inv.tangency_residual() > 1e-10
+        try:
+            sol = solve_accessory(tau)
+        except SolverFailure:
+            return
+        assert abs(sol.diagnostics["tangency_residual"]) < 1e-10
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
     def test_cold_solves_reuse_their_scratch(self, fresh_python):

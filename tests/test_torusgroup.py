@@ -5,6 +5,7 @@ import cmath
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -179,6 +180,19 @@ class TestGeneralCommutator:
         assert commutator_trace_general(1.0, 1.0) == pytest.approx(-4.0, rel=1e-14)
         assert commutator_trace_general(3.0, 3.0) == pytest.approx(-4.0, rel=1e-14)
         assert commutator_trace_general(1.0, 2.0) != pytest.approx(-4.0, abs=0.1)
+
+    def test_equal_twists_give_exactly_minus_four(self):
+        # the expanded closed form cancelled to -0.0 at (1e-4, 1e-4)
+        for t in (1e-70, 1e-20, 1e-5, 1e-4, 1e-3, 0.7, 1.0, 3.0, 1e30):
+            assert commutator_trace_general(t, t) == -4.0
+
+    @pytest.mark.parametrize("lam, mu", [(1e-3, 2e-3), (1e-4, 2e-4)])
+    def test_small_twists_match_the_closed_form_in_extended_precision(self, lam, mu):
+        with mpmath.workdps(50):
+            l2, m2 = mpmath.mpf(lam) ** 2, mpmath.mpf(mu) ** 2
+            num = l2 * (m2 + 1) - 2 * mpmath.sqrt((l2 + 1) * (m2 + 1)) + m2 + 2
+            want = float(-4 * num / (l2 * m2))
+        assert commutator_trace_general(lam, mu) == pytest.approx(want, rel=1e-13)
 
     def test_matrix_oracle(self):
         rng = np.random.default_rng(4)
