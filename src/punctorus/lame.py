@@ -13,10 +13,12 @@ both axes), with series and quotients arranged so no intermediate ever
 overflows over the supported range tau in [0.005, 50].  The potential
 is evaluated once per tau, as arrays at the three Gauss points of
 every step of a fixed 1024-step grid on each leg; every lambda trial
-then costs one product of sixth-order Magnus step matrices per leg
+then builds the sixth-order Magnus step matrices of both legs at once
 (Iserles, Munthe-Kaas, Norsett and Zanna, "Lie-group methods", Acta
 Numerica 2000; the three-point scheme of Blanes, Casas, Oteo and Ros,
-Phys. Rep. 470, 2009).  The work per integration is fixed by the grid.
+Phys. Rep. 470, 2009) and takes their prefix products as a blocked
+parallel scan, every 2x2 product a few elementwise ufunc calls over
+the stacked legs.  The work per integration is fixed by the grid.
 """
 from __future__ import annotations
 
@@ -56,10 +58,17 @@ def _check_tau(tau: float) -> None:
 # Steps per leg.  The nodes t_k = L sin(pi k / 2N) crowd toward the far
 # end of the leg, where the potential grows fastest.  At N = 1024 the
 # sixth-order endpoint data agree with the same scheme on 16384 steps to
-# about 1e-13 over the supported tau range.  Prefix products run over
-# sqrt(N) blocks of sqrt(N) steps.
+# about 1e-13 over the supported tau range.  A trial's prefix product
+# runs over _NB blocks of _BLOCK steps: _BLOCK - 1 sequential products
+# inside all blocks at once, then log2(_NB) doubling rounds across them.
+# Short blocks keep the sequential part short and long ones the doubling
+# part: a whole trial (both legs, tau = 0.5) took a median 0.51, 0.48,
+# 0.48, 0.54 and 0.71 ms at _BLOCK = 2, 4, 8, 16 and 32 (2-core Xeon,
+# numpy 2.4).
 _N = 1024
-_BLOCK = math.isqrt(_N)
+_BLOCK = 4
+_NB = _N // _BLOCK
+_EYE = np.eye(2)
 _NODES = np.sin(np.linspace(0.0, _PI / 2.0, _N + 1))
 _STEPS = np.diff(_NODES)
 # the three Gauss points of every step, as fractions of the leg
@@ -173,28 +182,36 @@ class _Legs:
     y'' = (V - lambda) y, V the potential at the three Gauss points of
     every step.  The sixth-order Magnus exponent of a step is
     Omega = [[d, e], [f, -d]] with d = d0 + d1 q2 and f = f0 + f1 q2,
-    q2 the value of q at the middle Gauss point.  Per leg this keeps
-    what no trial changes: e, d0, d1, f0 and f1, which depend only on
-    the step and on the differences of V across it, from which lambda
-    cancels, and V at the middle points.  A trial writes everything
-    else into the scratch, so it allocates no array of a leg's length:
-    when it did, glibc could return and map afresh tens of pages per
-    trial, depending on how its allocation thresholds had moved before.
-    Every solve makes its own, so concurrent solves share nothing.
+    q2 the value of q at the middle Gauss point.  consts keeps what no
+    trial changes: e, d0, d1, f0 and f1, which depend only on the step
+    and on the differences of V across it, from which lambda cancels,
+    and sign V at the middle points.  Each is a (leg, _BLOCK, _NB)
+    array holding step b _BLOCK + j of a leg at [leg, j, b], so one
+    trial builds the steps of both legs at once and each step of a
+    block is one contiguous slice.  A trial writes everything else into
+    the scratch, so it allocates no array of a leg's length: when it
+    did, glibc could return and map afresh tens of pages per trial,
+    depending on how its allocation thresholds had moved before.  Every
+    solve makes its own, so concurrent solves share nothing.
     """
 
     def __init__(self, tau: float):
-        on_real, on_imag = _leg_potentials(tau, _GAUSS)
-        self.legs = tuple(self._constants(L, V, sign)
-                          for L, V, sign in ((1.0, on_real, 1.0), (tau, on_imag, -1.0)))
-        self.work = np.empty((5, _N))
-        self.grow = np.empty(_N, dtype=bool)
-        self.steps = np.empty((_BLOCK, _BLOCK, 2, 2))
-        self.nodes = np.empty((_BLOCK, _BLOCK, 2, 2))
+        self.lengths = (1.0, tau)
+        self.signs = np.array([1.0, -1.0])[:, None, None]
+        self.consts = self._constants(np.array(self.lengths)[:, None],
+                                      np.stack(_leg_potentials(tau, _GAUSS)),
+                                      self.signs[:, 0])
+        self.work = np.empty((5, 2, _BLOCK, _NB))
+        self.grow = np.empty((2, _BLOCK, _NB), dtype=bool)
+        self.steps = np.empty((2, 2, 2, _BLOCK, _NB))
+        self.starts = np.empty((2, 2, 2, _NB))
+        self.nodes = np.empty((2, 2, 2, _BLOCK, _NB))
+        self.negative = np.empty((2, 2, 2, _BLOCK, _NB), dtype=bool)
 
     @staticmethod
-    def _constants(L: float, V: np.ndarray, sign: float):
-        """(L, sign, e, d0, d1, f0, f1, sign V2) for q = sign (lambda - V).
+    def _constants(L: np.ndarray, V: np.ndarray, sign: np.ndarray) -> np.ndarray:
+        """(e, d0, d1, f0, f1, sign V2) for q = sign (lambda - V), in the
+        block layout; L and sign are (leg, 1) and V is (leg, _N, 3).
 
         With A = E + q F (E, F, H the sl2 basis) the scheme's
         alpha1 = h E + h q2 F, alpha2 = a F and alpha3 = b F, where
@@ -202,36 +219,54 @@ class _Legs:
         expanding its commutators gives the coefficients below.
         """
         h = L * _STEPS
-        a = (-sign * math.sqrt(15.0) / 3.0) * h * (V[:, 2] - V[:, 0])
-        b = (-sign * 10.0 / 3.0) * h * (V[:, 2] - 2.0 * V[:, 1] + V[:, 0])
+        a = (-sign * math.sqrt(15.0) / 3.0) * h * (V[..., 2] - V[..., 0])
+        b = (-sign * 10.0 / 3.0) * h * (V[..., 2] - 2.0 * V[..., 1] + V[..., 0])
         hh, ha = h * h, h * a
         e = h + hh * (ha * a - 20.0 * b) / 3600.0
         d0 = ha * (b * h / 30.0 - 20.0) / 240.0
         d1 = hh * ha / 180.0
         f0 = b / 12.0 + h * (b * b - 30.0 * a * a) / 3600.0
         f1 = h + hh * (20.0 * b + ha * a) / 3600.0
-        return L, sign, e, d0, d1, f0, f1, sign * V[:, 1]
+        by_step = np.stack([e, d0, d1, f0, f1, sign * V[..., 1]])
+        return by_step.reshape(6, 2, _NB, _BLOCK).transpose(0, 1, 3, 2).copy()
 
 
-def _magnus_leg(legs: _Legs, leg: int, lambda_acc: float) -> tuple[tuple[float, float, float, float],
-                                                                   tuple[int, int, int, int], float]:
-    """Transfer y'' = q(t) y for the (c, s) columns over leg 0 or 1 of legs.
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+             t0: np.ndarray, t1: np.ndarray) -> None:
+    """out = a b for stacks of 2x2 matrices laid out (leg, row, col, ...).
+
+    t0 and t1 are scratch shaped like out.  Both are written before out,
+    so out may be a or b as long as neither scratch overlaps them.
+    """
+    np.multiply(a[:, :, 0, None], b[:, None, 0], out=t0)
+    np.multiply(a[:, :, 1, None], b[:, None, 1], out=t1)
+    np.add(t0, t1, out=out)
+
+
+def _magnus_legs(legs: _Legs, lambda_acc: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transfer y'' = q(t) y for the (c, s) columns over both legs of legs.
 
     Each step is the sixth-order three-Gauss-point Magnus exponential
     exp(Omega) with Omega = [[d, e], [f, -d]], d = d0 + d1 q2 and
     f = f0 + f1 q2 (see :class:`_Legs`); Omega^2 = Delta I with
     Delta = d^2 + e f, so exp(Omega) = C I + S Omega with
     C = cosh(sqrt Delta) and S = sinh(sqrt Delta)/sqrt Delta (cos and
-    sin for Delta < 0), and its determinant is exactly 1.  Prefix
-    products over the nodes give the endpoint and the count of sign
-    changes of c, c', s, s' over all N + 1 nodes.  Returns (endpoint
-    (c, c', s, s'), flip census, |W - 1|) and raises
-    :class:`BracketError` when the endpoint overflows, which happens
-    only for lambda far outside the bracket.
+    sin for Delta < 0), and its determinant is exactly 1.  The nodes are
+    a parallel prefix product of the steps (Blelloch, "Prefix sums and
+    their applications", 1990): _BLOCK - 1 sequential products inside
+    all blocks at once, an exclusive doubling scan over the _NB block
+    products (Hillis and Steele, "Data parallel algorithms", CACM 1986),
+    and one product of each block's prefixes with its start.
+
+    Returns (endpoints, census, drift), indexed by leg: the far node
+    [[c, s], [c', s']], the count of sign changes of each of its entries
+    over all N + 1 nodes, and |W - 1|.  Raises nothing; an endpoint that
+    overflowed, which happens only for lambda far outside the bracket,
+    is not finite.
     """
-    L, sign, e, d0, d1, f0, f1, shift = legs.legs[leg]
+    e, d0, d1, f0, f1, shift = legs.consts
     delta, d, f, r, C = legs.work
-    q2 = np.subtract(sign * lambda_acc, shift, out=delta)
+    q2 = np.subtract(legs.signs * lambda_acc, shift, out=delta)
     np.multiply(d1, q2, out=d)
     d += d0
     np.multiply(f1, q2, out=f)
@@ -248,45 +283,63 @@ def _magnus_leg(legs: _Legs, leg: int, lambda_acc: float) -> tuple[tuple[float, 
     np.sin(r, out=S, where=shrink)
     np.divide(S, r, out=S, where=r > 0.0)
     np.copyto(S, 1.0, where=r == 0.0)
-    step = legs.steps
-    flat = step.reshape(_N, 2, 2)
+    step, start, nodes = legs.steps, legs.starts, legs.nodes
     d *= S
-    np.add(C, d, out=flat[:, 0, 0])
-    np.subtract(C, d, out=flat[:, 1, 1])
-    np.multiply(S, e, out=flat[:, 0, 1])
-    np.multiply(S, f, out=flat[:, 1, 0])
-    # products within each block, all blocks at once ...
+    np.add(C, d, out=step[:, 0, 0])
+    np.subtract(C, d, out=step[:, 1, 1])
+    np.multiply(S, e, out=step[:, 0, 1])
+    np.multiply(S, f, out=step[:, 1, 0])
+    # the work buffers are scratch for the products from here on
+    spare = legs.work.reshape(-1)
+    t0, t1 = spare[:2 * start.size].reshape(2, *start.shape)
+    # step[..., j, b] becomes the product of steps 0..j of block b ...
     for j in range(1, _BLOCK):
-        np.matmul(step[:, j], step[:, j - 1], out=step[:, j])
-    # ... then the block starts, and every node as block product x start
-    start = np.empty((_BLOCK, 2, 2))
-    start[0] = np.eye(2)
-    for b in range(1, _BLOCK):
-        np.matmul(step[b - 1, -1], start[b - 1], out=start[b])
-    nodes = np.matmul(step, start[:, None], out=legs.nodes).reshape(_N, 2, 2)
-    if not np.isfinite(nodes[-1]).all():
-        raise BracketError(f"the solution overflowed on a leg of length {L}")
-    (c, s), (cp, sp) = nodes[-1].tolist()
-    # the step off node 0 = I counts too; c' and s start at 0 and cannot flip on it
-    signs = np.multiply(nodes[:-1], nodes[1:], out=flat[:-1])
-    flips = np.count_nonzero(signs < 0.0, axis=0) + (np.eye(2) * nodes[0] < 0.0)
-    (fc, fs), (fcp, fsp) = flips.tolist()
-    return (c, cp, s, sp), (fc, fcp, fs, fsp), abs(c * sp - cp * s - 1.0)
+        _product(step[..., j, :], step[..., j - 1, :], step[..., j, :], t0, t1)
+    # ... start[..., b] that of blocks 0..b-1, doubling the span per round ...
+    start[..., 0] = _EYE
+    start[..., 1:] = step[..., -1, :-1]
+    span = 1
+    while span < _NB:
+        _product(start[..., span:], start[..., :-span], start[..., span:],
+                 t0[..., span:], t1[..., span:])
+        span *= 2
+    # ... and every node is the product of the two
+    _product(step, start[..., None, :], nodes, nodes, spare[:nodes.size].reshape(nodes.shape))
+    # sign changes between consecutive nodes: inside each block, across
+    # each block edge, and off node 0 = I into the spare last slot
+    signs = step
+    np.multiply(nodes[..., :-1, :], nodes[..., 1:, :], out=signs[..., :-1, :])
+    np.multiply(nodes[..., -1, :-1], nodes[..., 0, 1:], out=signs[..., -1, :-1])
+    np.multiply(_EYE, nodes[..., 0, 0], out=signs[..., -1, -1])
+    census = np.count_nonzero(np.less(signs, 0.0, out=legs.negative), axis=(3, 4))
+    end = nodes[..., -1, -1].copy()
+    drift = np.abs(end[:, 0, 0] * end[:, 1, 1] - end[:, 1, 0] * end[:, 0, 1] - 1.0)
+    return end, census, drift
 
 
 def _integrate_with(legs: _Legs, tau: float, lambda_acc: float) -> LameEndpointData:
+    """Endpoint data of both legs at lambda_acc from one _magnus_legs call.
+
+    Raises :class:`BracketError` when a leg overflowed (naming the first
+    such leg's length) or when c or s changes sign along a leg.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        e1, f1, w1 = _magnus_leg(legs, 0, lambda_acc)
-        e2, f2, w2 = _magnus_leg(legs, 1, lambda_acc)
-    if f1[0] or f1[2] or f2[0] or f2[2]:
+        end, census, drift = _magnus_legs(legs, lambda_acc)
+    for L, leg_end in zip(legs.lengths, end):
+        if not np.isfinite(leg_end).all():
+            raise BracketError(f"the solution overflowed on a leg of length {L}")
+    # (c, c', s, s') per leg
+    (c1, cp1, s1, sp1), (c2, cp2, s2, sp2) = end.transpose(0, 2, 1).reshape(2, 4).tolist()
+    if census[:, 0].any():
+        f1, f2 = map(tuple, census.transpose(0, 2, 1).reshape(2, 4).tolist())
         raise BracketError(
             "c or s changes sign along a leg (flip census "
             f"{f1} on [0,1], {f2} on [0,i*tau]): lambda={lambda_acc} is "
             "outside the oscillation-free bracket")
     return LameEndpointData(
-        c_1=e1[0], cp_1=e1[1], s_1=e1[2], sp_1=e1[3],
-        c_it=e2[0], cp_it=e2[1], s_it_imag=e2[2], sp_it=e2[3],
-        wronskian_drift=max(w1, w2))
+        c_1=c1, cp_1=cp1, s_1=s1, sp_1=sp1,
+        c_it=c2, cp_it=cp2, s_it_imag=s2, sp_it=sp2,
+        wronskian_drift=drift.max().item())
 
 
 def integrate_lame(tau: float, lambda_acc: float) -> LameEndpointData:

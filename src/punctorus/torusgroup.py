@@ -39,6 +39,12 @@ _TANGENT_TOL = 1e-9
 # Radii and twists are squared and inverted in the generator entries;
 # beyond these bounds a square or its reciprocal leaves the doubles.
 _SCALE_MAX = 1e150
+# The rectangular pair's determinant qa**2 - 1/r**2 (and qb**2 - r**2)
+# loses about 1/r**2 (r**2) ulps of 1.  Probing doubles near the ends,
+# it first rounds to exactly 0 at r = 2.19e-8 (2**-25.45) and 4.63e7
+# (2**25.46), with failing and working radii interleaved beyond; inside
+# [2**-25, 2**25] every probed radius built the pair.
+_RECT_MIN, _RECT_MAX = 2.0**-25, 2.0**25
 # cosh(ell/2)**2 overflows for lengths ell above about 710.
 _LENGTH_MAX = 700.0
 
@@ -149,8 +155,12 @@ def rectangular_generators(r: float) -> GeneratorPair:
     A fixes +-1 and B fixes +-i; their isometric circles sit on the real
     and imaginary axes and are mutually tangent exactly because the radii
     are reciprocal, which is also what makes the commutator parabolic.
+    Raises ValueError for r outside [2**-25, 2**25], beyond which the
+    rounded entries can be singular.
     """
-    _check_radius(r)
+    if not _RECT_MIN <= r <= _RECT_MAX:
+        raise ValueError(f"radius r = {r!r} is outside [2**-25, 2**25], the range "
+                         "where the rectangular pair is representable in doubles")
     s = 1.0 / r
     qa = math.sqrt(1.0 / r**2 + 1.0)
     qb = math.sqrt(1.0 / s**2 + 1.0)

@@ -206,8 +206,8 @@ class TestTwoLegIntegration:
         for leg, outward in ((0, -1.0), (1, 1.0)):
             def oscillates(lam):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    flips = lame._magnus_leg(legs, leg, lam)[1]
-                return flips[0] + flips[2] > 0
+                    flips = lame._magnus_legs(legs, lam)[1][leg]
+                return flips[0].any()  # c or s
 
             calm, wild = 0.0, outward
             while not oscillates(wild):
@@ -227,8 +227,24 @@ class TestTwoLegIntegration:
         assert time.perf_counter() - t0 < 2.0
 
     def test_overflow_raises_bracket_error(self):
-        with pytest.raises(BracketError, match="overflowed"):
-            integrate_lame(0.02, 1e6)
+        # only the growing leg overflows, the other one oscillates; the
+        # message names the leg that overflowed
+        for tau, lam, leg in ((0.02, 1e6, 0), (50.0, -1e4, 1)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                ends = lame._magnus_legs(lame._Legs(tau), lam)[0]
+            assert [np.isfinite(end).all() for end in ends] == [leg == 1, leg == 0]
+            with pytest.raises(BracketError, match=re.escape(
+                    f"overflowed on a leg of length {(1.0, tau)[leg]}")):
+                integrate_lame(tau, lam)
+
+    def test_square_legs_swap_under_lambda_reflection(self):
+        # wp(iz) = -wp(z) on the square lattice, so the imaginary leg's
+        # equation at lambda is the real leg's at -lambda
+        legs = lame._Legs(1.0)
+        for lam in (-0.5, -0.1, 0.1, 0.5):
+            imag = lame._magnus_legs(legs, lam)[0][1]
+            real = lame._magnus_legs(legs, -lam)[0][0]
+            np.testing.assert_allclose(imag, real, rtol=1e-14, atol=0.0)
 
     def test_rejects_nonpositive_tau(self):
         # 0.0043 overflowed in the potential quotient before the range check

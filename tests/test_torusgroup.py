@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -71,6 +72,18 @@ class TestRectangularPair:
         for c in (ca, ca_inv, cb, cb_inv):
             mod2 = abs(c.center) ** 2
             assert mod2 == pytest.approx(1.0 + c.radius**2, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [1e-8, 1e8])
+    def test_extreme_radii_name_the_representable_range(self, r):
+        # 1/r**2 + 1 (r**2 + 1) rounds so that the determinant is 0
+        with pytest.raises(ValueError, match=re.escape("outside [2**-25, 2**25]")):
+            rectangular_generators(r)
+
+    @pytest.mark.parametrize("r", [3e-8, 1e7])
+    def test_large_and_small_radii_still_build(self, r):
+        pair = rectangular_generators(r)
+        for m in (pair.A, pair.B):
+            assert abs(complex(m.det()) - 1.0) <= 1e-15
 
     def test_isometric_circle_rejects_affine(self):
         with pytest.raises(ValueError):
