@@ -6,6 +6,8 @@ branch, and the normalized Cauchy law, together with closed-form
 cumulative distributions built on the quadrilateral law's exact survival
 function, the quadrilateral median, and inverse-CDF sampling by one
 Chebyshev series, used by the group samplers and the Monte Carlo module.
+Every Chebyshev series in the package, here and in modmap, is evaluated
+by one in-place Clenshaw recurrence, :func:`_clenshaw`.
 The length dictionary is written here once: the perpendicular length
 2 artanh(Q^-1/2) in :func:`perpendicular_length`, its inverse
 coth^2(x/2) in :func:`length_cdf`.
@@ -69,6 +71,40 @@ def _blockwise(fn, x: np.ndarray) -> np.ndarray:
     for i in range(0, len(x), _BLOCK):
         out[i:i + _BLOCK] = fn(x[i:i + _BLOCK])
     return out
+
+
+def _clenshaw(series: Chebyshev, x):
+    """series(x), numpy's Clenshaw recurrence op for op, in place.
+
+    The domain map off + scl x to t, x2 = 2t, then per coefficient
+    c0, c1 = c[-i] - c1, c0 + c1 x2, and c0 + c1 t last, as
+    ``Chebyshev.__call__`` does; so the values agree bit for bit.  The
+    new c1 alternates between two scratch arrays and c0 overwrites its
+    own, so a call allocates five arrays the size of x, whatever the
+    degree.  This is the package's one series evaluator; the Chebyshev
+    objects only hold fitted coefficients.  x is a float or an array.
+    """
+    off, scl = series.mapparms()
+    c = series.coef
+    shape = np.shape(x)
+    t = np.array(x, dtype=float).reshape(-1)
+    t *= scl
+    t += off
+    c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
+    if len(c) > 2:
+        x2 = t * 2.0
+        acc = x2 * c1
+        acc += c0
+        c0, c1 = c[-3] - c1, acc
+        buf, spare = np.empty_like(t), np.empty_like(t)
+        for i in range(4, len(c) + 1):
+            np.multiply(c1, x2, out=spare)
+            spare += c0
+            c0 = np.subtract(c[-i], c1, out=buf)
+            c1, spare = spare, c1
+    t *= c1
+    t += c0
+    return t.reshape(shape)
 
 
 # On [-1, 1/2], z = -log(1 - x) stays in [-log 2, log 2], where the
@@ -459,7 +495,7 @@ class QuadCrInverseCdf:
     def __call__(self, u):
         u, scalar = _prep(u)
         z = np.log1p(-np.log1p(-np.clip(u, 0.0, _U_MAX)))
-        return _ret(np.maximum(np.exp(self._log_r(z)), 2.0), scalar)
+        return _ret(np.maximum(np.exp(_clenshaw(self._log_r, z)), 2.0), scalar)
 
 
 _INVERSE = QuadCrInverseCdf()

@@ -6,8 +6,10 @@ Samplers draw i.i.d. uniform points on the circle, or push the
 quadrilateral law's inverse-CDF draws through the relevant change of
 variables, each written once elsewhere: the substitution orbit in
 hypgeom, the perpendicular length in closedform, the modulus laws
-through modmap's inverse of the modulus map.  They accumulate
-histograms and score the empirical CDF against the closed forms.
+through modmap's inverse of the modulus map.  Each sample is then
+summarized from one sorted copy: its KS distance against the closed
+form CDF, its histogram, its median and its clipped fraction all read
+that copy, each equal bit for bit to its plain numpy definition.
 Randomness is counter-based: the sample index alone determines the
 stream position, and chunks run in index order on the calling thread,
 so the worker count never changes the output.  A summary hands its
@@ -142,11 +144,20 @@ def _full_cr_from_angles(th: np.ndarray) -> np.ndarray:
 
     For z_j = exp(i th_j) each difference z_a - z_b carries a common
     phase times 2 sin((th_a - th_b)/2); the phases cancel in the cross
-    ratio, leaving a manifestly real expression.
+    ratio, leaving a manifestly real expression.  The four half-angle
+    sines overwrite th's rows in place (th is consumed).
     """
-    num = np.sin(0.5 * (th[:, 0] - th[:, 2])) * np.sin(0.5 * (th[:, 1] - th[:, 3]))
-    den = np.sin(0.5 * (th[:, 0] - th[:, 1])) * np.sin(0.5 * (th[:, 2] - th[:, 3]))
-    return num / den
+    a, b, c, d = th.T
+    ac = a - c
+    a -= b
+    b -= d
+    c -= d
+    d[...] = ac
+    th *= 0.5
+    np.sin(th, out=th)
+    d *= b  # sin((a - c)/2) sin((b - d)/2)
+    a *= c  # sin((a - b)/2) sin((c - d)/2)
+    return d / a
 
 
 def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
@@ -172,27 +183,53 @@ def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
     return np.log(m)  # teich
 
 
-def _ks_distance(values: np.ndarray, law: str, table: modmap.CrMapTable | None) -> float:
+def _summary(values: np.ndarray, law: str, table: modmap.CrMapTable | None
+             ) -> tuple[float, np.ndarray, np.ndarray, dict]:
+    """KS distance, histogram counts and edges, and stats of one sample.
+
+    Every order statistic comes from one sorted copy xs, and each number
+    equals its plain numpy definition bit for bit: the KS gaps against
+    two arange grids over n, ``np.histogram`` of the sample clipped to
+    the law's range (bin i is [e_i, e_i+1), the last bin closed, nan
+    dropped), ``np.median``, ``np.quantile`` and the mean of the clip
+    mask.  The mean and sd read the unsorted values, whose summation
+    order they depend on, after xs and the KS scratch are freed.
+    """
+    n = len(values)
     xs = np.sort(values)
     curve = CURVES[law][1]
     f = cf._blockwise((lambda x: curve(x, table)) if law in _MAP_LAWS else curve, xs)
-    n = len(xs)
-    upper = np.arange(1, n + 1) / n - f
-    lower = f - np.arange(0, n) / n
-    return max(upper.max(), lower.max()).item()
+    grid = np.arange(1, n + 1, dtype=float)
+    grid /= n
+    grid -= f
+    upper = grid.max()
+    del grid
+    grid = np.arange(0, n, dtype=float)
+    grid /= n
+    np.subtract(f, grid, out=f)
+    ks = max(upper, f.max()).item()
+    del grid, f
 
-
-def _stats(values: np.ndarray, law: str, clipped_fraction: float) -> dict:
-    out: dict = {"median": float(np.median(values)),
-                 "clipped_fraction": clipped_fraction}
+    lo, hi = _HIST_RANGE[law]
+    edges = np.linspace(lo, hi, _BINS + 1)
+    # nan sorts last, so the last end counts the non-nan values: the
+    # histogram and the clip mask skip nan, and the median is nan
+    ends = np.searchsorted(xs, np.append(edges[1:-1], np.nan))
+    counts = np.diff(ends, prepend=0)
+    non_nan = ends[-1].item()
+    clipped = np.searchsorted(xs, lo) + non_nan - np.searchsorted(xs, hi, side="right")
+    # np.median's mean of the middle one or two, or the nan it finds last
+    median = xs[-1] if non_nan < n else np.mean(xs[(n - 1) // 2:n // 2 + 1])
+    out: dict = {"median": float(median), "clipped_fraction": clipped.item() / n}
+    if law == "star":
+        q1, q3 = np.quantile(xs, [0.25, 0.75])
+        out["iqr"] = float(q3 - q1)
+    del xs
     if law in ("length", "teich", "modulus"):
         out["mean"] = float(values.mean())
     if law in ("length", "teich"):
         out["sd"] = float(values.std())
-    if law == "star":
-        q1, q3 = np.quantile(values, [0.25, 0.75])
-        out["iqr"] = float(q3 - q1)
-    return out
+    return ks, counts, edges, out
 
 
 def run_law(cfg: McConfig, table: modmap.CrMapTable | None = None) -> EmpiricalSummary:
@@ -202,7 +239,9 @@ def run_law(cfg: McConfig, table: modmap.CrMapTable | None = None) -> EmpiricalS
     space and are drawn in index order on the calling thread, so the
     output is a function of (seed, n) only; ``cfg.workers`` is accepted
     and changes nothing.  The modulus-map laws read ``table``, or the
-    default table when it is None.
+    default table when it is None.  The summary reads one sorted copy
+    of the sample (see ``_summary``), so run_law's peak memory is four
+    arrays of the sample's size.
     """
     n = cfg.n_samples
     n_chunks = (n + _CHUNK - 1) // _CHUNK
@@ -212,10 +251,7 @@ def run_law(cfg: McConfig, table: modmap.CrMapTable | None = None) -> EmpiricalS
         _sample_chunk(cfg.law, cfg.seed, c, min(_CHUNK, n - c * _CHUNK), table)
         for c in range(n_chunks)])
 
-    ks = _ks_distance(values, cfg.law, table)
-    lo, hi = _HIST_RANGE[cfg.law]
-    clipped = float(np.mean((values < lo) | (values > hi)))
-    counts, edges = np.histogram(np.clip(values, lo, hi), bins=_BINS, range=(lo, hi))
+    ks, counts, edges, stats = _summary(values, cfg.law, table)
     return EmpiricalSummary(
         law=cfg.law, n=n, seed=cfg.seed, bin_edges=edges, counts=counts,
-        ks_distance=ks, stats=_stats(values, cfg.law, clipped))
+        ks_distance=ks, stats=stats)

@@ -7,6 +7,8 @@ at 1, the functional-equation extension below m = 1, the modulus and
 log-modulus probability densities, their summary statistics, and the
 quasi-Moebius comparison constant.  Both series reach s = 0, so one
 smooth map serves every modulus, beyond the last node included.
+Both series are evaluated by closedform's one series evaluator,
+``_clenshaw``; the Chebyshev objects only hold their coefficients.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from numpy.polynomial.chebyshev import chebpts2
 
 from . import lame
 from .tabular import csv_text
-from .closedform import (_blockwise, _prep, _quad_law_expression, _quad_law_rule, _ret,
-                         quad_cr_median)
+from .closedform import (_blockwise, _clenshaw, _prep, _quad_law_expression,
+                         _quad_law_rule, _ret, quad_cr_median)
 
 __all__ = [
     "CrMapTable",
@@ -106,27 +108,29 @@ class CrMapTable:
         m0 = ms[0].item()
         s0 = 1.0 / m0
         y0, dy0 = self._y(m0).item(), self._dy(m0).item()
-        d2y0 = s0**4 * self._deficit.deriv(2)(s0) + 2.0 * s0**3 * self._deficit_d1(s0)
+        d2y0 = (s0**4 * _clenshaw(self._deficit.deriv(2), s0)
+                + 2.0 * s0**3 * _clenshaw(self._deficit_d1, s0))
         a = 8.0 * y0 * dy0 / _PI2
         self.a_estimate = a
         self.curvature_gap = float(abs(8.0 * (dy0**2 + y0 * d2y0) / _PI2 - (a * a - a)))
 
         t_hi = 2.0 / (_PI * math.sqrt(crs[0]))
         ts = _chebpts(0.0, t_hi, _INVERSE_POINTS)
-        k = np.full_like(ts, self._deficit(0.0))
+        k = np.full_like(ts, _clenshaw(self._deficit, 0.0))
         for _ in range(_NEWTON_STEPS):
             s = ts / (1.0 - ts * k)
-            k -= (k - self._deficit(s)) / (1.0 - s * s * self._deficit_d1(s))
+            k -= ((k - _clenshaw(self._deficit, s))
+                  / (1.0 - s * s * _clenshaw(self._deficit_d1, s)))
         self._excess = Chebyshev.fit(ts, k, _INVERSE_POINTS - 1, domain=[0.0, t_hi])
 
     def _y(self, m):
         """y = (pi/2) sqrt(CR(m)) at moduli m >= 1."""
-        return m + self._deficit(1.0 / m)
+        return m + _clenshaw(self._deficit, 1.0 / m)
 
     def _dy(self, m):
         """dy/dm at moduli m >= 1."""
         s = 1.0 / m
-        return 1.0 - s * s * self._deficit_d1(s)
+        return 1.0 - s * s * _clenshaw(self._deficit_d1, s)
 
     def _cr(self, m: np.ndarray) -> np.ndarray:
         """CR(m) at moduli m > 0, by the functional equation below 1.
@@ -156,7 +160,7 @@ class CrMapTable:
 
     def _modulus(self, y: np.ndarray) -> np.ndarray:
         """The modulus with (pi/2) sqrt(CR) = y, for y at least the square's."""
-        return np.maximum(y - self._excess(1.0 / y), self.ms[0])
+        return np.maximum(y - _clenshaw(self._excess, 1.0 / y), self.ms[0])
 
     def rows(self) -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
         """Column names and the per-node solve records by increasing m."""

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.polynomial import Chebyshev
 from scipy.integrate import quad
 
 from punctorus import closedform
@@ -335,3 +336,42 @@ class TestInverseCdf:
         n = len(x)
         d = np.max(np.abs(f - (np.arange(1, n + 1) - 0.5) / n))
         assert d < 0.01
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestClenshaw:
+    """The one series evaluator equals ``Chebyshev.__call__`` bit for bit."""
+
+    @staticmethod
+    def points(lo: float, hi: float, rng) -> list:
+        """x shaped 0-d, (0,), (1,) and (2**15 + 3,), domain ends included."""
+        many = rng.uniform(lo, hi, (1 << 15) + 3)
+        many[:2] = lo, hi
+        return [np.array(lo), np.array(hi), np.array(0.5 * (lo + hi)), np.empty(0),
+                np.array([hi]), many, lo, hi]
+
+    def assert_same(self, series, xs) -> None:
+        for x in xs:
+            want, got = series(x), closedform._clenshaw(series, x)
+            assert np.shape(got) == np.shape(want)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("degree", range(32))
+    def test_every_degree_on_random_domains(self, degree):
+        rng = np.random.default_rng(100 + degree)
+        for _ in range(3):
+            lo = rng.uniform(-10.0, 10.0)
+            hi = lo + rng.uniform(1e-3, 20.0)
+            series = Chebyshev(rng.standard_normal(degree + 1) * 10.0 ** rng.uniform(-3, 3),
+                               domain=[lo, hi])
+            self.assert_same(series, self.points(lo, hi, rng))
+
+    def test_the_package_series(self, cr_table):
+        rng = np.random.default_rng(31)
+        series = [closedform._INVERSE._log_r, cr_table._deficit, cr_table._deficit_d1,
+                  cr_table._deficit.deriv(2), cr_table._excess]
+        for s in series:
+            self.assert_same(s, self.points(*s.domain, rng))

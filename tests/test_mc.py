@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,10 @@ from punctorus.mc import (
     EmpiricalSummary,
     McConfig,
     run_law,
+    _CHUNK,
+    _HIST_RANGE,
     _sample_chunk,
+    _summary,
 )
 
 SEED = 20260819
@@ -234,3 +238,105 @@ class TestSummaryEmission:
         assert isinstance(out, EmpiricalSummary)
         with pytest.raises(Exception):
             out.law = "other"
+
+
+def _oracle_summary(values, law, table=None):
+    """The plain numpy definitions that ``_summary`` reproduces bit for bit."""
+    xs = np.sort(values)
+    curve = CURVES[law][1]
+    f = np.asarray(curve(xs, table) if law in ("modulus", "teich") else curve(xs))
+    n = len(xs)
+    upper = np.arange(1, n + 1) / n - f
+    lower = f - np.arange(0, n) / n
+    ks = max(upper.max(), lower.max()).item()
+    lo, hi = _HIST_RANGE[law]
+    counts, edges = np.histogram(np.clip(values, lo, hi), bins=200, range=(lo, hi))
+    stats = {"median": float(np.median(values)),
+             "clipped_fraction": float(np.mean((values < lo) | (values > hi)))}
+    if law in ("length", "teich", "modulus"):
+        stats["mean"] = float(values.mean())
+    if law in ("length", "teich"):
+        stats["sd"] = float(values.std())
+    if law == "star":
+        q1, q3 = np.quantile(values, [0.25, 0.75])
+        stats["iqr"] = float(q3 - q1)
+    return ks, counts, edges, stats
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _assert_same_summary(got, want):
+    ks, counts, edges, stats = got
+    assert (math.isnan(ks) and math.isnan(want[0])) or _bits(ks) == _bits(want[0])
+    assert counts.dtype == want[1].dtype
+    np.testing.assert_array_equal(counts, want[1])
+    np.testing.assert_array_equal(_bits(edges), _bits(want[2]))
+    assert list(stats) == list(want[3])
+    for key, value in stats.items():
+        other = want[3][key]
+        assert type(value) is float
+        assert (math.isnan(value) and math.isnan(other)) or _bits(value) == _bits(other), key
+
+
+class TestSortedSummary:
+    """One sorted copy gives what the unsorted definitions give, bit for bit."""
+
+    @staticmethod
+    def pool(law: str) -> np.ndarray:
+        """Every bin edge, an ulp either side of each range end, +-inf, nan, -0."""
+        lo, hi = _HIST_RANGE[law]
+        edges = np.linspace(lo, hi, 201)
+        near = [np.nextafter(v, d) for v in (lo, hi) for d in (-np.inf, np.inf)]
+        return np.concatenate([edges, near, [np.inf, -np.inf, np.nan, -0.0]])
+
+    @pytest.mark.parametrize("law", ["star", "length", "teich"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 200, 201])
+    def test_hand_built_samples(self, law, n, cr_table):
+        pool = self.pool(law)
+        finite = pool[np.isfinite(pool)]
+        rng = np.random.default_rng(n)
+        draws = [rng.choice(pool, n),                     # ties, inf and nan mixed in
+                 rng.choice(finite, n),                   # no inf or nan
+                 rng.choice(finite[:3], n),               # heavy ties at the range ends
+                 rng.choice(finite[-3:], n)]
+        for k in range(3):                                # +inf, -inf, nan, each first
+            draws.append(np.resize(pool[-4 + k:-1], n))
+        if n >= len(finite):
+            draws.append(rng.permutation(finite)[:n])     # every edge exactly
+        with np.errstate(invalid="ignore", over="ignore"):
+            for values in draws:
+                _assert_same_summary(_summary(values, law, cr_table),
+                                     _oracle_summary(values, law, cr_table))
+
+    def test_every_edge_lands_in_its_own_bin(self):
+        lo, hi = _HIST_RANGE["star"]
+        edges = np.linspace(lo, hi, 201)
+        _, counts, _, stats = _summary(edges.copy(), "star", None)
+        assert counts.tolist() == [1] * 199 + [2]
+        assert stats["clipped_fraction"] == 0.0
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_run_law_matches_the_oracle(self, law, cr_table):
+        n = 40_001
+        out = run_law(McConfig(n_samples=n, seed=SEED, law=law))
+        values = np.concatenate([
+            _sample_chunk(law, SEED, c, min(_CHUNK, n - c * _CHUNK), cr_table)
+            for c in range(-(-n // _CHUNK))])
+        _assert_same_summary((out.ks_distance, out.counts, out.bin_edges, out.stats),
+                             _oracle_summary(values, law, cr_table))
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_peak_memory(self, law, cr_table):
+        # the sample, its sorted copy, its CDF and one KS grid: 4.0 arrays
+        # (6.0 while both KS gaps and their grids were alive at once)
+        n = 1 << 20
+        run_law(McConfig(n_samples=1000, seed=1, law=law))
+        tracemalloc.start()
+        try:
+            run_law(McConfig(n_samples=n, seed=3, law=law))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.1 * 8 * n
