@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import lame, mc, modmap, verify
+from . import lame, mc, modmap
 from .tabular import csv_text
 
 _UNITS_EPILOG = (
@@ -142,6 +142,8 @@ def _cmd_quasimobius(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # its checks reach torusgroup; no other command needs them
+
     results = verify.run_checks(quick=args.quick)
     wide = max(len(r.name) for r in results)
     lines = []

@@ -7,7 +7,7 @@ cumulative distributions built on the quadrilateral law's exact survival
 function, the quadrilateral median, and inverse-CDF sampling by one
 Chebyshev series, used by the group samplers and the Monte Carlo module.
 Every Chebyshev series in the package, here and in modmap, is evaluated
-by one in-place Clenshaw recurrence, :func:`_clenshaw`.
+by one Clenshaw recurrence, :func:`_clenshaw`.
 The length dictionary is written here once: the perpendicular length
 2 artanh(Q^-1/2) in :func:`perpendicular_length`, its inverse
 coth^2(x/2) in :func:`length_cdf`.
@@ -73,14 +73,34 @@ def _blockwise(fn, x: np.ndarray) -> np.ndarray:
     return out
 
 
+# Up to this many points a series is summed over Python floats: on a
+# few points numpy's per-call overhead, about three ufunc calls per
+# coefficient, costs more than the arithmetic.  Timed at degrees 15 and
+# 30, the Python path stays the faster up to about 20 points.
+_FLOAT_POINTS = 16
+
+
+def _clenshaw_float(rc: list, t: float) -> float:
+    """:func:`_clenshaw`'s recurrence at one point, rc from the top degree down."""
+    if len(rc) == 1:
+        return t * 0.0 + rc[0]
+    c1, c0 = rc[0], rc[1]
+    x2 = t * 2.0
+    for ci in rc[2:]:
+        c0, c1 = ci - c1, c0 + c1 * x2
+    return c0 + c1 * t
+
+
 def _clenshaw(series: Chebyshev, x):
-    """series(x), numpy's Clenshaw recurrence op for op, in place.
+    """series(x), numpy's Clenshaw recurrence op for op.
 
     The domain map off + scl x to t, x2 = 2t, then per coefficient
     c0, c1 = c[-i] - c1, c0 + c1 x2, and c0 + c1 t last, as
-    ``Chebyshev.__call__`` does; so the values agree bit for bit.  The
-    new c1 alternates between two scratch arrays and c0 overwrites its
-    own, so a call allocates five arrays the size of x, whatever the
+    ``Chebyshev.__call__`` does; so the values agree bit for bit.  On at
+    most ``_FLOAT_POINTS`` points the recurrence runs over Python floats,
+    whose *, + and - round as the ufuncs do.  On more it runs in place:
+    the new c1 alternates between two scratch arrays and c0 overwrites
+    its own, so a call allocates five arrays the size of x, whatever the
     degree.  This is the package's one series evaluator; the Chebyshev
     objects only hold fitted coefficients.  x is a float or an array.
     """
@@ -88,6 +108,10 @@ def _clenshaw(series: Chebyshev, x):
     c = series.coef
     shape = np.shape(x)
     t = np.array(x, dtype=float).reshape(-1)
+    if len(t) <= _FLOAT_POINTS:
+        off, scl, rc = float(off), float(scl), c[::-1].tolist()
+        return np.array([_clenshaw_float(rc, v * scl + off) for v in t.tolist()],
+                        dtype=float).reshape(shape)
     t *= scl
     t += off
     c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])

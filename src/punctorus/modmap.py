@@ -136,11 +136,15 @@ class CrMapTable:
         """CR(m) at moduli m > 0, by the functional equation below 1.
 
         From 1 up the value is clamped to the square's exact 2, the
-        support edge of the quadrilateral law.
+        support edge of the quadrilateral law.  A block with no m below
+        1, as every block of the modulus CDFs is, skips the reflection.
         """
+        below = m < 1.0
+        flip = below.any()
         with np.errstate(over="ignore"):
-            q = np.maximum((2.0 * self._y(np.maximum(m, 1.0 / m)) / _PI) ** 2, 2.0)
-        return np.where(m < 1.0, 1.0 + 1.0 / (q - 1.0), q)
+            q = np.maximum((2.0 * self._y(np.maximum(m, 1.0 / m) if flip else m) / _PI) ** 2,
+                           2.0)
+        return np.where(below, 1.0 + 1.0 / (q - 1.0), q) if flip else q
 
     def _pdf(self, m: np.ndarray) -> np.ndarray:
         """The modulus density f(CR(m)) CR'(m), 0 below 1 and where CR overflows."""

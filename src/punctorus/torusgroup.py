@@ -83,9 +83,14 @@ class GeneratorPair:
 
     def circles(self) -> tuple[IsometricCircle, IsometricCircle,
                                IsometricCircle, IsometricCircle]:
-        """Isometric circles of (A, A^-1, B, B^-1), in that order."""
-        return (isometric_circle(self.A), isometric_circle(inverse(self.A)),
-                isometric_circle(self.B), isometric_circle(inverse(self.B)))
+        """Isometric circles of (A, A^-1, B, B^-1), in that order.
+
+        Each generator is normalized once: M^-1 is the adjugate
+        (d, -b, -c, a) of the determinant-one M, so C(M^-1) is read from
+        M's own entries.
+        """
+        a, b = self.A.normalized(), self.B.normalized()
+        return (_circle(a.c, a.d), _circle(-a.c, a.a), _circle(b.c, b.d), _circle(-b.c, b.a))
 
 
 @dataclass(frozen=True)
@@ -114,9 +119,13 @@ def compose(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
                       f.c * g.a + f.d * g.c, f.c * g.b + f.d * g.d)
 
 
-def inverse(m: MoebiusMap) -> MoebiusMap:
-    n = m.normalized()
+def _adjugate(n: MoebiusMap) -> MoebiusMap:
+    """The inverse of a determinant-one map."""
     return MoebiusMap(n.d, -n.b, -n.c, n.a)
+
+
+def inverse(m: MoebiusMap) -> MoebiusMap:
+    return _adjugate(m.normalized())
 
 
 def commutator(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
@@ -127,7 +136,14 @@ def commutator(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
     of the group element (and equals -2 in the parabolic cases).
     """
     f, g = f.normalized(), g.normalized()
-    return compose(compose(f, g), compose(inverse(f), inverse(g)))
+    return compose(compose(f, g), compose(_adjugate(f), _adjugate(g)))
+
+
+def _circle(c: complex, d: complex) -> IsometricCircle:
+    """|cz + d| = 1 from the lower row of a determinant-one map."""
+    if c == 0:
+        raise ValueError("map fixes infinity and has no isometric circle")
+    return IsometricCircle(complex(-d / c), 1.0 / abs(c))
 
 
 def isometric_circle(m: MoebiusMap) -> IsometricCircle:
@@ -136,9 +152,7 @@ def isometric_circle(m: MoebiusMap) -> IsometricCircle:
     Maps fixing infinity (c = 0) have none and raise.
     """
     n = m.normalized()
-    if n.c == 0:
-        raise ValueError("map fixes infinity and has no isometric circle")
-    return IsometricCircle(complex(-n.d / n.c), 1.0 / abs(n.c))
+    return _circle(n.c, n.d)
 
 
 def _check_radius(r: float) -> None:

@@ -321,14 +321,21 @@ class TestParserSurface:
 
 
 class TestRuntimeImports:
-    """Only verify imports scipy, and only when clause 01 runs."""
+    """Only verify imports scipy, and only when clause 01 runs; only the
+    verify command loads verify and torusgroup."""
 
     @staticmethod
-    def imported(run, *args):
-        """stdout, and the top-level names of every module imported."""
+    def modules(run, *args):
+        """stdout, and the full dotted name of every module imported."""
         proc = run("-X", "importtime", *args)
         lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("import time:")]
-        return proc.stdout, {ln.rsplit("|", 1)[1].strip().split(".")[0] for ln in lines}
+        return proc.stdout, {ln.rsplit("|", 1)[1].strip() for ln in lines}
+
+    @classmethod
+    def imported(cls, run, *args):
+        """stdout, and the top-level names of every module imported."""
+        out, mods = cls.modules(run, *args)
+        return out, {m.split(".")[0] for m in mods}
 
     def test_package_import_leaves_scipy_out(self, fresh_python):
         _, mods = self.imported(fresh_python, "-c", "import punctorus, punctorus.cli")
@@ -341,6 +348,14 @@ class TestRuntimeImports:
         assert float(out) == pytest.approx(float(np.asarray(mc.CURVES["quad_cr"][0](3.0))),
                                            rel=1e-15)
         assert "scipy" not in mods
+
+    def test_one_shot_pdf_leaves_verify_and_torusgroup_out(self, fresh_python):
+        out, mods = self.modules(fresh_python, "-m", "punctorus.cli", "pdf", "--law",
+                                 "quad_cr", "--at", "3")
+        assert float(out) == pytest.approx(float(np.asarray(mc.CURVES["quad_cr"][0](3.0))),
+                                           rel=1e-15)
+        assert "punctorus.closedform" in mods
+        assert not {"punctorus.verify", "punctorus.torusgroup"} & mods
 
     def test_verify_imports_scipy_for_its_normalization_clause(self, fresh_python):
         _, mods = self.imported(fresh_python, "-c", "from punctorus import verify; "

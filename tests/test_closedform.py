@@ -347,11 +347,14 @@ class TestClenshaw:
 
     @staticmethod
     def points(lo: float, hi: float, rng) -> list:
-        """x shaped 0-d, (0,), (1,) and (2**15 + 3,), domain ends included."""
-        many = rng.uniform(lo, hi, (1 << 15) + 3)
-        many[:2] = lo, hi
+        """x shaped 0-d, (0,), (1,), (2,), (k,) and (k + 1,) at the float
+        path's limit k, and (2**15 + 3,), domain ends included."""
+        k = closedform._FLOAT_POINTS
+        sized = [rng.uniform(lo, hi, n) for n in (2, k, k + 1, (1 << 15) + 3)]
+        for x in sized:
+            x[:2] = lo, hi
         return [np.array(lo), np.array(hi), np.array(0.5 * (lo + hi)), np.empty(0),
-                np.array([hi]), many, lo, hi]
+                np.array([hi]), *sized, lo, hi]
 
     def assert_same(self, series, xs) -> None:
         for x in xs:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from punctorus import closedform
 from punctorus.closedform import (
     LENGTH_THRESHOLD,
     perpendicular_length,
@@ -188,6 +189,17 @@ class TestLengthDictionary:
         assert np.all(short < LENGTH_THRESHOLD) and np.all(long > LENGTH_THRESHOLD)
         np.testing.assert_allclose(np.sinh(short / 2) * np.sinh(long / 2), 1.0,
                                    rtol=1e-12)
+
+    def test_two_lengths_equal_the_array_path(self):
+        # sample_torus draws its two lengths on _clenshaw's Python-float
+        # path; they equal the same uniforms' lengths drawn among many
+        u = np.random.default_rng(41).uniform(size=2000)
+        u[:8] = 0.0, 0.5, 0.5 - 2.0**-53, 1.0 - 2.0**-53, 2.0**-60, 0.25, 0.75, 1e-300
+        assert len(u) > closedform._FLOAT_POINTS
+        many = sample_length_values(len(u), _FixedUniform(u))
+        two = np.concatenate([sample_length_values(2, _FixedUniform(u[i:i + 2]))
+                              for i in range(0, len(u), 2)])
+        np.testing.assert_array_equal(two.view(np.int64), many.view(np.int64))
 
     def test_dual_fixed_point(self):
         # the involution fixes the threshold, where Q = 2 and the two

@@ -90,6 +90,70 @@ class TestRectangularPair:
             isometric_circle(MoebiusMap(2.0, 1.0, 0.0, 0.5))
 
 
+def _entries(m: MoebiusMap) -> np.ndarray:
+    return np.array([m.a, m.b, m.c, m.d], dtype=complex)
+
+
+class TestOneNormalization:
+    """circles() and commutator normalize each generator once and invert
+    by the adjugate; they agree with the isometric_circle(inverse(.))
+    and inverse() route, which normalizes again.
+
+    The two routes differ by how far det A = qa**2 - 1/r**2 rounds from
+    1, about max(r**2, r**-2) ulps.  Over 3 * 10**5 log-uniform radii in
+    [2**-20, 2**20] the radii and the commutator's entries differed by
+    at most 3.3 max(r**2, r**-2) eps relative (1.8e-4 at the ends) and
+    the centres, which no normalization scales, by 2 eps; the bounds
+    below are 8 max(r**2, r**-2) eps and 4 eps.
+    """
+
+    EPS = 2.0**-52
+
+    @staticmethod
+    def radii():
+        return 2.0 ** np.random.default_rng(77).uniform(-20.0, 20.0, 2000)
+
+    def test_circles_match_the_inverse_route(self):
+        for r in self.radii():
+            pair = rectangular_generators(r)
+            old = (isometric_circle(pair.A), isometric_circle(inverse(pair.A)),
+                   isometric_circle(pair.B), isometric_circle(inverse(pair.B)))
+            loss = 8.0 * max(r * r, 1.0 / (r * r)) * self.EPS
+            for new, ref in zip(pair.circles(), old):
+                assert abs(new.center - ref.center) <= 4.0 * self.EPS * abs(ref.center)
+                assert abs(new.radius - ref.radius) <= loss * ref.radius
+
+    def test_commutator_matches_the_inverse_route(self):
+        for r in self.radii():
+            pair = rectangular_generators(r)
+            f, g = pair.A.normalized(), pair.B.normalized()
+            old = _entries(compose(compose(f, g), compose(inverse(f), inverse(g))))
+            new = _entries(commutator(pair.A, pair.B))
+            loss = 8.0 * max(r * r, 1.0 / (r * r)) * self.EPS
+            assert np.max(np.abs(new - old)) <= loss * np.max(np.abs(old))
+
+    def test_each_generator_is_normalized_once(self, monkeypatch):
+        counts = {"normalized": 0, "built": 0}
+        normalized, post_init = MoebiusMap.normalized, MoebiusMap.__post_init__
+
+        def counted_normalized(m):
+            counts["normalized"] += 1
+            return normalized(m)
+
+        def counted_post_init(m):
+            counts["built"] += 1
+            post_init(m)
+
+        pair = rectangular_generators(1.3)
+        monkeypatch.setattr(MoebiusMap, "normalized", counted_normalized)
+        monkeypatch.setattr(MoebiusMap, "__post_init__", counted_post_init)
+        commutator(pair.A, pair.B)
+        assert counts == {"normalized": 2, "built": 7}
+        counts.update(normalized=0, built=0)
+        tangency_vertices(pair)
+        assert counts == {"normalized": 2, "built": 2}
+
+
 class TestQuadCrossRatio:
     def test_known_radii(self):
         assert quad_cross_ratio_from_group(rectangular_generators(1.0)) == \
