@@ -89,7 +89,9 @@ class BracketError(RuntimeError):
 class SolverFailure(RuntimeError):
     """The tangency root could not be bracketed.
 
-    Carries a ``diagnostics`` dict describing the scan that failed.
+    Carries a ``diagnostics`` dict describing the scan that failed: tau
+    and finite_fraction, the share of the 64 scan nodes where the
+    circle invariants exist.
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None):
@@ -507,14 +509,15 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
     builds pass one extrapolated from the nodes already solved); it need
     not straddle the root.  Without one, or when the secant fails (an
     iterate outside the oscillation-free window, a flat step, or no
-    convergence in 12 steps), a 64-point scan over progressively wider
-    lambda ranges locates a sign change of the root function, and a
-    secant with a bisection guard polishes it inside that pair, reusing
-    the scan's two root values.  A scan node where the root function is
-    exactly 0 and the circles touch (tangency residual below 1e-10) is
-    the root itself; bracket is then that node twice.  Raises
-    :class:`SolverFailure` with scan diagnostics when no sign change
-    exists.
+    convergence in 12 steps), a 64-point scan of lambda over [-2, 1]
+    locates a sign change of the root function, and a secant with a
+    bisection guard polishes it inside that pair, reusing the scan's two
+    root values.  A scan node where the root function is exactly 0 and
+    the circles touch (tangency residual below 1e-10) is the root
+    itself; bracket is then that node twice.  Raises
+    :class:`SolverFailure` with scan diagnostics after those 64
+    integrations when no sign change exists; that is every tau from
+    about 5.4 up.
 
     diagnostics holds the tangency residual, the root gap, the Wronskian
     drift, lambda_trials (integrations made) and warm (True when the
@@ -542,30 +545,22 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
         lam, data, inv = found
         lo, hi = bracket
     else:
-        lo = hi = None
-        scanned: list[tuple[float, float]] = []
-        pot_floor = _leg_potentials(tau, np.linspace(1e-9, 1.0, 41))[0].min().item()
-        for cand in (-2.0, -8.0, -32.0, pot_floor):
-            xs = np.linspace(cand, 1.0, 64).tolist()
-            got = [attempt(x) for x in xs]
-            vals = np.array([math.nan if g is None else g[0] for g in got])
-            scanned.append((cand, float(np.count_nonzero(~np.isnan(vals)))))
-            # a nan (no invariants) never compares below zero.  A node
-            # where the root function is exactly 0 is the root only when
-            # the circles touch there: far from tangency a1^2 and
-            # r1 hypot(a1, a2) can also cancel to an exact 0.
-            touch = [g is not None and g[0] == 0.0
-                     and abs(g[2].tangency_residual()) < 1e-10 for g in got]
-            hits = np.flatnonzero(np.append(vals[:-1] * vals[1:] < 0, False) | touch)
-            if hits.size:
-                i = hits[0].item()
-                lo, hi = xs[i], xs[i if touch[i] else i + 1]
-                break
-        if lo is None:
+        xs = np.linspace(-2.0, 1.0, 64).tolist()
+        got = [attempt(x) for x in xs]
+        vals = np.array([math.nan if g is None else g[0] for g in got])
+        # a nan (no invariants) never compares below zero.  A node where
+        # the root function is exactly 0 is the root only when the
+        # circles touch there: far from tangency a1^2 and
+        # r1 hypot(a1, a2) can also cancel to an exact 0.
+        touch = [g is not None and g[0] == 0.0
+                 and abs(g[2].tangency_residual()) < 1e-10 for g in got]
+        hits = np.flatnonzero(np.append(vals[:-1] * vals[1:] < 0, False) | touch)
+        if not hits.size:
             raise SolverFailure(
                 f"no sign change of the tangency root function at tau={tau}",
-                diagnostics={"tau": tau, "scan_starts": [s[0] for s in scanned],
-                             "finite_fraction": [s[1] / 64.0 for s in scanned]})
+                diagnostics={"tau": tau, "finite_fraction": (~np.isnan(vals)).mean().item()})
+        i = hits[0].item()
+        lo, hi = xs[i], xs[i if touch[i] else i + 1]
         if lo == hi:
             lam, (_, data, inv) = lo, got[i]
         else:

@@ -45,9 +45,6 @@ _PI2 = math.pi**2
 _CSV_COLUMNS = ("m", "tau", "lambda_acc", "cross_ratio",
                 "a1", "r1", "a2", "r2", "residual")
 
-# Degree cap of the forward series; 16 terms reach the solver's own
-# accuracy on m in [1, 50] and about 5e-11 out to m = 200.
-_DEGREE = 15
 # Points at which the inverse series interpolates the inverted forward
 # series, and the Newton steps that invert it there.
 _INVERSE_POINTS = 24
@@ -66,14 +63,13 @@ class CrMapTable:
 
     With y = (pi/2) sqrt(CR), the map is y(m) = m + g(1/m), where the
     deficit g(s) = (pi/2) sqrt(CR(1/s)) - 1/s is smooth in s = 1/m.
-    One Chebyshev series of degree min(15, nodes - 1) represents g on
-    [0, 1/m_min], so m -> infinity (s = 0) is inside its domain and no
-    node sits there.  On a default build's 16 Chebyshev nodes it
-    interpolates; more nodes are fitted by least squares.  The inverse
-    is a second series k(t) = y - m on t = 1/y in [0, 1/y(m_min)],
-    interpolating at 24 Chebyshev points where Newton's method solves
-    k = g(t / (1 - t k)); a lookup is then m = 1/t - k(t).  Both are
-    pure functions of the nodes.
+    One Chebyshev series of degree nodes - 1 on [0, 1/m_min]
+    interpolates g at every node, so m -> infinity (s = 0) is inside
+    its domain and no node sits there.  The inverse is a second series
+    k(t) = y - m on t = 1/y in [0, 1/y(m_min)], interpolating at 24
+    Chebyshev points where Newton's method solves k = g(t / (1 - t k));
+    a lookup is then m = 1/t - k(t).  Both are pure functions of the
+    nodes.
 
     a_estimate is CR'(1) and curvature_gap is |CR''(1) - (a^2 - a)|,
     the residual of the curvature relation the functional equation
@@ -101,7 +97,7 @@ class CrMapTable:
 
         s = 1.0 / ms
         self._deficit = Chebyshev.fit(s, 0.5 * _PI * np.sqrt(crs) - ms,
-                                      min(_DEGREE, len(ms) - 1),
+                                      len(ms) - 1,
                                       domain=[0.0, s[0]])
         self._deficit_d1 = self._deficit.deriv()
 
@@ -219,28 +215,26 @@ def build_cr_table(m_min: float = 1.0, m_max: float = 50.0, n: int = 16) -> CrMa
     accessory parameter extrapolated in tau from the last three solved
     nodes.  With no node solved yet the seed is 0, the exact value at
     the square (the quarter turn gives lambda(tau) tau^2 =
-    -lambda(1/tau)); a failed node empties that history.  Any node
-    failures are collected and reported together as a build error.
+    -lambda(1/tau)).  Raises ValueError before any solve when m_max is
+    past 1/lame.TAU_MIN (200), the largest modulus the solver takes; a
+    solver failure at a node propagates.
     """
     if not (1.0 <= m_min < m_max):
         raise ValueError("need 1 <= m_min < m_max")
+    if 1.0 / m_max < lame.TAU_MIN:
+        raise ValueError(f"need m_max <= {1.0 / lame.TAU_MIN:g}, "
+                         "the largest modulus the solver takes")
     if n < 16:
         raise ValueError("need at least 16 nodes")
     ms = 1.0 / _chebpts(1.0 / m_max, 1.0 / m_min, n)[::-1]
     ms[[0, -1]] = m_min, m_max
     records: list[dict] = []
     crs = np.empty_like(ms)
-    failures: list[tuple[float, str]] = []
     solved: list[tuple[float, float]] = []
     for i, m in enumerate(ms.tolist()):
         tau = 1.0 / m
         seed = _extrapolate(solved[-3:], tau)
-        try:
-            sol = lame.solve_accessory(tau, bracket=(seed, seed + 1e-6))
-        except (lame.SolverFailure, lame.BracketError, ValueError) as exc:
-            failures.append((m, str(exc)))
-            solved.clear()
-            continue
+        sol = lame.solve_accessory(tau, bracket=(seed, seed + 1e-6))
         solved.append((tau, sol.lambda_acc))
         crs[i] = sol.cross_ratio
         rec = sol.as_record()
@@ -249,9 +243,6 @@ def build_cr_table(m_min: float = 1.0, m_max: float = 50.0, n: int = 16) -> CrMa
             "cross_ratio": rec["cross_ratio"], "a1": rec["a1"], "r1": rec["r1"],
             "a2": rec["a2"], "r2": rec["r2"], "residual": rec["tangency_residual"],
         })
-    if failures:
-        listing = ", ".join(f"m={m:g} ({msg})" for m, msg in failures[:8])
-        raise RuntimeError(f"table build failed at {len(failures)} node(s): {listing}")
     return CrMapTable(ms, crs, records)
 
 

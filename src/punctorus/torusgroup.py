@@ -40,11 +40,14 @@ _TANGENT_TOL = 1e-9
 # beyond these bounds a square or its reciprocal leaves the doubles.
 _SCALE_MAX = 1e150
 # The rectangular pair's determinant qa**2 - 1/r**2 (and qb**2 - r**2)
-# loses about 1/r**2 (r**2) ulps of 1.  Probing doubles near the ends,
-# it first rounds to exactly 0 at r = 2.19e-8 (2**-25.45) and 4.63e7
-# (2**25.46), with failing and working radii interleaved beyond; inside
-# [2**-25, 2**25] every probed radius built the pair.
-_RECT_MIN, _RECT_MAX = 2.0**-25, 2.0**25
+# loses about 1/r**2 (r**2) ulps of 1 and first rounds to 0 near
+# r = 2**-25.45 (2**25.46).  Its commutator's last product has entries
+# near 2r (2/r), so that determinant, a difference of two products near
+# 4 r**2, rounds to 0 sooner: for about 5% of log-uniform radii in
+# [2**24, 2**25], 1 to 4 in 50 001 in [2**23.8, 2**24] and none in
+# 60 000 in each of [2**22, 2**23] and [2**23, 2**23.5] (mirrors below
+# 1 alike).
+_RECT_MIN, _RECT_MAX = 2.0**-23, 2.0**23
 # cosh(ell/2)**2 overflows for lengths ell above about 710.
 _LENGTH_MAX = 700.0
 
@@ -169,12 +172,12 @@ def rectangular_generators(r: float) -> GeneratorPair:
     A fixes +-1 and B fixes +-i; their isometric circles sit on the real
     and imaginary axes and are mutually tangent exactly because the radii
     are reciprocal, which is also what makes the commutator parabolic.
-    Raises ValueError for r outside [2**-25, 2**25], beyond which the
-    rounded entries can be singular.
+    Raises ValueError for r outside [2**-23, 2**23], beyond which the
+    rounded entries of the pair or of its commutator can be singular.
     """
     if not _RECT_MIN <= r <= _RECT_MAX:
-        raise ValueError(f"radius r = {r!r} is outside [2**-25, 2**25], the range "
-                         "where the rectangular pair is representable in doubles")
+        raise ValueError(f"radius r = {r!r} is outside [2**-23, 2**23], the range "
+                         "where the pair and its commutator are nonsingular in doubles")
     s = 1.0 / r
     qa = math.sqrt(1.0 / r**2 + 1.0)
     qb = math.sqrt(1.0 / s**2 + 1.0)

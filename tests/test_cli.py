@@ -225,6 +225,11 @@ class TestSolverCommands:
         assert code == 2
         assert "modulus" in err
 
+    def test_cr_map_table_past_the_solver_range_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, ["cr-map", "--table", "--mmax", "300"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: need m_max <= 200")
+
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         def boom(tau, bracket=None):
             raise lame.SolverFailure("no bracket", {"tau": tau})
@@ -235,6 +240,10 @@ class TestSolverCommands:
         doc = json.loads(err)
         assert doc["error"] == "solver failure"
         assert doc["diagnostics"] == {"tau": 0.8}
+        # a table build lets its first node's failure through
+        code, out, err = run(capsys, ["cr-map", "--table"])
+        assert code == 3 and out == ""
+        assert json.loads(err)["diagnostics"] == {"tau": 1.0}
 
 
 class TestTeichAndQuasimobius:

@@ -356,8 +356,8 @@ class TestAccessorySolve:
 
     def test_cold_scan_takes_an_exact_zero_at_the_square(self):
         # at tau = 1 the legs are mirror images, so the root function is
-        # exactly 0 at lambda = 0, a node of the first scan grid; missing
-        # it ran all four sweeps, 260 integrations
+        # exactly 0 at lambda = 0, a node of the scan grid; missing it
+        # would end the scan without a sign change
         sol = solve_accessory(1.0)
         assert sol.diagnostics["lambda_trials"] <= 69
         assert abs(sol.diagnostics["tangency_residual"]) < 1e-10
@@ -373,6 +373,25 @@ class TestAccessorySolve:
         except SolverFailure:
             return
         assert abs(sol.diagnostics["tangency_residual"]) < 1e-10
+
+    def test_unbracketed_tau_fails_after_one_scan(self, monkeypatch):
+        # from about tau = 5.4 up no pair of neighbouring nodes of the
+        # 64-point scan over [-2, 1] shows a sign change, and the solve
+        # gives up after those 64 integrations
+        tried = []
+        integrate = lame._integrate_with
+
+        def record(legs, tau_, lam_):
+            tried.append(lam_)
+            return integrate(legs, tau_, lam_)
+
+        monkeypatch.setattr(lame, "_integrate_with", record)
+        with pytest.raises(SolverFailure) as err:
+            solve_accessory(6.0)
+        assert tried == np.linspace(-2.0, 1.0, 64).tolist()
+        assert set(err.value.diagnostics) == {"tau", "finite_fraction"}
+        assert err.value.diagnostics["tau"] == 6.0
+        assert type(err.value.diagnostics["finite_fraction"]) is float
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
     def test_cold_solves_reuse_their_scratch(self, fresh_python):

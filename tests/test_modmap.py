@@ -54,6 +54,30 @@ class TestTableConstruction:
         with pytest.raises(ValueError):
             build_cr_table(1.0, 10.0, n=8)
 
+    def test_m_max_past_the_solver_range_fails_before_any_solve(self, monkeypatch):
+        taus = []
+
+        def solve(tau, bracket=None):
+            taus.append(tau)
+            raise lame.SolverFailure("stub", {"tau": tau})
+
+        monkeypatch.setattr(lame, "solve_accessory", solve)
+        for m_max in (300.0, 200.5, math.inf):
+            with pytest.raises(ValueError, match="m_max <= 200"):
+                build_cr_table(1.0, m_max)
+        assert taus == []
+        # 1/200 is TAU_MIN itself; a node's failure propagates as it is
+        with pytest.raises(lame.SolverFailure):
+            build_cr_table(1.0, 200.0)
+        assert taus == [1.0]
+
+    def test_every_node_is_interpolated(self):
+        # the forward series has degree n - 1, so it passes through all
+        # n nodes up to rounding
+        table = build_cr_table(n=24)
+        got = cr_of_modulus(table.ms, table)
+        assert np.max(np.abs(got / table.crs - 1.0)) <= 1e-13
+
     def test_default_table_built_once_under_threads(self, monkeypatch,
                                                     concurrent_first_calls):
         calls = []

@@ -15,6 +15,7 @@ from punctorus.closedform import (
     quad_cr_cdf,
     sample_length_values,
 )
+from punctorus import torusgroup
 from punctorus.hypgeom import MoebiusMap, cross_ratio
 from punctorus.torusgroup import (
     angle_relation,
@@ -76,14 +77,30 @@ class TestRectangularPair:
     @pytest.mark.parametrize("r", [1e-8, 1e8])
     def test_extreme_radii_name_the_representable_range(self, r):
         # 1/r**2 + 1 (r**2 + 1) rounds so that the determinant is 0
-        with pytest.raises(ValueError, match=re.escape("outside [2**-25, 2**25]")):
+        with pytest.raises(ValueError, match=re.escape("outside [2**-23, 2**23]")):
             rectangular_generators(r)
 
-    @pytest.mark.parametrize("r", [3e-8, 1e7])
+    @pytest.mark.parametrize("r", [2.0**-23, 2.0**23])
     def test_large_and_small_radii_still_build(self, r):
         pair = rectangular_generators(r)
         for m in (pair.A, pair.B):
             assert abs(complex(m.det()) - 1.0) <= 1e-15
+        assert complex(tr(commutator(pair.A, pair.B))) == pytest.approx(-2.0, abs=1e-12)
+        tangency_vertices(pair)
+
+    def test_radii_near_the_ends_give_commutator_and_vertices(self):
+        # the commutator's last product has entries near 2r (2/r), so its
+        # determinant rounds to 0 long before the pair's own: for about
+        # 5% of radii in [2**24, 2**25].  Every accepted radius must
+        # give the commutator and the tangency vertices (the trace itself
+        # rounds like max(r**2, r**-2) eps, up to 0.03 here).
+        top = math.log2(torusgroup._RECT_MAX)
+        assert torusgroup._RECT_MIN == 1.0 / torusgroup._RECT_MAX
+        for e in np.random.default_rng(3).uniform(top - 1.0, top, 2000):
+            for r in (2.0**e, 2.0**-e):
+                pair = rectangular_generators(r)
+                assert cmath.isfinite(tr(commutator(pair.A, pair.B)))
+                assert all(cmath.isfinite(v) for v in tangency_vertices(pair))
 
     def test_isometric_circle_rejects_affine(self):
         with pytest.raises(ValueError):
