@@ -158,10 +158,21 @@ def _cmd_verify(args) -> int:
     return 0 if nominal else 1
 
 
+def _digits(text: str) -> int:
+    """A --precision value: a count of significant digits, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need a whole number of digits, 0 or more; got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--precision", type=int, default=17,
+    p.add_argument("--precision", type=_digits, default=17,
                    help="significant digits for emitted floats")
 
 

@@ -66,7 +66,13 @@ _BLOCK = 1 << 15
 
 
 def _blockwise(fn, x: np.ndarray) -> np.ndarray:
-    """fn applied elementwise to x, one block of points at a time."""
+    """fn applied elementwise to x, one block of points at a time.
+
+    Up to one block, x goes to fn as it is, so a call nested inside
+    another walk's block copies nothing.
+    """
+    if len(x) <= _BLOCK:
+        return fn(x)
     out = np.empty_like(x)
     for i in range(0, len(x), _BLOCK):
         out[i:i + _BLOCK] = fn(x[i:i + _BLOCK])
@@ -266,6 +272,10 @@ def crossratio_cdf(r):
     test suite.  Accepts scalars or arrays; nan maps to nan.
     """
     r, scalar = _prep(r)
+    return _ret(_blockwise(_crossratio_cdf, r), scalar)
+
+
+def _crossratio_cdf(r):
     out = np.full_like(r, np.nan)  # nan in, nan out
     with np.errstate(invalid="ignore", divide="ignore"):
         # For r <= -1 the inversion Li2(r) = -pi^2/6 - log^2(-r)/2 - Li2(1/r)
@@ -285,7 +295,7 @@ def crossratio_cdf(r):
         if hi.any():
             out[hi] = 1.0 - _quad_sf(r[hi]) / 6.0
     out[np.isneginf(r)] = 0.0
-    return _ret(out, scalar)
+    return out
 
 
 def _quad_law_expression(r):
@@ -324,9 +334,13 @@ def quad_cr_pdf(r):
 def quad_cr_cdf(r):
     """Cumulative distribution of the canonical quadrilateral law, 0 below 2."""
     r, scalar = _prep(r)
+    return _ret(_blockwise(_quad_cr_cdf, r), scalar)
+
+
+def _quad_cr_cdf(r):
     # 1 - S = (6/pi^2)(Li2(1 - 1/r) - Li2(1/r)) by the reflection identity:
     # exactly 0 at r = 2, exactly 1 at inf
-    return _ret(_li2_gap(1.0 - 1.0 / np.maximum(r, 2.0)) / (_PI2 / 6.0), scalar)
+    return _li2_gap(1.0 - 1.0 / np.maximum(r, 2.0)) / (_PI2 / 6.0)
 
 
 def quad_cr_median() -> float:

@@ -8,8 +8,11 @@ variables, each written once elsewhere: the substitution orbit in
 hypgeom, the perpendicular length in closedform, the modulus laws
 through modmap's inverse of the modulus map.  Each sample is then
 summarized from one sorted copy: its KS distance against the closed
-form CDF, its histogram, its median and its clipped fraction all read
-that copy, each equal bit for bit to its plain numpy definition.
+form CDF, its histogram, its median, its clipped fraction and the star
+law's quartiles all read that copy, each equal bit for bit to its plain
+numpy definition; the CDF and the KS gaps are taken one block at a
+time, so the sample and its sorted copy are the only arrays of its
+size.
 Randomness is counter-based: the sample index alone determines the
 stream position, and chunks run in index order on the calling thread,
 so the worker count never changes the output.  A summary hands its
@@ -183,32 +186,73 @@ def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
     return np.log(m)  # teich
 
 
+def _ks_distance(xs: np.ndarray, cdf) -> float:
+    """Kolmogorov-Smirnov distance of sorted xs from ``cdf``, block by block.
+
+    Over each block of the ``cf._blockwise`` walk it takes the CDF and
+    both gaps, (i+1)/n - F and F - i/n, by the same IEEE operations as
+    over whole arange grids, so the result is bit-identical to the
+    whole-array maximum.  The block maxima are reduced by ``np.max``,
+    which, like ``ndarray.max`` and unlike Python's ``max``, returns
+    nan when any gap is nan: nan sorts last, so it shows only in the
+    last block.
+    """
+    n = len(xs)
+    tops = []
+    for i in range(0, n, cf._BLOCK):
+        f = cdf(xs[i:i + cf._BLOCK])
+        grid = np.arange(i + 1, i + 1 + len(f), dtype=float)
+        grid /= n
+        grid -= f
+        tops.append(grid.max())
+        grid = np.arange(i, i + len(f), dtype=float)
+        grid /= n
+        np.subtract(f, grid, out=grid)
+        tops.append(grid.max())
+    return np.max(tops).item()
+
+
+def _sorted_quantile(xs: np.ndarray, q: float) -> float:
+    """``np.quantile(xs, q)`` of sorted xs, without its partition copy.
+
+    numpy's 'linear' arithmetic op for op: the virtual index (n - 1) q,
+    its floor j and gamma = index - j, where the top index reads the last
+    value at j = -1; then ``_lerp``, a + (b - a) gamma, or
+    b - (b - a)(1 - gamma) once gamma >= 0.5.  Python floats round as
+    the ufuncs do.  A nan, which sorts last, makes the quantile nan.
+    Where -0.0 and 0.0 tie, the sign read is the sorted copy's, while
+    np.quantile's partition may pick either.
+    """
+    n = len(xs)
+    last = xs[-1].item()
+    if math.isnan(last):
+        return last
+    v = (n - 1) * q
+    j = math.floor(v) if v < n - 1 else -1
+    a, b = (xs[j].item(), xs[j + 1].item()) if j >= 0 else (last, last)
+    t = v - j
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+
+
 def _summary(values: np.ndarray, law: str, table: modmap.CrMapTable | None
              ) -> tuple[float, np.ndarray, np.ndarray, dict]:
     """KS distance, histogram counts and edges, and stats of one sample.
 
     Every order statistic comes from one sorted copy xs, and each number
     equals its plain numpy definition bit for bit: the KS gaps against
-    two arange grids over n, ``np.histogram`` of the sample clipped to
-    the law's range (bin i is [e_i, e_i+1), the last bin closed, nan
-    dropped), ``np.median``, ``np.quantile`` and the mean of the clip
+    two arange grids over n, taken block by block (``_ks_distance``),
+    ``np.histogram`` of the sample clipped to the law's range (bin i is
+    [e_i, e_i+1), the last bin closed, nan dropped), ``np.median``,
+    ``np.quantile`` (``_sorted_quantile``) and the mean of the clip
     mask.  The mean and sd read the unsorted values, whose summation
-    order they depend on, after xs and the KS scratch are freed.
+    order they depend on, after xs is freed, so the sd's sample-sized
+    temporary never meets it.
     """
     n = len(values)
     xs = np.sort(values)
     curve = CURVES[law][1]
-    f = cf._blockwise((lambda x: curve(x, table)) if law in _MAP_LAWS else curve, xs)
-    grid = np.arange(1, n + 1, dtype=float)
-    grid /= n
-    grid -= f
-    upper = grid.max()
-    del grid
-    grid = np.arange(0, n, dtype=float)
-    grid /= n
-    np.subtract(f, grid, out=f)
-    ks = max(upper, f.max()).item()
-    del grid, f
+    ks = _ks_distance(xs, (lambda x: curve(x, table)) if law in _MAP_LAWS else curve)
 
     lo, hi = _HIST_RANGE[law]
     edges = np.linspace(lo, hi, _BINS + 1)
@@ -222,8 +266,7 @@ def _summary(values: np.ndarray, law: str, table: modmap.CrMapTable | None
     median = xs[-1] if non_nan < n else np.mean(xs[(n - 1) // 2:n // 2 + 1])
     out: dict = {"median": float(median), "clipped_fraction": clipped.item() / n}
     if law == "star":
-        q1, q3 = np.quantile(xs, [0.25, 0.75])
-        out["iqr"] = float(q3 - q1)
+        out["iqr"] = _sorted_quantile(xs, 0.75) - _sorted_quantile(xs, 0.25)
     del xs
     if law in ("length", "teich", "modulus"):
         out["mean"] = float(values.mean())
@@ -239,17 +282,18 @@ def run_law(cfg: McConfig, table: modmap.CrMapTable | None = None) -> EmpiricalS
     space and are drawn in index order on the calling thread, so the
     output is a function of (seed, n) only; ``cfg.workers`` is accepted
     and changes nothing.  The modulus-map laws read ``table``, or the
-    default table when it is None.  The summary reads one sorted copy
-    of the sample (see ``_summary``), so run_law's peak memory is four
-    arrays of the sample's size.
+    default table when it is None.  Each chunk is written into one
+    preallocated sample, and the summary reads one sorted copy of it
+    (see ``_summary``), so run_law's peak memory is two arrays of the
+    sample's size plus block-sized scratch.
     """
     n = cfg.n_samples
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
     if cfg.law in _MAP_LAWS and table is None:
         table = modmap.default_table()
-    values = np.concatenate([
-        _sample_chunk(cfg.law, cfg.seed, c, min(_CHUNK, n - c * _CHUNK), table)
-        for c in range(n_chunks)])
+    values = np.empty(n)
+    for c, start in enumerate(range(0, n, _CHUNK)):
+        values[start:start + _CHUNK] = _sample_chunk(
+            cfg.law, cfg.seed, c, min(_CHUNK, n - start), table)
 
     ks, counts, edges, stats = _summary(values, cfg.law, table)
     return EmpiricalSummary(

@@ -158,8 +158,9 @@ class CrMapTable:
         # e^d rounds to 1 just below d = 0
         return np.where((d < 0.0) | np.isposinf(e), 0.0, out)
 
-    def _modulus(self, y: np.ndarray) -> np.ndarray:
-        """The modulus with (pi/2) sqrt(CR) = y, for y at least the square's."""
+    def _modulus(self, Q: np.ndarray) -> np.ndarray:
+        """The modulus of cross ratio Q >= 2, through y = (pi/2) sqrt(Q)."""
+        y = 0.5 * _PI * np.sqrt(Q)
         return np.maximum(y - _clenshaw(self._excess, 1.0 / y), self.ms[0])
 
     def rows(self) -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
@@ -291,7 +292,7 @@ def modulus_of_cr(Q, table: CrMapTable | None = None):
     Q, scalar = _prep(Q)
     if (Q < 2.0).any():
         raise ValueError("cross ratio must be at least 2")
-    return _ret(_blockwise(t._modulus, 0.5 * _PI * np.sqrt(Q)), scalar)
+    return _ret(_blockwise(t._modulus, Q), scalar)
 
 
 def asymptotic_bounds(Q):

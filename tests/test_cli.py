@@ -318,6 +318,20 @@ class TestParserSurface:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["pdf", "--law", "star", "--at", "3", "--precision", "-1"],
+        ["pdf", "--law", "star", "--at", "3", "--precision", "-1", "--format", "json"],
+        ["sample", "--law", "star", "--n", "10", "--precision", "-2"],
+        ["cdf", "--law", "star", "--at", "3", "--precision", "six"],
+    ])
+    def test_precision_must_count_digits(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --precision: need a whole number of digits" in captured.err
+
     @pytest.mark.parametrize("sub", ["pdf", "sample", "teich", "verify"])
     def test_help_names_the_units(self, capsys, sub):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,20 @@ class TestInverseMap:
         assert modulus_of_cr(2.0, cr_table) == pytest.approx(1.0, abs=1e-9)
         with pytest.raises(ValueError):
             modulus_of_cr(1.99, cr_table)
+
+    def test_peak_memory(self, cr_table):
+        # one output array plus one 2^15 block of scratch: 1.22 arrays
+        # measured (2.19 while (pi/2) sqrt(Q) was taken over the whole array)
+        n = 1 << 20
+        q = 2.0 + np.random.default_rng(0).exponential(5.0, n)
+        modulus_of_cr(q[:100], cr_table)
+        tracemalloc.start()
+        try:
+            modulus_of_cr(q, cr_table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n
 
     def test_bounds_interface(self):
         lo, up = asymptotic_bounds(9.0)
