@@ -29,7 +29,7 @@ _UNITS_EPILOG = (
     "is d = log m, the logarithm of the extremal dilatation."
 )
 
-_TABLE_NODES = inspect.signature(modmap.build_cr_table).parameters["n"].default
+_TABLE_DEFAULTS = inspect.signature(modmap.build_cr_table).parameters
 
 
 def _write(out: str | None, text: str) -> None:
@@ -94,34 +94,23 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-_RECORD_COLS = ("tau", "lambda", "a1", "r1", "a2", "r2", "cross_ratio",
-                "modulus", "tangency_residual", "wronskian_drift")
-
-
-def _emit_record(args, rec: dict) -> None:
-    _emit_rows(args, _RECORD_COLS, [tuple(rec[c] for c in _RECORD_COLS)])
+def _emit_solve(args, tau: float) -> int:
+    rec = lame.solve_accessory(tau).as_record()
+    _emit_rows(args, tuple(rec), [tuple(rec.values())])
+    return 0
 
 
 def _cmd_cr_map(args) -> int:
     if args.table:
-        table = modmap.build_cr_table(args.mmin, args.mmax, args.points)
-        _emit_rows(args, *table.rows())
+        _emit_rows(args, *modmap.build_cr_table(m_max=args.mmax, n=args.points).rows())
         return 0
-    if args.modulus is None:
-        raise ValueError("cr-map needs --modulus or --table")
     if args.modulus <= 0:
         raise ValueError("modulus must be positive")
-    # the canonical branch (CR >= 2) lives at tau = 1/m for m >= 1
-    tau = 1.0 / args.modulus if args.modulus >= 1.0 else args.modulus
-    sol = lame.solve_accessory(tau)
-    _emit_record(args, sol.as_record())
-    return 0
+    return _emit_solve(args, 1.0 / args.modulus)
 
 
 def _cmd_accessory(args) -> int:
-    sol = lame.solve_accessory(args.tau)
-    _emit_record(args, sol.as_record())
-    return 0
+    return _emit_solve(args, args.tau)
 
 
 def _cmd_teich(args) -> int:
@@ -220,11 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cr-map",
                        help="cross ratio of a modulus, or the whole table",
                        epilog=_UNITS_EPILOG)
-    p.add_argument("--modulus", type=float, help="solve one modulus directly")
-    p.add_argument("--table", action="store_true", help="emit a node table")
-    p.add_argument("--mmin", type=float, default=1.0)
-    p.add_argument("--mmax", type=float, default=50.0)
-    p.add_argument("--points", type=int, default=_TABLE_NODES)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--modulus", type=float,
+                      help="solve one modulus m directly, at tau = 1/m")
+    mode.add_argument("--table", action="store_true",
+                      help="emit the node table, m from 1 to --mmax")
+    p.add_argument("--mmax", type=float, default=_TABLE_DEFAULTS["m_max"].default)
+    p.add_argument("--points", type=int, default=_TABLE_DEFAULTS["n"].default)
     _add_common(p)
     p.set_defaults(fn=_cmd_cr_map)
 

@@ -1,7 +1,8 @@
 """Monte Carlo validation of every closed-form law in the package.
 
 ``CURVES`` holds each law's density and CDF, the one copy that the
-command line and the Kolmogorov-Smirnov scoring here both read.
+command line and the Kolmogorov-Smirnov scoring here both read; the
+modulus and Teichmueller pairs are modmap's, which owns their domain.
 Samplers draw i.i.d. uniform points on the circle, or push the
 quadrilateral law's inverse-CDF draws through the relevant change of
 variables, each written once elsewhere: the substitution orbit in
@@ -66,20 +67,6 @@ _HIST_RANGE = {
 }
 
 
-def _modulus_cdf(m, table=None):
-    """F_Q(CR(m)) from the square torus up, 0 below it."""
-    m, scalar = cf._prep(m)
-    out = cf.quad_cr_cdf(modmap.cr_of_modulus(np.maximum(m, 1.0), table))
-    return cf._ret(np.where(m < 1.0, 0.0, out), scalar)
-
-
-def _teich_cdf(d, table=None):
-    d, scalar = cf._prep(d)
-    with np.errstate(over="ignore"):
-        e = np.exp(d)
-    return cf._ret(np.where(d < 0.0, 0.0, _modulus_cdf(e, table)), scalar)
-
-
 # Density and CDF of every law, keyed by law name.  Each takes an array;
 # the modulus-map laws also take an optional table.  The keys are the
 # sampled LAWS plus length_dual, the full-line length law.
@@ -89,8 +76,8 @@ CURVES = {
     "length": (cf.length_pdf, cf.length_branch_cdf),
     "length_dual": (cf.length_pdf_dual, cf.length_cdf),
     "star": (cf.star_pdf, cf.star_cdf),
-    "modulus": (modmap.modulus_pdf, _modulus_cdf),
-    "teich": (modmap.teich_pdf, _teich_cdf),
+    "modulus": (modmap.modulus_pdf, modmap.modulus_cdf),
+    "teich": (modmap.teich_pdf, modmap.teich_cdf),
 }
 
 

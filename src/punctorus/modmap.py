@@ -4,9 +4,10 @@ Tangency solves at Chebyshev points in s = 1/m back one Chebyshev
 series for the increasing map m -> CR(m) from [1, inf) onto [2, inf),
 and a second series for its inverse.  From them come the derivative
 at 1, the functional-equation extension below m = 1, the modulus and
-log-modulus probability densities, their summary statistics, and the
+log-modulus densities and CDFs, their summary statistics, and the
 quasi-Moebius comparison constant.  Both series reach s = 0, so one
-smooth map serves every modulus, beyond the last node included.
+smooth map serves every modulus, beyond the last node included.  Only
+this module knows that the map starts at the square, m = 1/tau = 1.
 Both series are evaluated by closedform's one series evaluator,
 ``_clenshaw``; the Chebyshev objects only hold their coefficients.
 """
@@ -22,8 +23,9 @@ from numpy.polynomial.chebyshev import chebpts2
 
 from . import lame
 from .tabular import csv_text
-from .closedform import (_blockwise, _clenshaw, _prep, _quad_law_expression,
-                         _quad_law_rule, _ret, quad_cr_median)
+from .closedform import (_blockwise, _clenshaw, _prep, _quad_cr_cdf,
+                         _quad_law_expression, _quad_law_rule, _ret,
+                         quad_cr_median)
 
 __all__ = [
     "CrMapTable",
@@ -35,6 +37,8 @@ __all__ = [
     "asymptotic_bounds",
     "modulus_pdf",
     "teich_pdf",
+    "modulus_cdf",
+    "teich_cdf",
     "summary_stats",
     "quasimobius_K",
 ]
@@ -63,10 +67,11 @@ class CrMapTable:
 
     With y = (pi/2) sqrt(CR), the map is y(m) = m + g(1/m), where the
     deficit g(s) = (pi/2) sqrt(CR(1/s)) - 1/s is smooth in s = 1/m.
-    One Chebyshev series of degree nodes - 1 on [0, 1/m_min]
-    interpolates g at every node, so m -> infinity (s = 0) is inside
-    its domain and no node sits there.  The inverse is a second series
-    k(t) = y - m on t = 1/y in [0, 1/y(m_min)], interpolating at 24
+    The first node must be the square torus, m = 1 (else ValueError),
+    and one Chebyshev series of degree nodes - 1 on s in [0, 1]
+    interpolates g at every node, so m -> infinity (s = 0) is inside its
+    domain and no node sits there.  The inverse is a second series
+    k(t) = y - m on t = 1/y in [0, 1/y(1)], interpolating at 24
     Chebyshev points where Newton's method solves k = g(t / (1 - t k));
     a lookup is then m = 1/t - k(t).  Both are pure functions of the
     nodes.
@@ -74,9 +79,8 @@ class CrMapTable:
     a_estimate is CR'(1) and curvature_gap is |CR''(1) - (a^2 - a)|,
     the residual of the curvature relation the functional equation
     forces at the square, both from the forward series at the first
-    node (modulus 1 in every built table).  c_hat is the deficit at the
-    last node.  Instances are immutable in practice and safe to share
-    across threads.
+    node, m = 1.  c_hat is the deficit at the last node.  Instances are
+    immutable in practice and safe to share across threads.
     """
 
     def __init__(self, ms: np.ndarray, crs: np.ndarray, records: list[dict]):
@@ -86,8 +90,9 @@ class CrMapTable:
             raise ValueError("need matching 1-d node arrays with at least 8 nodes")
         if not np.all(np.diff(ms) > 0) or not np.all(np.diff(crs) > 0):
             raise ValueError("table nodes must be strictly increasing")
-        if ms[0] <= 0 or crs[0] <= 0:
-            raise ValueError("table nodes must be positive")
+        if ms[0] != 1.0 or crs[0] <= 0:
+            raise ValueError("the first node must be the square torus, m = 1, "
+                             f"with a positive cross ratio; got ({ms[0]!r}, {crs[0]!r})")
         self.ms = ms
         self.crs = crs
         self.records = records
@@ -95,17 +100,13 @@ class CrMapTable:
         self.cr_max = crs[-1].item()
         self.c_hat = 0.5 * _PI * math.sqrt(self.cr_max) - self.m_max
 
-        s = 1.0 / ms
-        self._deficit = Chebyshev.fit(s, 0.5 * _PI * np.sqrt(crs) - ms,
-                                      len(ms) - 1,
-                                      domain=[0.0, s[0]])
+        self._deficit = Chebyshev.fit(1.0 / ms, 0.5 * _PI * np.sqrt(crs) - ms,
+                                      len(ms) - 1, domain=[0.0, 1.0])
         self._deficit_d1 = self._deficit.deriv()
 
-        m0 = ms[0].item()
-        s0 = 1.0 / m0
-        y0, dy0 = self._y(m0).item(), self._dy(m0).item()
-        d2y0 = (s0**4 * _clenshaw(self._deficit.deriv(2), s0)
-                + 2.0 * s0**3 * _clenshaw(self._deficit_d1, s0))
+        # y'' = s^4 g''(s) + 2 s^3 g'(s), at s = 1
+        y0, dy0 = self._y(1.0).item(), self._dy(1.0).item()
+        d2y0 = _clenshaw(self._deficit.deriv(2), 1.0) + 2.0 * _clenshaw(self._deficit_d1, 1.0)
         a = 8.0 * y0 * dy0 / _PI2
         self.a_estimate = a
         self.curvature_gap = float(abs(8.0 * (dy0**2 + y0 * d2y0) / _PI2 - (a * a - a)))
@@ -158,10 +159,20 @@ class CrMapTable:
         # e^d rounds to 1 just below d = 0
         return np.where((d < 0.0) | np.isposinf(e), 0.0, out)
 
+    def _cdf(self, m: np.ndarray) -> np.ndarray:
+        """The modulus CDF F_Q(CR(m)), 0 below 1."""
+        return np.where(m < 1.0, 0.0, _quad_cr_cdf(self._cr(np.maximum(m, 1.0))))
+
+    def _teich_cdf(self, d: np.ndarray) -> np.ndarray:
+        """The modulus CDF at e^d, 0 below 0 (where e^d can round to 1)."""
+        with np.errstate(over="ignore"):
+            e = np.exp(d)
+        return np.where(d < 0.0, 0.0, self._cdf(e))
+
     def _modulus(self, Q: np.ndarray) -> np.ndarray:
-        """The modulus of cross ratio Q >= 2, through y = (pi/2) sqrt(Q)."""
+        """The modulus of cross ratio Q >= 2, through y = (pi/2) sqrt(Q), at least 1."""
         y = 0.5 * _PI * np.sqrt(Q)
-        return np.maximum(y - _clenshaw(self._excess, 1.0 / y), self.ms[0])
+        return np.maximum(y - _clenshaw(self._excess, 1.0 / y), 1.0)
 
     def rows(self) -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
         """Column names and the per-node solve records by increasing m."""
@@ -207,28 +218,28 @@ def _extrapolate(points: list[tuple[float, float]], x: float) -> float:
     return total
 
 
-def build_cr_table(m_min: float = 1.0, m_max: float = 50.0, n: int = 16) -> CrMapTable:
+def build_cr_table(*, m_max: float = 50.0, n: int = 16) -> CrMapTable:
     """Solve the tangency problem over a modulus grid and tabulate.
 
     The n nodes are Chebyshev points of the second kind in s = 1/m on
-    [1/m_max, 1/m_min], so both ends are nodes; they are the only
-    solves.  Solves run in increasing modulus, each seeded with the
-    accessory parameter extrapolated in tau from the last three solved
-    nodes.  With no node solved yet the seed is 0, the exact value at
-    the square (the quarter turn gives lambda(tau) tau^2 =
-    -lambda(1/tau)).  Raises ValueError before any solve when m_max is
-    past 1/lame.TAU_MIN (200), the largest modulus the solver takes; a
-    solver failure at a node propagates.
+    [1/m_max, 1], so the square torus (m = 1) and m_max are nodes; they
+    are the only solves.  Solves run in increasing modulus, each seeded
+    with the accessory parameter extrapolated in tau from the last three
+    solved nodes.  With no node solved yet the seed is 0, the exact
+    value at the square (the quarter turn gives lambda(tau) tau^2 =
+    -lambda(1/tau)).  Raises ValueError before any solve unless
+    1 < m_max <= 1/lame.TAU_MIN (200), the largest modulus the solver
+    takes; a solver failure at a node propagates.
     """
-    if not (1.0 <= m_min < m_max):
-        raise ValueError("need 1 <= m_min < m_max")
+    if not m_max > 1.0:
+        raise ValueError("need m_max > 1")
     if 1.0 / m_max < lame.TAU_MIN:
         raise ValueError(f"need m_max <= {1.0 / lame.TAU_MIN:g}, "
                          "the largest modulus the solver takes")
     if n < 16:
         raise ValueError("need at least 16 nodes")
-    ms = 1.0 / _chebpts(1.0 / m_max, 1.0 / m_min, n)[::-1]
-    ms[[0, -1]] = m_min, m_max
+    ms = 1.0 / _chebpts(1.0 / m_max, 1.0, n)[::-1]
+    ms[[0, -1]] = 1.0, m_max
     records: list[dict] = []
     crs = np.empty_like(ms)
     solved: list[tuple[float, float]] = []
@@ -267,6 +278,14 @@ def set_default_table(table: CrMapTable) -> None:
         _default = table
 
 
+def _lookup(method: str, x, table: CrMapTable | None, invalid=None, message=""):
+    """The table's ``method`` (the default table's if None) over x, by blocks;
+    first ValueError(message) if ``invalid`` holds anywhere on the float array."""
+    t = table if table is not None else default_table()
+    x, scalar = _prep(x)
+    if invalid is not None and invalid(x).any():
+        raise ValueError(message)
+    return _ret(_blockwise(getattr(t, method), x), scalar)
 
 
 def cr_of_modulus(m, table: CrMapTable | None = None):
@@ -275,11 +294,7 @@ def cr_of_modulus(m, table: CrMapTable | None = None):
     Below 1 the functional equation CR(1/m) = CR(m)/(CR(m) - 1) takes
     over.  Scalars or arrays.
     """
-    t = table if table is not None else default_table()
-    m, scalar = _prep(m)
-    if (m <= 0).any():
-        raise ValueError("modulus must be positive")
-    return _ret(_blockwise(t._cr, m), scalar)
+    return _lookup("_cr", m, table, lambda m: m <= 0, "modulus must be positive")
 
 
 def modulus_of_cr(Q, table: CrMapTable | None = None):
@@ -288,11 +303,7 @@ def modulus_of_cr(Q, table: CrMapTable | None = None):
     One pass of the table's inverse series, which covers every cross
     ratio from the first node's up to infinity.
     """
-    t = table if table is not None else default_table()
-    Q, scalar = _prep(Q)
-    if (Q < 2.0).any():
-        raise ValueError("cross ratio must be at least 2")
-    return _ret(_blockwise(t._modulus, Q), scalar)
+    return _lookup("_modulus", Q, table, lambda Q: Q < 2.0, "cross ratio must be at least 2")
 
 
 def asymptotic_bounds(Q):
@@ -319,16 +330,22 @@ def modulus_pdf(m, table: CrMapTable | None = None):
     CR is clamped to the law's support edge at 2, where rounding can
     undershoot.
     """
-    t = table if table is not None else default_table()
-    m, scalar = _prep(m)
-    return _ret(_blockwise(t._pdf, m), scalar)
+    return _lookup("_pdf", m, table)
 
 
 def teich_pdf(d, table: CrMapTable | None = None):
     """Density of the log of the modulus (the distance to the square), 0 below 0."""
-    t = table if table is not None else default_table()
-    d, scalar = _prep(d)
-    return _ret(_blockwise(t._teich_pdf, d), scalar)
+    return _lookup("_teich_pdf", d, table)
+
+
+def modulus_cdf(m, table: CrMapTable | None = None):
+    """CDF of the modulus: the quadrilateral law's CDF at CR(m), 0 below m = 1."""
+    return _lookup("_cdf", m, table)
+
+
+def teich_cdf(d, table: CrMapTable | None = None):
+    """CDF of the log of the modulus, the modulus CDF at e^d, 0 below 0."""
+    return _lookup("_teich_cdf", d, table)
 
 
 def summary_stats(table: CrMapTable | None = None) -> tuple[float, float, float]:
@@ -352,10 +369,11 @@ def quasimobius_K(Q_src: float, Q_dst: float, table: CrMapTable | None = None) -
 
     The larger of the two modulus ratios; 1 exactly when the arguments
     coincide, symmetric, and growing like the square-root asymptote of
-    the inverse map.
+    the inverse map.  Raises ValueError unless both are finite and at
+    least 2.
     """
-    if Q_src < 2.0 or Q_dst < 2.0:
-        raise ValueError("cross ratios must be at least 2")
+    if not all(2.0 <= q < math.inf for q in (Q_src, Q_dst)):
+        raise ValueError("cross ratios must be finite and at least 2")
     a = modulus_of_cr(Q_src, table)
     b = modulus_of_cr(Q_dst, table)
     return max(a / b, b / a)

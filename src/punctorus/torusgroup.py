@@ -136,7 +136,10 @@ def commutator(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
 
     The raw product, not a resigned one: flipping the sign of either
     generator leaves it unchanged, so its trace is an honest invariant
-    of the group element (and equals -2 in the parabolic cases).
+    of the group element (and equals -2 in the parabolic cases).  For
+    the rectangular pair of radius r the computed trace is within
+    64 max(r^2, 1/r^2) eps of -2 over the whole accepted range of r
+    (the worst seen, 45.8, near r = 1.02; about 12 near the ends).
     """
     f, g = f.normalized(), g.normalized()
     return compose(compose(f, g), compose(_adjugate(f), _adjugate(g)))

@@ -180,11 +180,29 @@ class TestSolverCommands:
         code, out, _ = run(capsys, ["cr-map", "--modulus", "1"])
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == list(cli._RECORD_COLS)
+        assert rows[0] == ["tau", "lambda", "a1", "r1", "a2", "r2", "cross_ratio",
+                           "modulus", "tangency_residual", "wronskian_drift"]
         rec = dict(zip(rows[0], map(float, rows[1])))
         assert rec["cross_ratio"] == pytest.approx(2.0, abs=1e-6)
         assert rec["tau"] == 1.0
         assert rec["modulus"] == 1.0
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 3.0])
+    def test_cr_map_modulus_is_the_solve_at_its_reciprocal(self, capsys, cr_table, m):
+        # m = 1/tau on both sides of the square; below 1 the solve is
+        # the torus of modulus m itself, not of 1/m
+        code, out, _ = run(capsys, ["cr-map", "--modulus", repr(m)])
+        assert code == 0
+        assert run(capsys, ["accessory", "--tau", repr(1.0 / m)]) == (0, out, "")
+        rec = dict(zip(*csv.reader(io.StringIO(out))))
+        assert float(rec["modulus"]) == m
+        assert float(rec["cross_ratio"]) == pytest.approx(
+            modmap.cr_of_modulus(m, cr_table), rel=1e-9)
+
+    def test_cr_map_modulus_past_the_solver_range_is_a_solver_failure(self, capsys):
+        code, out, err = run(capsys, ["cr-map", "--modulus", "0.1"])
+        assert code == 3 and out == ""
+        assert json.loads(err)["diagnostics"]["tau"] == 10.0
 
     def test_accessory_json(self, capsys):
         code, out, _ = run(capsys, ["accessory", "--tau", "0.8",
@@ -197,8 +215,8 @@ class TestSolverCommands:
     def stub_build(self, monkeypatch, cr_table):
         calls = []
 
-        def build(m_min, m_max, n):
-            calls.append((m_min, m_max, n))
+        def build(*, m_max, n):
+            calls.append((m_max, n))
             return cr_table
 
         monkeypatch.setattr(cli.modmap, "build_cr_table", build)
@@ -207,7 +225,7 @@ class TestSolverCommands:
     def test_cr_map_table_csv(self, capsys, stub_build, cr_table):
         code, out, _ = run(capsys, ["cr-map", "--table", "--points", "16"])
         assert code == 0
-        assert stub_build == [(1.0, 50.0, 16)]
+        assert stub_build == [(50.0, 16)]
         assert out == csv_text(*cr_table.rows())
         code, out, _ = run(capsys, ["cr-map", "--table", "--precision", "6"])
         rows = list(csv.reader(io.StringIO(out)))
@@ -221,9 +239,17 @@ class TestSolverCommands:
         assert json.loads(out) == sorted(cr_table.records, key=lambda r: r["m"])
 
     def test_cr_map_requires_a_mode(self, capsys):
-        code, _, err = run(capsys, ["cr-map"])
-        assert code == 2
-        assert "modulus" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cr-map"])
+        assert exc.value.code == 2
+        assert "--modulus" in capsys.readouterr().err
+
+    def test_cr_map_modes_are_exclusive(self, capsys, stub_build):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cr-map", "--modulus", "3", "--table"])
+        assert exc.value.code == 2
+        assert "not allowed with argument --modulus" in capsys.readouterr().err
+        assert stub_build == []
 
     def test_cr_map_table_past_the_solver_range_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, ["cr-map", "--table", "--mmax", "300"])
@@ -277,6 +303,12 @@ class TestTeichAndQuasimobius:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("src", ["nan", "inf"])
+    def test_quasimobius_non_finite_is_a_usage_error(self, capsys, cr_table, src):
+        code, out, err = run(capsys, ["quasimobius", "--src", src, "--dst", "3"])
+        assert code == 2 and out == ""
+        assert err == "error: cross ratios must be finite and at least 2\n"
+
 
 class TestVerifyCommand:
     def test_quick_run_is_nominal(self, capsys, cr_table):
@@ -311,6 +343,7 @@ class TestParserSurface:
         ["cr-map", "--modulus", "3", "--seed", "1"],
         ["teich", "--stats", "--seed", "1"],
         ["quasimobius", "--src", "2", "--dst", "3", "--seed", "1"],
+        ["cr-map", "--table", "--mmin", "2"],
     ])
     def test_removed_flags_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -10,16 +10,18 @@ import pytest
 from scipy.integrate import fixed_quad, quad
 
 from punctorus import lame, modmap
-from punctorus.closedform import quad_cr_median
+from punctorus.closedform import quad_cr_cdf, quad_cr_median
 from punctorus.modmap import (
     CrMapTable,
     asymptotic_bounds,
     build_cr_table,
     cr_of_modulus,
+    modulus_cdf,
     modulus_of_cr,
     modulus_pdf,
     quasimobius_K,
     summary_stats,
+    teich_cdf,
     teich_pdf,
 )
 
@@ -49,11 +51,37 @@ class TestTableConstruction:
         with pytest.raises(ValueError):
             CrMapTable(bad, np.linspace(2.0, 3.0, 9), [])
 
+    @pytest.mark.parametrize("first", [2.0, 1.0 + 2**-52, 1.0 - 2**-53, 0.5])
+    def test_first_node_is_the_square(self, first):
+        # the map, its derivative at 1 and the inverse's clamp all read
+        # the first node as m = 1
+        ms = np.linspace(1.0, 2.0, 9) - 1.0 + first
+        with pytest.raises(ValueError, match="first node must be the square torus"):
+            CrMapTable(ms, np.linspace(2.0, 3.0, 9), [])
+
+    def test_csv_without_the_square_is_rejected(self, cr_table, tmp_path):
+        path = tmp_path / "table.csv"
+        cr_table.to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1] + lines[2:]))
+        with pytest.raises(ValueError, match="first node must be the square torus"):
+            CrMapTable.from_csv(path)
+
     def test_build_arguments_validated(self):
+        with pytest.raises(ValueError, match="m_max > 1"):
+            build_cr_table(m_max=1.0)
         with pytest.raises(ValueError):
-            build_cr_table(0.5, 10.0)
-        with pytest.raises(ValueError):
-            build_cr_table(1.0, 10.0, n=8)
+            build_cr_table(m_max=10.0, n=8)
+
+    def test_build_is_keyword_only(self, monkeypatch):
+        # the old (m_min, m_max, n) positional call fails instead of
+        # building another table
+        def solve(tau, bracket=None):
+            raise AssertionError("no solve expected")
+
+        monkeypatch.setattr(lame, "solve_accessory", solve)
+        with pytest.raises(TypeError):
+            build_cr_table(1.0, 50.0)
 
     def test_m_max_past_the_solver_range_fails_before_any_solve(self, monkeypatch):
         taus = []
@@ -65,11 +93,11 @@ class TestTableConstruction:
         monkeypatch.setattr(lame, "solve_accessory", solve)
         for m_max in (300.0, 200.5, math.inf):
             with pytest.raises(ValueError, match="m_max <= 200"):
-                build_cr_table(1.0, m_max)
+                build_cr_table(m_max=m_max)
         assert taus == []
         # 1/200 is TAU_MIN itself; a node's failure propagates as it is
         with pytest.raises(lame.SolverFailure):
-            build_cr_table(1.0, 200.0)
+            build_cr_table(m_max=200.0)
         assert taus == [1.0]
 
     def test_every_node_is_interpolated(self):
@@ -286,6 +314,22 @@ class TestDerivedDensities:
         assert median == pytest.approx(
             math.log(modulus_of_cr(quad_cr_median(), cr_table)), rel=1e-12)
 
+    def test_cdfs_read_the_map_from_the_square_up(self, cr_table):
+        ms = np.array([0.0, 0.5, 1.0 - 2**-53, 1.0, 1.3, 7.0, 80.0, np.inf, np.nan])
+        got = modulus_cdf(ms, cr_table)
+        up = ms[3:8]
+        want = quad_cr_cdf(cr_of_modulus(up, cr_table))
+        assert got[:3].tolist() == [0.0] * 3
+        np.testing.assert_array_equal(got[3:8], want)
+        assert math.isnan(got[8])
+        ds = np.array([-1.0, -1e-17, 0.0, 0.4, 3.0, 800.0])
+        with np.errstate(over="ignore"):
+            es = np.exp(ds)
+        np.testing.assert_array_equal(
+            teich_cdf(ds, cr_table), np.where(ds < 0.0, 0.0, modulus_cdf(es, cr_table)))
+        assert teich_cdf(-1e-17, cr_table) == 0.0 and teich_cdf(800.0, cr_table) == 1.0
+        assert type(modulus_cdf(2.0, cr_table)) is float
+
     def test_teich_pdf_flat_then_falling_at_the_square(self, cr_table):
         # T'(0) = 0 and T''(0) = -0.46 from direct solves, so the change
         # over the first 0.01 is about T''(0) 0.01^2 / 2 = -2.3e-5
@@ -311,3 +355,10 @@ class TestQuasimobius:
     def test_domain(self, cr_table):
         with pytest.raises(ValueError):
             quasimobius_K(1.9, 3.0, cr_table)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cross_ratios_rejected(self, cr_table, q):
+        # inf would give K = inf, or nan against another inf
+        for src, dst in ((q, 3.0), (3.0, q), (q, q)):
+            with pytest.raises(ValueError, match="finite"):
+                quasimobius_K(src, dst, cr_table)

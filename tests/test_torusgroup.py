@@ -40,6 +40,19 @@ def tr(m: MoebiusMap) -> complex:
     return m.a + m.d
 
 
+# |tr[A, B] + 2| <= PARABOLIC_C max(r^2, r^-2) eps for the rectangular
+# pair of radius r.  The worst seen was 45.8 (near r = 1.02) over
+# 2.4e6 log-uniform radii in [1/2, 2], where the constant peaks, and
+# about 12 near either end of [2^-23, 2^23]; 64 leaves a 40% margin.
+PARABOLIC_C = 64.0
+
+
+def assert_parabolic(r: float) -> None:
+    pair = rectangular_generators(r)
+    drift = abs(tr(commutator(pair.A, pair.B)) + 2.0)
+    assert drift <= PARABOLIC_C * max(r * r, 1.0 / (r * r)) * np.finfo(float).eps, r
+
+
 class TestRectangularPair:
     def test_printed_entries(self):
         pair = rectangular_generators(2.0)
@@ -92,15 +105,25 @@ class TestRectangularPair:
         # the commutator's last product has entries near 2r (2/r), so its
         # determinant rounds to 0 long before the pair's own: for about
         # 5% of radii in [2**24, 2**25].  Every accepted radius must
-        # give the commutator and the tangency vertices (the trace itself
-        # rounds like max(r**2, r**-2) eps, up to 0.03 here).
+        # give a parabolic commutator and the tangency vertices (the
+        # trace rounds like max(r**2, r**-2) eps, up to 0.03 here).
         top = math.log2(torusgroup._RECT_MAX)
         assert torusgroup._RECT_MIN == 1.0 / torusgroup._RECT_MAX
         for e in np.random.default_rng(3).uniform(top - 1.0, top, 2000):
             for r in (2.0**e, 2.0**-e):
+                assert_parabolic(r)
                 pair = rectangular_generators(r)
-                assert cmath.isfinite(tr(commutator(pair.A, pair.B)))
                 assert all(cmath.isfinite(v) for v in tangency_vertices(pair))
+
+    def test_commutator_is_parabolic_across_the_accepted_range(self):
+        top = math.log2(torusgroup._RECT_MAX)
+        rng = np.random.default_rng(11)
+        # the ends, log-uniform radii over the range, and the octave
+        # around the square, where the constant is largest
+        exps = np.concatenate(([-top, top], rng.uniform(-top, top, 4000),
+                               rng.uniform(-1.0, 1.0, 4000)))
+        for e in exps:
+            assert_parabolic(2.0**e)
 
     def test_isometric_circle_rejects_affine(self):
         with pytest.raises(ValueError):
