@@ -62,14 +62,14 @@ def _grid(args) -> np.ndarray:
 
 def _cmd_curve(args, evaluate, colname: str) -> int:
     if args.at is not None:
-        val = float(np.asarray(evaluate(np.array([args.at])))[0])
+        val = evaluate(args.at)
         if args.format == "json":
             _emit_rows(args, ("law", "x", colname), [(args.law, args.at, val)])
         else:
             _write(args.out, format(val, f".{args.precision}g") + "\n")
         return 0
     xs = _grid(args)
-    ys = np.asarray(evaluate(xs))
+    ys = evaluate(xs)
     _emit_rows(args, ("x", colname),
                [(x.item(), y.item()) for x, y in zip(xs, ys)])
     return 0

@@ -7,13 +7,18 @@ cumulative distributions built on the quadrilateral law's exact survival
 function, the quadrilateral median, and inverse-CDF sampling by one
 Chebyshev series, used by the group samplers and the Monte Carlo module.
 Every Chebyshev series in the package, here and in modmap, is evaluated
-by one Clenshaw recurrence, :func:`_clenshaw`.
+by one Clenshaw recurrence, :func:`_clenshaw`.  Every law evaluation,
+here and in modmap, takes scalars or arrays through one protocol,
+:func:`_apply` (the :func:`_elementwise` decorator on each law): an
+array goes through in blocks of 2^15 points, so the peak is the output
+plus block-sized scratch, and a scalar gives a float.
 The length dictionary is written here once: the perpendicular length
 2 artanh(Q^-1/2) in :func:`perpendicular_length`, its inverse
 coth^2(x/2) in :func:`length_cdf`.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -50,16 +55,6 @@ LENGTH_THRESHOLD = 2.0 * math.log(1.0 + math.sqrt(2.0))
 _SERIES_CUT = 1e-6
 
 
-def _prep(x):
-    """Common scalar/array plumbing: float 1-d view plus a scalar flag."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return arr, np.ndim(x) == 0
-
-
-def _ret(out, scalar):
-    return out[0].item() if scalar else out
-
-
 # Array evaluations run over blocks of this many points, so their
 # temporaries stay small next to the caller's arrays.
 _BLOCK = 1 << 15
@@ -77,6 +72,23 @@ def _blockwise(fn, x: np.ndarray) -> np.ndarray:
     for i in range(0, len(x), _BLOCK):
         out[i:i + _BLOCK] = fn(x[i:i + _BLOCK])
     return out
+
+
+def _apply(fn, x):
+    """fn over x as a float array, block by block; a float if x is a scalar.
+
+    The package's one scalar/array protocol: x goes to fn as a 1-d (or
+    higher) float array, and a Python or numpy scalar, 0-d arrays
+    included, gives the float fn returns for it.
+    """
+    out = _blockwise(fn, np.atleast_1d(np.asarray(x, dtype=float)))
+    return out[0].item() if np.ndim(x) == 0 else out
+
+
+def _elementwise(fn):
+    """fn, an elementwise function of float arrays, taking scalars or arrays
+    through :func:`_apply`."""
+    return functools.wraps(fn)(lambda x: _apply(fn, x))
 
 
 # Up to this many points a series is summed over Python floats: on a
@@ -162,13 +174,18 @@ def _li2_series(z):
     return out
 
 
-def _dilog(x):
-    """Li2 (its real part above 1) of a 1-d array, one series per point.
+@_elementwise
+def dilog(x):
+    """Real dilogarithm Li2(x) on the real line.
 
-    Each range maps onto an argument y in [-1, 1/2] with
-    Li2(x) = add + sign Li2(y): inversion below -1, reflection on
-    (1/2, 1], reflection of the inversion on (1, 2] and inversion
-    above 2.  nan falls through to the series and stays nan.
+    For x > 1 the principal branch acquires an imaginary part; this
+    evaluator returns its real part via the inversion identity, which is
+    the combination every closed form here needs.  One Bernoulli series
+    in -log(1 - y) per point, for y in [-1, 1/2]: Li2(x) = add +
+    sign Li2(y) by inversion below -1, reflection on (1/2, 1],
+    reflection of the inversion on (1, 2] and inversion above 2, which
+    keeps full relative accuracy down to the smallest arguments.  nan
+    falls through to the series and stays nan.
     """
     y = x.copy()
     add = np.zeros_like(x)
@@ -187,20 +204,6 @@ def _dilog(x):
         m = x > 2.0
         y[m], add[m], sign[m] = 1.0 / x[m], _PI2 / 3.0 - 0.5 * lx[m] ** 2, -1.0
     return add + sign * _li2_series(-np.log1p(-y))
-
-
-def dilog(x):
-    """Real dilogarithm Li2(x) on the real line.
-
-    For x > 1 the principal branch acquires an imaginary part; this
-    evaluator returns its real part via the inversion identity, which is
-    the combination every closed form here needs.  One Bernoulli series
-    in -log(1 - y), for y in [-1, 1/2] reached by the inversion and
-    reflection identities, keeps full relative accuracy down to the
-    smallest arguments.  Scalars or arrays.
-    """
-    x, scalar = _prep(x)
-    return _ret(_blockwise(_dilog, x), scalar)
 
 
 def _li2_gap(x):
@@ -231,6 +234,7 @@ def _nlog1p_over(x):
     return out
 
 
+@_elementwise
 def crossratio_pdf(r):
     """Density of the cross ratio of four independent uniform circle points.
 
@@ -241,9 +245,8 @@ def crossratio_pdf(r):
     across branch boundaries automatic.  1 - r rounds to 1 below 1e-16
     and 1/r overflows near 0, so h(1 - r) = -log(r)/(1 - r) on (0, 1)
     and h(1/r)/r = log(-r) - log(1 - r) on (-1, 0) are taken from r
-    itself.  Scalars or arrays.
+    itself.
     """
-    r, scalar = _prep(r)
     h = _nlog1p_over
     out = np.full_like(r, np.inf)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -261,21 +264,17 @@ def crossratio_pdf(r):
             inv = np.where(rl > -1.0, np.log1p(-rl) - np.log(-rl), np.log1p(-1.0 / rl))
             out[lo] = (h(rl) + inv) / ((1.0 - rl) * _PI2)
     out[np.isinf(r)] = 0.0
-    return _ret(out, scalar)
+    return out
 
 
+@_elementwise
 def crossratio_cdf(r):
     """Cumulative distribution of the full cross-ratio law.
 
     Closed form in terms of the dilogarithm; each of the three pieces is
     validated against adaptive quadrature of :func:`crossratio_pdf` in the
-    test suite.  Accepts scalars or arrays; nan maps to nan.
+    test suite.  nan maps to nan.
     """
-    r, scalar = _prep(r)
-    return _ret(_blockwise(_crossratio_cdf, r), scalar)
-
-
-def _crossratio_cdf(r):
     out = np.full_like(r, np.nan)  # nan in, nan out
     with np.errstate(invalid="ignore", divide="ignore"):
         # For r <= -1 the inversion Li2(r) = -pi^2/6 - log^2(-r)/2 - Li2(1/r)
@@ -323,21 +322,16 @@ def _quad_sf(r):
     return np.where(np.isposinf(r), 0.0, out)
 
 
+@_elementwise
 def quad_cr_pdf(r):
     """Density of the canonical quadrilateral cross ratio on [2, inf), 0 outside."""
-    r, scalar = _prep(r)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.where((r < 2.0) | np.isposinf(r), 0.0, _quad_law_expression(r))
-    return _ret(out, scalar)
+        return np.where((r < 2.0) | np.isposinf(r), 0.0, _quad_law_expression(r))
 
 
+@_elementwise
 def quad_cr_cdf(r):
     """Cumulative distribution of the canonical quadrilateral law, 0 below 2."""
-    r, scalar = _prep(r)
-    return _ret(_blockwise(_quad_cr_cdf, r), scalar)
-
-
-def _quad_cr_cdf(r):
     # 1 - S = (6/pi^2)(Li2(1 - 1/r) - Li2(1/r)) by the reflection identity:
     # exactly 0 at r = 2, exactly 1 at inf
     return _li2_gap(1.0 - 1.0 / np.maximum(r, 2.0)) / (_PI2 / 6.0)
@@ -348,18 +342,18 @@ def quad_cr_median() -> float:
     return math.exp(_log_quantile(math.log1p(math.log(2.0))))
 
 
+@_elementwise
 def length_pdf(ell):
     """Density of the shortest-geodesic length on (0, LENGTH_THRESHOLD].
 
     Out-of-support arguments return 0 rather than raising; the dual
     branch beyond the threshold is covered by :func:`length_pdf_dual`.
     """
-    ell, scalar = _prep(ell)
-    out = np.where(ell > LENGTH_THRESHOLD, 0.0, 2.0 * length_pdf_dual(ell))
-    return _ret(out, scalar)
+    return np.where(ell > LENGTH_THRESHOLD, 0.0, 2.0 * length_pdf_dual(ell))
 
 
-def length_pdf_dual(ell):
+@_elementwise
+def length_pdf_dual(x):
     """The full-line sampling density X of geodesic lengths, x > 0.
 
     Half the shortest-geodesic expression extended to all positive x: its
@@ -370,7 +364,6 @@ def length_pdf_dual(ell):
     to x = 350, and the exponential tail beyond, where cosh would
     overflow.  Nonpositive arguments and inf return 0; nan stays nan.
     """
-    x, scalar = _prep(ell)
     out = np.where(np.isnan(x), np.nan, 0.0)
 
     small = (x > 0.0) & (x <= _SERIES_CUT)
@@ -399,13 +392,12 @@ def length_pdf_dual(ell):
         # is dropped.  The product (3/pi^2) 2e^{-x} (2x + 2 - 4 log 2)
         # is grouped so that no factor overflows.
         out[tail] = 12.0 / _PI2 * np.exp(-xt) * (xt + 1.0 - 2.0 * math.log(2.0))
+    return out
 
-    return _ret(out, scalar)
 
-
+@_elementwise
 def length_cdf(x):
     """Cumulative distribution of the full-line length density."""
-    x, scalar = _prep(x)
     out = np.full_like(x, np.nan)  # nan in, nan out
     out[x <= 0.0] = 0.0
     shortb = (x > 0.0) & (x <= LENGTH_THRESHOLD)
@@ -419,9 +411,10 @@ def length_cdf(x):
         xl = x[longb]
         q = np.cosh(np.minimum(0.5 * xl, 350.0)) ** 2
         out[longb] = 1.0 - 0.5 * _quad_sf(np.maximum(q, 2.0))
-    return _ret(out, scalar)
+    return out
 
 
+@_elementwise
 def length_branch_cdf(x):
     """Cumulative distribution of the shortest-geodesic branch.
 
@@ -430,21 +423,20 @@ def length_branch_cdf(x):
     (coth^2 of the rounded threshold is 2 plus an ulp, so the support's
     right end is set explicitly).
     """
-    x, scalar = _prep(x)
-    return _ret(np.where(x >= LENGTH_THRESHOLD, 1.0, 2.0 * length_cdf(x)), scalar)
+    return np.where(x >= LENGTH_THRESHOLD, 1.0, 2.0 * length_cdf(x))
 
 
+@_elementwise
 def perpendicular_length(q):
     """Perpendicular length 2 artanh(Q^-1/2) of canonical cross ratios Q >= 2.
 
     The inverse of Q = coth^2(l/2), from LENGTH_THRESHOLD at Q = 2 down
     to 2/sqrt(Q) without cancellation as Q grows.  Q below 2 raises
-    ``ValueError``; nan maps to nan.  Scalars or arrays.
+    ``ValueError``; nan maps to nan.
     """
-    q, scalar = _prep(q)
     if np.any(q < 2.0):
         raise ValueError("canonical cross ratio must be >= 2")
-    return _ret(2.0 * np.arctanh(1.0 / np.sqrt(q)), scalar)
+    return 2.0 * np.arctanh(1.0 / np.sqrt(q))
 
 
 def length_mean() -> float:
@@ -463,16 +455,17 @@ def length_branch_median() -> float:
     return perpendicular_length(quad_cr_median())
 
 
+@_elementwise
 def star_pdf(r):
     """Standard Cauchy density: the law of the tan(theta/2) cross ratio."""
-    r, scalar = _prep(r)
     with np.errstate(over="ignore"):
-        return _ret(1.0 / (math.pi * (1.0 + r * r)), scalar)
+        return 1.0 / (math.pi * (1.0 + r * r))
 
 
+@_elementwise
 def star_cdf(r):
-    r, scalar = _prep(r)
-    return _ret(0.5 + np.arctan(r) / math.pi, scalar)
+    """Standard Cauchy CDF, the star law's."""
+    return 0.5 + np.arctan(r) / math.pi
 
 
 # The inverse CDF is a series in z = log(1 - log(1 - u)), which maps
@@ -531,9 +524,11 @@ class QuadCrInverseCdf:
                                             domain=[0.0, _Z_MAX])
 
     def __call__(self, u):
-        u, scalar = _prep(u)
+        return _apply(self._quantile, u)
+
+    def _quantile(self, u):
         z = np.log1p(-np.log1p(-np.clip(u, 0.0, _U_MAX)))
-        return _ret(np.maximum(np.exp(_clenshaw(self._log_r, z)), 2.0), scalar)
+        return np.maximum(np.exp(_clenshaw(self._log_r, z)), 2.0)
 
 
 _INVERSE = QuadCrInverseCdf()

@@ -509,15 +509,15 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
     builds pass one extrapolated from the nodes already solved); it need
     not straddle the root.  Without one, or when the secant fails (an
     iterate outside the oscillation-free window, a flat step, or no
-    convergence in 12 steps), a 64-point scan of lambda over [-2, 1]
-    locates a sign change of the root function, and a secant with a
-    bisection guard polishes it inside that pair, reusing the scan's two
-    root values.  A scan node where the root function is exactly 0 and
-    the circles touch (tangency residual below 1e-10) is the root
-    itself; bracket is then that node twice.  Raises
-    :class:`SolverFailure` with scan diagnostics after those 64
-    integrations when no sign change exists; that is every tau from
-    about 5.4 up.
+    convergence in 12 steps), a scan of 64 lambda over [-2, 1] walks up
+    from -2 and stops at its first sign change between neighbouring
+    nodes, and a secant with a bisection guard polishes it inside that
+    pair, reusing the scan's two root values.  A scan node where the
+    root function is exactly 0 and the circles touch (tangency residual
+    below 1e-10) is the root itself; bracket is then that node twice.
+    Only when no node brackets do all 64 run; then it raises
+    :class:`SolverFailure` with scan diagnostics, and that is every tau
+    from about 5.4 up.
 
     diagnostics holds the tangency residual, the root gap, the Wronskian
     drift, lambda_trials (integrations made) and warm (True when the
@@ -534,37 +534,38 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
         inv = circle_invariants(data)
         return _signed_root(inv), data, inv
 
-    def attempt(lam: float):
-        try:
-            return trial(lam)
-        except BracketError:
-            return None
-
     found = None if bracket is None else _secant(trial, *bracket)
     if found is not None:
         lam, data, inv = found
         lo, hi = bracket
     else:
         xs = np.linspace(-2.0, 1.0, 64).tolist()
-        got = [attempt(x) for x in xs]
-        vals = np.array([math.nan if g is None else g[0] for g in got])
-        # a nan (no invariants) never compares below zero.  A node where
-        # the root function is exactly 0 is the root only when the
-        # circles touch there: far from tangency a1^2 and
-        # r1 hypot(a1, a2) can also cancel to an exact 0.
-        touch = [g is not None and g[0] == 0.0
-                 and abs(g[2].tangency_residual()) < 1e-10 for g in got]
-        hits = np.flatnonzero(np.append(vals[:-1] * vals[1:] < 0, False) | touch)
-        if not hits.size:
+        # The scan stops at its first bracket.  A node where the root
+        # function is exactly 0 is the root only when the circles touch
+        # there: far from tangency a1^2 and r1 hypot(a1, a2) can also
+        # cancel to an exact 0.  A node without invariants breaks the
+        # adjacency of its neighbours, and a nan never brackets.
+        pre, finite = None, 0
+        for x in xs:
+            try:
+                cur = (x, trial(x))
+            except BracketError:
+                pre = None
+                continue
+            root, data, inv = cur[1]
+            finite += not math.isnan(root)
+            if root == 0.0 and abs(inv.tangency_residual()) < 1e-10:
+                lam = lo = hi = x
+                break
+            if pre is not None and pre[1][0] * root < 0.0:
+                lo, hi = pre[0], x
+                lam, data, inv = _polish(trial, pre, cur)
+                break
+            pre = cur
+        else:
             raise SolverFailure(
                 f"no sign change of the tangency root function at tau={tau}",
-                diagnostics={"tau": tau, "finite_fraction": (~np.isnan(vals)).mean().item()})
-        i = hits[0].item()
-        lo, hi = xs[i], xs[i if touch[i] else i + 1]
-        if lo == hi:
-            lam, (_, data, inv) = lo, got[i]
-        else:
-            lam, data, inv = _polish(trial, (lo, got[i]), (hi, got[i + 1]))
+                diagnostics={"tau": tau, "finite_fraction": finite / len(xs)})
     diagnostics = {
         "tangency_residual": inv.tangency_residual(),
         "root_gap": _signed_root(inv),

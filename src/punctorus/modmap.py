@@ -23,9 +23,8 @@ from numpy.polynomial.chebyshev import chebpts2
 
 from . import lame
 from .tabular import csv_text
-from .closedform import (_blockwise, _clenshaw, _prep, _quad_cr_cdf,
-                         _quad_law_expression, _quad_law_rule, _ret,
-                         quad_cr_median)
+from .closedform import (_apply, _clenshaw, _quad_law_expression, _quad_law_rule,
+                         quad_cr_cdf, quad_cr_median)
 
 __all__ = [
     "CrMapTable",
@@ -161,7 +160,7 @@ class CrMapTable:
 
     def _cdf(self, m: np.ndarray) -> np.ndarray:
         """The modulus CDF F_Q(CR(m)), 0 below 1."""
-        return np.where(m < 1.0, 0.0, _quad_cr_cdf(self._cr(np.maximum(m, 1.0))))
+        return np.where(m < 1.0, 0.0, quad_cr_cdf(self._cr(np.maximum(m, 1.0))))
 
     def _teich_cdf(self, d: np.ndarray) -> np.ndarray:
         """The modulus CDF at e^d, 0 below 0 (where e^d can round to 1)."""
@@ -282,10 +281,9 @@ def _lookup(method: str, x, table: CrMapTable | None, invalid=None, message=""):
     """The table's ``method`` (the default table's if None) over x, by blocks;
     first ValueError(message) if ``invalid`` holds anywhere on the float array."""
     t = table if table is not None else default_table()
-    x, scalar = _prep(x)
-    if invalid is not None and invalid(x).any():
+    if invalid is not None and invalid(np.asarray(x, dtype=float)).any():
         raise ValueError(message)
-    return _ret(_blockwise(getattr(t, method), x), scalar)
+    return _apply(getattr(t, method), x)
 
 
 def cr_of_modulus(m, table: CrMapTable | None = None):
@@ -312,14 +310,10 @@ def asymptotic_bounds(Q):
     The width-pi/2 band that the empirical constants make valid for
     every tabulated cross ratio.
     """
-    Q, scalar = _prep(Q)
-    if (Q < 2.0).any():
+    if (np.asarray(Q, dtype=float) < 2.0).any():
         raise ValueError("cross ratio must be at least 2")
-    up = 0.5 * _PI * np.sqrt(Q)
-    lo = up - 0.5 * _PI
-    if scalar:
-        return lo[0].item(), up[0].item()
-    return lo, up
+    up = _apply(lambda q: 0.5 * _PI * np.sqrt(q), Q)
+    return up - 0.5 * _PI, up
 
 
 def modulus_pdf(m, table: CrMapTable | None = None):

@@ -187,7 +187,7 @@ def _check_square_derivatives(quick: bool, table) -> list[CheckResult]:
     # + f(2) phi'''(0); the derivation is in the 09d acceptance test.
     # One-sided stencils for f, f', f'' at the support edge q = 2:
     e = 1e-3
-    fs = np.asarray(cf.quad_cr_pdf(2.0 + e * np.arange(5)))
+    fs = cf.quad_cr_pdf(2.0 + e * np.arange(5))
     f0 = fs[0].item()
     f1 = ((-25 * fs[0] + 48 * fs[1] - 36 * fs[2] + 16 * fs[3] - 3 * fs[4])
           / (12 * e)).item()
@@ -195,7 +195,7 @@ def _check_square_derivatives(quick: bool, table) -> list[CheckResult]:
           / (12 * e * e)).item()
     t2 = a**3 * (f2 - 3.0 * f0) + f0 * phi3
     ds = np.array([0.01, 0.05, 0.15, 0.3])
-    ts = np.asarray(modmap.teich_pdf(ds, table))
+    ts = modmap.teich_pdf(ds, table)
     ok = (a_table > 1.0 and abs(f1 + f0) < 1e-8 * f0
           and abs(phi2 - a * a) < 0.01 * a * a and t2 < 0.0
           and np.all(np.diff(ts) < 0.0))
@@ -222,14 +222,14 @@ def _check_tails(quick: bool, table) -> list[CheckResult]:
     # Tail f(q) ~ (6/pi^2)(log q + 1)/q^2 through m ~ (pi/2) sqrt(q)
     # gives M(m) ~ 6 log m / m^3; the derivation is in the 10a test.
     ms = np.geomspace(50.0, 200.0, 7)
-    ratios = np.asarray(modmap.modulus_pdf(ms, table)) * ms**3 / (6.0 * np.log(ms))
+    ratios = modmap.modulus_pdf(ms, table) * ms**3 / (6.0 * np.log(ms))
     out = [_result("10a-modulus-tail-coefficient", np.all((ratios >= 0.5) & (ratios <= 1.5)),
                    f"M*m^3/(6 log m) in [{ratios.min():.3f}, {ratios.max():.3f}] "
                    "vs [0.5, 1.5]", {"scaled": ratios})]
     r = np.geomspace(1e2, 1e4, 60)
     c = 6.0 / _PI2
     two_term = c * ((np.log(r) + 1.0) / r**2 + (np.log(r) + 0.5) / r**3)
-    scaled = (np.asarray(cf.quad_cr_pdf(r)) - two_term) * r**4
+    scaled = (cf.quad_cr_pdf(r) - two_term) * r**4
     peak = np.abs(scaled)
     out.append(_result("10b-quad-tail-residual", np.all(peak <= 20.0 * c),
                        f"|residual|*r^4 in [{peak.min():.3f}, {peak.max():.3f}] "

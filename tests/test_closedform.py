@@ -11,18 +11,20 @@ from hypothesis import given, strategies as st
 from numpy.polynomial import Chebyshev
 from scipy.integrate import quad
 
-from punctorus import closedform
+from punctorus import closedform, modmap
 from punctorus.closedform import (
     LENGTH_THRESHOLD,
     QuadCrInverseCdf,
     crossratio_cdf,
     crossratio_pdf,
     dilog,
+    length_branch_cdf,
     length_branch_median,
     length_cdf,
     length_mean,
     length_pdf,
     length_pdf_dual,
+    perpendicular_length,
     quad_cr_cdf,
     quad_cr_median,
     quad_cr_pdf,
@@ -224,20 +226,64 @@ class TestQuadLaw:
         assert quad_cr_cdf(med) == pytest.approx(0.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("cdf, bound", [(quad_cr_cdf, 1.25), (crossratio_cdf, 1.2)])
-def test_cdf_peak_memory(cdf, bound):
-    # one output array plus one 2^15 block of scratch: 1.22 and 1.13 arrays
-    # measured on this input (7.0 and 4.24 when each took the whole array)
+# Each curve's input at n = 2^20, inside its domain, from one standard
+# Cauchy sample c.
+_DOMAINS = {
+    "line": lambda c: 2.0 + c,
+    "positive": np.abs,
+    "moduli": lambda c: 1.0 + np.abs(c),
+    "canonical": lambda c: 2.0 + np.abs(c),
+    "unit": lambda c: 0.5 + np.arctan(c) / math.pi,  # the Cauchy CDF: uniform
+}
+# (name, curve, domain, bound in arrays of the input's size): every pdf
+# and CDF of mc.CURVES, then dilog, the perpendicular length and the
+# inverse CDF.  Each bound is the tracemalloc peak measured on this
+# input plus at least 0.025 (0.8 of a 2^15 block), rounded up to a
+# multiple of 0.05.  The peak is the output array plus block-sized
+# scratch, 1.03-1.34 arrays; when each curve took the whole array the
+# pdfs and the length CDFs peaked at 2.0-9.4 arrays and the inverse CDF
+# at 6.0.
+_PEAK_CASES = [
+    ("quad_cr_cdf", quad_cr_cdf, "line", 1.25),
+    ("crossratio_cdf", crossratio_cdf, "line", 1.2),
+    ("crossratio_pdf", crossratio_pdf, "line", 1.25),
+    ("quad_cr_pdf", quad_cr_pdf, "line", 1.15),
+    ("length_pdf", length_pdf, "positive", 1.35),
+    ("length_branch_cdf", length_branch_cdf, "positive", 1.25),
+    ("length_pdf_dual", length_pdf_dual, "positive", 1.35),
+    ("length_cdf", length_cdf, "positive", 1.25),
+    ("star_pdf", star_pdf, "line", 1.1),
+    ("star_cdf", star_cdf, "line", 1.1),
+    ("modulus_pdf", modmap.modulus_pdf, "moduli", 1.35),
+    ("modulus_cdf", modmap.modulus_cdf, "moduli", 1.3),
+    ("teich_pdf", modmap.teich_pdf, "positive", 1.4),
+    ("teich_cdf", modmap.teich_cdf, "positive", 1.35),
+    ("dilog", dilog, "line", 1.25),
+    ("perpendicular_length", perpendicular_length, "canonical", 1.1),
+    ("inverse_cdf", closedform._INVERSE, "unit", 1.25),
+]
+
+
+@pytest.mark.parametrize("curve, domain, bound", [
+    pytest.param(curve, domain, bound, id=f"{name}-{bound}")
+    for name, curve, domain, bound in _PEAK_CASES])
+def test_cdf_peak_memory(curve, domain, bound, cr_table):
+    # every curve walks 2^15-point blocks, so one output array plus one
+    # block of scratch; and the walk is invisible in the values
     n = 1 << 20
-    r = 2.0 + np.random.default_rng(0).standard_cauchy(n)
-    cdf(r[:100])
+    x = _DOMAINS[domain](np.random.default_rng(0).standard_cauchy(n))
+    table = (cr_table,) if curve.__module__ == modmap.__name__ else ()
+    curve(x[:100], *table)
     tracemalloc.start()
     try:
-        cdf(r)
+        got = curve(x, *table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= bound * 8 * n
+    block = closedform._BLOCK
+    np.testing.assert_array_equal(
+        got, np.concatenate([curve(x[i:i + block], *table) for i in range(0, n, block)]))
 
 
 class TestLengthLaws:

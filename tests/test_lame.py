@@ -336,10 +336,11 @@ class TestAccessorySolve:
         assert warm.diagnostics["lambda_trials"] == len(tried) == len(set(tried)) <= 8
         assert tried[-1] == warm.lambda_acc
 
-    @pytest.mark.parametrize("tau,most", [(0.05, 72), (0.5, 72), (1.0, 68), (2.0, 73), (5.0, 76)])
+    @pytest.mark.parametrize("tau,most", [(0.05, 40), (0.5, 46), (1.0, 46), (2.0, 54), (5.0, 57)])
     def test_cold_solve_integrates_each_lambda_once(self, monkeypatch, tau, most):
-        # most: the integrations the scan + brentq cold path made, which
-        # re-integrated both ends of the scan's pair and brentq's root
+        # most: the scan to its first bracket plus the polish, 37, 43, 43,
+        # 51 and 54 integrations, with a margin of 3; a scan that ran all
+        # 64 nodes before polishing made 64-74
         tried = []
         integrate = lame._integrate_with
 
@@ -357,9 +358,11 @@ class TestAccessorySolve:
     def test_cold_scan_takes_an_exact_zero_at_the_square(self):
         # at tau = 1 the legs are mirror images, so the root function is
         # exactly 0 at lambda = 0, a node of the scan grid; missing it
-        # would end the scan without a sign change
+        # would end the scan without a sign change.  The scan stops
+        # there, at node 42, after 43 integrations.
         sol = solve_accessory(1.0)
-        assert sol.diagnostics["lambda_trials"] <= 69
+        assert sol.lambda_acc == 0.0 and sol.bracket == (0.0, 0.0)
+        assert sol.diagnostics["lambda_trials"] == 43
         assert abs(sol.diagnostics["tangency_residual"]) < 1e-10
 
     @pytest.mark.parametrize("tau", [13.85, 25.52, 34.14, 38.15])

@@ -107,6 +107,7 @@ class TestLawCurves:
     @pytest.mark.parametrize("law", sorted(LEFT))
     @settings(deadline=None)
     @given(x=ANY_FLOATS)
+    @example(x=np.array(2.0))
     def test_curves_on_any_float_array(self, law, x, cr_table):
         pdf, cdf = CURVES[law]
         table = (cr_table,) if law in ("modulus", "teich") else ()
@@ -121,6 +122,12 @@ class TestLawCurves:
         assert np.all((c[ok] >= 0.0) & (c[ok] <= 1.0))
         assert np.all(p[left] == 0.0) and np.all(c[left] == 0.0)
         assert np.all(np.diff(np.asarray(cdf(np.sort(x[ok]), *table))) >= 0.0)
+        if x.ndim == 0:
+            # a scalar in gives a float out, the 1-element array's value
+            for curve in (pdf, cdf):
+                got = curve(x, *table)
+                assert type(got) is float
+                np.testing.assert_array_equal(got, curve(x.reshape(1), *table)[0])
 
 
 class TestDeterminism:
