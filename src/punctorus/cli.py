@@ -84,9 +84,7 @@ def _cmd_cdf(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    cfg = mc.McConfig(n_samples=args.n, seed=args.seed, workers=args.workers,
-                      law=args.law)
-    summary = mc.run_law(cfg)
+    summary = mc.run_law(mc.McConfig(n_samples=args.n, seed=args.seed, law=args.law))
     if args.format == "json":
         _write(args.out, json.dumps(summary.to_json_dict(), indent=2) + "\n")
     else:
@@ -198,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_UNITS_EPILOG)
     p.add_argument("--law", choices=mc.LAWS, required=True)
     p.add_argument("--n", type=int, required=True, help="sample count")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted; the output does not depend on it")
     p.add_argument("--seed", type=int,
                    default=int(os.environ.get("PUNCTORUS_SEED", "0")),
                    help="RNG seed (default: PUNCTORUS_SEED or 0)")

@@ -268,15 +268,13 @@ def run_law(cfg: McConfig, table: modmap.CrMapTable | None = None) -> EmpiricalS
     Chunks of 2^14 samples each own a fixed slice of the Philox counter
     space and are drawn in index order on the calling thread, so the
     output is a function of (seed, n) only; ``cfg.workers`` is accepted
-    and changes nothing.  The modulus-map laws read ``table``, or the
-    default table when it is None.  Each chunk is written into one
-    preallocated sample, and the summary reads one sorted copy of it
-    (see ``_summary``), so run_law's peak memory is two arrays of the
-    sample's size plus block-sized scratch.
+    and changes nothing.  The modulus-map laws pass ``table`` to
+    ``modmap`` as it is, where None means the default table.  Each chunk
+    is written into one preallocated sample, and the summary reads one
+    sorted copy of it (see ``_summary``), so run_law's peak memory is
+    two arrays of the sample's size plus block-sized scratch.
     """
     n = cfg.n_samples
-    if cfg.law in _MAP_LAWS and table is None:
-        table = modmap.default_table()
     values = np.empty(n)
     for c, start in enumerate(range(0, n, _CHUNK)):
         values[start:start + _CHUNK] = _sample_chunk(

@@ -8,14 +8,17 @@ log-modulus densities and CDFs, their summary statistics, and the
 quasi-Moebius comparison constant.  Both series reach s = 0, so one
 smooth map serves every modulus, beyond the last node included.  Only
 this module knows that the map starts at the square, m = 1/tau = 1.
+The default table ships as data: the 16 solved nodes of
+``build_cr_table()``, read without a solve.
 Both series are evaluated by closedform's one series evaluator,
 ``_clenshaw``; the Chebyshev objects only hold their coefficients.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
-import threading
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import Chebyshev
@@ -30,7 +33,6 @@ __all__ = [
     "CrMapTable",
     "build_cr_table",
     "default_table",
-    "set_default_table",
     "cr_of_modulus",
     "modulus_of_cr",
     "asymptotic_bounds",
@@ -257,24 +259,20 @@ def build_cr_table(*, m_max: float = 50.0, n: int = 16) -> CrMapTable:
     return CrMapTable(ms, crs, records)
 
 
-_default: CrMapTable | None = None
-_default_lock = threading.Lock()
+_DEFAULT_CSV = Path(__file__).with_name("default_table.csv")
 
 
+@functools.cache
 def default_table() -> CrMapTable:
-    """The standard table, m in [1, 50], built once on first use."""
-    global _default
-    with _default_lock:
-        if _default is None:
-            _default = build_cr_table()
-        return _default
+    """The standard table, m in [1, 50], read once from its shipped CSV.
 
-
-def set_default_table(table: CrMapTable) -> None:
-    """Install a prebuilt table as the module default."""
-    global _default
-    with _default_lock:
-        _default = table
+    default_table.csv is what ``punctorus cr-map --table`` writes:
+    ``build_cr_table()``'s 16 nodes, which round-trip exactly, so no
+    solve runs here.  Its rows are regenerated whenever a solver change
+    moves a node; the tests compare them with a fresh build.  Concurrent
+    first calls may each read the file; they get equal tables.
+    """
+    return CrMapTable.from_csv(_DEFAULT_CSV)
 
 
 def _lookup(method: str, x, table: CrMapTable | None, invalid=None, message=""):
@@ -349,12 +347,11 @@ def summary_stats(table: CrMapTable | None = None) -> tuple[float, float, float]
     Gauss-Legendre rule on its quantile function; the median is the
     pushforward of the cross-ratio median.
     """
-    t = table if table is not None else default_table()
     q, w = _quad_law_rule()
-    d = np.log(modulus_of_cr(q, t))
+    d = np.log(modulus_of_cr(q, table))
     mean = float(w @ d)
     sd = math.sqrt(w @ (d * d) - mean * mean)
-    median = math.log(modulus_of_cr(quad_cr_median(), t))
+    median = math.log(modulus_of_cr(quad_cr_median(), table))
     return mean, median, sd
 
 

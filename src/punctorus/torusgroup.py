@@ -2,7 +2,7 @@
 
 Builds the two-generator Moebius groups whose quotient is a punctured
 torus: the rectangular pair with tangent isometric circles, the twisted
-pair at general twist parameters, commutator traces, the length/angle
+pair at general twist parameters, commutators, the length/angle
 closure relation, and a sampler for random tori driven by the geodesic
 length law.
 """
@@ -28,9 +28,7 @@ __all__ = [
     "isometric_circle",
     "rectangular_generators",
     "tangency_vertices",
-    "quad_cross_ratio_from_group",
     "nonrectangular_pair",
-    "commutator_trace_general",
     "angle_relation",
     "sample_torus",
 ]
@@ -211,17 +209,6 @@ def tangency_vertices(pair: GeneratorPair) -> tuple[complex, complex, complex, c
     )
 
 
-def quad_cross_ratio_from_group(pair: GeneratorPair) -> float:
-    """Cross ratio of the four tangency vertices of a rectangular pair.
-
-    Closed form 1 + r^2; the vertex-based recomputation through the
-    four-point cross ratio is exercised in the tests.
-    """
-    if abs(pair.r * pair.s - 1.0) >= _TANGENT_TOL:
-        raise ValueError("cross ratio needs the tangent configuration rs = 1")
-    return 1.0 + pair.r**2
-
-
 def nonrectangular_pair(r: float, lam: float) -> tuple[MoebiusMap, MoebiusMap]:
     """Sheared side-pairing maps at twist lam, radii (r, 1/r).
 
@@ -241,29 +228,6 @@ def nonrectangular_pair(r: float, lam: float) -> tuple[MoebiusMap, MoebiusMap]:
     u = MoebiusMap(qa * w, lam + 1j * r * w, lam - 1j * r * w, qa * w)
     v = MoebiusMap(qb * w, w / r + 1j * lam, w / r - 1j * lam, qb * w)
     return u, v
-
-
-def commutator_trace_general(lam: float, mu: float) -> float:
-    """tr[u, v] - 2 at twists (lam, mu), in closed form.
-
-    Equals -4 exactly when the twists agree (the parabolic, cusped
-    case).  The value does not depend on the radius of the underlying
-    pair; the matrix-product oracle in the tests confirms it.
-
-    With A = sqrt(lam^2 + 1) and B = sqrt(mu^2 + 1) the numerator
-    lam^2 (mu^2 + 1) - 2 A B + mu^2 + 2 of the closed form is
-    lam^2 mu^2 + (A - B)^2, and A - B = (lam^2 - mu^2)/(A + B), so the
-    value is -4 (1 + ((lam^2 - mu^2)/(lam mu (A + B)))^2), which
-    subtracts nothing but lam - mu.
-    """
-    if lam <= 0 or mu <= 0:
-        raise ValueError("closed form is singular at zero twist")
-    l2, m2 = lam * lam, mu * mu
-    if not 0.0 < l2 * m2 < math.inf:
-        raise ValueError(f"twists lam = {lam!r}, mu = {mu!r}: "
-                         "lam**2 mu**2 leaves the doubles")
-    t = (lam - mu) / (lam * mu) * (lam + mu) / (math.sqrt(l2 + 1.0) + math.sqrt(m2 + 1.0))
-    return -4.0 * (1.0 + t * t)
 
 
 def angle_relation(ell1: float, ell2: float) -> AngleRelation:

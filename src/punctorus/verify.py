@@ -283,10 +283,11 @@ def run_checks(quick: bool = False,
                table: modmap.CrMapTable | None = None) -> list[CheckResult]:
     """Run every verification check and return the results in order.
 
-    Checks the module's default cross-ratio table when none is supplied.
+    With no table supplied, checks a fresh ``modmap.build_cr_table()``,
+    so the gate covers the solver's table, not the shipped copy.
     """
     if table is None:
-        table = modmap.default_table()
+        table = modmap.build_cr_table()
     results: list[CheckResult] = []
     for check in _CHECKS:
         results.extend(check(quick, table))

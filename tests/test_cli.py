@@ -94,12 +94,12 @@ class TestCurveCommands:
         for law in mc.CURVES:
             assert parser.parse_args([cmd, "--law", law, "--at", "1"]).law == law
 
-    def test_teich_cdf_starts_at_zero(self, capsys, cr_table):
+    def test_teich_cdf_starts_at_zero(self, capsys):
         code, out, _ = run(capsys, ["cdf", "--law", "teich", "--at", "0"])
         assert code == 0
         assert float(out) == pytest.approx(0.0, abs=1e-9)
 
-    def test_curves_vanish_left_of_the_support(self, capsys, cr_table):
+    def test_curves_vanish_left_of_the_support(self, capsys):
         code, out, _ = run(capsys, ["pdf", "--law", "length_dual", "--from", "0",
                                     "--to", "1", "--step", "0.5"])
         assert code == 0
@@ -282,7 +282,7 @@ class TestTeichAndQuasimobius:
         want = modmap.summary_stats(cr_table)
         assert (mean, median, sd) == pytest.approx(want, rel=1e-9)
 
-    def test_default_density_grid(self, capsys, cr_table):
+    def test_default_density_grid(self, capsys):
         code, out, _ = run(capsys, ["teich"])
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
@@ -290,30 +290,29 @@ class TestTeichAndQuasimobius:
         assert float(rows[1][0]) == 0.0
         assert float(rows[-1][0]) == pytest.approx(4.0, abs=1e-9)
 
-    def test_quasimobius_row(self, capsys, cr_table):
+    def test_quasimobius_row(self, capsys):
         code, out, _ = run(capsys, ["quasimobius", "--src", "3", "--dst", "3"])
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["src_cr", "dst_cr", "K"]
         assert float(rows[1][2]) == 1.0
 
-    def test_quasimobius_domain_error(self, capsys, cr_table):
+    def test_quasimobius_domain_error(self, capsys):
         code, _, err = run(capsys, ["quasimobius", "--src", "1.9",
                                     "--dst", "3"])
         assert code == 2
         assert err.startswith("error:")
 
     @pytest.mark.parametrize("src", ["nan", "inf"])
-    def test_quasimobius_non_finite_is_a_usage_error(self, capsys, cr_table, src):
+    def test_quasimobius_non_finite_is_a_usage_error(self, capsys, src):
         code, out, err = run(capsys, ["quasimobius", "--src", src, "--dst", "3"])
         assert code == 2 and out == ""
         assert err == "error: cross ratios must be finite and at least 2\n"
 
 
 class TestVerifyCommand:
-    def test_quick_run_is_nominal(self, capsys, cr_table):
+    def test_quick_run_is_nominal(self, capsys):
         code, out, _ = run(capsys, ["verify", "--quick"])
-        assert modmap.default_table() is cr_table
         assert code == 0
         assert "(expected FAIL)" in out
         assert "** NOT NOMINAL **" not in out
@@ -344,6 +343,7 @@ class TestParserSurface:
         ["teich", "--stats", "--seed", "1"],
         ["quasimobius", "--src", "2", "--dst", "3", "--seed", "1"],
         ["cr-map", "--table", "--mmin", "2"],
+        ["sample", "--law", "star", "--n", "10", "--workers", "2"],
     ])
     def test_removed_flags_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

