@@ -80,13 +80,18 @@ class CrMapTable:
     a_estimate is CR'(1) and curvature_gap is |CR''(1) - (a^2 - a)|,
     the residual of the curvature relation the functional equation
     forces at the square, both from the forward series at the first
-    node, m = 1.  c_hat is the deficit at the last node.  Instances are
-    immutable in practice and safe to share across threads.
+    node, m = 1.  c_hat is the deficit at the last node.  ms and crs are
+    read-only copies of the nodes, so no caller can move them under the
+    series; records is the list passed in.  Instances are safe to share
+    across threads.
     """
 
     def __init__(self, ms: np.ndarray, crs: np.ndarray, records: list[dict]):
-        ms = np.asarray(ms, dtype=float)
-        crs = np.asarray(crs, dtype=float)
+        # a write through the shared default table would otherwise make
+        # .ms or .crs disagree with the series for every later caller
+        ms = np.array(ms, dtype=float)
+        crs = np.array(crs, dtype=float)
+        ms.flags.writeable = crs.flags.writeable = False
         if ms.ndim != 1 or ms.shape != crs.shape or len(ms) < 8:
             raise ValueError("need matching 1-d node arrays with at least 8 nodes")
         if not np.all(np.diff(ms) > 0) or not np.all(np.diff(crs) > 0):

@@ -86,12 +86,18 @@ class GeneratorPair:
                                IsometricCircle, IsometricCircle]:
         """Isometric circles of (A, A^-1, B, B^-1), in that order.
 
-        Each generator is normalized once: M^-1 is the adjugate
-        (d, -b, -c, a) of the determinant-one M, so C(M^-1) is read from
-        M's own entries.
+        The centres are -d/c and a/c (M^-1 is the adjugate (d, -b, -c, a)
+        of M), which no rescaling of M moves, and the radii are the
+        pair's own r and s; so no generator is normalized, and a
+        determinant that rounds away from 1 costs no accuracy.
         """
-        a, b = self.A.normalized(), self.B.normalized()
-        return (_circle(a.c, a.d), _circle(-a.c, a.a), _circle(b.c, b.d), _circle(-b.c, b.a))
+        A, B = self.A, self.B
+        if A.c == 0 or B.c == 0:
+            raise ValueError("map fixes infinity and has no isometric circle")
+        return (IsometricCircle(complex(-A.d / A.c), self.r),
+                IsometricCircle(complex(A.a / A.c), self.r),
+                IsometricCircle(complex(-B.d / B.c), self.s),
+                IsometricCircle(complex(B.a / B.c), self.s))
 
 
 @dataclass(frozen=True)
@@ -188,6 +194,10 @@ def rectangular_generators(r: float) -> GeneratorPair:
 
 
 def _tangent_point(c1: complex, r1: float, c2: complex, r2: float) -> complex:
+    """Where two tangent circles touch, measured from the smaller one's
+    centre, so the rounding of the step scales with the smaller radius."""
+    if r1 > r2:
+        c1, r1, c2, r2 = c2, r2, c1, r1
     return c1 + r1 * (c2 - c1) / (r1 + r2)
 
 

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -377,14 +378,15 @@ class TestParserSurface:
 
 
 class TestRuntimeImports:
-    """Only verify imports scipy, and only when clause 01 runs; only the
+    """numpy is the only third-party module any command loads; only the
     verify command loads verify and torusgroup."""
 
     @staticmethod
     def modules(run, *args):
         """stdout, and the full dotted name of every module imported."""
         proc = run("-X", "importtime", *args)
-        lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("import time:")]
+        lines = [ln for ln in proc.stderr.splitlines()
+                 if ln.startswith("import time:") and not ln.endswith("imported package")]
         return proc.stdout, {ln.rsplit("|", 1)[1].strip() for ln in lines}
 
     @classmethod
@@ -413,7 +415,10 @@ class TestRuntimeImports:
         assert "punctorus.closedform" in mods
         assert not {"punctorus.verify", "punctorus.torusgroup"} & mods
 
-    def test_verify_imports_scipy_for_its_normalization_clause(self, fresh_python):
-        _, mods = self.imported(fresh_python, "-c", "from punctorus import verify; "
-                                "verify._check_normalization(True, None)")
-        assert "scipy" in mods
+    def test_verify_loads_only_numpy_outside_the_standard_library(self, fresh_python):
+        # the baseline holds the interpreter's site hooks and the names the
+        # standard library only tries (pickle's Jython probe, org.python)
+        _, baseline = self.imported(fresh_python, "-c", "import numpy")
+        out, mods = self.imported(fresh_python, "-m", "punctorus.cli", "verify", "--quick")
+        assert "09a-teich-median" in out and "numpy" in mods
+        assert mods - baseline - set(sys.stdlib_module_names) == {"punctorus"}

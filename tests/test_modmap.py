@@ -146,6 +146,18 @@ class TestTableConstruction:
         assert modmap.default_table() is later
         assert any(t is later for t in got)
 
+    def test_nodes_are_read_only_copies(self):
+        # a write through the shared default table would make .ms
+        # disagree with the series for every later caller
+        with pytest.raises(ValueError, match="read-only"):
+            modmap.default_table().ms[3] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            modmap.default_table().crs[3] = 7.0
+        ms, crs = np.linspace(1.0, 2.0, 9), np.linspace(2.0, 3.0, 9)
+        table = CrMapTable(ms, crs, [])
+        ms[3] = crs[3] = 7.0
+        assert table.ms[3] == 1.375 and table.crs[3] == 2.375
+
     def test_records_match_nodes(self, cr_table):
         assert len(cr_table.records) == len(cr_table.ms)
         rec_ms = np.array([r["m"] for r in cr_table.records])

@@ -4,6 +4,11 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from punctorus import closedform as cf
 from punctorus import verify
 
 
@@ -29,3 +34,22 @@ def test_direct_curvature_meets_the_functional_equation(verify_results):
 def test_quick_mode_keeps_the_checks(verify_results, cr_table):
     quick = verify.run_checks(quick=True, table=cr_table)
     assert [r.name for r in quick] == [r.name for r in verify_results]
+
+
+def test_normalization_masses_match_adaptive_quadrature(verify_results):
+    # clause 01's tanh-sinh masses against scipy's QUADPACK over the same
+    # pieces; the two rules agree to about 2e-15 on every law
+    masses = next(r.values for r in verify_results
+                  if r.name == "01-pdf-normalization")["masses"]
+    thr = cf.LENGTH_THRESHOLD
+    pieces = {
+        "full": (cf.crossratio_pdf, -np.inf, 0.0, 1.0, np.inf),
+        "quad": (cf.quad_cr_pdf, 2.0, np.inf),
+        "length": (cf.length_pdf, 0.0, thr),
+        "dual": (cf.length_pdf_dual, 0.0, thr, np.inf),
+        "star": (cf.star_pdf, -np.inf, np.inf),
+    }
+    assert sorted(masses) == sorted(pieces)
+    for law, (pdf, *cuts) in pieces.items():
+        want = sum(quad(pdf, a, b, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
+        assert masses[law] == pytest.approx(want, abs=1e-12), law
