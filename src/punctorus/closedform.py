@@ -13,8 +13,10 @@ here and in modmap, takes scalars or arrays through one protocol,
 array goes through in blocks of 2^15 points, so the peak is the output
 plus block-sized scratch, and a scalar gives a float.
 The length dictionary is written here once: the perpendicular length
-2 artanh(Q^-1/2) in :func:`perpendicular_length`, its inverse
-coth^2(x/2) in :func:`length_cdf`.
+2 artanh(Q^-1/2) in :func:`_short_length` (public, with its range
+check, as :func:`perpendicular_length`), the dual length
+2 arccosh(sqrt Q) in :func:`_dual_length`, and their inverses
+coth^2(x/2) and cosh^2(x/2) in :func:`length_cdf`.
 """
 from __future__ import annotations
 
@@ -94,12 +96,33 @@ def _elementwise(fn):
 # Up to this many points a series is summed over Python floats: on a
 # few points numpy's per-call overhead, about three ufunc calls per
 # coefficient, costs more than the arithmetic.  Timed at degrees 15 and
-# 30, the Python path stays the faster up to about 20 points.
+# 30, the Python path stays the faster up to about 20 points.  Up to as
+# many draws, sample_length_values takes them one at a time.
 _FLOAT_POINTS = 16
 
 
-def _clenshaw_float(rc: list, t: float) -> float:
-    """:func:`_clenshaw`'s recurrence at one point, rc from the top degree down."""
+class _Series:
+    """A fitted Chebyshev series as :func:`_clenshaw` reads it.
+
+    cheb is the series; off and scl its domain map t = off + scl x and
+    rc its coefficients from the top degree down, as Python floats for
+    the float path, read here once rather than on every evaluation.
+    The package's owners of series, :class:`QuadCrInverseCdf` and
+    ``modmap.CrMapTable``, are immutable and hold one per series.
+    """
+
+    __slots__ = ("cheb", "off", "scl", "rc")
+
+    def __init__(self, cheb: Chebyshev):
+        off, scl = cheb.mapparms()
+        self.cheb, self.off, self.scl = cheb, float(off), float(scl)
+        self.rc = cheb.coef[::-1].tolist()
+
+
+def _clenshaw_float(series: _Series, x: float) -> float:
+    """:func:`_clenshaw`'s domain map and recurrence at one point, over Python floats."""
+    rc = series.rc
+    t = float(x) * series.scl + series.off
     if len(rc) == 1:
         return t * 0.0 + rc[0]
     c1, c0 = rc[0], rc[1]
@@ -109,29 +132,31 @@ def _clenshaw_float(rc: list, t: float) -> float:
     return c0 + c1 * t
 
 
-def _clenshaw(series: Chebyshev, x):
+def _clenshaw(series: _Series, x):
     """series(x), numpy's Clenshaw recurrence op for op.
 
     The domain map off + scl x to t, x2 = 2t, then per coefficient
     c0, c1 = c[-i] - c1, c0 + c1 x2, and c0 + c1 t last, as
-    ``Chebyshev.__call__`` does; so the values agree bit for bit.  On at
-    most ``_FLOAT_POINTS`` points the recurrence runs over Python floats,
-    whose *, + and - round as the ufuncs do.  On more it runs in place:
-    the new c1 alternates between two scratch arrays and c0 overwrites
-    its own, so a call allocates five arrays the size of x, whatever the
-    degree.  This is the package's one series evaluator; the Chebyshev
-    objects only hold fitted coefficients.  x is a float or an array.
+    ``Chebyshev.__call__`` does; so the values agree bit for bit.  On one
+    float (a numpy float64 included), which gives a float, or on at
+    most ``_FLOAT_POINTS`` points the recurrence runs over Python
+    floats, whose *, + and - round as the ufuncs do.  On more it runs in
+    place: the new c1 alternates between two scratch arrays and c0
+    overwrites its own, so a call allocates five arrays the size of x,
+    whatever the degree.  This is the package's one series evaluator;
+    the Chebyshev objects only hold fitted coefficients.  x is a float
+    or an array.
     """
-    off, scl = series.mapparms()
-    c = series.coef
+    if isinstance(x, float):
+        return _clenshaw_float(series, x)
+    c = series.cheb.coef
     shape = np.shape(x)
     t = np.array(x, dtype=float).reshape(-1)
     if len(t) <= _FLOAT_POINTS:
-        off, scl, rc = float(off), float(scl), c[::-1].tolist()
-        return np.array([_clenshaw_float(rc, v * scl + off) for v in t.tolist()],
+        return np.array([_clenshaw_float(series, v) for v in t.tolist()],
                         dtype=float).reshape(shape)
-    t *= scl
-    t += off
+    t *= series.scl
+    t += series.off
     c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
     if len(c) > 2:
         x2 = t * 2.0
@@ -426,6 +451,18 @@ def length_branch_cdf(x):
     return np.where(x >= LENGTH_THRESHOLD, 1.0, 2.0 * length_cdf(x))
 
 
+def _short_length(q):
+    """2 artanh(Q^-1/2), the short-branch length of cross ratio Q >= 2,
+    on a float array or one float."""
+    return 2.0 * np.arctanh(1.0 / np.sqrt(q))
+
+
+def _dual_length(q):
+    """2 arccosh(sqrt Q), the dual-branch length of cross ratio Q >= 2,
+    on a float array or one float."""
+    return 2.0 * np.arccosh(np.sqrt(q))
+
+
 @_elementwise
 def perpendicular_length(q):
     """Perpendicular length 2 artanh(Q^-1/2) of canonical cross ratios Q >= 2.
@@ -436,7 +473,7 @@ def perpendicular_length(q):
     """
     if np.any(q < 2.0):
         raise ValueError("canonical cross ratio must be >= 2")
-    return 2.0 * np.arctanh(1.0 / np.sqrt(q))
+    return _short_length(q)
 
 
 def length_mean() -> float:
@@ -508,6 +545,16 @@ def _quad_law_rule() -> tuple[np.ndarray, np.ndarray]:
     return q, 0.5 * _Z_MAX * w * np.exp(z - np.expm1(z))
 
 
+def _clip(x, lo: float, hi: float):
+    """np.clip(x, lo, hi) for numbers lo <= hi, on one float by Python's
+    max and min.
+
+    Both pick the same double, a nan or -0.0 x included; on one float the
+    ufunc's call costs about ten times Python's.
+    """
+    return min(max(x, lo), hi) if isinstance(x, float) else np.clip(x, lo, hi)
+
+
 class QuadCrInverseCdf:
     """Inverse CDF of the quadrilateral law as one Chebyshev series.
 
@@ -520,15 +567,20 @@ class QuadCrInverseCdf:
     """
 
     def __init__(self):
-        self._log_r = Chebyshev.interpolate(_log_quantile, _INVERSE_DEGREE,
-                                            domain=[0.0, _Z_MAX])
+        self._log_r = _Series(Chebyshev.interpolate(_log_quantile, _INVERSE_DEGREE,
+                                                    domain=[0.0, _Z_MAX]))
 
     def __call__(self, u):
         return _apply(self._quantile, u)
 
     def _quantile(self, u):
-        z = np.log1p(-np.log1p(-np.clip(u, 0.0, _U_MAX)))
-        return np.maximum(np.exp(_clenshaw(self._log_r, z)), 2.0)
+        """The quantile at u, a float array or one float.
+
+        u is clamped to [0, _U_MAX]; u = -0.0 gives z = -0.0, which the
+        domain map sends to the same t as z = 0.
+        """
+        z = np.log1p(-np.log1p(-_clip(u, 0.0, _U_MAX)))
+        return _clip(np.exp(_clenshaw(self._log_r, z)), 2.0, math.inf)
 
 
 _INVERSE = QuadCrInverseCdf()
@@ -543,9 +595,22 @@ def sample_length_values(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n values from the full-line length density X.
 
     A fair coin picks the branch; each branch is the image of the
-    quadrilateral law under its half-angle substitution.
+    quadrilateral law under its half-angle substitution: u < 1/2 gives
+    the short length at the quantile of 1 - 2u, u >= 1/2 the dual one at
+    that of 2u - 1.  Up to ``_FLOAT_POINTS`` draws, as the two of
+    ``torusgroup.sample_torus``, go one at a time: the quantile and the
+    drawn branch's length run on one double, through numpy's ufuncs,
+    which round there as their array loops do (``math``'s log1p, exp,
+    atanh and acosh do not).  More draws go through both branches as
+    arrays.  Both routes read ``rng.uniform(size=n)`` and give the same
+    values bit for bit.
     """
     u = rng.uniform(size=n)
+    if n <= _FLOAT_POINTS:
+        quantile = _INVERSE._quantile
+        return np.array([_short_length(quantile(1.0 - 2.0 * v)) if v < 0.5
+                         else _dual_length(quantile(2.0 * v - 1.0)) for v in u.tolist()],
+                        dtype=float)
     short = u < 0.5
     q = _INVERSE(np.where(short, 1.0 - 2.0 * u, 2.0 * u - 1.0))
-    return np.where(short, perpendicular_length(q), 2.0 * np.arccosh(np.sqrt(q)))
+    return np.where(short, _short_length(q), _dual_length(q))

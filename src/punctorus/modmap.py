@@ -26,7 +26,7 @@ from numpy.polynomial.chebyshev import chebpts2
 
 from . import lame
 from .tabular import csv_text
-from .closedform import (_apply, _clenshaw, _quad_law_expression, _quad_law_rule,
+from .closedform import (_apply, _clenshaw, _quad_law_expression, _quad_law_rule, _Series,
                          quad_cr_cdf, quad_cr_median)
 
 __all__ = [
@@ -106,13 +106,14 @@ class CrMapTable:
         self.cr_max = crs[-1].item()
         self.c_hat = 0.5 * _PI * math.sqrt(self.cr_max) - self.m_max
 
-        self._deficit = Chebyshev.fit(1.0 / ms, 0.5 * _PI * np.sqrt(crs) - ms,
-                                      len(ms) - 1, domain=[0.0, 1.0])
-        self._deficit_d1 = self._deficit.deriv()
+        deficit = Chebyshev.fit(1.0 / ms, 0.5 * _PI * np.sqrt(crs) - ms,
+                                len(ms) - 1, domain=[0.0, 1.0])
+        self._deficit = _Series(deficit)
+        self._deficit_d1 = _Series(deficit.deriv())
 
         # y'' = s^4 g''(s) + 2 s^3 g'(s), at s = 1
-        y0, dy0 = self._y(1.0).item(), self._dy(1.0).item()
-        d2y0 = _clenshaw(self._deficit.deriv(2), 1.0) + 2.0 * _clenshaw(self._deficit_d1, 1.0)
+        y0, dy0 = self._y(1.0), self._dy(1.0)
+        d2y0 = _clenshaw(_Series(deficit.deriv(2)), 1.0) + 2.0 * _clenshaw(self._deficit_d1, 1.0)
         a = 8.0 * y0 * dy0 / _PI2
         self.a_estimate = a
         self.curvature_gap = float(abs(8.0 * (dy0**2 + y0 * d2y0) / _PI2 - (a * a - a)))
@@ -124,7 +125,7 @@ class CrMapTable:
             s = ts / (1.0 - ts * k)
             k -= ((k - _clenshaw(self._deficit, s))
                   / (1.0 - s * s * _clenshaw(self._deficit_d1, s)))
-        self._excess = Chebyshev.fit(ts, k, _INVERSE_POINTS - 1, domain=[0.0, t_hi])
+        self._excess = _Series(Chebyshev.fit(ts, k, _INVERSE_POINTS - 1, domain=[0.0, t_hi]))
 
     def _y(self, m):
         """y = (pi/2) sqrt(CR(m)) at moduli m >= 1."""

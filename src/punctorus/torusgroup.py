@@ -268,11 +268,13 @@ def sample_torus(rng_seed) -> TorusSample:
     sampling; pairs that violate the closure inequality
     sinh(x/2) sinh(y/2) >= 1 are redrawn together, so the accepted pair
     is i.i.d.-from-the-law conditioned on describing an actual torus.
+    Each attempt is one ``sample_length_values(2, rng)``, which evaluates
+    the two draws one at a time on numpy scalars.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     while True:
-        x, y = sample_length_values(2, rng)
+        x, y = sample_length_values(2, rng).tolist()
         prod = math.sinh(0.5 * x) * math.sinh(0.5 * y)
         if prod >= 1.0:
             theta = math.asin(min(1.0 / prod, 1.0))
-            return TorusSample(x_sigma=x.item(), y_sigma=y.item(), theta=theta)
+            return TorusSample(x_sigma=x, y_sigma=y, theta=theta)

@@ -380,6 +380,22 @@ class TestInverseCdf:
         assert np.all(np.diff(r) >= 0.0)
         np.testing.assert_allclose(closedform._quad_sf(r), 1.0 - u, rtol=1e-10)
 
+    def test_one_float_equals_the_array_path(self):
+        # the per-draw route of sample_length_values calls the quantile on
+        # one float; at the edge uniforms it gives the array path's bits,
+        # u = -0.0 (whose z = -0.0 maps to the same t as z = 0) included
+        edges = [-0.0, 0.0, 2.0**-60, 1e-300, 0.5 - 2.0**-53, 0.5, 1.0 - 2.0**-53,
+                 1.0, 2.0, -1.0, math.nan]
+        inv = QuadCrInverseCdf()
+        u = np.concatenate([edges, np.linspace(0.0, 1.0, closedform._FLOAT_POINTS)])
+        many = inv(u)
+        for v, want in zip(edges, many.tolist()):
+            for one in (v, np.float64(v)):
+                got = inv._quantile(one)
+                assert isinstance(got, float)
+                assert _bits(got) == _bits(want), v
+            assert _bits(inv(v)) == _bits(want), v
+
     def test_sampler_determinism(self):
         a = sample_quad_cr_values(4096, np.random.default_rng(3))
         b = sample_quad_cr_values(4096, np.random.default_rng(3))
@@ -421,7 +437,7 @@ class TestClenshaw:
 
     def assert_same(self, series, xs) -> None:
         for x in xs:
-            want, got = series(x), closedform._clenshaw(series, x)
+            want, got = series(x), closedform._clenshaw(closedform._Series(series), x)
             assert np.shape(got) == np.shape(want)
             np.testing.assert_array_equal(_bits(got), _bits(want))
 
@@ -437,7 +453,8 @@ class TestClenshaw:
 
     def test_the_package_series(self, cr_table):
         rng = np.random.default_rng(31)
-        series = [closedform._INVERSE._log_r, cr_table._deficit, cr_table._deficit_d1,
-                  cr_table._deficit.deriv(2), cr_table._excess]
+        series = [closedform._INVERSE._log_r.cheb, cr_table._deficit.cheb,
+                  cr_table._deficit_d1.cheb, cr_table._deficit.cheb.deriv(2),
+                  cr_table._excess.cheb]
         for s in series:
             self.assert_same(s, self.points(*s.domain, rng))

@@ -191,10 +191,11 @@ class TestLengthDictionary:
                                    rtol=1e-12)
 
     def test_two_lengths_equal_the_array_path(self):
-        # sample_torus draws its two lengths on _clenshaw's Python-float
-        # path; they equal the same uniforms' lengths drawn among many
+        # sample_torus draws its two lengths one at a time on numpy
+        # scalars; they equal the same uniforms' lengths drawn among many
+        # as arrays
         u = np.random.default_rng(41).uniform(size=2000)
-        u[:8] = 0.0, 0.5, 0.5 - 2.0**-53, 1.0 - 2.0**-53, 2.0**-60, 0.25, 0.75, 1e-300
+        u[:9] = 0.0, 0.5, 0.5 - 2.0**-53, 1.0 - 2.0**-53, 2.0**-60, 0.25, 0.75, 1e-300, -0.0
         assert len(u) > closedform._FLOAT_POINTS
         many = sample_length_values(len(u), _FixedUniform(u))
         two = np.concatenate([sample_length_values(2, _FixedUniform(u[i:i + 2]))

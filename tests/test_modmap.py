@@ -234,7 +234,7 @@ class TestForwardMap:
         relative of pi^2 / 12.
         """
         assert cr_table._y(1e8) - 1e8 == pytest.approx(math.log(16.0) / math.pi, abs=1e-6)
-        assert cr_table._deficit_d1(0.0) == pytest.approx(math.pi**2 / 12.0, rel=1e-4)
+        assert cr_table._deficit_d1.cheb(0.0) == pytest.approx(math.pi**2 / 12.0, rel=1e-4)
 
     def test_asymptotic_continuation_is_continuous(self, cr_table):
         below = cr_of_modulus(cr_table.m_max - 1e-9, cr_table)
@@ -251,6 +251,40 @@ class TestForwardMap:
         for m, v in zip(grid, vec):
             assert cr_of_modulus(m.item(), cr_table) == pytest.approx(v,
                                                                       rel=1e-14)
+
+
+def _moduli(table: CrMapTable) -> np.ndarray:
+    """About 50 moduli: m = 1, the nodes, m_max, beyond it, below 1, and
+    seeded ones in between."""
+    rng = np.random.default_rng(8)
+    return np.concatenate([[1.0, 1.0 + 2.0**-52, table.m_max, table.m_max + 1e-9, 60.0,
+                            1e3, 1e8, 1e160, 0.02, 0.5, 1.0 - 2.0**-53],
+                           table.ms, 1.0 / table.ms[1:6], rng.uniform(1.0, table.m_max, 15)])
+
+
+_LOOKUPS = {
+    "cr_of_modulus": (cr_of_modulus, _moduli),
+    "modulus_of_cr": (modulus_of_cr, lambda t: np.maximum(cr_of_modulus(_moduli(t), t), 2.0)),
+    "modulus_pdf": (modulus_pdf, _moduli),
+    "teich_pdf": (teich_pdf, lambda t: np.log(_moduli(t))),
+    "modulus_cdf": (modulus_cdf, _moduli),
+    "teich_cdf": (teich_cdf, lambda t: np.log(_moduli(t))),
+}
+
+
+@pytest.mark.parametrize("name", _LOOKUPS)
+def test_scalar_lookups_equal_one_array_call(cr_table, name):
+    # a scalar sums the table's series over Python floats, an array of
+    # more than closedform._FLOAT_POINTS points in place; both read the
+    # coefficients the table holds, and agree bit for bit
+    fn, points = _LOOKUPS[name]
+    x = points(cr_table)
+    assert len(x) > 40
+    many = fn(x, cr_table)
+    for v, want in zip(x.tolist(), many.tolist()):
+        got = fn(v, cr_table)
+        assert isinstance(got, float)
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), v
 
 
 class TestInverseMap:

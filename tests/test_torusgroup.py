@@ -16,7 +16,7 @@ from punctorus.closedform import (
     quad_cr_cdf,
     sample_length_values,
 )
-from punctorus import torusgroup
+from punctorus import closedform, torusgroup
 from punctorus.hypgeom import MoebiusMap, cross_ratio
 from punctorus.torusgroup import (
     angle_relation,
@@ -29,6 +29,17 @@ from punctorus.torusgroup import (
     sample_torus,
     tangency_vertices,
 )
+
+
+class _FixedUniform:
+    """Stands in for a Generator whose uniform draws are given."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, size):
+        assert size == len(self.u)
+        return self.u
 
 
 def as_mat(m: MoebiusMap) -> np.ndarray:
@@ -418,6 +429,30 @@ class TestSampleTorus:
             closure = (math.sin(s.theta) * math.sinh(0.5 * s.x_sigma)
                        * math.sinh(0.5 * s.y_sigma))
             assert closure == pytest.approx(1.0, rel=1e-12)
+
+    def test_equals_the_array_path(self):
+        # sample_torus draws each pair of lengths one at a time on numpy
+        # scalars; the same pairs, read from a twin generator and pushed
+        # through the array path among k - 1 fixed pairs, give the same
+        # tori bit for bit, and leave the twin where the sampler left its
+        # generator
+        rng, twin = np.random.default_rng(2113), np.random.default_rng(2113)
+        k = closedform._FLOAT_POINTS + 1
+        pad = np.random.default_rng(0).uniform(size=2 * k - 2)
+        got, want = [], []
+        for _ in range(2000):
+            s = sample_torus(rng)
+            got.append((s.x_sigma, s.y_sigma, s.theta))
+            while True:
+                u = np.concatenate([twin.uniform(size=2), pad])
+                x, y = sample_length_values(2 * k, _FixedUniform(u))[:2].tolist()
+                prod = math.sinh(0.5 * x) * math.sinh(0.5 * y)
+                if prod >= 1.0:
+                    want.append((x, y, math.asin(min(1.0 / prod, 1.0))))
+                    break
+        np.testing.assert_array_equal(np.array(got).view(np.int64),
+                                      np.array(want).view(np.int64))
+        assert rng.uniform() == twin.uniform()
 
     def test_deterministic_under_seed(self):
         a = sample_torus(77)
