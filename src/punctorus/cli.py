@@ -29,7 +29,7 @@ _UNITS_EPILOG = (
     "is d = log m, the logarithm of the extremal dilatation."
 )
 
-_TABLE_DEFAULTS = inspect.signature(modmap.build_cr_table).parameters
+_TABLE_NODES = inspect.signature(modmap.build_cr_table).parameters["n"].default
 
 
 def _write(out: str | None, text: str) -> None:
@@ -100,7 +100,7 @@ def _emit_solve(args, tau: float) -> int:
 
 def _cmd_cr_map(args) -> int:
     if args.table:
-        _emit_rows(args, *modmap.build_cr_table(m_max=args.mmax, n=args.points).rows())
+        _emit_rows(args, *modmap.build_cr_table(n=args.points).rows())
         return 0
     if args.modulus <= 0:
         raise ValueError("modulus must be positive")
@@ -209,9 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--modulus", type=float,
                       help="solve one modulus m directly, at tau = 1/m")
     mode.add_argument("--table", action="store_true",
-                      help="emit the node table, m from 1 to --mmax")
-    p.add_argument("--mmax", type=float, default=_TABLE_DEFAULTS["m_max"].default)
-    p.add_argument("--points", type=int, default=_TABLE_DEFAULTS["n"].default)
+                      help="emit the node table, m from 1 to 50")
+    p.add_argument("--points", type=int, default=_TABLE_NODES,
+                   help="table nodes, 16 to 48")
     _add_common(p)
     p.set_defaults(fn=_cmd_cr_map)
 

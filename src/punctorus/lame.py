@@ -319,7 +319,7 @@ def _magnus_legs(legs: _Legs, lambda_acc: float) -> tuple[np.ndarray, np.ndarray
     return end, census, drift
 
 
-def _integrate_with(legs: _Legs, tau: float, lambda_acc: float) -> LameEndpointData:
+def _integrate_with(legs: _Legs, lambda_acc: float) -> LameEndpointData:
     """Endpoint data of both legs at lambda_acc from one _magnus_legs call.
 
     Raises :class:`BracketError` when a leg overflowed (naming the first
@@ -354,7 +354,7 @@ def integrate_lame(tau: float, lambda_acc: float) -> LameEndpointData:
     [TAU_MIN, TAU_MAX].
     """
     _check_tau(tau)
-    return _integrate_with(_Legs(tau), tau, lambda_acc)
+    return _integrate_with(_Legs(tau), lambda_acc)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +530,7 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
     def trial(lam: float) -> tuple[float, LameEndpointData, CircleInvariants]:
         nonlocal trials
         trials += 1
-        data = _integrate_with(legs, tau, lam)
+        data = _integrate_with(legs, lam)
         inv = circle_invariants(data)
         return _signed_root(inv), data, inv
 

@@ -50,6 +50,10 @@ _PI2 = math.pi**2
 _CSV_COLUMNS = ("m", "tau", "lambda_acc", "cross_ratio",
                 "a1", "r1", "a2", "r2", "residual")
 
+# The last node of a build, and the most nodes a build takes.
+_M_LAST = 50.0
+_MAX_NODES = 48
+
 # Points at which the inverse series interpolates the inverted forward
 # series, and the Newton steps that invert it there.
 _INVERSE_POINTS = 24
@@ -225,28 +229,25 @@ def _extrapolate(points: list[tuple[float, float]], x: float) -> float:
     return total
 
 
-def build_cr_table(*, m_max: float = 50.0, n: int = 16) -> CrMapTable:
+def build_cr_table(*, n: int = 16) -> CrMapTable:
     """Solve the tangency problem over a modulus grid and tabulate.
 
     The n nodes are Chebyshev points of the second kind in s = 1/m on
-    [1/m_max, 1], so the square torus (m = 1) and m_max are nodes; they
+    [1/50, 1], so the square torus (m = 1) and m = 50 are nodes; they
     are the only solves.  Solves run in increasing modulus, each seeded
     with the accessory parameter extrapolated in tau from the last three
     solved nodes.  With no node solved yet the seed is 0, the exact
     value at the square (the quarter turn gives lambda(tau) tau^2 =
     -lambda(1/tau)).  Raises ValueError before any solve unless
-    1 < m_max <= 1/lame.TAU_MIN (200), the largest modulus the solver
-    takes; a solver failure at a node propagates.
+    16 <= n <= 48: every such n matches 40 direct solves over m in
+    [1.01, 200] to 2.6e-11 relative, and from 49 nodes up the degree
+    n - 1 series reaches s = 0 worse (6.1e-11 at 49, 1.3e-9 at 64).  A
+    solver failure at a node propagates.
     """
-    if not m_max > 1.0:
-        raise ValueError("need m_max > 1")
-    if 1.0 / m_max < lame.TAU_MIN:
-        raise ValueError(f"need m_max <= {1.0 / lame.TAU_MIN:g}, "
-                         "the largest modulus the solver takes")
-    if n < 16:
-        raise ValueError("need at least 16 nodes")
-    ms = 1.0 / _chebpts(1.0 / m_max, 1.0, n)[::-1]
-    ms[[0, -1]] = 1.0, m_max
+    if not 16 <= n <= _MAX_NODES:
+        raise ValueError(f"need 16 <= n <= {_MAX_NODES} nodes")
+    ms = 1.0 / _chebpts(1.0 / _M_LAST, 1.0, n)[::-1]
+    ms[[0, -1]] = 1.0, _M_LAST
     records: list[dict] = []
     crs = np.empty_like(ms)
     solved: list[tuple[float, float]] = []

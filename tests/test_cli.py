@@ -216,8 +216,8 @@ class TestSolverCommands:
     def stub_build(self, monkeypatch, cr_table):
         calls = []
 
-        def build(*, m_max, n):
-            calls.append((m_max, n))
+        def build(*, n):
+            calls.append(n)
             return cr_table
 
         monkeypatch.setattr(cli.modmap, "build_cr_table", build)
@@ -226,7 +226,7 @@ class TestSolverCommands:
     def test_cr_map_table_csv(self, capsys, stub_build, cr_table):
         code, out, _ = run(capsys, ["cr-map", "--table", "--points", "16"])
         assert code == 0
-        assert stub_build == [(50.0, 16)]
+        assert stub_build == [16]
         assert out == csv_text(*cr_table.rows())
         code, out, _ = run(capsys, ["cr-map", "--table", "--precision", "6"])
         rows = list(csv.reader(io.StringIO(out)))
@@ -252,10 +252,22 @@ class TestSolverCommands:
         assert "not allowed with argument --modulus" in capsys.readouterr().err
         assert stub_build == []
 
-    def test_cr_map_table_past_the_solver_range_is_a_usage_error(self, capsys):
-        code, out, err = run(capsys, ["cr-map", "--table", "--mmax", "300"])
+    def test_cr_map_table_past_the_node_cap_is_a_usage_error(self, capsys, monkeypatch):
+        def no_solve(tau, bracket=None):
+            raise AssertionError("no solve expected")
+
+        monkeypatch.setattr(cli.modmap.lame, "solve_accessory", no_solve)
+        code, out, err = run(capsys, ["cr-map", "--table", "--points", "49"])
         assert code == 2 and out == ""
-        assert err.startswith("error: need m_max <= 200")
+        assert err.startswith("error: need 16 <= n <= 48")
+
+    def test_cr_map_has_no_mmax(self, capsys, stub_build):
+        # the last node is fixed at m = 50
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cr-map", "--table", "--mmax", "50"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mmax" in capsys.readouterr().err
+        assert stub_build == []
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         def boom(tau, bracket=None):

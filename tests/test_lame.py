@@ -323,9 +323,9 @@ class TestAccessorySolve:
         tried = []
         integrate = lame._integrate_with
 
-        def record(legs, tau, lam_):
+        def record(legs, lam_):
             tried.append(lam_)
-            return integrate(legs, tau, lam_)
+            return integrate(legs, lam_)
 
         monkeypatch.setattr(lame, "_integrate_with", record)
         seeds = (lam + 1e-3, lam + 2e-3)
@@ -344,9 +344,9 @@ class TestAccessorySolve:
         tried = []
         integrate = lame._integrate_with
 
-        def record(legs, tau_, lam_):
+        def record(legs, lam_):
             tried.append(lam_)
-            return integrate(legs, tau_, lam_)
+            return integrate(legs, lam_)
 
         monkeypatch.setattr(lame, "_integrate_with", record)
         sol = solve_accessory(tau)
@@ -384,9 +384,9 @@ class TestAccessorySolve:
         tried = []
         integrate = lame._integrate_with
 
-        def record(legs, tau_, lam_):
+        def record(legs, lam_):
             tried.append(lam_)
-            return integrate(legs, tau_, lam_)
+            return integrate(legs, lam_)
 
         monkeypatch.setattr(lame, "_integrate_with", record)
         with pytest.raises(SolverFailure) as err:

@@ -12,8 +12,11 @@ from punctorus import closedform as cf
 from punctorus import verify
 
 
+_ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
+
+
 def _acceptance_tests() -> list[str]:
-    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    tree = ast.parse(_ACCEPTANCE.read_text())
     return [node.name for node in tree.body
             if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")]
 
@@ -53,3 +56,27 @@ def test_normalization_masses_match_adaptive_quadrature(verify_results):
     for law, (pdf, *cuts) in pieces.items():
         want = sum(quad(pdf, a, b, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
         assert masses[law] == pytest.approx(want, abs=1e-12), law
+
+
+def test_acceptance_tests_restate_no_bound():
+    # every bound is written once, in verify; the acceptance tests only
+    # assert its verdicts.  The one numeric comparison left is clause
+    # 07's budget for the session's table build, which verify cannot see
+    found = []
+    for top in ast.parse(_ACCEPTANCE.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.Constant) and type(n.value) in (int, float)
+                    for operand in (node.left, *node.comparators)
+                    for n in ast.walk(operand)):
+                found.append((getattr(top, "name", None), ast.unparse(node)))
+    assert found == [("test_criterion_07_asymptotic_sandwich", "build_seconds < 180.0")]
+
+
+@pytest.mark.parametrize("offset,failed", [(5.1e-4, ("median",)), (4.9e-4, ())])
+def test_failed_names_the_bounds_that_failed(monkeypatch, offset, failed):
+    # clause 02 bounds |median - 4.6883| <= 5e-4 and its time
+    monkeypatch.setattr(cf, "quad_cr_median", lambda: 4.6883 + offset)
+    [result] = verify._check_quad_median(False, None)
+    assert result.failed == failed
+    assert result.passed == (not failed) and result.nominal == (not failed)
