@@ -7,8 +7,9 @@ log of the extremal dilatation.  (Some displays define the distance as
 an infimum of dilatations K without taking the log; this tool always
 reports the logarithm.)
 
-Exit codes: 0 success, 2 usage error, 3 accessory-solver failure (the
-solver's diagnostics are printed to stderr as JSON).
+Exit codes: 0 success, 2 usage error or a request too large to allocate,
+3 accessory-solver failure (the solver's diagnostics are printed to
+stderr as JSON).
 """
 from __future__ import annotations
 
@@ -261,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:
+        sys.stderr.write(f"error: request too large: {exc}\n")
         return 2
 
 

@@ -93,20 +93,12 @@ def _elementwise(fn):
     return functools.wraps(fn)(lambda x: _apply(fn, x))
 
 
-# Up to this many points a series is summed over Python floats: on a
-# few points numpy's per-call overhead, about three ufunc calls per
-# coefficient, costs more than the arithmetic.  Timed at degrees 15 and
-# 30, the Python path stays the faster up to about 20 points.  Up to as
-# many draws, sample_length_values takes them one at a time.
-_FLOAT_POINTS = 16
-
-
 class _Series:
     """A fitted Chebyshev series as :func:`_clenshaw` reads it.
 
     cheb is the series; off and scl its domain map t = off + scl x and
     rc its coefficients from the top degree down, as Python floats for
-    the float path, read here once rather than on every evaluation.
+    the one-float route, read here once rather than on every evaluation.
     The package's owners of series, :class:`QuadCrInverseCdf` and
     ``modmap.CrMapTable``, are immutable and hold one per series.
     """
@@ -119,42 +111,34 @@ class _Series:
         self.rc = cheb.coef[::-1].tolist()
 
 
-def _clenshaw_float(series: _Series, x: float) -> float:
-    """:func:`_clenshaw`'s domain map and recurrence at one point, over Python floats."""
-    rc = series.rc
-    t = float(x) * series.scl + series.off
-    if len(rc) == 1:
-        return t * 0.0 + rc[0]
-    c1, c0 = rc[0], rc[1]
-    x2 = t * 2.0
-    for ci in rc[2:]:
-        c0, c1 = ci - c1, c0 + c1 * x2
-    return c0 + c1 * t
-
-
 def _clenshaw(series: _Series, x):
     """series(x), numpy's Clenshaw recurrence op for op.
 
     The domain map off + scl x to t, x2 = 2t, then per coefficient
     c0, c1 = c[-i] - c1, c0 + c1 x2, and c0 + c1 t last, as
-    ``Chebyshev.__call__`` does; so the values agree bit for bit.  On one
-    float (a numpy float64 included), which gives a float, or on at
-    most ``_FLOAT_POINTS`` points the recurrence runs over Python
-    floats, whose *, + and - round as the ufuncs do.  On more it runs in
-    place: the new c1 alternates between two scratch arrays and c0
-    overwrites its own, so a call allocates five arrays the size of x,
-    whatever the degree.  This is the package's one series evaluator;
-    the Chebyshev objects only hold fitted coefficients.  x is a float
-    or an array.
+    ``Chebyshev.__call__`` does; so the values agree bit for bit.  The
+    route is chosen by type.  On one float (a numpy float64 included),
+    which gives a float, the recurrence runs over Python floats, whose
+    *, + and - round as the ufuncs do.  On an array of any shape and
+    size it runs in place: the new c1 alternates between two scratch
+    arrays and c0 overwrites its own, so a call allocates five arrays
+    the size of x, whatever the degree.  This is the package's one
+    series evaluator; the Chebyshev objects only hold fitted
+    coefficients.
     """
     if isinstance(x, float):
-        return _clenshaw_float(series, x)
+        rc = series.rc
+        t = float(x) * series.scl + series.off
+        if len(rc) == 1:
+            return t * 0.0 + rc[0]
+        c1, c0 = rc[0], rc[1]
+        x2 = t * 2.0
+        for ci in rc[2:]:
+            c0, c1 = ci - c1, c0 + c1 * x2
+        return c0 + c1 * t
     c = series.cheb.coef
     shape = np.shape(x)
     t = np.array(x, dtype=float).reshape(-1)
-    if len(t) <= _FLOAT_POINTS:
-        return np.array([_clenshaw_float(series, v) for v in t.tolist()],
-                        dtype=float).reshape(shape)
     t *= series.scl
     t += series.off
     c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
@@ -597,20 +581,21 @@ def sample_length_values(n: int, rng: np.random.Generator) -> np.ndarray:
     A fair coin picks the branch; each branch is the image of the
     quadrilateral law under its half-angle substitution: u < 1/2 gives
     the short length at the quantile of 1 - 2u, u >= 1/2 the dual one at
-    that of 2u - 1.  Up to ``_FLOAT_POINTS`` draws, as the two of
-    ``torusgroup.sample_torus``, go one at a time: the quantile and the
-    drawn branch's length run on one double, through numpy's ufuncs,
-    which round there as their array loops do (``math``'s log1p, exp,
-    atanh and acosh do not).  More draws go through both branches as
-    arrays.  Both routes read ``rng.uniform(size=n)`` and give the same
-    values bit for bit.
+    that of 2u - 1.  All n draws read ``rng.uniform(size=n)`` and go
+    through both branches as arrays; :func:`_length_draw` gives the
+    same value at one uniform bit for bit.
     """
     u = rng.uniform(size=n)
-    if n <= _FLOAT_POINTS:
-        quantile = _INVERSE._quantile
-        return np.array([_short_length(quantile(1.0 - 2.0 * v)) if v < 0.5
-                         else _dual_length(quantile(2.0 * v - 1.0)) for v in u.tolist()],
-                        dtype=float)
     short = u < 0.5
     q = _INVERSE(np.where(short, 1.0 - 2.0 * u, 2.0 * u - 1.0))
     return np.where(short, _short_length(q), _dual_length(q))
+
+
+def _length_draw(v: float) -> float:
+    """The length :func:`sample_length_values` draws at one uniform v, bit
+    for bit, with only the drawn branch evaluated on one double (numpy's
+    ufuncs round there as their array loops do; ``math``'s log1p, exp,
+    atanh and acosh do not)."""
+    if v < 0.5:
+        return float(_short_length(_INVERSE._quantile(1.0 - 2.0 * v)))
+    return float(_dual_length(_INVERSE._quantile(2.0 * v - 1.0)))

@@ -351,9 +351,11 @@ def integrate_lame(tau: float, lambda_acc: float) -> LameEndpointData:
     Raises :class:`BracketError` when either fundamental solution
     oscillates, which is the signature of an accessory parameter outside
     the admissible bracket, and ValueError for tau outside
-    [TAU_MIN, TAU_MAX].
+    [TAU_MIN, TAU_MAX] or a nan lambda_acc.
     """
     _check_tau(tau)
+    if math.isnan(lambda_acc):
+        raise ValueError(f"accessory parameter lambda_acc = {lambda_acc!r} is not a number")
     return _integrate_with(_Legs(tau), lambda_acc)
 
 

@@ -91,6 +91,8 @@ class McConfig:
     law: str = "crossratio_full"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_samples, (int, np.integer)):
+            raise ValueError(f"sample count n_samples = {self.n_samples!r} is not an integer")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
         if self.workers < 1:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closedform import sample_length_values
+from .closedform import _length_draw
 from .hypgeom import MoebiusMap
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
 ]
 
 _TANGENT_TOL = 1e-9
-# Radii and twists are squared and inverted in the generator entries;
-# beyond these bounds a square or its reciprocal leaves the doubles.
-_SCALE_MAX = 1e150
 # The rectangular pair's determinant qa**2 - 1/r**2 (and qb**2 - r**2)
 # loses about 1/r**2 (r**2) ulps of 1 and first rounds to 0 near
 # r = 2**-25.45 (2**25.46).  Its commutator's last product has entries
@@ -46,6 +43,12 @@ _SCALE_MAX = 1e150
 # 60 000 in each of [2**22, 2**23] and [2**23, 2**23.5] (mirrors below
 # 1 alike).
 _RECT_MIN, _RECT_MAX = 2.0**-23, 2.0**23
+# The sheared pair's determinants, and its commutator's, first round to
+# 0 once P = max(r, 1/r) (1 + lam**2) passes about 2**20 (2**20.06 the
+# lowest of 10**5 log-uniform points, r in 2**[8, 14], lam in 2**[2, 6]),
+# and at (1, 1e8) the pair's round to 4.  This box keeps P below
+# 2**18.01: none of 4 * 10**5 points in it failed, half in its corner.
+_SHEAR_R_MAX, _SHEAR_LAM_MAX = 2.0**10, 16.0
 # cosh(ell/2)**2 overflows for lengths ell above about 710.
 _LENGTH_MAX = 700.0
 
@@ -143,7 +146,10 @@ def commutator(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
     of the group element (and equals -2 in the parabolic cases).  For
     the rectangular pair of radius r the computed trace is within
     64 max(r^2, 1/r^2) eps of -2 over the whole accepted range of r
-    (the worst seen, 45.8, near r = 1.02; about 12 near the ends).
+    (the worst seen, 45.8, near r = 1.02; about 12 near the ends).  For
+    the sheared pair at (r, lam) it is within
+    128 max(r^2, 1/r^2) (1 + lam^2)^2 eps of -2 over the whole accepted
+    box (the worst seen, 90.4, near r = 1.03, lam = 7.95).
     """
     f, g = f.normalized(), g.normalized()
     return compose(compose(f, g), compose(_adjugate(f), _adjugate(g)))
@@ -163,14 +169,6 @@ def isometric_circle(m: MoebiusMap) -> IsometricCircle:
     """
     n = m.normalized()
     return _circle(n.c, n.d)
-
-
-def _check_radius(r: float) -> None:
-    if not r > 0:
-        raise ValueError("radius must be positive")
-    if not 1.0 / _SCALE_MAX < r < _SCALE_MAX:
-        raise ValueError(f"radius r = {r!r} is outside (1e-150, 1e150), "
-                         "where r**2 or 1/r**2 leaves the doubles")
 
 
 def rectangular_generators(r: float) -> GeneratorPair:
@@ -224,14 +222,15 @@ def nonrectangular_pair(r: float, lam: float) -> tuple[MoebiusMap, MoebiusMap]:
 
     At lam = 0 they reduce entrywise to the rectangular generators (in
     the opposite order: u to B, v to A).  Their fixed points stay
-    antipodal on the unit circle for every twist.
+    antipodal on the unit circle for every twist.  Raises ValueError for
+    r outside [2**-10, 2**10] or lam outside [0, 16], beyond which the
+    rounded entries of the pair or of its commutator can be singular.
     """
-    _check_radius(r)
-    if lam < 0:
-        raise ValueError("twist must be nonnegative")
-    if not lam < _SCALE_MAX:
-        raise ValueError(f"twist lam = {lam!r} is not below 1e150, "
-                         "where lam**2 overflows")
+    where = "the range where the pair and its commutator are nonsingular in doubles"
+    if not 1.0 / _SHEAR_R_MAX <= r <= _SHEAR_R_MAX:
+        raise ValueError(f"radius r = {r!r} is outside [2**-10, 2**10], {where}")
+    if not 0.0 <= lam <= _SHEAR_LAM_MAX:
+        raise ValueError(f"twist lam = {lam!r} is outside [0, 16], {where}")
     w = math.sqrt(1.0 + lam * lam)
     qa = math.sqrt(r * r + 1.0)
     qb = math.sqrt(1.0 / r**2 + 1.0)
@@ -247,10 +246,12 @@ def angle_relation(ell1: float, ell2: float) -> AngleRelation:
     sin(theta) sinh(ell1/2) sinh(ell2/2) = 1; a product below 1 cannot
     close up into a torus and raises.
     """
-    if ell1 <= 0 or ell2 <= 0:
-        raise ValueError("lengths must be positive")
     for name, ell in (("ell1", ell1), ("ell2", ell2)):
-        if not ell <= _LENGTH_MAX:
+        if math.isnan(ell):
+            raise ValueError(f"length {name} = {ell!r} is not a number")
+        if ell <= 0:
+            raise ValueError(f"length {name} = {ell!r} is not positive")
+        if ell > _LENGTH_MAX:
             raise ValueError(f"length {name} = {ell!r} exceeds 700, "
                              "where cosh(ell/2)**2 overflows")
     prod = math.sinh(0.5 * ell1) * math.sinh(0.5 * ell2)
@@ -268,12 +269,13 @@ def sample_torus(rng_seed) -> TorusSample:
     sampling; pairs that violate the closure inequality
     sinh(x/2) sinh(y/2) >= 1 are redrawn together, so the accepted pair
     is i.i.d.-from-the-law conditioned on describing an actual torus.
-    Each attempt is one ``sample_length_values(2, rng)``, which evaluates
-    the two draws one at a time on numpy scalars.
+    Each attempt reads ``rng.uniform(size=2)`` and draws each length from
+    its uniform on one double, the value ``sample_length_values`` gives
+    for it among many.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     while True:
-        x, y = sample_length_values(2, rng).tolist()
+        x, y = map(_length_draw, rng.uniform(size=2).tolist())
         prod = math.sinh(0.5 * x) * math.sinh(0.5 * y)
         if prod >= 1.0:
             theta = math.asin(min(1.0 / prod, 1.0))

@@ -123,6 +123,13 @@ class TestCurveCommands:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_grid_too_large_to_allocate_is_a_usage_error(self, capsys):
+        # 10**18 points: numpy refuses the array before allocating any of it
+        code, out, err = run(capsys, ["pdf", "--law", "quad_cr", "--from", "0",
+                                      "--to", "1e15", "--step", "1e-3"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: request too large") and err.count("\n") == 1
+
 
 class TestSampleCommand:
     def test_csv_histogram(self, capsys):
@@ -162,6 +169,11 @@ class TestSampleCommand:
         assert cli.main(argv + ["--out", str(path)]) == 0
         assert capsysbinary.readouterr().out == b""
         assert path.read_bytes() == stdout
+
+    def test_sample_too_large_to_allocate_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, ["sample", "--law", "star", "--n", str(10**18)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: request too large") and err.count("\n") == 1
 
     def test_seed_env_default(self, monkeypatch):
         monkeypatch.setenv("PUNCTORUS_SEED", "777")

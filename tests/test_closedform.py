@@ -381,13 +381,13 @@ class TestInverseCdf:
         np.testing.assert_allclose(closedform._quad_sf(r), 1.0 - u, rtol=1e-10)
 
     def test_one_float_equals_the_array_path(self):
-        # the per-draw route of sample_length_values calls the quantile on
-        # one float; at the edge uniforms it gives the array path's bits,
+        # the one-float length draw calls the quantile on one float; at
+        # the edge uniforms it gives the array path's bits,
         # u = -0.0 (whose z = -0.0 maps to the same t as z = 0) included
         edges = [-0.0, 0.0, 2.0**-60, 1e-300, 0.5 - 2.0**-53, 0.5, 1.0 - 2.0**-53,
                  1.0, 2.0, -1.0, math.nan]
         inv = QuadCrInverseCdf()
-        u = np.concatenate([edges, np.linspace(0.0, 1.0, closedform._FLOAT_POINTS)])
+        u = np.concatenate([edges, np.linspace(0.0, 1.0, 16)])
         many = inv(u)
         for v, want in zip(edges, many.tolist()):
             for one in (v, np.float64(v)):
@@ -426,10 +426,9 @@ class TestClenshaw:
 
     @staticmethod
     def points(lo: float, hi: float, rng) -> list:
-        """x shaped 0-d, (0,), (1,), (2,), (k,) and (k + 1,) at the float
-        path's limit k, and (2**15 + 3,), domain ends included."""
-        k = closedform._FLOAT_POINTS
-        sized = [rng.uniform(lo, hi, n) for n in (2, k, k + 1, (1 << 15) + 3)]
+        """x shaped 0-d, (0,), (1,), (2,), (16,), (17,) and (2**15 + 3,),
+        domain ends included, and the two ends as floats."""
+        sized = [rng.uniform(lo, hi, n) for n in (2, 16, 17, (1 << 15) + 3)]
         for x in sized:
             x[:2] = lo, hi
         return [np.array(lo), np.array(hi), np.array(0.5 * (lo + hi)), np.empty(0),

@@ -191,16 +191,14 @@ class TestLengthDictionary:
                                    rtol=1e-12)
 
     def test_two_lengths_equal_the_array_path(self):
-        # sample_torus draws its two lengths one at a time on numpy
-        # scalars; they equal the same uniforms' lengths drawn among many
-        # as arrays
+        # sample_torus draws each length from its uniform on one double;
+        # it equals the same uniform's length drawn among many as arrays
         u = np.random.default_rng(41).uniform(size=2000)
         u[:9] = 0.0, 0.5, 0.5 - 2.0**-53, 1.0 - 2.0**-53, 2.0**-60, 0.25, 0.75, 1e-300, -0.0
-        assert len(u) > closedform._FLOAT_POINTS
         many = sample_length_values(len(u), _FixedUniform(u))
-        two = np.concatenate([sample_length_values(2, _FixedUniform(u[i:i + 2]))
-                              for i in range(0, len(u), 2)])
-        np.testing.assert_array_equal(two.view(np.int64), many.view(np.int64))
+        one = [closedform._length_draw(v) for v in u.tolist()]
+        assert all(type(x) is float for x in one)
+        np.testing.assert_array_equal(np.array(one).view(np.int64), many.view(np.int64))
 
     def test_dual_fixed_point(self):
         # the involution fixes the threshold, where Q = 2 and the two

@@ -252,6 +252,11 @@ class TestTwoLegIntegration:
             with pytest.raises(ValueError):
                 integrate_lame(tau, -0.5)
 
+    def test_rejects_a_nan_accessory_parameter(self):
+        # a nan used to reach the legs and raise BracketError as an overflow
+        with pytest.raises(ValueError, match=r"lambda_acc = nan is not a number"):
+            integrate_lame(1.0, math.nan)
+
 
 class TestCircleGeometry:
     def test_contact_point_at_solve(self):
@@ -315,6 +320,12 @@ class TestAccessorySolve:
         lam = cold.lambda_acc
         warm = solve_accessory(0.5, bracket=(lam - 0.01, lam + 0.01))
         assert warm.lambda_acc == pytest.approx(lam, abs=1e-10)
+
+    def test_nan_seeds_fall_back_to_the_scan(self):
+        cold = solve_accessory(0.5)
+        sol = solve_accessory(0.5, bracket=(math.nan, math.nan))
+        assert not sol.diagnostics["warm"]
+        assert sol.lambda_acc == cold.lambda_acc
 
     def test_seeds_need_not_straddle_the_root(self, monkeypatch):
         cold = solve_accessory(0.5)

@@ -50,6 +50,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(n_samples=10, seed=1, law="bogus")
 
+    @pytest.mark.parametrize("n", [1.5, 10.0, "10"])
+    def test_sample_count_must_be_an_integer(self, n):
+        # 1.5 used to pass here and fail inside numpy in run_law
+        with pytest.raises(ValueError, match=r"n_samples = .* is not an integer"):
+            McConfig(n_samples=n, seed=1)
+        assert McConfig(n_samples=np.int64(10), seed=1).n_samples == 10
+
     def test_law_roster(self):
         assert set(LAWS) == {"crossratio_full", "quad_cr", "length", "star",
                              "modulus", "teich"}

@@ -282,9 +282,9 @@ _LOOKUPS = {
 
 @pytest.mark.parametrize("name", _LOOKUPS)
 def test_scalar_lookups_equal_one_array_call(cr_table, name):
-    # a scalar sums the table's series over Python floats, an array of
-    # more than closedform._FLOAT_POINTS points in place; both read the
-    # coefficients the table holds, and agree bit for bit
+    # a scalar and an array both sum the table's series in place, one
+    # point or many; both read the coefficients the table holds, and
+    # agree bit for bit
     fn, points = _LOOKUPS[name]
     x = points(cr_table)
     assert len(x) > 40

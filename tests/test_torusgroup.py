@@ -16,7 +16,7 @@ from punctorus.closedform import (
     quad_cr_cdf,
     sample_length_values,
 )
-from punctorus import closedform, torusgroup
+from punctorus import torusgroup
 from punctorus.hypgeom import MoebiusMap, cross_ratio
 from punctorus.torusgroup import (
     angle_relation,
@@ -29,17 +29,6 @@ from punctorus.torusgroup import (
     sample_torus,
     tangency_vertices,
 )
-
-
-class _FixedUniform:
-    """Stands in for a Generator whose uniform draws are given."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def uniform(self, size):
-        assert size == len(self.u)
-        return self.u
 
 
 def as_mat(m: MoebiusMap) -> np.ndarray:
@@ -76,6 +65,19 @@ def commutator_trace(lam: float, mu: float) -> float:
 # 2.4e6 log-uniform radii in [1/2, 2], where the constant peaks, and
 # about 12 near either end of [2^-23, 2^23]; 64 leaves a 40% margin.
 PARABOLIC_C = 64.0
+
+
+# |tr[u, v] + 2| <= SHEARED_C max(r^2, r^-2) (1 + lam^2)^2 eps for the
+# sheared pair at (r, lam).  The worst seen was 90.4 (near r = 1.03,
+# lam = 7.95) over 6 * 10**5 log-uniform points in and around the box
+# r in [2^-10, 2^10], lam in [0, 16].
+SHEARED_C = 128.0
+
+
+def assert_sheared_parabolic(r: float, lam: float) -> None:
+    u, v = nonrectangular_pair(r, lam)
+    scale = max(r * r, 1.0 / (r * r)) * (1.0 + lam * lam) ** 2 * np.finfo(float).eps
+    assert abs(tr(commutator(u, v)) + 2.0) <= SHEARED_C * scale, (r, lam)
 
 
 def assert_parabolic(r: float) -> None:
@@ -339,6 +341,37 @@ class TestNonrectangularPair:
                                        as_mat(v), atol=2e-11)
 
 
+    @pytest.mark.parametrize("r", [2.0**-10, 1.0, 2.0**10])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 16.0])
+    def test_edges_of_the_box_build(self, r, lam):
+        u, v = nonrectangular_pair(r, lam)
+        for m in (u, v):
+            assert abs(complex(m.det()) - 1.0) <= 1e-6
+        assert_sheared_parabolic(r, lam)
+
+    @pytest.mark.parametrize("r, lam, name", [
+        (math.nextafter(2.0**10, math.inf), 1.0, "r"),
+        (math.nextafter(2.0**-10, 0.0), 1.0, "r"),
+        (1.0, math.nextafter(16.0, math.inf), "lam"),
+        (1.0, -5e-324, "lam"),
+        # determinant 4, singular maps, a commutator trace of -64 and
+        # of -1.9375 before the box
+        (1.0, 1e8, "lam"), (1e8, 0.0, "r"), (1e8, 1.0, "r"), (1e-8, 1.0, "r"),
+        (1.0, 1e4, "lam"), (2.0**22, 1.0, "r"),
+        (math.nan, 1.0, "r"), (1.0, math.nan, "lam"),
+    ])
+    def test_outside_the_box_names_the_argument(self, r, lam, name):
+        with pytest.raises(ValueError, match=rf"\b{name} = .* is outside \["):
+            nonrectangular_pair(r, lam)
+
+    def test_commutator_is_parabolic_across_the_box(self):
+        rng = np.random.default_rng(13)
+        for _ in range(4000):
+            r = 2.0 ** rng.uniform(-10.0, 10.0)
+            lam = 2.0 ** rng.uniform(-20.0, 4.0)
+            assert_sheared_parabolic(r, lam)
+
+
 class TestGeneralCommutator:
     def test_parabolic_iff_equal_twists(self):
         assert commutator_trace(1.0, 1.0) == pytest.approx(-4.0, rel=1e-14)
@@ -418,6 +451,16 @@ class TestAngleRelation:
         with pytest.raises(ValueError):
             angle_relation(-1.0, 2.0)
 
+    @pytest.mark.parametrize("ell1, ell2, message", [
+        (math.nan, 1.0, "ell1 = nan is not a number"),
+        (1.0, math.nan, "ell2 = nan is not a number"),
+        (2.0, -1.0, "ell2 = -1.0 is not positive"),
+    ])
+    def test_bad_length_is_named(self, ell1, ell2, message):
+        # a nan used to be reported as exceeding 700
+        with pytest.raises(ValueError, match=re.escape(message)):
+            angle_relation(ell1, ell2)
+
 
 class TestSampleTorus:
     def test_invariant_and_ranges(self):
@@ -431,21 +474,18 @@ class TestSampleTorus:
             assert closure == pytest.approx(1.0, rel=1e-12)
 
     def test_equals_the_array_path(self):
-        # sample_torus draws each pair of lengths one at a time on numpy
-        # scalars; the same pairs, read from a twin generator and pushed
-        # through the array path among k - 1 fixed pairs, give the same
-        # tori bit for bit, and leave the twin where the sampler left its
-        # generator
+        # sample_torus draws each pair of lengths one at a time on
+        # doubles; the same pairs, read from a twin generator and pushed
+        # through the array path, give the same tori bit for bit, and
+        # leave the twin where the sampler left its generator
         rng, twin = np.random.default_rng(2113), np.random.default_rng(2113)
-        k = closedform._FLOAT_POINTS + 1
-        pad = np.random.default_rng(0).uniform(size=2 * k - 2)
         got, want = [], []
         for _ in range(2000):
             s = sample_torus(rng)
             got.append((s.x_sigma, s.y_sigma, s.theta))
+            assert all(type(v) is float for v in got[-1])
             while True:
-                u = np.concatenate([twin.uniform(size=2), pad])
-                x, y = sample_length_values(2 * k, _FixedUniform(u))[:2].tolist()
+                x, y = sample_length_values(2, twin).tolist()
                 prod = math.sinh(0.5 * x) * math.sinh(0.5 * y)
                 if prod >= 1.0:
                     want.append((x, y, math.asin(min(1.0 / prod, 1.0))))

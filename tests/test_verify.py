@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,3 +81,22 @@ def test_failed_names_the_bounds_that_failed(monkeypatch, offset, failed):
     [result] = verify._check_quad_median(False, None)
     assert result.failed == failed
     assert result.passed == (not failed) and result.nominal == (not failed)
+
+
+def test_monte_carlo_clause_runs_one_config_per_law(monkeypatch):
+    # run_law ignores McConfig.workers, so clause 04 leaves it at its
+    # default; its verdict is that three runs of the quad_cr config agree
+    configs = []
+
+    def record(cfg, table=None):
+        configs.append(cfg)
+        return SimpleNamespace(ks_distance=1e-3, counts=np.arange(3))
+
+    monkeypatch.setattr(verify.mc, "run_law", record)
+    [result] = verify._check_mc(True, None)
+    assert result.failed == ()
+    assert [c.law for c in configs] == ["crossratio_full", "quad_cr", "length", "star",
+                                        "quad_cr", "quad_cr"]
+    default = verify.mc.McConfig(n_samples=1, seed=0).workers
+    assert {(c.n_samples, c.seed, c.workers) for c in configs} == {
+        (10**5, verify._SEED, default)}
