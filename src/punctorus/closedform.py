@@ -45,7 +45,6 @@ __all__ = [
     "star_cdf",
     "QuadCrInverseCdf",
     "sample_quad_cr_values",
-    "sample_length_values",
 ]
 
 _PI2 = math.pi**2
@@ -575,27 +574,17 @@ def sample_quad_cr_values(n: int, rng: np.random.Generator) -> np.ndarray:
     return _INVERSE(rng.uniform(size=n))
 
 
-def sample_length_values(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n values from the full-line length density X.
+def _length_draw(v: float) -> float:
+    """One draw from the full-line length density X at the uniform v.
 
     A fair coin picks the branch; each branch is the image of the
-    quadrilateral law under its half-angle substitution: u < 1/2 gives
-    the short length at the quantile of 1 - 2u, u >= 1/2 the dual one at
-    that of 2u - 1.  All n draws read ``rng.uniform(size=n)`` and go
-    through both branches as arrays; :func:`_length_draw` gives the
-    same value at one uniform bit for bit.
+    quadrilateral law under its half-angle substitution: v < 1/2 gives
+    the short length at the quantile of 1 - 2v, v >= 1/2 the dual one at
+    that of 2v - 1.  Only the drawn branch is evaluated, on one double,
+    through numpy's ufuncs, which round there as their array loops do
+    (``math``'s log1p, exp, atanh and acosh do not); so the value is the
+    one both branches evaluated as arrays give, bit for bit.
     """
-    u = rng.uniform(size=n)
-    short = u < 0.5
-    q = _INVERSE(np.where(short, 1.0 - 2.0 * u, 2.0 * u - 1.0))
-    return np.where(short, _short_length(q), _dual_length(q))
-
-
-def _length_draw(v: float) -> float:
-    """The length :func:`sample_length_values` draws at one uniform v, bit
-    for bit, with only the drawn branch evaluated on one double (numpy's
-    ufuncs round there as their array loops do; ``math``'s log1p, exp,
-    atanh and acosh do not)."""
     if v < 0.5:
         return float(_short_length(_INVERSE._quantile(1.0 - 2.0 * v)))
     return float(_dual_length(_INVERSE._quantile(2.0 * v - 1.0)))

@@ -19,10 +19,10 @@ __all__ = [
     "MoebiusMap",
     "cross_ratio",
     "s4_orbit",
-    "canonical_representative",
 ]
 
-_DEGENERATE_VALUES = (0.0, 1.0)
+# the three degenerate cross ratios, infinity with both signs
+_DEGENERATE_VALUES = (0.0, 1.0, math.inf, -math.inf)
 _REAL_TOL = 1e-9
 _INFINITY = complex(math.inf)
 
@@ -159,18 +159,11 @@ def s4_orbit(lam: float) -> tuple[float, ...]:
 
     Listed in the fixed order (L, 1-L, L/(L-1), 1/L, 1/(1-L), (L-1)/L);
     repeated values are kept, so the result is a multiset of size six.
+    For every real ``lam`` outside {0, 1} its maximum is the canonical
+    representative, the one element >= 2.  Raises ValueError for the
+    degenerate values 0, 1 and +-infinity.
     """
-    if lam in (0, 1):
-        raise ValueError("degenerate orbit: 0 and 1 have no six-element orbit")
+    if lam in _DEGENERATE_VALUES:
+        raise ValueError(f"degenerate orbit: lam = {lam!r}; 0, 1 and infinity "
+                         "have no six-element orbit")
     return tuple(float(x) for x in _orbit_images(float(lam)))
-
-
-def canonical_representative(lam: float) -> float:
-    """The unique orbit element >= 2 of a real nondegenerate cross ratio.
-
-    For every real ``lam`` outside {0, 1} the maximum of the six orbit
-    values is at least 2 and all other elements are below 2, so the
-    maximum is the canonical representative.  Boundary orbits through
-    {-1, 1/2, 2} return exactly 2.
-    """
-    return max(s4_orbit(lam))

@@ -75,23 +75,38 @@ _STEPS = np.diff(_NODES)
 _GAUSS = (_NODES[:-1, None]
           + _STEPS[:, None] * (0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0))
 
-# Secant steps a seeded solve may take before it falls back to the scan,
-# and steps the scan's bracket polish may take.
+# Secant steps a seeded solve may take before it falls back to the node
+# search, and steps the polish of the search's bracket may take.
 _SECANT_STEPS = 12
 _POLISH_STEPS = 100
+# The lambda nodes a cold solve searches for its bracket.
+_LAMBDAS = np.linspace(-2.0, 1.0, 64).tolist()
 
 
 class BracketError(RuntimeError):
     """Endpoint data shows oscillation: lambda is outside the admissible
-    bracket and no circle invariants exist."""
+    bracket and no circle invariants exist.
+
+    below tells on which side of the window of oscillation-free legs
+    lambda lies.  It is True when c or s changes sign on the real leg
+    [0, 1] or one of its endpoint ratios is not positive, or when the
+    imaginary leg [0, i tau], which grows the faster the lower lambda
+    is, overflowed; it is False for the mirror cases.  The first check
+    that fires decides: overflow before sign changes before ratios, the
+    real leg before the imaginary one.
+    """
+
+    def __init__(self, message: str, below: bool):
+        super().__init__(message)
+        self.below = below
 
 
 class SolverFailure(RuntimeError):
     """The tangency root could not be bracketed.
 
-    Carries a ``diagnostics`` dict describing the scan that failed: tau
-    and finite_fraction, the share of the 64 scan nodes where the
-    circle invariants exist.
+    Carries a ``diagnostics`` dict describing the node search that
+    failed: tau and finite_fraction, the share of the 64 lambda nodes
+    inside the window where both legs are free of oscillation.
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None):
@@ -327,9 +342,10 @@ def _integrate_with(legs: _Legs, lambda_acc: float) -> LameEndpointData:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         end, census, drift = _magnus_legs(legs, lambda_acc)
-    for L, leg_end in zip(legs.lengths, end):
+    for leg, (L, leg_end) in enumerate(zip(legs.lengths, end)):
         if not np.isfinite(leg_end).all():
-            raise BracketError(f"the solution overflowed on a leg of length {L}")
+            raise BracketError(f"the solution overflowed on a leg of length {L}",
+                               below=leg == 1)
     # (c, c', s, s') per leg
     (c1, cp1, s1, sp1), (c2, cp2, s2, sp2) = end.transpose(0, 2, 1).reshape(2, 4).tolist()
     if census[:, 0].any():
@@ -337,7 +353,7 @@ def _integrate_with(legs: _Legs, lambda_acc: float) -> LameEndpointData:
         raise BracketError(
             "c or s changes sign along a leg (flip census "
             f"{f1} on [0,1], {f2} on [0,i*tau]): lambda={lambda_acc} is "
-            "outside the oscillation-free bracket")
+            "outside the oscillation-free bracket", below=bool(census[0, 0].any()))
     return LameEndpointData(
         c_1=c1, cp_1=cp1, s_1=s1, sp_1=sp1,
         c_it=c2, cp_it=cp2, s_it_imag=s2, sp_it=sp2,
@@ -397,7 +413,8 @@ def circle_invariants(data: LameEndpointData) -> CircleInvariants:
     accessory parameter left the bracket.
     """
     if data.c_1 == 0 or data.cp_1 == 0 or data.c_it == 0 or data.cp_it == 0:
-        raise BracketError("vanishing c or c' endpoint: no circle invariants")
+        raise BracketError("vanishing c or c' endpoint: no circle invariants",
+                           below=data.c_1 == 0 or data.cp_1 == 0)
     q1 = data.s_1 / data.c_1
     q2 = data.sp_1 / data.cp_1
     q3 = data.s_it_imag / data.c_it
@@ -405,7 +422,7 @@ def circle_invariants(data: LameEndpointData) -> CircleInvariants:
     if min(q1, q2, q3, q4) <= 0:
         raise BracketError(
             f"endpoint ratios ({q1:.3g}, {q2:.3g}, {q3:.3g}, {q4:.3g}) "
-            "must all be positive")
+            "must all be positive", below=min(q1, q2) <= 0)
     a1, r1 = 0.5 * (q1 + q2), 0.5 * abs(q1 - q2)
     a2, r2 = 0.5 * (q3 + q4), 0.5 * abs(q3 - q4)
     return CircleInvariants(a1=a1, r1=r1, a2=a2, r2=r2)
@@ -466,10 +483,10 @@ def _secant(trial, x0: float, x1: float):
 
 
 def _polish(trial, pre, cur):
-    """The tangency root between the scan's sign-change pair.
+    """The tangency root between a sign-change pair of lambda nodes.
 
-    pre and cur are (lambda, trial(lambda)) at the two ends, as the scan
-    computed them.  Each step is the secant through the last two
+    pre and cur are (lambda, trial(lambda)) at the two ends, as the node
+    search computed them.  Each step is the secant through the last two
     iterates, kept only while it is shorter than half the step before
     the last and lands in the three quarters of the bracket next to the
     best iterate; otherwise the step bisects (Brent, "Algorithms for
@@ -504,6 +521,76 @@ def _polish(trial, pre, cur):
     raise SolverFailure(f"the tangency root polish did not converge in {_POLISH_STEPS} steps")
 
 
+def _search_nodes(trial, tau: float):
+    """The root or bracket on the _LAMBDAS nodes, by bisection on their index.
+
+    Each node lies below the window of oscillation-free legs, above it
+    (see :class:`BracketError`), or inside it with a root value.  Sturm
+    comparison makes the zeros on the real leg only grow as lambda falls,
+    and those on the imaginary leg as it rises (Pryce, "Numerical
+    Solution of Sturm-Liouville Problems", 1993), so the window is one
+    run of nodes; inside it the root function fell from positive to
+    negative on each of 1,500 log-spaced tau over [TAU_MIN, TAU_MAX].
+    So "below the window, or root > 0" holds on a prefix of the nodes,
+    and six or seven trials find the first node k where it does not.  Node k is
+    the root itself when its root value is exactly 0 and the circles
+    touch (tangency residual below 1e-10): far from tangency a1^2 and
+    r1 hypot(a1, a2) can also cancel to an exact 0.  A negative value
+    there with a positive one at k - 1 is a bracket for _polish.
+
+    Returns (lambda, lo, hi, data, invariants).  Anything else raises
+    :class:`SolverFailure`; its finite_fraction counts the nodes inside
+    the window, whose two edges are found by two more bisections.  No
+    node is integrated twice.
+    """
+    # Only the side of a failed node is kept: a BracketError held here
+    # would hold its traceback, and through it this solve's _Legs, in a
+    # reference cycle until the next garbage collection.
+    sides: dict[int, int] = {}
+    values: dict[int, tuple] = {}
+
+    def side(i: int) -> int:
+        """-1 when node i is below the window, 1 above it, and 0 inside,
+        where values[i] holds its trial."""
+        if i not in sides:
+            try:
+                values[i] = trial(_LAMBDAS[i])
+                sides[i] = 0
+            except BracketError as err:
+                sides[i] = -1 if err.below else 1
+        return sides[i]
+
+    def first(pred, lo: int, hi: int) -> int:
+        """The first index in [lo, hi) where pred is false, or hi, for a
+        pred true on a prefix of the range; nodes already tried narrow
+        the range before it is bisected."""
+        known = [i for i in sides if lo <= i < hi]
+        lo = max((i + 1 for i in known if pred(i)), default=lo)
+        hi = min((i for i in known if not pred(i)), default=hi)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if pred(mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    n = len(_LAMBDAS)
+    k = first(lambda i: side(i) < 0 or (side(i) == 0 and values[i][0] > 0.0), 0, n)
+    if k < n and side(k) == 0:
+        root, data, inv = cur = values[k]
+        if root == 0.0 and abs(inv.tangency_residual()) < 1e-10:
+            return _LAMBDAS[k], _LAMBDAS[k], _LAMBDAS[k], data, inv
+        if k > 0 and root < 0.0 and side(k - 1) == 0:
+            lam, data, inv = _polish(trial, (_LAMBDAS[k - 1], values[k - 1]), (_LAMBDAS[k], cur))
+            return lam, _LAMBDAS[k - 1], _LAMBDAS[k], data, inv
+    lo = first(lambda i: side(i) < 0, 0, k)
+    hi = first(lambda i: side(i) < 1, k, n)
+    raise SolverFailure(
+        f"no sign change of the tangency root function at tau={tau}",
+        diagnostics={"tau": tau, "finite_fraction": (hi - lo) / n})
+
+
 def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> AccessorySolve:
     """Find the accessory parameter making the two circles tangent.
 
@@ -511,15 +598,16 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
     builds pass one extrapolated from the nodes already solved); it need
     not straddle the root.  Without one, or when the secant fails (an
     iterate outside the oscillation-free window, a flat step, or no
-    convergence in 12 steps), a scan of 64 lambda over [-2, 1] walks up
-    from -2 and stops at its first sign change between neighbouring
-    nodes, and a secant with a bisection guard polishes it inside that
-    pair, reusing the scan's two root values.  A scan node where the
-    root function is exactly 0 and the circles touch (tangency residual
-    below 1e-10) is the root itself; bracket is then that node twice.
-    Only when no node brackets do all 64 run; then it raises
-    :class:`SolverFailure` with scan diagnostics, and that is every tau
-    from about 5.4 up.
+    convergence in 12 steps), a bisection over the indices of 64 lambda
+    nodes on [-2, 1] finds, in six or seven trials, the first node where
+    the root function is no longer positive (see :func:`_search_nodes`).
+    That node is the root when the circles touch there; bracket is then
+    that node twice.  Otherwise a secant with a bisection guard polishes
+    the root inside the node and its lower neighbour, reusing their two
+    root values, in at most 11 more trials over the supported range.
+    When the nodes hold no sign change it raises
+    :class:`SolverFailure` with search diagnostics, and that is every
+    tau from about 5.4 up.
 
     diagnostics holds the tangency residual, the root gap, the Wronskian
     drift, lambda_trials (integrations made) and warm (True when the
@@ -541,33 +629,7 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
         lam, data, inv = found
         lo, hi = bracket
     else:
-        xs = np.linspace(-2.0, 1.0, 64).tolist()
-        # The scan stops at its first bracket.  A node where the root
-        # function is exactly 0 is the root only when the circles touch
-        # there: far from tangency a1^2 and r1 hypot(a1, a2) can also
-        # cancel to an exact 0.  A node without invariants breaks the
-        # adjacency of its neighbours, and a nan never brackets.
-        pre, finite = None, 0
-        for x in xs:
-            try:
-                cur = (x, trial(x))
-            except BracketError:
-                pre = None
-                continue
-            root, data, inv = cur[1]
-            finite += not math.isnan(root)
-            if root == 0.0 and abs(inv.tangency_residual()) < 1e-10:
-                lam = lo = hi = x
-                break
-            if pre is not None and pre[1][0] * root < 0.0:
-                lo, hi = pre[0], x
-                lam, data, inv = _polish(trial, pre, cur)
-                break
-            pre = cur
-        else:
-            raise SolverFailure(
-                f"no sign change of the tangency root function at tau={tau}",
-                diagnostics={"tau": tau, "finite_fraction": finite / len(xs)})
+        lam, lo, hi, data, inv = _search_nodes(trial, tau)
     diagnostics = {
         "tangency_residual": inv.tangency_residual(),
         "root_gap": _signed_root(inv),

@@ -270,8 +270,8 @@ def sample_torus(rng_seed) -> TorusSample:
     sinh(x/2) sinh(y/2) >= 1 are redrawn together, so the accepted pair
     is i.i.d.-from-the-law conditioned on describing an actual torus.
     Each attempt reads ``rng.uniform(size=2)`` and draws each length from
-    its uniform on one double, the value ``sample_length_values`` gives
-    for it among many.
+    its uniform on one double, the value the same uniform gives among
+    many drawn as arrays, bit for bit.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     while True:

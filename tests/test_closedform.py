@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from numpy.polynomial import Chebyshev
 from scipy.integrate import quad
 
+from oracles import sample_length_values
 from punctorus import closedform, modmap
 from punctorus.closedform import (
     LENGTH_THRESHOLD,
@@ -28,7 +29,6 @@ from punctorus.closedform import (
     quad_cr_cdf,
     quad_cr_median,
     quad_cr_pdf,
-    sample_length_values,
     sample_quad_cr_values,
     star_cdf,
     star_pdf,

@@ -2,23 +2,16 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import canonical_representative, sample_length_values
 from punctorus import closedform
-from punctorus.closedform import (
-    LENGTH_THRESHOLD,
-    perpendicular_length,
-    sample_length_values,
-)
-from punctorus.hypgeom import (
-    MoebiusMap,
-    canonical_representative,
-    cross_ratio,
-    s4_orbit,
-)
+from punctorus.closedform import LENGTH_THRESHOLD, perpendicular_length
+from punctorus.hypgeom import MoebiusMap, cross_ratio, s4_orbit
 from punctorus.mc import _chunk_rng, _full_cr_from_angles, _sample_chunk
 
 INF = complex(math.inf)
@@ -117,6 +110,15 @@ class TestOrbit:
             s4_orbit(0.0)
         with pytest.raises(ValueError):
             s4_orbit(1.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf])
+    def test_infinite_orbit_rejected(self, lam):
+        # infinity is the third degenerate cross ratio; its images held
+        # nan (inf/inf) and their maximum was inf
+        with pytest.raises(ValueError, match=re.escape(f"lam = {lam!r}")):
+            s4_orbit(lam)
+        with pytest.raises(ValueError):
+            canonical_representative(lam)
 
     def test_scalar_and_sampler_orbits_agree(self):
         """The quad_cr sampler's array canonicalisation is the scalar one.

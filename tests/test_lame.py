@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import gc
 import math
 import re
 import sys
@@ -99,6 +100,47 @@ def _dop853(tau: float, lam: float, leg: int, **options):
 
     return solve_ivp(rhs, (0.0, end), [1.0, 0.0, 0.0, 1.0], method="DOP853",
                      rtol=1e-12, atol=1e-14, **options)
+
+
+def _walk(tau: float):
+    """The cold solve as a linear walk, the oracle of the node bisection.
+
+    It tries the 64 lambda nodes of [-2, 1] upward and stops at the
+    first node that is a touching exact zero or that changes sign
+    against the node before it, which it then polishes; a node without
+    invariants breaks the adjacency of its neighbours.  When nothing
+    brackets it raises SolverFailure with the share of nodes that had a
+    root value.  Returns (lambda, bracket, data, invariants).
+    """
+    legs = lame._Legs(tau)
+
+    def trial(lam):
+        data = lame._integrate_with(legs, lam)
+        inv = circle_invariants(data)
+        return lame._signed_root(inv), data, inv
+
+    xs = np.linspace(-2.0, 1.0, 64).tolist()
+    pre, finite = None, 0
+    for x in xs:
+        try:
+            cur = (x, trial(x))
+        except BracketError:
+            pre = None
+            continue
+        root, data, inv = cur[1]
+        finite += not math.isnan(root)
+        if root == 0.0 and abs(inv.tangency_residual()) < 1e-10:
+            return x, (x, x), data, inv
+        if pre is not None and pre[1][0] * root < 0.0:
+            lam, data, inv = lame._polish(trial, pre, cur)
+            return lam, (pre[0], x), data, inv
+        pre = cur
+    raise SolverFailure(f"no sign change of the tangency root function at tau={tau}",
+                        diagnostics={"tau": tau, "finite_fraction": finite / len(xs)})
+
+
+def _bits(*values: float) -> list[int]:
+    return np.array(values, dtype=float).view(np.int64).tolist()
 
 
 class TestLatticePotential:
@@ -347,11 +389,11 @@ class TestAccessorySolve:
         assert warm.diagnostics["lambda_trials"] == len(tried) == len(set(tried)) <= 8
         assert tried[-1] == warm.lambda_acc
 
-    @pytest.mark.parametrize("tau,most", [(0.05, 40), (0.5, 46), (1.0, 46), (2.0, 54), (5.0, 57)])
+    @pytest.mark.parametrize("tau,most", [(0.05, 14), (0.5, 14), (1.0, 9), (2.0, 15), (5.0, 19)])
     def test_cold_solve_integrates_each_lambda_once(self, monkeypatch, tau, most):
-        # most: the scan to its first bracket plus the polish, 37, 43, 43,
-        # 51 and 54 integrations, with a margin of 3; a scan that ran all
-        # 64 nodes before polishing made 64-74
+        # most: the node bisection plus the polish, 11, 11, 6, 12 and 16
+        # integrations, with a margin of 3; the linear walk up the same
+        # nodes made 37, 43, 43, 51 and 54
         tried = []
         integrate = lame._integrate_with
 
@@ -368,12 +410,12 @@ class TestAccessorySolve:
 
     def test_cold_scan_takes_an_exact_zero_at_the_square(self):
         # at tau = 1 the legs are mirror images, so the root function is
-        # exactly 0 at lambda = 0, a node of the scan grid; missing it
-        # would end the scan without a sign change.  The scan stops
-        # there, at node 42, after 43 integrations.
+        # exactly 0 at lambda = 0, node 42 of the grid; missing it would
+        # end the search without a sign change.  The bisection ends
+        # there after 6 integrations (nodes 32, 48, 40, 44, 42 and 41).
         sol = solve_accessory(1.0)
         assert sol.lambda_acc == 0.0 and sol.bracket == (0.0, 0.0)
-        assert sol.diagnostics["lambda_trials"] == 43
+        assert sol.diagnostics["lambda_trials"] == 6
         assert abs(sol.diagnostics["tangency_residual"]) < 1e-10
 
     @pytest.mark.parametrize("tau", [13.85, 25.52, 34.14, 38.15])
@@ -390,8 +432,10 @@ class TestAccessorySolve:
 
     def test_unbracketed_tau_fails_after_one_scan(self, monkeypatch):
         # from about tau = 5.4 up no pair of neighbouring nodes of the
-        # 64-point scan over [-2, 1] shows a sign change, and the solve
-        # gives up after those 64 integrations
+        # 64 over [-2, 1] shows a sign change: only node 42 (lambda = 0)
+        # has a root value, and it is positive.  The solve gives up after
+        # 7 of the nodes, each integrated once, and still counts that
+        # one node in finite_fraction.
         tried = []
         integrate = lame._integrate_with
 
@@ -400,12 +444,70 @@ class TestAccessorySolve:
             return integrate(legs, lam_)
 
         monkeypatch.setattr(lame, "_integrate_with", record)
-        with pytest.raises(SolverFailure) as err:
+        with pytest.raises(SolverFailure, match=re.escape(
+                "no sign change of the tangency root function at tau=6.0")) as err:
             solve_accessory(6.0)
-        assert tried == np.linspace(-2.0, 1.0, 64).tolist()
-        assert set(err.value.diagnostics) == {"tau", "finite_fraction"}
-        assert err.value.diagnostics["tau"] == 6.0
+        nodes = np.linspace(-2.0, 1.0, 64).tolist()
+        assert set(tried) <= set(nodes) and len(set(tried)) == len(tried) == 7
+        assert err.value.diagnostics == {"tau": 6.0, "finite_fraction": 1 / 64}
         assert type(err.value.diagnostics["finite_fraction"]) is float
+
+    _ORACLE_TAUS = sorted(np.exp(np.random.default_rng(2024).uniform(
+        math.log(0.005), math.log(50.0), 100)).tolist()) + [
+        1.0, 5.3, 5.35, 5.4, 6.0, 13.85, 25.52, 34.14, 38.15, 50.0]
+
+    def test_node_bisection_matches_the_linear_walk(self):
+        # the bisection finds the walk's bracket, so every solve and
+        # every failure is the walk's bit for bit
+        failed = 0
+        for tau in self._ORACLE_TAUS:
+            try:
+                lam, bracket, data, inv = _walk(tau)
+            except SolverFailure as want:
+                with pytest.raises(SolverFailure) as got:
+                    solve_accessory(tau)
+                assert str(got.value) == str(want)
+                assert got.value.diagnostics == want.diagnostics, tau
+                failed += 1
+                continue
+            sol = solve_accessory(tau)
+            assert _bits(sol.lambda_acc, *sol.bracket) == _bits(lam, *bracket), tau
+            c, ref = sol.circles, inv
+            assert _bits(c.a1, c.r1, c.a2, c.r2) == _bits(ref.a1, ref.r1, ref.a2, ref.r2), tau
+            assert _bits(sol.cross_ratio, sol.diagnostics["tangency_residual"],
+                         sol.diagnostics["wronskian_drift"]) == _bits(
+                (ref.a1 / ref.r1) ** 2, ref.tangency_residual(), data.wronskian_drift), tau
+        # every tau from about 5.4 up fails, on the sweep and on the list
+        assert failed == sum(tau >= 5.4 for tau in self._ORACLE_TAUS)
+
+    def test_bracket_errors_tell_the_side(self):
+        # below the window the real leg oscillates and above it the
+        # imaginary one; far below, the imaginary leg overflows, and far
+        # above (at tau = 0.02) the real one does
+        cases = ((6.0, -2.0, True), (6.0, -1e4, True), (50.0, -1e4, True),
+                 (6.0, 0.0476, False), (6.0, 1.0, False), (50.0, 1e4, False),
+                 (0.02, 1e6, False))
+        for tau, lam, below in cases:
+            with pytest.raises(BracketError) as err:
+                circle_invariants(integrate_lame(tau, lam))
+            assert err.value.below is below, (tau, lam)
+
+    def test_cold_solves_leave_no_reference_cycles(self):
+        # a node search that kept each BracketError kept its traceback
+        # and, through the frames, the solve's _Legs in a cycle: 333
+        # unreachable objects over these four solves, about 0.5 MB each
+        # of leg arrays held until the collector ran
+        gc.collect()
+        gc.disable()
+        try:
+            for tau in (0.5, 6.0, 2.0, 10.0):
+                try:
+                    solve_accessory(tau)
+                except SolverFailure:
+                    pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
     def test_cold_solves_reuse_their_scratch(self, fresh_python):

@@ -11,11 +11,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from punctorus.closedform import (
-    LENGTH_THRESHOLD,
-    quad_cr_cdf,
-    sample_length_values,
-)
+from oracles import sample_length_values
+from punctorus.closedform import LENGTH_THRESHOLD, quad_cr_cdf
 from punctorus import torusgroup
 from punctorus.hypgeom import MoebiusMap, cross_ratio
 from punctorus.torusgroup import (
