@@ -14,7 +14,6 @@ stderr as JSON).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -29,8 +28,6 @@ _UNITS_EPILOG = (
     "Units: lengths are hyperbolic (natural units); Teichmueller distance "
     "is d = log m, the logarithm of the extremal dilatation."
 )
-
-_TABLE_NODES = inspect.signature(modmap.build_cr_table).parameters["n"].default
 
 
 def _write(out: str | None, text: str) -> None:
@@ -57,7 +54,10 @@ def _grid(args) -> np.ndarray:
         raise ValueError("--from, --to and --step must be finite")
     if args.step <= 0 or args.stop < args.start:
         raise ValueError("need --step > 0 and --to >= --from")
-    n = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
+    span = (args.stop - args.start) / args.step
+    if not math.isfinite(span):
+        raise ValueError("grid too large: (--to - --from) / --step overflows")
+    n = int(math.floor(span + 1e-9)) + 1
     return args.start + args.step * np.arange(n)
 
 
@@ -101,7 +101,7 @@ def _emit_solve(args, tau: float) -> int:
 
 def _cmd_cr_map(args) -> int:
     if args.table:
-        _emit_rows(args, *modmap.build_cr_table(n=args.points).rows())
+        _emit_rows(args, *modmap.build_cr_table().rows())
         return 0
     if args.modulus <= 0:
         raise ValueError("modulus must be positive")
@@ -211,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="solve one modulus m directly, at tau = 1/m")
     mode.add_argument("--table", action="store_true",
                       help="emit the node table, m from 1 to 50")
-    p.add_argument("--points", type=int, default=_TABLE_NODES,
-                   help="table nodes, 16 to 48")
     _add_common(p)
     p.set_defaults(fn=_cmd_cr_map)
 

@@ -28,7 +28,6 @@ from numpy.polynomial import Chebyshev, legendre
 
 __all__ = [
     "LENGTH_THRESHOLD",
-    "dilog",
     "crossratio_pdf",
     "crossratio_cdf",
     "quad_cr_pdf",
@@ -180,38 +179,6 @@ def _li2_series(z):
     out *= w
     out += z
     return out
-
-
-@_elementwise
-def dilog(x):
-    """Real dilogarithm Li2(x) on the real line.
-
-    For x > 1 the principal branch acquires an imaginary part; this
-    evaluator returns its real part via the inversion identity, which is
-    the combination every closed form here needs.  One Bernoulli series
-    in -log(1 - y) per point, for y in [-1, 1/2]: Li2(x) = add +
-    sign Li2(y) by inversion below -1, reflection on (1/2, 1],
-    reflection of the inversion on (1, 2] and inversion above 2, which
-    keeps full relative accuracy down to the smallest arguments.  nan
-    falls through to the series and stays nan.
-    """
-    y = x.copy()
-    add = np.zeros_like(x)
-    sign = np.ones_like(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lx = np.log(np.abs(x))
-        m = x < -1.0
-        y[m], add[m], sign[m] = 1.0 / x[m], -_PI2 / 6.0 - 0.5 * lx[m] ** 2, -1.0
-        m = (x > 0.5) & (x <= 1.0)
-        y[m] = 1.0 - x[m]
-        add[m] = _PI2 / 6.0 - np.where(y[m] > 0.0, lx[m] * np.log(y[m]), 0.0)
-        sign[m] = -1.0
-        m = (x > 1.0) & (x <= 2.0)
-        y[m] = (x[m] - 1.0) / x[m]
-        add[m] = _PI2 / 6.0 - 0.5 * lx[m] ** 2 - lx[m] * np.log(y[m])
-        m = x > 2.0
-        y[m], add[m], sign[m] = 1.0 / x[m], _PI2 / 3.0 - 0.5 * lx[m] ** 2, -1.0
-    return add + sign * _li2_series(-np.log1p(-y))
 
 
 def _li2_gap(x):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,19 +33,12 @@ from . import hypgeom, modmap
 __all__ = [
     "LAWS",
     "CURVES",
-    "PAIRING_PROBABILITY",
     "McConfig",
     "EmpiricalSummary",
     "run_law",
 ]
 
 LAWS = ("crossratio_full", "quad_cr", "length", "star", "modulus", "teich")
-
-# Sides of the ideal quadrilateral admit three perfect matchings and only
-# the opposite-side one yields a once-punctured torus, so a uniformly
-# random pairing produces one exactly a third of the time.  Exact
-# arithmetic, no simulation involved.
-PAIRING_PROBABILITY = Fraction(1, 3)
 
 _CHUNK = 1 << 14
 _ADVANCE_PER_CHUNK = 1 << 20

@@ -23,9 +23,7 @@ __all__ = [
     "TorusSample",
     "AngleRelation",
     "compose",
-    "inverse",
     "commutator",
-    "isometric_circle",
     "rectangular_generators",
     "tangency_vertices",
     "nonrectangular_pair",
@@ -134,10 +132,6 @@ def _adjugate(n: MoebiusMap) -> MoebiusMap:
     return MoebiusMap(n.d, -n.b, -n.c, n.a)
 
 
-def inverse(m: MoebiusMap) -> MoebiusMap:
-    return _adjugate(m.normalized())
-
-
 def commutator(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
     """f g f^-1 g^-1 of the determinant-one representatives.
 
@@ -153,22 +147,6 @@ def commutator(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
     """
     f, g = f.normalized(), g.normalized()
     return compose(compose(f, g), compose(_adjugate(f), _adjugate(g)))
-
-
-def _circle(c: complex, d: complex) -> IsometricCircle:
-    """|cz + d| = 1 from the lower row of a determinant-one map."""
-    if c == 0:
-        raise ValueError("map fixes infinity and has no isometric circle")
-    return IsometricCircle(complex(-d / c), 1.0 / abs(c))
-
-
-def isometric_circle(m: MoebiusMap) -> IsometricCircle:
-    """Isometric circle |cz + d| = 1 of a determinant-one representative.
-
-    Maps fixing infinity (c = 0) have none and raise.
-    """
-    n = m.normalized()
-    return _circle(n.c, n.d)
 
 
 def rectangular_generators(r: float) -> GeneratorPair:

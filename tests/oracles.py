@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 
 from punctorus import closedform
-from punctorus.hypgeom import s4_orbit
+from punctorus.hypgeom import MoebiusMap, s4_orbit
+from punctorus.torusgroup import IsometricCircle
 
 
 def sample_length_values(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -30,3 +31,21 @@ def canonical_representative(lam: float) -> float:
     orbits through {-1, 1/2, 2} return exactly 2.
     """
     return max(s4_orbit(lam))
+
+
+def inverse(m: MoebiusMap) -> MoebiusMap:
+    """The inverse of m: the adjugate of its determinant-one representative."""
+    n = m.normalized()
+    return MoebiusMap(n.d, -n.b, -n.c, n.a)
+
+
+def isometric_circle(m: MoebiusMap) -> IsometricCircle:
+    """Isometric circle |cz + d| = 1 of a determinant-one representative.
+
+    Normalizes m, where ``GeneratorPair.circles`` normalizes nothing.
+    Maps fixing infinity (c = 0) have none and raise.
+    """
+    n = m.normalized()
+    if n.c == 0:
+        raise ValueError("map fixes infinity and has no isometric circle")
+    return IsometricCircle(complex(-n.d / n.c), 1.0 / abs(n.c))

@@ -228,17 +228,17 @@ class TestSolverCommands:
     def stub_build(self, monkeypatch, cr_table):
         calls = []
 
-        def build(*, n):
-            calls.append(n)
+        def build():
+            calls.append("build")
             return cr_table
 
         monkeypatch.setattr(cli.modmap, "build_cr_table", build)
         return calls
 
     def test_cr_map_table_csv(self, capsys, stub_build, cr_table):
-        code, out, _ = run(capsys, ["cr-map", "--table", "--points", "16"])
+        code, out, _ = run(capsys, ["cr-map", "--table"])
         assert code == 0
-        assert stub_build == [16]
+        assert stub_build == ["build"]
         assert out == csv_text(*cr_table.rows())
         code, out, _ = run(capsys, ["cr-map", "--table", "--precision", "6"])
         rows = list(csv.reader(io.StringIO(out)))
@@ -246,8 +246,7 @@ class TestSolverCommands:
 
     def test_cr_map_table_json_is_the_records(self, capsys, stub_build,
                                               cr_table):
-        code, out, _ = run(capsys, ["cr-map", "--table", "--points", "16",
-                                    "--format", "json"])
+        code, out, _ = run(capsys, ["cr-map", "--table", "--format", "json"])
         assert code == 0
         assert json.loads(out) == sorted(cr_table.records, key=lambda r: r["m"])
 
@@ -263,15 +262,6 @@ class TestSolverCommands:
         assert exc.value.code == 2
         assert "not allowed with argument --modulus" in capsys.readouterr().err
         assert stub_build == []
-
-    def test_cr_map_table_past_the_node_cap_is_a_usage_error(self, capsys, monkeypatch):
-        def no_solve(tau, bracket=None):
-            raise AssertionError("no solve expected")
-
-        monkeypatch.setattr(cli.modmap.lame, "solve_accessory", no_solve)
-        code, out, err = run(capsys, ["cr-map", "--table", "--points", "49"])
-        assert code == 2 and out == ""
-        assert err.startswith("error: need 16 <= n <= 48")
 
     def test_cr_map_has_no_mmax(self, capsys, stub_build):
         # the last node is fixed at m = 50
@@ -369,6 +359,7 @@ class TestParserSurface:
         ["quasimobius", "--src", "2", "--dst", "3", "--seed", "1"],
         ["cr-map", "--table", "--mmin", "2"],
         ["sample", "--law", "star", "--n", "10", "--workers", "2"],
+        ["cr-map", "--table", "--points", "16"],
     ])
     def test_removed_flags_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

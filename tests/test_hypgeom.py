@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,6 +72,34 @@ class TestCrossRatio:
         cr = cross_ratio(*pts)
         assert cr.canonical is not None
         assert cr.canonical >= 2.0
+
+    @pytest.mark.parametrize("pts", [
+        (1e200, 0.0, 1.0, -1e200),          # the products overflow (was nan)
+        (3e-200, 2e-200, 1e-200, 0.0),      # the products underflow (was 0/0)
+        (1e300, -1e300, 1.0, 2.0),          # the numerator overflows (was inf)
+        (1.7e308, -1.7e308, 1.0, 2.0),      # a difference overflows (was nan)
+    ])
+    def test_extreme_finite_points(self, pts):
+        z1, z2, z3, z4 = map(Fraction, pts)
+        exact = float((z1 - z3) * (z2 - z4) / ((z1 - z2) * (z3 - z4)))
+        got = cross_ratio(*pts).value
+        assert abs(got - exact) <= 2.0 * math.ulp(exact)
+
+    def test_value_past_the_largest_double_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            cross_ratio(5e-324, 0.0, 1e300, 1.0000000000000002e300)
+
+    def test_scaled_points_give_the_same_bits(self):
+        # scaling all four points by 2**k leaves the cross ratio as it is
+        # and scales each factor exactly; at 2**+-600 the products leave
+        # the plain formula's range and take the scaled route
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            z = (rng.normal(size=4) + 1j * rng.normal(size=4)).tolist()
+            for pts in (z, [w.real for w in z]):
+                want = cross_ratio(*pts).value
+                for k in (600, -600):
+                    assert cross_ratio(*(math.ldexp(1.0, k) * w for w in pts)).value == want
 
     def test_nonreal_value_has_no_canonical(self):
         cr = cross_ratio(0.0, 1.0, 2.0 + 1j, 3.0)

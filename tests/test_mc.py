@@ -5,7 +5,6 @@ import csv
 import json
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from punctorus.closedform import _BLOCK, LENGTH_THRESHOLD, quad_cr_median
 from punctorus.mc import (
     CURVES,
     LAWS,
-    PAIRING_PROBABILITY,
     EmpiricalSummary,
     McConfig,
     run_law,
@@ -34,11 +32,6 @@ SEED = 20260819
 
 def cfg(law: str, n: int = 100_000, workers: int = 1) -> McConfig:
     return McConfig(n_samples=n, seed=SEED, workers=workers, law=law)
-
-
-def test_pairing_probability_is_exact():
-    assert PAIRING_PROBABILITY == Fraction(1, 3)
-    assert isinstance(PAIRING_PROBABILITY, Fraction)
 
 
 class TestConfig:

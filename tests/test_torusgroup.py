@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import sample_length_values
+from oracles import inverse, isometric_circle, sample_length_values
 from punctorus.closedform import LENGTH_THRESHOLD, quad_cr_cdf
 from punctorus import torusgroup
 from punctorus.hypgeom import MoebiusMap, cross_ratio
@@ -19,8 +19,6 @@ from punctorus.torusgroup import (
     angle_relation,
     commutator,
     compose,
-    inverse,
-    isometric_circle,
     nonrectangular_pair,
     rectangular_generators,
     sample_torus,
@@ -155,9 +153,14 @@ class TestRectangularPair:
         for e in exps:
             assert_parabolic(2.0**e)
 
-    def test_isometric_circle_rejects_affine(self):
-        with pytest.raises(ValueError):
-            isometric_circle(MoebiusMap(2.0, 1.0, 0.0, 0.5))
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_circles_reject_a_generator_fixing_infinity(self, which):
+        pair = dataclasses.replace(rectangular_generators(2.0),
+                                   **{which: MoebiusMap(2.0, 1.0, 0.0, 0.5)})
+        with pytest.raises(ValueError, match="no isometric circle"):
+            pair.circles()
+        with pytest.raises(ValueError, match="no isometric circle"):
+            tangency_vertices(pair)
 
 
 def _entries(m: MoebiusMap) -> np.ndarray:
