@@ -147,14 +147,19 @@ def _cmd_verify(args) -> int:
 
 
 def _digits(text: str) -> int:
-    """A --precision value: a count of significant digits, 0 or more."""
+    """A --precision value: a count of significant digits, 0 or more.
+
+    Counts above 767 read as 767: no double has more significant digits
+    in its exact decimal expansion, and ``g`` drops trailing zeros, so
+    the output is the same, without a buffer of the count's size.
+    """
     try:
         value = int(text)
     except ValueError:
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"need a whole number of digits, 0 or more; got {text!r}")
-    return value
+    return min(value, 767)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -381,6 +381,23 @@ class TestParserSurface:
         assert captured.out == ""
         assert "argument --precision: need a whole number of digits" in captured.err
 
+    def test_precision_is_capped_at_767_digits(self, capsys, monkeypatch, cr_table):
+        # the exact decimal expansion of a double has at most 767 significant
+        # digits (the largest subnormal's), and 'g' drops trailing zeros, so
+        # any larger count writes the same bytes as 767
+        tiny = float.fromhex("0x0.fffffffffffffp-1022")
+        assert len(format(tiny, ".767g").split("e")[0].replace(".", "")) == 767
+        assert format(tiny, ".767g") == format(tiny, ".1000000g")
+        assert cli._digits("2147483647") == 767
+        assert cli._digits("767") == 767 and cli._digits("766") == 766
+        monkeypatch.setattr(cli.modmap, "build_cr_table", lambda: cr_table)
+        for argv in (["pdf", "--law", "star", "--at", "1"],
+                     ["cdf", "--law", "quad_cr", "--from", "2", "--to", "4", "--step", "0.5"],
+                     ["cr-map", "--table"]):
+            code, want, _ = run(capsys, argv + ["--precision", "767"])
+            assert code == 0
+            assert run(capsys, argv + ["--precision", "1000000"]) == (0, want, "")
+
     @pytest.mark.parametrize("sub", ["pdf", "sample", "teich", "verify"])
     def test_help_names_the_units(self, capsys, sub):
         with pytest.raises(SystemExit) as exc:

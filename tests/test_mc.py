@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 from punctorus import cli, modmap
-from punctorus.closedform import _BLOCK, LENGTH_THRESHOLD, quad_cr_median
+from punctorus.closedform import _BLOCK, LENGTH_THRESHOLD, quad_cr_median, sample_quad_cr_values
 from punctorus.mc import (
     CURVES,
     LAWS,
@@ -22,6 +22,9 @@ from punctorus.mc import (
     run_law,
     _CHUNK,
     _HIST_RANGE,
+    _KS_SLACK,
+    _KS_STRIDE,
+    _ks_distance,
     _sample_chunk,
     _sorted_quantile,
     _summary,
@@ -394,8 +397,9 @@ class TestSortedSummary:
 
     @pytest.mark.parametrize("law", LAWS)
     def test_peak_memory(self, law):
-        # the sample and its sorted copy, plus the scratch of one 2^15 block
-        # of CDF and KS gaps: 2.09-2.35 arrays measured across the laws
+        # the sample and its sorted copy, plus the KS scratch (the CDF and
+        # gaps at every 64th order statistic, then one block of candidate
+        # spans at a time): 2.11-2.24 arrays measured across the laws
         n = 1 << 20
         run_law(McConfig(n_samples=1000, seed=1, law=law))
         tracemalloc.start()
@@ -405,3 +409,106 @@ class TestSortedSummary:
         finally:
             tracemalloc.stop()
         assert peak <= 2.4 * 8 * n
+
+
+class _CountingCdf:
+    """A CDF that counts the points it is evaluated at."""
+
+    def __init__(self, law: str):
+        self.curve = CURVES[law][1]
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += len(x)
+        return self.curve(x)
+
+
+def _ulp_grid(centre: float, half: int = 3000) -> np.ndarray:
+    """The 2 half + 1 consecutive doubles centred on centre."""
+    down, up = [centre], [centre]
+    for _ in range(half):
+        down.append(math.nextafter(down[-1], -math.inf))
+        up.append(math.nextafter(up[-1], math.inf))
+    return np.array(down[:0:-1] + up)
+
+
+def _assert_pruned_ks(xs, law):
+    """``_ks_distance`` equals the whole-array KS bit for bit, within the
+    worst-case work; returns the CDF evaluations it made."""
+    count = _CountingCdf(law)
+    got = _ks_distance(xs, count)
+    want = _oracle_summary(xs, law)[0]
+    assert type(got) is float
+    assert (math.isnan(got) and math.isnan(want)) or _bits(got) == _bits(want)
+    n = len(xs)
+    assert count.calls <= n + -(-n // _KS_STRIDE) + 1
+    return count.calls
+
+
+class TestPrunedKs:
+    """KS scoring evaluates the CDF only on the spans where the maximum can lie."""
+
+    # each law's branch junctions and support edges
+    CENTRES = {
+        "crossratio_full": (-7.3, -1.0, 0.0, 0.5, 1.0, 2.0, 5.0),
+        "quad_cr": (2.0, 5.0, 100.0),
+        "length": (0.5, 1.0, LENGTH_THRESHOLD),
+        "star": (0.5, 2.0),
+        "modulus": (1.0, 2.2976, 50.0, 200.0),
+        "teich": (0.0, 0.83187, 3.9),
+    }
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_cdfs_fall_far_inside_the_slack(self, law):
+        # the span bounds hold for an F that falls at most 1e-15 below its
+        # running maximum; measured: 1.11e-16 for crossratio_full at 5 and
+        # for length at 1, 0 for the other four laws, so the 1e-9 slack has
+        # a margin of over 10^6
+        curve = CURVES[law][1]
+        for centre in self.CENTRES[law]:
+            f = curve(_ulp_grid(centre))
+            assert (np.maximum.accumulate(f) - f).max() <= 1e-15, centre
+        assert 1e6 * 1e-15 <= _KS_SLACK
+        # -0.0 and 0.0 sort in either order, and nan, which sorts last,
+        # into the last anchor, must give nan
+        zeros = curve(np.array([-0.0, 0.0]))
+        assert zeros[0] == zeros[1]
+        assert math.isnan(curve(np.array([np.nan]))[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 66, 127, 128, 129, 1000, _BLOCK + 1])
+    def test_span_edges(self, n):
+        rng = np.random.default_rng(n)
+        for law in ("crossratio_full", "star", "length"):
+            xs = np.sort(rng.uniform(*_HIST_RANGE[law], n))
+            _assert_pruned_ks(xs, law)
+
+    @pytest.mark.parametrize("case", ["cauchy_as_crossratio", "shifted_quad", "equal",
+                                      "two_atoms", "uniform_as_star", "inf_nan"])
+    def test_hostile_samples(self, case):
+        n = 100_000
+        rng = np.random.default_rng(17)
+        if case == "cauchy_as_crossratio":
+            law, values = "crossratio_full", rng.standard_cauchy(n)
+        elif case == "shifted_quad":
+            law, values = "quad_cr", sample_quad_cr_values(n, rng) + 0.5
+        elif case == "equal":
+            law, values = "crossratio_full", np.full(n, 0.5)
+        elif case == "two_atoms":
+            law, values = "crossratio_full", np.repeat([-1.0, 3.0], [40_000, n - 40_000])
+        elif case == "uniform_as_star":
+            law, values = "star", rng.uniform(-1.0, 1.0, n)
+        else:
+            law, values = "star", rng.standard_cauchy(n)
+            values[[0, n // 2, n - 1]] = [np.inf, np.nan, -np.inf]
+        with np.errstate(invalid="ignore"):
+            _assert_pruned_ks(np.sort(values), law)
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_work_at_a_million_points(self, law):
+        # each law's own sample: a few percent of n, measured 1.7-3.2%
+        n = 10**6
+        table = modmap.default_table()
+        xs = np.sort(np.concatenate([
+            _sample_chunk(law, SEED, c, min(_CHUNK, n - c * _CHUNK), table)
+            for c in range(-(-n // _CHUNK))]))
+        assert _assert_pruned_ks(xs, law) <= 0.05 * n
