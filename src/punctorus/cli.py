@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", choices=mc.LAWS, required=True)
     p.add_argument("--n", type=int, required=True, help="sample count")
     p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("PUNCTORUS_SEED", "0")),
+                   default=os.environ.get("PUNCTORUS_SEED", "0"),
                    help="RNG seed (default: PUNCTORUS_SEED or 0)")
     _add_common(p)
     p.set_defaults(fn=_cmd_sample)

@@ -1,12 +1,13 @@
 """Moebius and cross-ratio algebra on the extended plane.
 
-Foundations used by every other module: the four-point cross ratio with
-its six-element orbit under parameter substitution, and the canonical
-representative >= 2 for concyclic quadruples.  Points of the extended
+Foundations used by every other module: the four-point cross ratio and
+the fractional linear maps that preserve it.  Points of the extended
 plane are Python ``complex`` values, with ``complex(math.inf)`` as the
 point at infinity (any value that ``cmath.isinf`` flags counts as it).
-The orbit expression is written once, in plain arithmetic, for both a
-scalar and the Monte Carlo module's arrays.
+The six-element orbit of a cross ratio under parameter substitution is
+written once, in plain arithmetic, for the Monte Carlo module's arrays;
+its maximum is the canonical representative >= 2 of a concyclic
+quadruple.
 """
 from __future__ import annotations
 
@@ -18,28 +19,19 @@ __all__ = [
     "CrossRatio",
     "MoebiusMap",
     "cross_ratio",
-    "s4_orbit",
 ]
 
-# the three degenerate cross ratios, infinity with both signs
-_DEGENERATE_VALUES = (0.0, 1.0, math.inf, -math.inf)
 _REAL_TOL = 1e-9
-_INFINITY = complex(math.inf)
 _SAFE = 2.0**-500
 
 
 @dataclass(frozen=True)
 class CrossRatio:
-    """A cross-ratio value together with its substitution orbit.
-
-    ``orbit`` and ``canonical`` are ``None`` for degenerate values
-    (0, 1, infinity); ``canonical`` additionally requires the value to be
-    real, which for four distinct points means they are concyclic.
-    """
+    """A cross-ratio value: ``math.inf`` when it is infinite, a float when
+    it is real (for four distinct points: when they are concyclic), and a
+    complex otherwise."""
 
     value: complex | float
-    orbit: tuple[float, ...] | tuple[complex, ...] | None
-    canonical: float | None
 
 
 @dataclass(frozen=True)
@@ -64,15 +56,6 @@ class MoebiusMap:
         s = cmath.sqrt(self.det())
         return MoebiusMap(self.a / s, self.b / s, self.c / s, self.d / s)
 
-    def __call__(self, z: complex) -> complex:
-        z = complex(z)
-        if cmath.isinf(z):
-            return _INFINITY if self.c == 0 else complex(self.a / self.c)
-        den = self.c * z + self.d
-        if den == 0:
-            return _INFINITY
-        return complex((self.a * z + self.b) / den)
-
 
 def cross_ratio(z1: complex, z2: complex, z3: complex, z4: complex) -> CrossRatio:
     """Cross ratio (z1-z3)(z2-z4) / ((z1-z2)(z3-z4)) of four points.
@@ -87,10 +70,8 @@ def cross_ratio(z1: complex, z2: complex, z3: complex, z4: complex) -> CrossRati
     indeterminate (a vanishing factor in both numerator and denominator)
     raise ``ValueError`` too.
 
-    Returns a :class:`CrossRatio`.  The orbit and canonical fields are
-    populated only for nondegenerate values; the canonical representative
-    (the orbit element >= 2) exists exactly when the value is real, i.e.
-    when the four points are concyclic.
+    Returns a :class:`CrossRatio`.  A value within 1e-9 (1 + |value|)
+    of the real axis is returned as its real part, a float.
     """
     pts = (z1, z2, z3, z4)
     infinite = tuple(map(cmath.isinf, pts))
@@ -150,16 +131,9 @@ def _split(a, b) -> tuple:
 
 def _build_record(value: complex | float) -> CrossRatio:
     if isinstance(value, float) and math.isinf(value):
-        return CrossRatio(value=math.inf, orbit=None, canonical=None)
+        return CrossRatio(math.inf)
     v = complex(value)
-    if abs(v.imag) <= _REAL_TOL * (1.0 + abs(v)):
-        x = v.real
-        if x in _DEGENERATE_VALUES:
-            return CrossRatio(value=x, orbit=None, canonical=None)
-        orbit = s4_orbit(x)
-        return CrossRatio(value=x, orbit=orbit, canonical=max(orbit))
-    orbit = tuple(_orbit_images(v))
-    return CrossRatio(value=v, orbit=orbit, canonical=None)
+    return CrossRatio(v.real if abs(v.imag) <= _REAL_TOL * (1.0 + abs(v)) else v)
 
 
 def _orbit_images(lam):
@@ -172,18 +146,3 @@ def _orbit_images(lam):
         1.0 / (1.0 - lam),
         (lam - 1.0) / lam,
     )
-
-
-def s4_orbit(lam: float) -> tuple[float, ...]:
-    """The six orbit values of ``lam`` under the substitution group.
-
-    Listed in the fixed order (L, 1-L, L/(L-1), 1/L, 1/(1-L), (L-1)/L);
-    repeated values are kept, so the result is a multiset of size six.
-    For every real ``lam`` outside {0, 1} its maximum is the canonical
-    representative, the one element >= 2.  Raises ValueError for the
-    degenerate values 0, 1 and +-infinity.
-    """
-    if lam in _DEGENERATE_VALUES:
-        raise ValueError(f"degenerate orbit: lam = {lam!r}; 0, 1 and infinity "
-                         "have no six-element orbit")
-    return tuple(float(x) for x in _orbit_images(float(lam)))

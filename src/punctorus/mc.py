@@ -92,6 +92,9 @@ class McConfig:
             raise ValueError(f"sample count n_samples = {self.n_samples!r} is not an integer")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
+        # Philox takes a 128-bit key; None would draw from OS entropy
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed = {self.seed!r} is not an integer in [0, 2**128)")
         if self.workers < 1:
             raise ValueError("need at least one worker")
         if self.law not in LAWS:

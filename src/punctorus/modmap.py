@@ -206,10 +206,15 @@ class CrMapTable:
         records = []
         with open(path, newline="") as fh:
             rd = csv.reader(fh)
-            header = next(rd)
+            header = next(rd, None)
+            if header is None:
+                raise ValueError(f"table file {path} has no header")
             if tuple(header) != _CSV_COLUMNS:
                 raise ValueError(f"unexpected table columns: {header}")
             for row in rd:
+                if len(row) != len(header):
+                    raise ValueError(f"table line {rd.line_num} has {len(row)} fields, "
+                                     f"expected {len(header)}")
                 records.append(dict(zip(_CSV_COLUMNS, map(float, row))))
         records.sort(key=lambda r: r["m"])
         ms = np.array([r["m"] for r in records])

@@ -1,11 +1,18 @@
 """Reference routes the package no longer carries, kept as test oracles."""
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 from punctorus import closedform
-from punctorus.hypgeom import MoebiusMap, s4_orbit
+from punctorus.hypgeom import MoebiusMap, _orbit_images
 from punctorus.torusgroup import IsometricCircle
+
+# the three degenerate cross ratios, infinity with both signs
+_DEGENERATE_VALUES = (0.0, 1.0, math.inf, -math.inf)
+_INFINITY = complex(math.inf)
 
 
 def sample_length_values(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -23,6 +30,21 @@ def sample_length_values(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.where(short, closedform._short_length(q), closedform._dual_length(q))
 
 
+def s4_orbit(lam: float) -> tuple[float, ...]:
+    """The six orbit values of ``lam`` under the substitution group.
+
+    Listed in the fixed order (L, 1-L, L/(L-1), 1/L, 1/(1-L), (L-1)/L);
+    repeated values are kept, so the result is a multiset of size six.
+    For every real ``lam`` outside {0, 1} its maximum is the canonical
+    representative, the one element >= 2.  Raises ValueError for the
+    degenerate values 0, 1 and +-infinity.
+    """
+    if lam in _DEGENERATE_VALUES:
+        raise ValueError(f"degenerate orbit: lam = {lam!r}; 0, 1 and infinity "
+                         "have no six-element orbit")
+    return tuple(float(x) for x in _orbit_images(float(lam)))
+
+
 def canonical_representative(lam: float) -> float:
     """The unique orbit element >= 2 of a real nondegenerate cross ratio.
 
@@ -31,6 +53,17 @@ def canonical_representative(lam: float) -> float:
     orbits through {-1, 1/2, 2} return exactly 2.
     """
     return max(s4_orbit(lam))
+
+
+def apply(m: MoebiusMap, z: complex) -> complex:
+    """The image m(z) of a point of the extended plane."""
+    z = complex(z)
+    if cmath.isinf(z):
+        return _INFINITY if m.c == 0 else complex(m.a / m.c)
+    den = m.c * z + m.d
+    if den == 0:
+        return _INFINITY
+    return complex((m.a * z + m.b) / den)
 
 
 def inverse(m: MoebiusMap) -> MoebiusMap:

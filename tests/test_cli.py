@@ -187,6 +187,25 @@ class TestSampleCommand:
             ["sample", "--law", "star", "--n", "4", "--seed", "5"])
         assert args.seed == 5
 
+    def test_bad_seed_env_reaches_only_sample(self, capsys, monkeypatch):
+        # the variable is the default of sample --seed alone, converted
+        # only when sample runs without --seed
+        want = run(capsys, ["pdf", "--law", "star", "--at", "1"])
+        monkeypatch.setenv("PUNCTORUS_SEED", "x")
+        assert run(capsys, ["pdf", "--law", "star", "--at", "1"]) == want
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample", "--law", "star", "--n", "5"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--seed" in err and "Traceback" not in err
+        code, out, _ = run(capsys, ["sample", "--law", "star", "--n", "5", "--seed", "5"])
+        assert code == 0 and out
+
+    def test_seed_out_of_range_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, ["sample", "--law", "star", "--n", "5", "--seed", "-1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: seed = -1")
+
 
 class TestSolverCommands:
     def test_cr_map_single_modulus(self, capsys):

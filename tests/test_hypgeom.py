@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import canonical_representative, sample_length_values
+from oracles import apply, canonical_representative, s4_orbit, sample_length_values
 from punctorus import closedform
 from punctorus.closedform import LENGTH_THRESHOLD, perpendicular_length
-from punctorus.hypgeom import MoebiusMap, cross_ratio, s4_orbit
+from punctorus.hypgeom import MoebiusMap, cross_ratio
 from punctorus.mc import _chunk_rng, _full_cr_from_angles, _sample_chunk
 
 INF = complex(math.inf)
@@ -22,7 +22,7 @@ class TestCrossRatio:
     def test_known_value(self):
         cr = cross_ratio(0.0, 1.0, 2.0, 4.0)
         assert cr.value == pytest.approx(3.0)
-        assert cr.canonical == pytest.approx(3.0)
+        assert canonical_representative(cr.value) == pytest.approx(3.0)
 
     def test_normalizing_triple(self):
         """With (z2, z3, z4) = (inf, 0, 1) the value is z1 itself."""
@@ -57,7 +57,7 @@ class TestCrossRatio:
             coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
             f = MoebiusMap(*coeffs)
             before = cross_ratio(*z).value
-            after = cross_ratio(*(f(w) for w in z)).value
+            after = cross_ratio(*(apply(f, w) for w in z)).value
             assert complex(after) == pytest.approx(complex(before), rel=1e-9)
 
     def test_map_needs_a_finite_nonzero_determinant(self):
@@ -70,8 +70,8 @@ class TestCrossRatio:
         th = np.array([0.3, 1.1, 2.9, 5.0])
         pts = np.exp(1j * th)
         cr = cross_ratio(*pts)
-        assert cr.canonical is not None
-        assert cr.canonical >= 2.0
+        assert type(cr.value) is float
+        assert canonical_representative(cr.value) >= 2.0
 
     @pytest.mark.parametrize("pts", [
         (1e200, 0.0, 1.0, -1e200),          # the products overflow (was nan)
@@ -101,10 +101,24 @@ class TestCrossRatio:
                 for k in (600, -600):
                     assert cross_ratio(*(math.ldexp(1.0, k) * w for w in pts)).value == want
 
-    def test_nonreal_value_has_no_canonical(self):
-        cr = cross_ratio(0.0, 1.0, 2.0 + 1j, 3.0)
-        assert cr.canonical is None
-        assert cr.orbit is not None
+    def test_nonreal_value_stays_complex(self):
+        assert type(cross_ratio(0.0, 1.0, 2.0 + 1j, 3.0).value) is complex
+
+    def test_infinite_value_is_inf(self):
+        # the denominator vanishes
+        assert cross_ratio(0.0, 0.0, 1.0, 2.0).value is math.inf
+
+    def test_zero_value_keeps_its_sign(self):
+        # the numerator vanishes; (0 - 0)(1 - 2) is -0.0
+        value = cross_ratio(0.0, 1.0, 0.0, 2.0).value
+        assert type(value) is float
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
+    def test_value_near_the_real_axis_is_its_real_part(self):
+        # within 1e-9 (1 + |v|) of the real axis
+        value = cross_ratio(0.0, 1.0, 2.0 + 1e-12j, 3.0).value
+        assert type(value) is float
+        assert value == pytest.approx(4.0, rel=1e-12)
 
 
 class TestOrbit:

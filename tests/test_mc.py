@@ -53,6 +53,17 @@ class TestConfig:
             McConfig(n_samples=n, seed=1)
         assert McConfig(n_samples=np.int64(10), seed=1).n_samples == 10
 
+    @pytest.mark.parametrize("seed", [None, 1.5, -1, 2**128])
+    def test_seed_must_be_a_128_bit_key(self, seed):
+        # identical configs must give identical outputs, so no OS entropy
+        # (None) and no silent rounding (1.5); Philox takes a 128-bit key
+        with pytest.raises(ValueError, match=r"seed = .* is not an integer in \[0, 2\*\*128\)"):
+            McConfig(n_samples=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_seed_range_ends_run(self, seed):
+        assert run_law(McConfig(n_samples=10, seed=seed, law="star")).seed == seed
+
     def test_law_roster(self):
         assert set(LAWS) == {"crossratio_full", "quad_cr", "length", "star",
                              "modulus", "teich"}

@@ -44,6 +44,23 @@ class TestTableConstruction:
         with pytest.raises(ValueError, match="columns"):
             CrMapTable.from_csv(path)
 
+    @pytest.mark.parametrize("mangle, match", [
+        (lambda lines: lines[:2] + [",".join(lines[2].split(",")[:4])] + lines[3:],
+         "table line 3 has 4 fields, expected 9"),
+        (lambda lines: lines[:2] + [lines[2] + ",1"] + lines[3:],
+         "table line 3 has 10 fields, expected 9"),
+        (lambda lines: lines[:2] + [""] + lines[2:], "table line 3 has 0 fields"),
+        (lambda lines: [], "has no header"),
+    ], ids=["short-row", "long-row", "blank-line", "empty-file"])
+    def test_csv_row_width_checked(self, cr_table, tmp_path, mangle, match):
+        # every row must fill the nine columns, or rows() and to_csv fail
+        # later on a record without them
+        path = tmp_path / "table.csv"
+        cr_table.to_csv(path)
+        path.write_text("".join(f"{line}\n" for line in mangle(path.read_text().splitlines())))
+        with pytest.raises(ValueError, match=match):
+            CrMapTable.from_csv(path)
+
     def test_node_validation(self):
         ms = np.linspace(1.0, 2.0, 9)
         with pytest.raises(ValueError):

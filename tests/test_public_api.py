@@ -34,7 +34,7 @@ MODULES = ("closedform", "hypgeom", "lame", "modmap", "torusgroup", "mc", "verif
 # Callables that take no float arguments, by name, with what they take.
 SKIP = {
     "closedform.sample_quad_cr_values": "a count and a generator",
-    "hypgeom.CrossRatio": "a record: holds the value and orbit it is given",
+    "hypgeom.CrossRatio": "a record: holds the value it is given",
     "lame.BracketError": "an exception: a message",
     "lame.SolverFailure": "an exception: a message",
     "lame.LameEndpointData": "a record: holds the endpoint values it is given",

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import inverse, isometric_circle, sample_length_values
+from oracles import apply, inverse, isometric_circle, sample_length_values
 from punctorus.closedform import LENGTH_THRESHOLD, quad_cr_cdf
 from punctorus import torusgroup
 from punctorus.hypgeom import MoebiusMap, cross_ratio
@@ -94,9 +94,9 @@ class TestRectangularPair:
     def test_fixed_points(self):
         pair = rectangular_generators(0.7)
         for z in (1.0, -1.0):
-            assert pair.A(z) == pytest.approx(z, abs=1e-14)
+            assert apply(pair.A, z) == pytest.approx(z, abs=1e-14)
         for z in (1.0j, -1.0j):
-            assert pair.B(z) == pytest.approx(z, abs=1e-14)
+            assert apply(pair.B, z) == pytest.approx(z, abs=1e-14)
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 0.37, 11.0])
     def test_commutator_is_parabolic(self, r):
@@ -300,7 +300,7 @@ class TestNonrectangularPair:
             z = cmath.sqrt(u.b / u.c)
             for zf in (z, -z):
                 assert abs(abs(zf) - 1.0) < 1e-10
-                assert u(zf) == pytest.approx(zf, abs=1e-10)
+                assert apply(u, zf) == pytest.approx(zf, abs=1e-10)
 
     def test_composition_route(self):
         """u and v factor through half-translation conjugation.
@@ -420,13 +420,13 @@ class TestComposeInverse:
         m = MoebiusMap(3.0 + 1j, 2.0, 1.0 - 0.5j, 1.0)
         ident = compose(m, inverse(m))
         z = 0.3 + 0.2j
-        assert ident(z) == pytest.approx(z, abs=1e-12)
+        assert apply(ident, z) == pytest.approx(z, abs=1e-12)
 
     def test_compose_matches_matrix_product(self):
         f = MoebiusMap(1.0, 2.0, 0.25, 1.0)
         g = MoebiusMap(0.0, 1.0, -1.0, 0.3)
         z = 1.7 - 0.4j
-        assert compose(f, g)(z) == pytest.approx(f(g(z)), abs=1e-12)
+        assert apply(compose(f, g), z) == pytest.approx(apply(f, apply(g, z)), abs=1e-12)
 
 
 class TestAngleRelation:
