@@ -7,14 +7,17 @@ Samplers draw i.i.d. uniform points on the circle, or push the
 quadrilateral law's inverse-CDF draws through the relevant change of
 variables, each written once elsewhere: the substitution orbit in
 hypgeom, the perpendicular length in closedform, the modulus laws
-through modmap's inverse of the modulus map.  Each sample is then
-summarized from one sorted copy: its KS distance against the closed
-form CDF, its histogram, its median, its clipped fraction and the star
-law's quartiles all read that copy, each equal bit for bit to its plain
-numpy definition.  The CDF is taken at every 64th order statistic,
-then in full only over the spans where the largest KS gap can lie, one
-block at a time, so the sample and its sorted copy are the only arrays
-of its size.
+through modmap's inverse of the modulus map.  Uniform circle points
+are drawn as their half-angle tangents: the Cayley map
+exp(i th) -> tan(th/2) is a Moebius map onto the real line, so it
+gives the star law's Cauchy draws and leaves every cross ratio as it
+is.  Each sample is then summarized from one sorted copy: its KS
+distance against the closed form CDF, its histogram, its median, its
+clipped fraction and the star law's quartiles all read that copy, each
+equal bit for bit to its plain numpy definition.  The CDF is taken at
+every 64th order statistic, then in full only over the spans where the
+largest KS gap can lie, one block at a time, so the sample and its
+sorted copy are the only arrays of its size.
 Randomness is counter-based: the sample index alone determines the
 stream position, and chunks run in index order on the calling thread,
 so the worker count never changes the output.  A summary hands its
@@ -95,6 +98,8 @@ class McConfig:
         # Philox takes a 128-bit key; None would draw from OS entropy
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**128:
             raise ValueError(f"seed = {self.seed!r} is not an integer in [0, 2**128)")
+        if not isinstance(self.workers, (int, np.integer)):
+            raise ValueError(f"worker count workers = {self.workers!r} is not an integer")
         if self.workers < 1:
             raise ValueError("need at least one worker")
         if self.law not in LAWS:
@@ -131,41 +136,49 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _full_cr_from_angles(th: np.ndarray) -> np.ndarray:
-    """Cross ratio of four unit-circle points via the half-angle form.
+def _half_angle_tangents(rng: np.random.Generator, shape) -> np.ndarray:
+    """tan(th/2) of uniform angles th in [0, 2 pi), drawn as ``shape``.
 
-    For z_j = exp(i th_j) each difference z_a - z_b carries a common
-    phase times 2 sin((th_a - th_b)/2); the phases cancel in the cross
-    ratio, leaving a manifestly real expression.  The four half-angle
-    sines overwrite th's rows in place (th is consumed).
+    The Cayley map exp(i th) -> tan(th/2), a Moebius map, carries uniform
+    circle points to standard Cauchy draws on the real line.  Halving and
+    the tangent run in place, bit for bit ``np.tan(0.5 * th)``.
     """
-    a, b, c, d = th.T
+    th = rng.random(shape) * (2.0 * math.pi)
+    th *= 0.5
+    return np.tan(th, out=th)
+
+
+def _circle_cross_ratio(t: np.ndarray) -> np.ndarray:
+    """(t_a - t_c)(t_b - t_d) / ((t_a - t_b)(t_c - t_d)) of each row of t.
+
+    Cross ratios are Moebius-invariant, so on the half-angle tangents of
+    four circle points this is the points' own: with
+    t_a - t_c = sin((a - c)/2) / (cos(a/2) cos(c/2)) the four cosines
+    cancel from the half-angle sine form.  t is consumed.
+    """
+    a, b, c, d = t.T
     ac = a - c
     a -= b
     b -= d
     c -= d
-    d[...] = ac
-    th *= 0.5
-    np.sin(th, out=th)
-    d *= b  # sin((a - c)/2) sin((b - d)/2)
-    a *= c  # sin((a - b)/2) sin((c - d)/2)
-    return d / a
+    ac *= b  # (t_a - t_c)(t_b - t_d)
+    a *= c  # (t_a - t_b)(t_c - t_d)
+    ac /= a
+    return ac
 
 
 def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
                   table: modmap.CrMapTable | None) -> np.ndarray:
     rng = _chunk_rng(seed, chunk_index)
-    if law == "crossratio_full":
-        th = rng.random((count, 4)) * (2.0 * math.pi)
-        return _full_cr_from_angles(th)
-    if law == "quad_cr":
-        th = rng.random((count, 4)) * (2.0 * math.pi)
+    if law == "star":
+        return _half_angle_tangents(rng, count)
+    if law in ("crossratio_full", "quad_cr"):
+        cr = _circle_cross_ratio(_half_angle_tangents(rng, (count, 4)))
+        if law == "crossratio_full":
+            return cr
         # the canonical representative: the orbit's largest value, >= 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.max(hypgeom._orbit_images(_full_cr_from_angles(th)), axis=0)
-    if law == "star":
-        th = rng.random(count) * (2.0 * math.pi)
-        return np.tan(0.5 * th)
+            return np.max(hypgeom._orbit_images(cr), axis=0)
     q = cf.sample_quad_cr_values(count, rng)
     if law == "length":
         return cf.perpendicular_length(q)

@@ -214,8 +214,15 @@ class CrMapTable:
             for row in rd:
                 if len(row) != len(header):
                     raise ValueError(f"table line {rd.line_num} has {len(row)} fields, "
-                                     f"expected {len(header)}")
-                records.append(dict(zip(_CSV_COLUMNS, map(float, row))))
+                                     f"expected {len(header)}, in {path}")
+                record = {}
+                for col, field in zip(_CSV_COLUMNS, row):
+                    try:
+                        record[col] = float(field)
+                    except ValueError:
+                        raise ValueError(f"table line {rd.line_num} field {col} = {field!r} "
+                                         f"is not a number, in {path}") from None
+                records.append(record)
         records.sort(key=lambda r: r["m"])
         ms = np.array([r["m"] for r in records])
         crs = np.array([r["cross_ratio"] for r in records])

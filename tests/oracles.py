@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import numpy as np
 
 from punctorus import closedform
@@ -28,6 +29,54 @@ def sample_length_values(n: int, rng: np.random.Generator) -> np.ndarray:
     short = u < 0.5
     q = closedform._INVERSE(np.where(short, 1.0 - 2.0 * u, 2.0 * u - 1.0))
     return np.where(short, closedform._short_length(q), closedform._dual_length(q))
+
+
+def circle_cr_by_sines(th: np.ndarray) -> np.ndarray:
+    """Cross ratio of four unit-circle points via the half-angle sines.
+
+    For z_j = exp(i th_j) each difference z_a - z_b carries a common
+    phase times 2 sin((th_a - th_b)/2); the phases cancel in the cross
+    ratio, leaving a manifestly real expression.  The four half-angle
+    sines overwrite th's rows in place (th is consumed).  It shares no
+    arithmetic with the samplers' half-angle tangent route.
+    """
+    a, b, c, d = th.T
+    ac = a - c
+    a -= b
+    b -= d
+    c -= d
+    d[...] = ac
+    th *= 0.5
+    np.sin(th, out=th)
+    d *= b  # sin((a - c)/2) sin((b - d)/2)
+    a *= c  # sin((a - b)/2) sin((c - d)/2)
+    return d / a
+
+
+def circle_cr_condition(th: np.ndarray) -> np.ndarray:
+    """kappa = 1 + pi sum_j |d log CR / d th_j| of each row of four angles.
+
+    log CR = log sin((a-c)/2) + log sin((b-d)/2) - log sin((a-b)/2)
+    - log sin((c-d)/2), so each partial is a sum of half cotangents.  An
+    angle in [0, 2 pi) carries a rounding error of at most about pi eps,
+    so eps kappa scales the relative error that rounding the four angles
+    alone puts on the cross ratio.
+    """
+    a, b, c, d = th.T
+    ac, bd, ab, cd = (0.5 / np.tan(0.5 * x) for x in (a - c, b - d, a - b, c - d))
+    grad = np.abs(ac - ab) + np.abs(bd + ab) + np.abs(ac + cd) + np.abs(bd - cd)
+    return 1.0 + math.pi * grad
+
+
+def circle_cr_mpmath(th: np.ndarray, dps: int = 50) -> np.ndarray:
+    """The sine-form cross ratio of each row of four float angles, at dps digits."""
+    out = []
+    with mpmath.workdps(dps):
+        for row in th.tolist():
+            a, b, c, d = (mpmath.mpf(x) / 2 for x in row)
+            out.append(float(mpmath.sin(a - c) * mpmath.sin(b - d)
+                             / (mpmath.sin(a - b) * mpmath.sin(c - d))))
+    return np.array(out)
 
 
 def s4_orbit(lam: float) -> tuple[float, ...]:

@@ -13,7 +13,7 @@ from oracles import apply, canonical_representative, s4_orbit, sample_length_val
 from punctorus import closedform
 from punctorus.closedform import LENGTH_THRESHOLD, perpendicular_length
 from punctorus.hypgeom import MoebiusMap, cross_ratio
-from punctorus.mc import _chunk_rng, _full_cr_from_angles, _sample_chunk
+from punctorus.mc import _sample_chunk
 
 INF = complex(math.inf)
 
@@ -172,8 +172,7 @@ class TestOrbit:
         must reach that interval.
         """
         n, seed = 1 << 14, 7
-        th = _chunk_rng(seed, 0).random((n, 4)) * (2.0 * math.pi)
-        lam = _full_cr_from_angles(th)
+        lam = _sample_chunk("crossratio_full", seed, 0, n, None)
         assert np.count_nonzero((lam >= -1.0) & (lam < 0.0)) >= 1000
         want = np.array([canonical_representative(x) for x in lam.tolist()])
         got = _sample_chunk("quad_cr", seed, 0, n, None)

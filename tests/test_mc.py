@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
-from punctorus import cli, modmap
+from oracles import circle_cr_by_sines, circle_cr_condition, circle_cr_mpmath
+from punctorus import cli, hypgeom, modmap
 from punctorus.closedform import _BLOCK, LENGTH_THRESHOLD, quad_cr_median, sample_quad_cr_values
 from punctorus.mc import (
     CURVES,
@@ -24,6 +25,7 @@ from punctorus.mc import (
     _HIST_RANGE,
     _KS_SLACK,
     _KS_STRIDE,
+    _chunk_rng,
     _ks_distance,
     _sample_chunk,
     _sorted_quantile,
@@ -52,6 +54,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"n_samples = .* is not an integer"):
             McConfig(n_samples=n, seed=1)
         assert McConfig(n_samples=np.int64(10), seed=1).n_samples == 10
+
+    @pytest.mark.parametrize("workers", [None, 1.5, "2"])
+    def test_worker_count_must_be_an_integer(self, workers):
+        # None raised TypeError from the comparison and 1.5 passed
+        with pytest.raises(ValueError, match=r"workers = .* is not an integer"):
+            McConfig(n_samples=10, seed=1, workers=workers)
+        assert McConfig(n_samples=10, seed=1, workers=np.int64(2)).workers == 2
 
     @pytest.mark.parametrize("seed", [None, 1.5, -1, 2**128])
     def test_seed_must_be_a_128_bit_key(self, seed):
@@ -213,6 +222,77 @@ class TestAgainstClosedForm:
         assert out.ks_distance < 0.01
         assert out.stats["median"] == pytest.approx(math.exp(0.83187),
                                                     rel=0.03)
+
+
+def _circle_angles(seed: int, chunk: int, count: int) -> np.ndarray:
+    """The circle samplers' angle draw: the same stream, as angles."""
+    return _chunk_rng(seed, chunk).random((count, 4)) * (2.0 * math.pi)
+
+
+def _sine_route_sample(law: str, seed: int, n: int) -> np.ndarray:
+    """A crossratio_full or quad_cr sample by the half-angle sine route."""
+    parts = []
+    for c, start in enumerate(range(0, n, _CHUNK)):
+        cr = circle_cr_by_sines(_circle_angles(seed, c, min(_CHUNK, n - start)))
+        if law == "quad_cr":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cr = np.max(hypgeom._orbit_images(cr), axis=0)
+        parts.append(cr)
+    return np.concatenate(parts)
+
+
+class TestHalfAngleTangents:
+    """The circle cross ratios from tangents, against the sine route.
+
+    Both routes compute the cross ratio of the same four float angles;
+    each stays within eps kappa (``circle_cr_condition``) of that
+    exact value, so they differ only where kappa is large: on
+    near-coincident quadruples.
+    """
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("seed", [7, 523])
+    def test_agrees_with_the_sine_route(self, seed):
+        th = _circle_angles(seed, 0, _CHUNK)
+        kappa = circle_cr_condition(th)
+        want = circle_cr_by_sines(th.copy())
+        got = _sample_chunk("crossratio_full", seed, 0, _CHUNK, None)
+        assert np.all(np.abs(got - want) <= 4.0 * self.EPS * kappa * np.abs(want))
+        assert np.count_nonzero(got != want) > 0  # two routes, not one
+
+    @pytest.mark.parametrize("seed", [7, 523])
+    def test_both_routes_against_mpmath(self, seed):
+        th = _circle_angles(seed, 0, _CHUNK)
+        kappa = circle_cr_condition(th)
+        tangents = _sample_chunk("crossratio_full", seed, 0, _CHUNK, None)
+        sines = circle_cr_by_sines(th.copy())
+        # the 60 worst-conditioned draws, the 60 where the routes differ
+        # most, and 100 more
+        gap = np.abs(tangents / sines - 1.0)
+        pick = np.unique(np.concatenate([np.argsort(kappa)[-60:], np.argsort(gap)[-60:],
+                                         np.arange(100)]))
+        exact = circle_cr_mpmath(th[pick])
+        bound = 4.0 * self.EPS * kappa[pick] * np.abs(exact)
+        assert np.all(np.abs(tangents[pick] - exact) <= bound)
+        assert np.all(np.abs(sines[pick] - exact) <= bound)
+
+    @pytest.mark.parametrize("seed, chunk, count", [(7, 0, _CHUNK), (523, 3, _CHUNK),
+                                                    (11, 1, 1001), (5, 0, 1)])
+    def test_star_draw_is_unchanged(self, seed, chunk, count):
+        th = _chunk_rng(seed, chunk).random(count) * (2.0 * math.pi)
+        want = np.tan(0.5 * th)
+        got = _sample_chunk("star", seed, chunk, count, None)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("law", ["crossratio_full", "quad_cr"])
+    def test_histogram_equals_the_sine_route(self, law):
+        n, seed = 100_000, 7
+        got = run_law(McConfig(n_samples=n, seed=seed, law=law))
+        ks, counts, _, stats = _oracle_summary(_sine_route_sample(law, seed, n), law)
+        np.testing.assert_array_equal(got.counts, counts)
+        assert got.ks_distance == pytest.approx(ks, rel=0.0, abs=1e-15)
+        assert got.stats["median"] == pytest.approx(stats["median"], rel=1e-15)
 
 
 class TestSummaryEmission:

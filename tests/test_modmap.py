@@ -61,6 +61,17 @@ class TestTableConstruction:
         with pytest.raises(ValueError, match=match):
             CrMapTable.from_csv(path)
 
+    def test_csv_field_must_be_a_number(self, cr_table, tmp_path):
+        # float() alone named neither the file nor the line
+        path = tmp_path / "table.csv"
+        cr_table.to_csv(path)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(["x"] + lines[2].split(",")[1:])
+        path.write_text("".join(f"{line}\n" for line in lines))
+        with pytest.raises(ValueError, match="table line 3 field m = 'x' is not a number") as err:
+            CrMapTable.from_csv(path)
+        assert str(path) in str(err.value)
+
     def test_node_validation(self):
         ms = np.linspace(1.0, 2.0, 9)
         with pytest.raises(ValueError):
