@@ -162,6 +162,27 @@ def _digits(text: str) -> int:
     return min(value, 767)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative float literal as a value.
+
+    argparse takes a token that starts with '-' for an option unless it
+    reads as a negative number: -N or -N.N on Python 3.11, never -inf;
+    so ``--at -1e-3`` and ``--at -inf`` exited 2 with "expected one
+    argument".  No option here looks like a number, so every token
+    ``float`` accepts is a value.  Subparsers are built from this class.
+    """
+
+    def _parse_optional(self, arg_string):
+        if arg_string.startswith("-"):
+            try:
+                float(arg_string)
+            except ValueError:
+                pass
+            else:
+                return None
+        return super()._parse_optional(arg_string)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -177,7 +198,7 @@ def _add_grid(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="punctorus",
         description="Closed-form laws, accessory-parameter solves, and Monte "
                     "Carlo checks for random once-punctured tori.",

@@ -51,11 +51,6 @@ class MoebiusMap:
         if det == 0 or not cmath.isfinite(det):
             raise ValueError(f"Moebius map must have a finite nonzero determinant, got {det}")
 
-    def normalized(self) -> "MoebiusMap":
-        """Rescale the entries to determinant one (up to overall sign)."""
-        s = cmath.sqrt(self.det())
-        return MoebiusMap(self.a / s, self.b / s, self.c / s, self.d / s)
-
 
 def cross_ratio(z1: complex, z2: complex, z3: complex, z4: complex) -> CrossRatio:
     """Cross ratio (z1-z3)(z2-z4) / ((z1-z2)(z3-z4)) of four points.

@@ -140,11 +140,13 @@ def _half_angle_tangents(rng: np.random.Generator, shape) -> np.ndarray:
     """tan(th/2) of uniform angles th in [0, 2 pi), drawn as ``shape``.
 
     The Cayley map exp(i th) -> tan(th/2), a Moebius map, carries uniform
-    circle points to standard Cauchy draws on the real line.  Halving and
-    the tangent run in place, bit for bit ``np.tan(0.5 * th)``.
+    circle points to standard Cauchy draws on the real line.  The half
+    angle U pi and the tangent run in place, bit for bit
+    ``np.tan(0.5 * (U * (2 pi)))``: fl(2 pi) = 2 fl(pi), and scaling by
+    2 or 0.5 is exact.
     """
-    th = rng.random(shape) * (2.0 * math.pi)
-    th *= 0.5
+    th = rng.random(shape)
+    th *= math.pi
     return np.tan(th, out=th)
 
 
@@ -167,6 +169,19 @@ def _circle_cross_ratio(t: np.ndarray) -> np.ndarray:
     return ac
 
 
+def _orbit_max(cr: np.ndarray) -> np.ndarray:
+    """The canonical representative of each cross ratio: the largest of
+    its six orbit images, >= 2.  Five pairwise maxima run in place, with
+    no stacked copy of the images, and give ``np.max`` over the stack
+    bit for bit, nan and +-inf included.  cr is consumed.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        best, *rest = hypgeom._orbit_images(cr)
+        for image in rest:
+            np.maximum(best, image, out=best)
+    return best
+
+
 def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
                   table: modmap.CrMapTable | None) -> np.ndarray:
     rng = _chunk_rng(seed, chunk_index)
@@ -174,11 +189,7 @@ def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
         return _half_angle_tangents(rng, count)
     if law in ("crossratio_full", "quad_cr"):
         cr = _circle_cross_ratio(_half_angle_tangents(rng, (count, 4)))
-        if law == "crossratio_full":
-            return cr
-        # the canonical representative: the orbit's largest value, >= 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.max(hypgeom._orbit_images(cr), axis=0)
+        return cr if law == "crossratio_full" else _orbit_max(cr)
     q = cf.sample_quad_cr_values(count, rng)
     if law == "length":
         return cf.perpendicular_length(q)

@@ -4,10 +4,14 @@ Builds the two-generator Moebius groups whose quotient is a punctured
 torus: the rectangular pair with tangent isometric circles, the twisted
 pair at general twist parameters, commutators, the length/angle
 closure relation, and a sampler for random tori driven by the geodesic
-length law.
+length law.  The identities are built from plain complex entries: a
+commutator constructs only the ``MoebiusMap`` it returns, and the
+tangency vertices read the isometric circles' centres from the pair's
+raw entries and their radii from the pair, building no record.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,7 +23,6 @@ from .hypgeom import MoebiusMap
 
 __all__ = [
     "GeneratorPair",
-    "IsometricCircle",
     "TorusSample",
     "AngleRelation",
     "compose",
@@ -52,22 +55,6 @@ _LENGTH_MAX = 700.0
 
 
 @dataclass(frozen=True)
-class IsometricCircle:
-    """The circle on which a Moebius map acts as a Euclidean isometry.
-
-    For a determinant-one map this is |cz + d| = 1; all circles produced
-    here are orthogonal to the unit circle.
-    """
-
-    center: complex
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not self.radius > 0:
-            raise ValueError("isometric circle needs a positive radius")
-
-
-@dataclass(frozen=True)
 class GeneratorPair:
     """Two Moebius generators of a punctured-torus group.
 
@@ -82,23 +69,6 @@ class GeneratorPair:
     def __post_init__(self) -> None:
         if not (self.r > 0 and self.s > 0):
             raise ValueError("radii must be positive")
-
-    def circles(self) -> tuple[IsometricCircle, IsometricCircle,
-                               IsometricCircle, IsometricCircle]:
-        """Isometric circles of (A, A^-1, B, B^-1), in that order.
-
-        The centres are -d/c and a/c (M^-1 is the adjugate (d, -b, -c, a)
-        of M), which no rescaling of M moves, and the radii are the
-        pair's own r and s; so no generator is normalized, and a
-        determinant that rounds away from 1 costs no accuracy.
-        """
-        A, B = self.A, self.B
-        if A.c == 0 or B.c == 0:
-            raise ValueError("map fixes infinity and has no isometric circle")
-        return (IsometricCircle(complex(-A.d / A.c), self.r),
-                IsometricCircle(complex(A.a / A.c), self.r),
-                IsometricCircle(complex(-B.d / B.c), self.s),
-                IsometricCircle(complex(B.a / B.c), self.s))
 
 
 @dataclass(frozen=True)
@@ -127,26 +97,34 @@ def compose(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
                       f.c * g.a + f.d * g.c, f.c * g.b + f.d * g.d)
 
 
-def _adjugate(n: MoebiusMap) -> MoebiusMap:
-    """The inverse of a determinant-one map."""
-    return MoebiusMap(n.d, -n.b, -n.c, n.a)
-
-
 def commutator(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
     """f g f^-1 g^-1 of the determinant-one representatives.
 
-    The raw product, not a resigned one: flipping the sign of either
-    generator leaves it unchanged, so its trace is an honest invariant
-    of the group element (and equals -2 in the parabolic cases).  For
-    the rectangular pair of radius r the computed trace is within
-    64 max(r^2, 1/r^2) eps of -2 over the whole accepted range of r
-    (the worst seen, 45.8, near r = 1.02; about 12 near the ends).  For
-    the sheared pair at (r, lam) it is within
+    Each generator is normalized once, inverted by its adjugate, and
+    multiplied out as plain complex entries; the one ``MoebiusMap``
+    built is the result.  The raw product, not a resigned one: flipping
+    the sign of either generator leaves it unchanged, so its trace is an
+    honest invariant of the group element (and equals -2 in the
+    parabolic cases).  For the rectangular pair of radius r the computed
+    trace is within 64 max(r^2, 1/r^2) eps of -2 over the whole accepted
+    range of r (the worst seen, 45.8, near r = 1.02; about 12 near the
+    ends).  For the sheared pair at (r, lam) it is within
     128 max(r^2, 1/r^2) (1 + lam^2)^2 eps of -2 over the whole accepted
     box (the worst seen, 90.4, near r = 1.03, lam = 7.95).
     """
-    f, g = f.normalized(), g.normalized()
-    return compose(compose(f, g), compose(_adjugate(f), _adjugate(g)))
+    # each generator rescaled to determinant one (up to overall sign) ...
+    s = cmath.sqrt(f.det())
+    fa, fb, fc, fd = f.a / s, f.b / s, f.c / s, f.d / s
+    s = cmath.sqrt(g.det())
+    ga, gb, gc, gd = g.a / s, g.b / s, g.c / s, g.d / s
+    # ... then f g, and f^-1 g^-1 from the adjugates (fd, -fb, -fc, fa)
+    # and (gd, -gb, -gc, ga), each entry as ``compose`` forms it
+    pa, pb = fa * ga + fb * gc, fa * gb + fb * gd
+    pc, pd = fc * ga + fd * gc, fc * gb + fd * gd
+    qa, qb = fd * gd + -fb * -gc, fd * -gb + -fb * ga
+    qc, qd = -fc * gd + fa * -gc, -fc * -gb + fa * ga
+    return MoebiusMap(pa * qa + pb * qc, pa * qb + pb * qd,
+                      pc * qa + pd * qc, pc * qb + pd * qd)
 
 
 def rectangular_generators(r: float) -> GeneratorPair:
@@ -186,12 +164,16 @@ def tangency_vertices(pair: GeneratorPair) -> tuple[complex, complex, complex, c
     """
     if abs(pair.r * pair.s - 1.0) >= _TANGENT_TOL:
         raise ValueError("circles are not tangent: radii are not reciprocal")
-    ca, ca_inv, cb, cb_inv = pair.circles()
+    A, B, r, s = pair.A, pair.B, pair.r, pair.s
+    if A.c == 0 or B.c == 0:
+        raise ValueError("map fixes infinity and has no isometric circle")
+    ca, ca_inv = complex(-A.d / A.c), complex(A.a / A.c)
+    cb, cb_inv = complex(-B.d / B.c), complex(B.a / B.c)
     return (
-        _tangent_point(ca.center, ca.radius, cb.center, cb.radius),
-        _tangent_point(cb.center, cb.radius, ca_inv.center, ca_inv.radius),
-        _tangent_point(ca_inv.center, ca_inv.radius, cb_inv.center, cb_inv.radius),
-        _tangent_point(cb_inv.center, cb_inv.radius, ca.center, ca.radius),
+        _tangent_point(ca, r, cb, s),
+        _tangent_point(cb, s, ca_inv, r),
+        _tangent_point(ca_inv, r, cb_inv, s),
+        _tangent_point(cb_inv, s, ca, r),
     )
 
 

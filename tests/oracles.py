@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
 from punctorus import closedform
 from punctorus.hypgeom import MoebiusMap, _orbit_images
-from punctorus.torusgroup import IsometricCircle
+from punctorus.torusgroup import _TANGENT_TOL, GeneratorPair, _tangent_point, compose
 
 # the three degenerate cross ratios, infinity with both signs
 _DEGENERATE_VALUES = (0.0, 1.0, math.inf, -math.inf)
@@ -115,19 +116,81 @@ def apply(m: MoebiusMap, z: complex) -> complex:
     return complex((m.a * z + m.b) / den)
 
 
+def normalized(m: MoebiusMap) -> MoebiusMap:
+    """m rescaled to determinant one (up to overall sign)."""
+    s = cmath.sqrt(m.det())
+    return MoebiusMap(m.a / s, m.b / s, m.c / s, m.d / s)
+
+
 def inverse(m: MoebiusMap) -> MoebiusMap:
     """The inverse of m: the adjugate of its determinant-one representative."""
-    n = m.normalized()
+    n = normalized(m)
     return MoebiusMap(n.d, -n.b, -n.c, n.a)
+
+
+@dataclass(frozen=True)
+class IsometricCircle:
+    """The circle on which a Moebius map acts as a Euclidean isometry.
+
+    For a determinant-one map this is |cz + d| = 1; all circles produced
+    here are orthogonal to the unit circle.
+    """
+
+    center: complex
+    radius: float
+
+    def __post_init__(self) -> None:
+        if not self.radius > 0:
+            raise ValueError("isometric circle needs a positive radius")
+
+
+def circles(pair: GeneratorPair) -> tuple[IsometricCircle, IsometricCircle,
+                                          IsometricCircle, IsometricCircle]:
+    """Isometric circles of (A, A^-1, B, B^-1), in that order.
+
+    The centres are -d/c and a/c (M^-1 is the adjugate (d, -b, -c, a)
+    of M), which no rescaling of M moves, and the radii are the pair's
+    own r and s; so no generator is normalized.  ``tangency_vertices``
+    reads the same centres and radii without building these records.
+    """
+    A, B = pair.A, pair.B
+    if A.c == 0 or B.c == 0:
+        raise ValueError("map fixes infinity and has no isometric circle")
+    return (IsometricCircle(complex(-A.d / A.c), pair.r),
+            IsometricCircle(complex(A.a / A.c), pair.r),
+            IsometricCircle(complex(-B.d / B.c), pair.s),
+            IsometricCircle(complex(B.a / B.c), pair.s))
 
 
 def isometric_circle(m: MoebiusMap) -> IsometricCircle:
     """Isometric circle |cz + d| = 1 of a determinant-one representative.
 
-    Normalizes m, where ``GeneratorPair.circles`` normalizes nothing.
-    Maps fixing infinity (c = 0) have none and raise.
+    Normalizes m, where ``circles`` normalizes nothing.  Maps fixing
+    infinity (c = 0) have none and raise.
     """
-    n = m.normalized()
+    n = normalized(m)
     if n.c == 0:
         raise ValueError("map fixes infinity and has no isometric circle")
     return IsometricCircle(complex(-n.d / n.c), 1.0 / abs(n.c))
+
+
+def commutator_by_records(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
+    """f g f^-1 g^-1 built from seven maps: the two normalized
+    generators, their adjugates and the three products."""
+    f, g = normalized(f), normalized(g)
+    f_inv, g_inv = (MoebiusMap(n.d, -n.b, -n.c, n.a) for n in (f, g))
+    return compose(compose(f, g), compose(f_inv, g_inv))
+
+
+def tangency_vertices_by_circles(pair: GeneratorPair) -> tuple[complex, ...]:
+    """The four tangency vertices read from the ``circles`` records, in
+    ``tangency_vertices``' order, with its checks in its order."""
+    if abs(pair.r * pair.s - 1.0) >= _TANGENT_TOL:
+        raise ValueError("circles are not tangent: radii are not reciprocal")
+    ca, ca_inv, cb, cb_inv = circles(pair)
+    return (
+        _tangent_point(ca.center, ca.radius, cb.center, cb.radius),
+        _tangent_point(cb.center, cb.radius, ca_inv.center, ca_inv.radius),
+        _tangent_point(ca_inv.center, ca_inv.radius, cb_inv.center, cb_inv.radius),
+        _tangent_point(cb_inv.center, cb_inv.radius, ca.center, ca.radius),
+    )

@@ -417,6 +417,36 @@ class TestParserSurface:
             assert code == 0
             assert run(capsys, argv + ["--precision", "1000000"]) == (0, want, "")
 
+    @pytest.mark.parametrize("argv, flag, value, code", [
+        (["pdf", "--law", "star"], "--at", "-1e-3", 0),
+        (["pdf", "--law", "teich"], "--at", "-inf", 0),
+        (["teich"], "--at", "-1E-3", 0),
+        (["cdf", "--law", "crossratio_full", "--to", "0", "--step", "500"], "--from", "-1e3", 0),
+        (["pdf", "--law", "star", "--from", "-3e0", "--step", "1"], "--to", "-1e0", 0),
+        (["pdf", "--law", "star", "--from", "0", "--to", "1"], "--step", "-1e-1", 2),
+        (["accessory"], "--tau", "-1e-3", 2),
+        (["cr-map"], "--modulus", "-1e3", 2),
+        (["quasimobius", "--dst", "3"], "--src", "-1e1", 2),
+        (["quasimobius", "--src", "3"], "--dst", "-inf", 2),
+    ], ids=["at", "at-inf", "teich-at", "from", "to", "step", "tau", "modulus", "src", "dst"])
+    def test_negative_float_tokens_are_values(self, capsys, argv, flag, value, code):
+        # argparse reads only -N and -N.N as negative numbers; an exponent
+        # or -inf in its own token was taken for an option
+        want = run(capsys, argv + [f"{flag}={value}"])
+        assert want[0] == code
+        assert run(capsys, argv + [flag, value]) == want
+
+    def test_negative_decimal_is_unchanged(self, capsys):
+        assert run(capsys, ["pdf", "--law", "star", "--at", "-0.5"]) == (
+            0, "0.25464790894703254\n", "")
+
+    @pytest.mark.parametrize("token", ["-x", "--", "-", "-1e"])
+    def test_other_dash_tokens_are_not_values(self, capsys, token):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pdf", "--law", "star", "--at", token])
+        assert exc.value.code == 2
+        assert "argument --at" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sub", ["pdf", "sample", "teich", "verify"])
     def test_help_names_the_units(self, capsys, sub):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.polynomial import Chebyshev
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from oracles import sample_length_values
 from punctorus import closedform, modmap
@@ -257,6 +257,77 @@ class TestQuadLaw:
         med = quad_cr_median()
         assert med == pytest.approx(4.688303105472306, rel=1e-12)
         assert quad_cr_cdf(med) == pytest.approx(0.5, abs=1e-12)
+
+
+def _cauchy_route_cdf(r: float) -> float:
+    """P(CR <= r) for four uniform circle points, with no dilogarithm and
+    no density.
+
+    Rotation puts the first point at angle 0, so its half-angle tangent
+    is 0; with b and c the others', the cross ratio is the Moebius map
+    d -> c (b - d) / (b (c - d)) of the last one, a standard Cauchy draw
+    (Cauchy at i).  Real Moebius maps carry the Cauchy law at w to the
+    law at M(w) (McCullagh, Ann. Statist. 24, 1996), so given b and c the
+    cross ratio is Cauchy with location Re w and scale |Im w|,
+    w = c (b - i) / (b (c - i)); F averages that law's CDF over the two
+    angles, split along the diagonal b = c, where the scale vanishes.
+    """
+    def cdf_given(theta_b, theta_c):
+        b, c = math.tan(0.5 * theta_b), math.tan(0.5 * theta_c)
+        w = c * (b - 1j) / (b * (c - 1j))
+        return 0.5 + math.atan((r - w.real) / abs(w.imag)) / math.pi
+
+    turn = 2.0 * math.pi
+    below = dblquad(cdf_given, 0.0, turn, 0.0, lambda c: c, epsabs=1e-12, epsrel=1e-12)[0]
+    above = dblquad(cdf_given, 0.0, turn, lambda c: c, turn, epsabs=1e-12, epsrel=1e-12)[0]
+    return (below + above) / turn**2
+
+
+def _cauchy_route_quad_cdf(q: float) -> float:
+    """P(canonical CR <= q): the cross ratio's orbit maximum is at most q
+    exactly on [1 - q, -1/(q - 1)], [1/q, 1 - 1/q] and [q/(q - 1), q]."""
+    ends = [(1.0 - q, -1.0 / (q - 1.0)), (1.0 / q, 1.0 - 1.0 / q), (q / (q - 1.0), q)]
+    return sum(_cauchy_route_cdf(hi) - _cauchy_route_cdf(lo) for lo, hi in ends)
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+class TestIndependentCauchyRoute:
+    """The circle laws against an integral of Cauchy CDFs, which shares
+    no code with closedform.
+
+    Measured differences (scipy 1.17.1): crossratio_cdf at most 1.1e-16
+    absolute and 3.2e-15 relative to min(F, 1 - F) (at r = -50);
+    quad_cr_cdf at most 2.2e-16 (at its median); length_branch_cdf at
+    1 by 1.1e-16.  The bounds below are about 9 and 10 times those.
+    Points stay at least 1e-6 from the density's singularities at 0 and
+    1.
+    """
+
+    @pytest.mark.parametrize("r", [-50.0, -7.3, -1.0001, -0.999, 0.2, 0.5, 0.9,
+                                   0.999999, 1.000001, 5.0, 30.0])
+    def test_crossratio_cdf(self, r):
+        want = _cauchy_route_cdf(r)
+        diff = abs(float(crossratio_cdf(r)) - want)
+        assert diff <= 1e-15
+        assert diff <= 3.2e-14 * min(want, 1.0 - want)
+
+    @pytest.mark.parametrize("q", [2.5, 10.0, 100.0])
+    def test_quad_cr_cdf(self, q):
+        assert abs(float(quad_cr_cdf(q)) - _cauchy_route_quad_cdf(q)) <= 2e-15
+
+    def test_quad_median_is_the_route_s_half(self):
+        # confirms clause 02's median by a route that shares no code with it
+        med = quad_cr_median()
+        want = _cauchy_route_quad_cdf(med)
+        assert abs(want - 0.5) <= 2e-15
+        assert abs(float(quad_cr_cdf(med)) - want) <= 2e-15
+
+    def test_length_branch_cdf(self):
+        # the short branch is 2 artanh(Q**-1/2), decreasing in Q, so
+        # P(L <= ell) = 1 - F_Q(coth(ell/2)**2)
+        ell = 1.0
+        want = 1.0 - _cauchy_route_quad_cdf(1.0 / math.tanh(0.5 * ell) ** 2)
+        assert abs(float(length_branch_cdf(ell)) - want) <= 1e-15
 
 
 # Each curve's input at n = 2^20, inside its domain, from one standard

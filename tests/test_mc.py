@@ -27,6 +27,7 @@ from punctorus.mc import (
     _KS_STRIDE,
     _chunk_rng,
     _ks_distance,
+    _orbit_max,
     _sample_chunk,
     _sorted_quantile,
     _summary,
@@ -284,6 +285,32 @@ class TestHalfAngleTangents:
         want = np.tan(0.5 * th)
         got = _sample_chunk("star", seed, chunk, count, None)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_half_angle_is_the_halved_full_angle(self):
+        # U pi is (U (2 pi)) 0.5 bit for bit: fl(2 pi) = 2 fl(pi), and
+        # scaling by 2 or 0.5 is exact for every U in [0, 1)
+        u = np.concatenate((_chunk_rng(13, 0).random(1 << 20),
+                            [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]))
+        want = u * (2.0 * math.pi)
+        want *= 0.5
+        np.testing.assert_array_equal((u * math.pi).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("seed", [7, 523])
+    def test_quad_cr_is_the_stacked_orbit_max(self, seed):
+        cr = _sample_chunk("crossratio_full", seed, 2, _CHUNK, None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.max(hypgeom._orbit_images(cr), axis=0)
+        got = _sample_chunk("quad_cr", seed, 2, _CHUNK, None)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_orbit_max_of_degenerate_and_boundary_values(self):
+        cr = np.array([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan, -1.0, 0.5, 2.0,
+                       1.0 - 2.0**-53, 1.0 + 2.0**-52, 1e-300, -1e300, 4.6883])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.max(hypgeom._orbit_images(cr), axis=0)
+        got = _orbit_max(cr.copy())
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.isnan(got[3]) and np.isinf(got[0]) and got[6] == 2.0
 
     @pytest.mark.parametrize("law", ["crossratio_full", "quad_cr"])
     def test_histogram_equals_the_sine_route(self, law):

@@ -6,12 +6,14 @@ import dataclasses
 import math
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 
-from oracles import apply, inverse, isometric_circle, sample_length_values
+from oracles import (apply, circles, commutator_by_records, inverse, isometric_circle,
+                     normalized, sample_length_values, tangency_vertices_by_circles)
 from punctorus.closedform import LENGTH_THRESHOLD, quad_cr_cdf
 from punctorus import torusgroup
 from punctorus.hypgeom import MoebiusMap, cross_ratio
@@ -106,7 +108,7 @@ class TestRectangularPair:
 
     def test_circle_geometry(self):
         pair = rectangular_generators(1.6)
-        ca, ca_inv, cb, cb_inv = pair.circles()
+        ca, ca_inv, cb, cb_inv = circles(pair)
         root = math.sqrt(1.6**2 + 1.0)
         assert ca.center == pytest.approx(-root, abs=1e-14)
         assert ca_inv.center == pytest.approx(root, abs=1e-14)
@@ -158,7 +160,7 @@ class TestRectangularPair:
         pair = dataclasses.replace(rectangular_generators(2.0),
                                    **{which: MoebiusMap(2.0, 1.0, 0.0, 0.5)})
         with pytest.raises(ValueError, match="no isometric circle"):
-            pair.circles()
+            circles(pair)
         with pytest.raises(ValueError, match="no isometric circle"):
             tangency_vertices(pair)
 
@@ -169,10 +171,10 @@ def _entries(m: MoebiusMap) -> np.ndarray:
 
 class TestOneNormalization:
     """commutator normalizes each generator once and inverts by the
-    adjugate; circles() normalizes none, reading the centres -d/c and
-    a/c from the raw entries and the radii from the pair.  Both agree
-    with the isometric_circle(inverse(.)) and inverse() route, which
-    normalizes each generator twice.
+    adjugate; the circles oracle, like tangency_vertices, normalizes
+    none, reading the centres -d/c and a/c from the raw entries and the
+    radii from the pair.  Both agree with the isometric_circle(inverse(.))
+    and inverse() route, which normalizes each generator twice.
 
     The routes differ by how far det A = qa**2 - 1/r**2 rounds from 1,
     about max(r**2, r**-2) ulps.  Over 3 * 10**5 log-uniform radii in
@@ -194,39 +196,107 @@ class TestOneNormalization:
             old = (isometric_circle(pair.A), isometric_circle(inverse(pair.A)),
                    isometric_circle(pair.B), isometric_circle(inverse(pair.B)))
             loss = 8.0 * max(r * r, 1.0 / (r * r)) * self.EPS
-            for new, ref in zip(pair.circles(), old):
+            for new, ref in zip(circles(pair), old):
                 assert abs(new.center - ref.center) <= 4.0 * self.EPS * abs(ref.center)
                 assert abs(new.radius - ref.radius) <= loss * ref.radius
 
     def test_commutator_matches_the_inverse_route(self):
         for r in self.radii():
             pair = rectangular_generators(r)
-            f, g = pair.A.normalized(), pair.B.normalized()
+            f, g = normalized(pair.A), normalized(pair.B)
             old = _entries(compose(compose(f, g), compose(inverse(f), inverse(g))))
             new = _entries(commutator(pair.A, pair.B))
             loss = 8.0 * max(r * r, 1.0 / (r * r)) * self.EPS
             assert np.max(np.abs(new - old)) <= loss * np.max(np.abs(old))
 
     def test_each_generator_is_normalized_once(self, monkeypatch):
-        counts = {"normalized": 0, "built": 0}
-        normalized, post_init = MoebiusMap.normalized, MoebiusMap.__post_init__
+        # one square root per generator's determinant, and the only
+        # record built is the commutator returned; the vertices take
+        # neither
+        counts = {"sqrt": 0, "built": 0}
+        post_init = MoebiusMap.__post_init__
 
-        def counted_normalized(m):
-            counts["normalized"] += 1
-            return normalized(m)
+        def counted_sqrt(z):
+            counts["sqrt"] += 1
+            return cmath.sqrt(z)
 
         def counted_post_init(m):
             counts["built"] += 1
             post_init(m)
 
         pair = rectangular_generators(1.3)
-        monkeypatch.setattr(MoebiusMap, "normalized", counted_normalized)
+        monkeypatch.setattr(torusgroup, "cmath", SimpleNamespace(sqrt=counted_sqrt))
         monkeypatch.setattr(MoebiusMap, "__post_init__", counted_post_init)
         commutator(pair.A, pair.B)
-        assert counts == {"normalized": 2, "built": 7}
-        counts.update(normalized=0, built=0)
+        assert counts == {"sqrt": 2, "built": 1}
+        counts.update(sqrt=0, built=0)
         tangency_vertices(pair)
-        assert counts == {"normalized": 0, "built": 0}
+        assert counts == {"sqrt": 0, "built": 0}
+
+
+def _bits(values) -> np.ndarray:
+    """The float64 bit patterns of complex values, two per value."""
+    return np.array([complex(v) for v in values]).view(np.int64)
+
+
+class TestRecordFreeIdentities:
+    """commutator and tangency_vertices, built from plain complex
+    entries, give the record route's values bit for bit: seven
+    ``MoebiusMap``s per commutator and four ``IsometricCircle``s per
+    vertex set (``commutator_by_records``, ``tangency_vertices_by_circles``).
+    """
+
+    @staticmethod
+    def rect_radii():
+        top = math.log2(torusgroup._RECT_MAX)
+        exps = np.random.default_rng(36).uniform(-top, top, 20000)
+        return np.concatenate(([-top, top], exps, [-1.0, 0.0, 1.0]))
+
+    @staticmethod
+    def assert_same(got, want):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_rectangular_commutator(self):
+        got, want = [], []
+        for e in self.rect_radii():
+            pair = rectangular_generators(2.0**e)
+            got += _entries(commutator(pair.A, pair.B)).tolist()
+            want += _entries(commutator_by_records(pair.A, pair.B)).tolist()
+        self.assert_same(got, want)
+
+    def test_sheared_commutator(self):
+        rng = np.random.default_rng(37)
+        top = math.log2(torusgroup._SHEAR_R_MAX)
+        corners = [(r, lam) for r in (2.0**-top, 1.0, 2.0**top) for lam in (0.0, 1.0, 16.0)]
+        points = corners + list(zip(2.0 ** rng.uniform(-top, top, 4000),
+                                    torusgroup._SHEAR_LAM_MAX * rng.random(4000)))
+        got, want = [], []
+        for r, lam in points:
+            u, v = nonrectangular_pair(r, lam)
+            for f, g in ((u, v), (v, u)):
+                got += _entries(commutator(f, g)).tolist()
+                want += _entries(commutator_by_records(f, g)).tolist()
+        self.assert_same(got, want)
+
+    def test_vertices(self):
+        got, want = [], []
+        for e in self.rect_radii():
+            pair = rectangular_generators(2.0**e)
+            got += tangency_vertices(pair)
+            want += tangency_vertices_by_circles(pair)
+        self.assert_same(got, want)
+
+    @pytest.mark.parametrize("change", [
+        {"A": MoebiusMap(2.0, 1.0, 0.0, 0.5)}, {"B": MoebiusMap(2.0, 1.0, 0.0, 0.5)},
+        {"s": 1.5}, {"r": 3.0}, {"s": 1.5, "A": MoebiusMap(2.0, 1.0, 0.0, 0.5)},
+    ], ids=["A-fixes-infinity", "B-fixes-infinity", "s", "r", "both"])
+    def test_same_errors(self, change):
+        pair = dataclasses.replace(rectangular_generators(2.0), **change)
+        with pytest.raises(ValueError) as want:
+            tangency_vertices_by_circles(pair)
+        with pytest.raises(ValueError) as got:
+            tangency_vertices(pair)
+        assert str(got.value) == str(want.value)
 
 
 class TestQuadCrossRatio:
