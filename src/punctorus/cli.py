@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import lame, mc, modmap
-from .tabular import csv_text
+from .tabular import csv_text, float_text
 
 _UNITS_EPILOG = (
     "Units: lengths are hyperbolic (natural units); Teichmueller distance "
@@ -38,10 +38,24 @@ def _write(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(doc, precision: int) -> str:
+    """doc as indented JSON and a newline.  Each float in its dicts and
+    lists is first rounded to the double its ``float_text`` reads as, so
+    it is written with at most ``precision`` significant digits; at 17
+    it keeps its value and its text."""
+    def rounded(v):
+        if isinstance(v, float):
+            return float(float_text(v, precision))
+        if isinstance(v, dict):
+            return {k: rounded(x) for k, x in v.items()}
+        return [rounded(x) for x in v] if isinstance(v, list) else v
+
+    return json.dumps(rounded(doc), indent=2) + "\n"
+
+
 def _emit_rows(args, header: tuple[str, ...], rows: list[tuple]) -> None:
     if args.format == "json":
-        doc = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json_text([dict(zip(header, row)) for row in rows], args.precision)
     else:
         text = csv_text(header, rows, args.precision)
     _write(args.out, text)
@@ -67,7 +81,7 @@ def _cmd_curve(args, evaluate, colname: str) -> int:
         if args.format == "json":
             _emit_rows(args, ("law", "x", colname), [(args.law, args.at, val)])
         else:
-            _write(args.out, format(val, f".{args.precision}g") + "\n")
+            _write(args.out, float_text(val, args.precision) + "\n")
         return 0
     xs = _grid(args)
     ys = evaluate(xs)
@@ -87,7 +101,7 @@ def _cmd_cdf(args) -> int:
 def _cmd_sample(args) -> int:
     summary = mc.run_law(mc.McConfig(n_samples=args.n, seed=args.seed, law=args.law))
     if args.format == "json":
-        _write(args.out, json.dumps(summary.to_json_dict(), indent=2) + "\n")
+        _write(args.out, _json_text(summary.to_json_dict(), args.precision))
     else:
         _emit_rows(args, *summary.rows())
     return 0

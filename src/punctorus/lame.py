@@ -22,6 +22,7 @@ the stacked legs.  The work per integration is fixed by the grid.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -104,9 +105,9 @@ class BracketError(RuntimeError):
 class SolverFailure(RuntimeError):
     """The tangency root could not be bracketed.
 
-    Carries a ``diagnostics`` dict describing the node search that
-    failed: tau and finite_fraction, the share of the 64 lambda nodes
-    inside the window where both legs are free of oscillation.
+    Carries a ``diagnostics`` dict: when the node search found no
+    bracket, tau and lambda_trials, the integrations the solve made, as
+    in a solve's own diagnostics.
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None):
@@ -521,7 +522,7 @@ def _polish(trial, pre, cur):
     raise SolverFailure(f"the tangency root polish did not converge in {_POLISH_STEPS} steps")
 
 
-def _search_nodes(trial, tau: float):
+def _search_nodes(trial):
     """The root or bracket on the _LAMBDAS nodes, by bisection on their index.
 
     Each node lies below the window of oscillation-free legs, above it
@@ -532,63 +533,40 @@ def _search_nodes(trial, tau: float):
     run of nodes; inside it the root function fell from positive to
     negative on each of 1,500 log-spaced tau over [TAU_MIN, TAU_MAX].
     So "below the window, or root > 0" holds on a prefix of the nodes,
-    and six or seven trials find the first node k where it does not.  Node k is
+    and six trials find the first node k where it does not.  Node k is
     the root itself when its root value is exactly 0 and the circles
     touch (tangency residual below 1e-10): far from tangency a1^2 and
     r1 hypot(a1, a2) can also cancel to an exact 0.  A negative value
-    there with a positive one at k - 1 is a bracket for _polish.
+    there with a positive one at k - 1, which the bisection has tried
+    too, is a bracket for _polish.
 
-    Returns (lambda, lo, hi, data, invariants).  Anything else raises
-    :class:`SolverFailure`; its finite_fraction counts the nodes inside
-    the window, whose two edges are found by two more bisections.  No
-    node is integrated twice.
+    Returns (lambda, lo, hi, data, invariants), or None when the nodes
+    hold neither.  The bisection integrates no node twice.
     """
-    # Only the side of a failed node is kept: a BracketError held here
+    # A node without invariants keeps only BracketError.below: the error
     # would hold its traceback, and through it this solve's _Legs, in a
     # reference cycle until the next garbage collection.
-    sides: dict[int, int] = {}
-    values: dict[int, tuple] = {}
+    nodes: dict[int, tuple | bool] = {}
 
-    def side(i: int) -> int:
-        """-1 when node i is below the window, 1 above it, and 0 inside,
-        where values[i] holds its trial."""
-        if i not in sides:
-            try:
-                values[i] = trial(_LAMBDAS[i])
-                sides[i] = 0
-            except BracketError as err:
-                sides[i] = -1 if err.below else 1
-        return sides[i]
+    def past(i: int) -> bool:
+        """False below the window and where the root value is positive."""
+        try:
+            nodes[i] = trial(_LAMBDAS[i])
+        except BracketError as err:
+            nodes[i] = err.below
+            return not err.below
+        return not nodes[i][0] > 0.0
 
-    def first(pred, lo: int, hi: int) -> int:
-        """The first index in [lo, hi) where pred is false, or hi, for a
-        pred true on a prefix of the range; nodes already tried narrow
-        the range before it is bisected."""
-        known = [i for i in sides if lo <= i < hi]
-        lo = max((i + 1 for i in known if pred(i)), default=lo)
-        hi = min((i for i in known if not pred(i)), default=hi)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if pred(mid):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    n = len(_LAMBDAS)
-    k = first(lambda i: side(i) < 0 or (side(i) == 0 and values[i][0] > 0.0), 0, n)
-    if k < n and side(k) == 0:
-        root, data, inv = cur = values[k]
+    k = bisect.bisect_left(range(len(_LAMBDAS)), True, key=past)
+    pre, cur = nodes.get(k - 1), nodes.get(k)
+    if isinstance(cur, tuple):
+        root, data, inv = cur
         if root == 0.0 and abs(inv.tangency_residual()) < 1e-10:
             return _LAMBDAS[k], _LAMBDAS[k], _LAMBDAS[k], data, inv
-        if k > 0 and root < 0.0 and side(k - 1) == 0:
-            lam, data, inv = _polish(trial, (_LAMBDAS[k - 1], values[k - 1]), (_LAMBDAS[k], cur))
+        if root < 0.0 and isinstance(pre, tuple):
+            lam, data, inv = _polish(trial, (_LAMBDAS[k - 1], pre), (_LAMBDAS[k], cur))
             return lam, _LAMBDAS[k - 1], _LAMBDAS[k], data, inv
-    lo = first(lambda i: side(i) < 0, 0, k)
-    hi = first(lambda i: side(i) < 1, k, n)
-    raise SolverFailure(
-        f"no sign change of the tangency root function at tau={tau}",
-        diagnostics={"tau": tau, "finite_fraction": (hi - lo) / n})
+    return None
 
 
 def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> AccessorySolve:
@@ -599,19 +577,18 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
     not straddle the root.  Without one, or when the secant fails (an
     iterate outside the oscillation-free window, a flat step, or no
     convergence in 12 steps), a bisection over the indices of 64 lambda
-    nodes on [-2, 1] finds, in six or seven trials, the first node where
-    the root function is no longer positive (see :func:`_search_nodes`).
+    nodes on [-2, 1] finds, in six trials, the first node where the
+    root function is no longer positive (see :func:`_search_nodes`).
     That node is the root when the circles touch there; bracket is then
     that node twice.  Otherwise a secant with a bisection guard polishes
     the root inside the node and its lower neighbour, reusing their two
     root values, in at most 11 more trials over the supported range.
     When the nodes hold no sign change it raises
-    :class:`SolverFailure` with search diagnostics, and that is every
-    tau from about 5.4 up.
+    :class:`SolverFailure`, and that is every tau from about 5.4 up.
 
-    diagnostics holds the tangency residual, the root gap, the Wronskian
-    drift, lambda_trials (integrations made) and warm (True when the
-    seed pair gave the root; bracket is then the seed pair itself).
+    diagnostics holds the tangency residual, the Wronskian drift,
+    lambda_trials (integrations made) and warm (True when the seed pair
+    gave the root; bracket is then the seed pair itself).
     """
     _check_tau(tau)
     legs = _Legs(tau)
@@ -625,17 +602,21 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
         return _signed_root(inv), data, inv
 
     found = None if bracket is None else _secant(trial, *bracket)
-    if found is not None:
+    warm = found is not None
+    if warm:
         lam, data, inv = found
         lo, hi = bracket
     else:
-        lam, lo, hi, data, inv = _search_nodes(trial, tau)
+        found = _search_nodes(trial)
+        if found is None:
+            raise SolverFailure(f"no sign change of the tangency root function at tau={tau}",
+                                diagnostics={"tau": tau, "lambda_trials": trials})
+        lam, lo, hi, data, inv = found
     diagnostics = {
         "tangency_residual": inv.tangency_residual(),
-        "root_gap": _signed_root(inv),
         "wronskian_drift": data.wronskian_drift,
         "lambda_trials": trials,
-        "warm": found is not None,
+        "warm": warm,
     }
     return AccessorySolve(
         tau=tau, lambda_acc=lam, bracket=(lo, hi),

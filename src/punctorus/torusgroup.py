@@ -25,7 +25,6 @@ __all__ = [
     "GeneratorPair",
     "TorusSample",
     "AngleRelation",
-    "compose",
     "commutator",
     "rectangular_generators",
     "tangency_vertices",
@@ -91,12 +90,6 @@ class AngleRelation(NamedTuple):
     quad_cr: float
 
 
-def compose(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
-    """The map z -> f(g(z)), as a matrix product."""
-    return MoebiusMap(f.a * g.a + f.b * g.c, f.a * g.b + f.b * g.d,
-                      f.c * g.a + f.d * g.c, f.c * g.b + f.d * g.d)
-
-
 def commutator(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
     """f g f^-1 g^-1 of the determinant-one representatives.
 
@@ -118,7 +111,8 @@ def commutator(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
     s = cmath.sqrt(g.det())
     ga, gb, gc, gd = g.a / s, g.b / s, g.c / s, g.d / s
     # ... then f g, and f^-1 g^-1 from the adjugates (fd, -fb, -fc, fa)
-    # and (gd, -gb, -gc, ga), each entry as ``compose`` forms it
+    # and (gd, -gb, -gc, ga), each entry a row of the left factor times
+    # a column of the right one
     pa, pb = fa * ga + fb * gc, fa * gb + fb * gd
     pc, pd = fc * ga + fd * gc, fc * gb + fd * gd
     qa, qb = fd * gd + -fb * -gc, fd * -gb + -fb * ga

@@ -10,7 +10,7 @@ import numpy as np
 
 from punctorus import closedform
 from punctorus.hypgeom import MoebiusMap, _orbit_images
-from punctorus.torusgroup import _TANGENT_TOL, GeneratorPair, _tangent_point, compose
+from punctorus.torusgroup import _TANGENT_TOL, GeneratorPair, _tangent_point
 
 # the three degenerate cross ratios, infinity with both signs
 _DEGENERATE_VALUES = (0.0, 1.0, math.inf, -math.inf)
@@ -114,6 +114,12 @@ def apply(m: MoebiusMap, z: complex) -> complex:
     if den == 0:
         return _INFINITY
     return complex((m.a * z + m.b) / den)
+
+
+def compose(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
+    """The map z -> f(g(z)), as a matrix product."""
+    return MoebiusMap(f.a * g.a + f.b * g.c, f.a * g.b + f.b * g.d,
+                      f.c * g.a + f.d * g.c, f.c * g.b + f.d * g.d)
 
 
 def normalized(m: MoebiusMap) -> MoebiusMap:

@@ -40,6 +40,31 @@ class TestCurveCommands:
         assert code == 0
         assert out.strip() == "0.421383"
 
+    def test_json_honours_precision(self, capsys):
+        argv = ["pdf", "--law", "quad_cr", "--at", "3", "--format", "json"]
+        code, out, _ = run(capsys, argv + ["--precision", "3"])
+        assert code == 0 and '"pdf": 0.193\n' in out
+        assert json.loads(out) == [{"law": "quad_cr", "x": 3.0, "pdf": 0.193}]
+        _, out, _ = run(capsys, argv)
+        assert '"pdf": 0.19347710681024585\n' in out
+        code, out, _ = run(capsys, ["sample", "--law", "length", "--n", "512", "--seed", "1",
+                                    "--format", "json", "--precision", "4"])
+        doc = json.loads(out)
+        assert code == 0 and doc["n"] == 512
+        for v in (doc["ks"], *doc["stats"].values()):
+            assert v == float(format(v, ".4g"))
+
+    @pytest.mark.parametrize("precision", ["0", "3", "6", "17"])
+    def test_json_and_csv_write_the_same_floats(self, capsys, precision):
+        # both formats write each float through tabular.float_text, so a
+        # JSON number reads back as the same double as the CSV text
+        argv = ["pdf", "--law", "length", "--from", "0.5", "--to", "1.0", "--step", "0.125",
+                "--precision", precision]
+        _, text, _ = run(capsys, argv)
+        _, doc, _ = run(capsys, argv + ["--format", "json"])
+        rows = [[float(v) for v in row] for row in list(csv.reader(io.StringIO(text)))[1:]]
+        assert [[r["x"], r["pdf"]] for r in json.loads(doc)] == rows
+
     def test_pdf_grid_csv(self, capsys):
         code, out, _ = run(capsys, ["pdf", "--law", "star", "--from", "0",
                                     "--to", "1", "--step", "0.25"])

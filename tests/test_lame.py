@@ -109,8 +109,8 @@ def _walk(tau: float):
     first node that is a touching exact zero or that changes sign
     against the node before it, which it then polishes; a node without
     invariants breaks the adjacency of its neighbours.  When nothing
-    brackets it raises SolverFailure with the share of nodes that had a
-    root value.  Returns (lambda, bracket, data, invariants).
+    brackets it raises SolverFailure with tau.  Returns (lambda,
+    bracket, data, invariants).
     """
     legs = lame._Legs(tau)
 
@@ -120,7 +120,7 @@ def _walk(tau: float):
         return lame._signed_root(inv), data, inv
 
     xs = np.linspace(-2.0, 1.0, 64).tolist()
-    pre, finite = None, 0
+    pre = None
     for x in xs:
         try:
             cur = (x, trial(x))
@@ -128,7 +128,6 @@ def _walk(tau: float):
             pre = None
             continue
         root, data, inv = cur[1]
-        finite += not math.isnan(root)
         if root == 0.0 and abs(inv.tangency_residual()) < 1e-10:
             return x, (x, x), data, inv
         if pre is not None and pre[1][0] * root < 0.0:
@@ -136,7 +135,7 @@ def _walk(tau: float):
             return lam, (pre[0], x), data, inv
         pre = cur
     raise SolverFailure(f"no sign change of the tangency root function at tau={tau}",
-                        diagnostics={"tau": tau, "finite_fraction": finite / len(xs)})
+                        diagnostics={"tau": tau})
 
 
 def _bits(*values: float) -> list[int]:
@@ -434,8 +433,8 @@ class TestAccessorySolve:
         # from about tau = 5.4 up no pair of neighbouring nodes of the
         # 64 over [-2, 1] shows a sign change: only node 42 (lambda = 0)
         # has a root value, and it is positive.  The solve gives up after
-        # 7 of the nodes, each integrated once, and still counts that
-        # one node in finite_fraction.
+        # the 6 nodes of one bisection, each integrated once, and reports
+        # them as lambda_trials.
         tried = []
         integrate = lame._integrate_with
 
@@ -448,17 +447,23 @@ class TestAccessorySolve:
                 "no sign change of the tangency root function at tau=6.0")) as err:
             solve_accessory(6.0)
         nodes = np.linspace(-2.0, 1.0, 64).tolist()
-        assert set(tried) <= set(nodes) and len(set(tried)) == len(tried) == 7
-        assert err.value.diagnostics == {"tau": 6.0, "finite_fraction": 1 / 64}
-        assert type(err.value.diagnostics["finite_fraction"]) is float
+        assert set(tried) <= set(nodes) and len(set(tried)) == len(tried) == 6
+        assert err.value.diagnostics == {"tau": 6.0, "lambda_trials": 6}
+
+    def test_failure_counts_every_trial_of_the_solve(self):
+        # a seed outside the window costs the secant one trial before the
+        # node search's six; lambda_trials counts both, as a solve's does
+        with pytest.raises(SolverFailure) as err:
+            solve_accessory(6.0, bracket=(50.0, 50.0 + 1e-6))
+        assert err.value.diagnostics == {"tau": 6.0, "lambda_trials": 7}
 
     _ORACLE_TAUS = sorted(np.exp(np.random.default_rng(2024).uniform(
         math.log(0.005), math.log(50.0), 100)).tolist()) + [
         1.0, 5.3, 5.35, 5.4, 6.0, 13.85, 25.52, 34.14, 38.15, 50.0]
 
     def test_node_bisection_matches_the_linear_walk(self):
-        # the bisection finds the walk's bracket, so every solve and
-        # every failure is the walk's bit for bit
+        # the bisection finds the walk's bracket, so every solve is the
+        # walk's bit for bit and every failure has the walk's message
         failed = 0
         for tau in self._ORACLE_TAUS:
             try:
@@ -467,7 +472,7 @@ class TestAccessorySolve:
                 with pytest.raises(SolverFailure) as got:
                     solve_accessory(tau)
                 assert str(got.value) == str(want)
-                assert got.value.diagnostics == want.diagnostics, tau
+                assert got.value.diagnostics["tau"] == want.diagnostics["tau"], tau
                 failed += 1
                 continue
             sol = solve_accessory(tau)

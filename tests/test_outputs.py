@@ -62,3 +62,18 @@ def test_emitted_bytes_are_pinned(capsys):
         assert got == want, (f"`punctorus {' '.join(argv)}` printed digest {got}, pinned "
                              f"{want} under numpy {NUMPY}; running numpy {np.__version__}")
 
+
+
+# A solve that finds no bracket exits 3, writes nothing to stdout, and
+# writes the solver's diagnostics to stderr as one JSON line.
+FAILING = (["accessory", "--tau", "6"], "fe744059c6dca56f")
+
+
+def test_failing_solve_is_pinned(capsys):
+    argv, want = FAILING
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    got = hashlib.sha256(captured.err.encode()).hexdigest()[:16]
+    assert got == want, (f"`punctorus {' '.join(argv)}` wrote stderr digest {got}, pinned "
+                         f"{want} under numpy {NUMPY}; running numpy {np.__version__}")

@@ -45,7 +45,6 @@ SKIP = {
     "modmap.build_cr_table": "a keyword node count",
     "torusgroup.GeneratorPair": "two maps",
     "torusgroup.AngleRelation": "a record: holds the angle and cross ratio it is given",
-    "torusgroup.compose": "two maps",
     "torusgroup.commutator": "two maps",
     "torusgroup.tangency_vertices": "a generator pair",
     "torusgroup.sample_torus": "a seed or a generator",

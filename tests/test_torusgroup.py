@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import (apply, circles, commutator_by_records, inverse, isometric_circle,
+from oracles import (apply, circles, commutator_by_records, compose, inverse, isometric_circle,
                      normalized, sample_length_values, tangency_vertices_by_circles)
 from punctorus.closedform import LENGTH_THRESHOLD, quad_cr_cdf
 from punctorus import torusgroup
@@ -20,7 +20,6 @@ from punctorus.hypgeom import MoebiusMap, cross_ratio
 from punctorus.torusgroup import (
     angle_relation,
     commutator,
-    compose,
     nonrectangular_pair,
     rectangular_generators,
     sample_torus,
