@@ -10,6 +10,13 @@ reports the logarithm.)
 Exit codes: 0 success, 2 usage error or a request too large to allocate,
 3 accessory-solver failure (the solver's diagnostics are printed to
 stderr as JSON).
+
+Each command imports only its own layers.  ``pdf``, ``cdf`` and
+``sample`` of the closed-form laws load ``mc`` and ``closedform``;
+their modulus and Teichmueller laws, ``teich`` and ``quasimobius`` add
+``modmap``; ``accessory`` and ``cr-map --modulus`` add the solver,
+``lame``, without ``modmap``; ``cr-map --table`` adds both, and
+``verify`` loads every module.
 """
 from __future__ import annotations
 
@@ -21,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import lame, mc, modmap
+from . import mc
 from .tabular import csv_text, float_text
 
 _UNITS_EPILOG = (
@@ -108,6 +115,8 @@ def _cmd_sample(args) -> int:
 
 
 def _emit_solve(args, tau: float) -> int:
+    from . import lame
+
     rec = lame.solve_accessory(tau).as_record()
     _emit_rows(args, tuple(rec), [tuple(rec.values())])
     return 0
@@ -115,6 +124,8 @@ def _emit_solve(args, tau: float) -> int:
 
 def _cmd_cr_map(args) -> int:
     if args.table:
+        from . import modmap
+
         _emit_rows(args, *modmap.build_cr_table().rows())
         return 0
     if args.modulus <= 0:
@@ -128,6 +139,8 @@ def _cmd_accessory(args) -> int:
 
 def _cmd_teich(args) -> int:
     if args.stats:
+        from . import modmap
+
         mean, median, sd = modmap.summary_stats()
         _emit_rows(args, ("mean", "median", "sd"), [(mean, median, sd)])
         return 0
@@ -138,6 +151,8 @@ def _cmd_teich(args) -> int:
 
 
 def _cmd_quasimobius(args) -> int:
+    from . import modmap
+
     k = modmap.quasimobius_K(args.src, args.dst)
     _emit_rows(args, ("src_cr", "dst_cr", "K"), [(args.src, args.dst, k)])
     return 0
@@ -288,12 +303,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _solver_failure():
+    """lame.SolverFailure once the solver has loaded, else () (which no
+    exception matches): only a command that imported lame can raise it."""
+    return getattr(sys.modules.get(f"{__package__}.lame"), "SolverFailure", ())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except lame.SolverFailure as exc:
+    except _solver_failure() as exc:
         json.dump({"error": "solver failure", "message": str(exc),
                    "diagnostics": exc.diagnostics}, sys.stderr)
         sys.stderr.write("\n")

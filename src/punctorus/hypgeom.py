@@ -1,13 +1,9 @@
 """Moebius and cross-ratio algebra on the extended plane.
 
-Foundations used by every other module: the four-point cross ratio and
-the fractional linear maps that preserve it.  Points of the extended
+The four-point cross ratio and the fractional linear maps that
+preserve it, which torusgroup and verify build on.  Points of the extended
 plane are Python ``complex`` values, with ``complex(math.inf)`` as the
 point at infinity (any value that ``cmath.isinf`` flags counts as it).
-The six-element orbit of a cross ratio under parameter substitution is
-written once, in plain arithmetic, for the Monte Carlo module's arrays;
-its maximum is the canonical representative >= 2 of a concyclic
-quadruple.
 """
 from __future__ import annotations
 
@@ -129,15 +125,3 @@ def _build_record(value: complex | float) -> CrossRatio:
         return CrossRatio(math.inf)
     v = complex(value)
     return CrossRatio(v.real if abs(v.imag) <= _REAL_TOL * (1.0 + abs(v)) else v)
-
-
-def _orbit_images(lam):
-    """The six substitution images of lam, a scalar or a numpy array."""
-    return (
-        lam,
-        1.0 - lam,
-        lam / (lam - 1.0),
-        1.0 / lam,
-        1.0 / (1.0 - lam),
-        (lam - 1.0) / lam,
-    )

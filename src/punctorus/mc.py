@@ -3,17 +3,19 @@
 ``CURVES`` holds each law's density and CDF, the one copy that the
 command line and the Kolmogorov-Smirnov scoring here both read; the
 modulus and Teichmueller pairs are modmap's, which owns their domain.
+This module imports only closedform: modmap loads on the first call of
+a modulus or Teichmueller curve or sampler, so the other laws never
+load it.
 Samplers draw i.i.d. uniform points on the circle, or push the
 quadrilateral law's inverse-CDF draws through the relevant change of
-variables, each written once elsewhere: the substitution orbit in
-hypgeom, the perpendicular length in closedform, the modulus laws
-through modmap's inverse of the modulus map.  Uniform circle points
-are drawn as their half-angle tangents: the Cayley map
-exp(i th) -> tan(th/2) is a Moebius map onto the real line, so it
-gives the star law's Cauchy draws and leaves every cross ratio as it
-is.  Each sample is then summarized from one sorted copy: its KS
-distance against the closed form CDF, its histogram, its median, its
-clipped fraction and the star law's quartiles all read that copy, each
+variables: the substitution orbit here, the perpendicular length in
+closedform, the modulus laws through modmap's inverse of the modulus
+map.  Uniform circle points are drawn as their half-angle tangents:
+the Cayley map exp(i th) -> tan(th/2) is a Moebius map onto the real
+line, so it gives the star law's Cauchy draws and leaves every cross
+ratio as it is.  Each sample is then summarized from one sorted copy:
+its KS distance against the closed form CDF, its histogram, its median,
+its clipped fraction and the star law's quartiles all read that copy, each
 equal bit for bit to its plain numpy definition.  The CDF is taken at
 every 64th order statistic, then in full only over the spans where the
 largest KS gap can lie, one block at a time, so the sample and its
@@ -28,11 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import closedform as cf
-from . import hypgeom, modmap
+
+if TYPE_CHECKING:
+    from . import modmap
 
 __all__ = [
     "LAWS",
@@ -57,6 +62,18 @@ _KS_SLACK = 1e-9
 # table as an optional second argument (None: the default table).
 _MAP_LAWS = ("modulus", "teich")
 
+
+def _map_curve(name: str):
+    """modmap's curve ``name`` as a function of (x, table=None), which
+    imports modmap when first called."""
+    def curve(x, table=None):
+        from . import modmap
+
+        return getattr(modmap, name)(x, table)
+
+    return curve
+
+
 _HIST_RANGE = {
     "crossratio_full": (-5.0, 5.0),
     "quad_cr": (2.0, 25.0),
@@ -76,8 +93,8 @@ CURVES = {
     "length": (cf.length_pdf, cf.length_branch_cdf),
     "length_dual": (cf.length_pdf_dual, cf.length_cdf),
     "star": (cf.star_pdf, cf.star_cdf),
-    "modulus": (modmap.modulus_pdf, modmap.modulus_cdf),
-    "teich": (modmap.teich_pdf, modmap.teich_cdf),
+    "modulus": (_map_curve("modulus_pdf"), _map_curve("modulus_cdf")),
+    "teich": (_map_curve("teich_pdf"), _map_curve("teich_cdf")),
 }
 
 
@@ -169,6 +186,18 @@ def _circle_cross_ratio(t: np.ndarray) -> np.ndarray:
     return ac
 
 
+def _orbit_images(lam):
+    """The six substitution images of lam, a scalar or a numpy array."""
+    return (
+        lam,
+        1.0 - lam,
+        lam / (lam - 1.0),
+        1.0 / lam,
+        1.0 / (1.0 - lam),
+        (lam - 1.0) / lam,
+    )
+
+
 def _orbit_max(cr: np.ndarray) -> np.ndarray:
     """The canonical representative of each cross ratio: the largest of
     its six orbit images, >= 2.  Five pairwise maxima run in place, with
@@ -176,7 +205,7 @@ def _orbit_max(cr: np.ndarray) -> np.ndarray:
     bit for bit, nan and +-inf included.  cr is consumed.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        best, *rest = hypgeom._orbit_images(cr)
+        best, *rest = _orbit_images(cr)
         for image in rest:
             np.maximum(best, image, out=best)
     return best
@@ -193,6 +222,8 @@ def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
     q = cf.sample_quad_cr_values(count, rng)
     if law == "length":
         return cf.perpendicular_length(q)
+    from . import modmap
+
     m = modmap.modulus_of_cr(q, table)
     if law == "modulus":
         return m

@@ -9,7 +9,9 @@ quasi-Moebius comparison constant.  Both series reach s = 0, so one
 smooth map serves every modulus, beyond the last node included.  Only
 this module knows that the map starts at the square, m = 1/tau = 1.
 The default table ships as data: the 16 solved nodes of
-``build_cr_table()``, read without a solve.
+``build_cr_table()``, read without a solve.  Only a build imports the
+solver, ``lame``, so the laws, ``teich`` and ``quasimobius`` run
+without loading it.
 Both series are evaluated by closedform's one series evaluator,
 ``_clenshaw``; the Chebyshev objects only hold their coefficients.
 """
@@ -24,7 +26,6 @@ import numpy as np
 from numpy.polynomial import Chebyshev
 from numpy.polynomial.chebyshev import chebpts2
 
-from . import lame
 from .tabular import csv_text
 from .closedform import (_apply, _clenshaw, _quad_law_expression, _quad_law_rule, _Series,
                          quad_cr_cdf, quad_cr_median)
@@ -256,6 +257,8 @@ def build_cr_table(*, n: int = 16) -> CrMapTable:
     n - 1 series reaches s = 0 worse (6.1e-11 at 49, 1.3e-9 at 64).  A
     solver failure at a node propagates.
     """
+    from . import lame
+
     if not 16 <= n <= _MAX_NODES:
         raise ValueError(f"need 16 <= n <= {_MAX_NODES} nodes")
     ms = 1.0 / _chebpts(1.0 / _M_LAST, 1.0, n)[::-1]

@@ -71,10 +71,10 @@ def fresh_python():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
 
-    def run(*args):
+    def run(*args, returncode=0):
         proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                               text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == returncode, proc.stderr
         return proc
 
     return run

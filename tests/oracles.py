@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 
 from punctorus import closedform
-from punctorus.hypgeom import MoebiusMap, _orbit_images
+from punctorus.hypgeom import MoebiusMap
 from punctorus.torusgroup import _TANGENT_TOL, GeneratorPair, _tangent_point
 
 # the three degenerate cross ratios, infinity with both signs
@@ -80,6 +80,13 @@ def circle_cr_mpmath(th: np.ndarray, dps: int = 50) -> np.ndarray:
     return np.array(out)
 
 
+def orbit_images(lam):
+    """The six substitution images of lam, a scalar or a numpy array, in
+    the order of ``s4_orbit``.  The package's sampler keeps its own copy
+    (``mc._orbit_images``), which the tests check against this one."""
+    return (lam, 1.0 - lam, lam / (lam - 1.0), 1.0 / lam, 1.0 / (1.0 - lam), (lam - 1.0) / lam)
+
+
 def s4_orbit(lam: float) -> tuple[float, ...]:
     """The six orbit values of ``lam`` under the substitution group.
 
@@ -92,7 +99,7 @@ def s4_orbit(lam: float) -> tuple[float, ...]:
     if lam in _DEGENERATE_VALUES:
         raise ValueError(f"degenerate orbit: lam = {lam!r}; 0, 1 and infinity "
                          "have no six-element orbit")
-    return tuple(float(x) for x in _orbit_images(float(lam)))
+    return tuple(float(x) for x in orbit_images(float(lam)))
 
 
 def canonical_representative(lam: float) -> float:

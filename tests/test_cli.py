@@ -276,7 +276,7 @@ class TestSolverCommands:
             calls.append("build")
             return cr_table
 
-        monkeypatch.setattr(cli.modmap, "build_cr_table", build)
+        monkeypatch.setattr(modmap, "build_cr_table", build)
         return calls
 
     def test_cr_map_table_csv(self, capsys, stub_build, cr_table):
@@ -319,7 +319,7 @@ class TestSolverCommands:
         def boom(tau, bracket=None):
             raise lame.SolverFailure("no bracket", {"tau": tau})
 
-        monkeypatch.setattr(cli.lame, "solve_accessory", boom)
+        monkeypatch.setattr(lame, "solve_accessory", boom)
         code, _, err = run(capsys, ["accessory", "--tau", "0.8"])
         assert code == 3
         doc = json.loads(err)
@@ -434,7 +434,7 @@ class TestParserSurface:
         assert format(tiny, ".767g") == format(tiny, ".1000000g")
         assert cli._digits("2147483647") == 767
         assert cli._digits("767") == 767 and cli._digits("766") == 766
-        monkeypatch.setattr(cli.modmap, "build_cr_table", lambda: cr_table)
+        monkeypatch.setattr(modmap, "build_cr_table", lambda: cr_table)
         for argv in (["pdf", "--law", "star", "--at", "1"],
                      ["cdf", "--law", "quad_cr", "--from", "2", "--to", "4", "--step", "0.5"],
                      ["cr-map", "--table"]):
@@ -484,8 +484,13 @@ class TestParserSurface:
 
 
 class TestRuntimeImports:
-    """numpy is the only third-party module any command loads; only the
-    verify command loads verify and torusgroup."""
+    """numpy is the only third-party module any command loads, and each
+    command loads only its own layers: only verify loads verify,
+    torusgroup and hypgeom, only a solve lame, and only the modulus-map
+    commands modmap."""
+
+    # what no law's pdf, cdf or sample needs
+    NOT_FOR_LAWS = {"punctorus.lame", "punctorus.hypgeom"}
 
     @staticmethod
     def modules(run, *args):
@@ -519,7 +524,8 @@ class TestRuntimeImports:
         assert float(out) == pytest.approx(float(np.asarray(mc.CURVES["quad_cr"][0](3.0))),
                                            rel=1e-15)
         assert "punctorus.closedform" in mods
-        assert not {"punctorus.verify", "punctorus.torusgroup"} & mods
+        assert not {"punctorus.verify", "punctorus.torusgroup", "punctorus.modmap",
+                    *self.NOT_FOR_LAWS} & mods
 
     def test_verify_loads_only_numpy_outside_the_standard_library(self, fresh_python):
         # the baseline holds the interpreter's site hooks and the names the
@@ -528,3 +534,32 @@ class TestRuntimeImports:
         out, mods = self.imported(fresh_python, "-m", "punctorus.cli", "verify", "--quick")
         assert "09a-teich-median" in out and "numpy" in mods
         assert mods - baseline - set(sys.stdlib_module_names) == {"punctorus"}
+
+    def test_closed_form_curves_load_only_mc_and_closedform(self, fresh_python):
+        laws = [law for law in mc.CURVES if law not in mc._MAP_LAWS]
+        script = ("import sys\n"
+                  "from punctorus import cli\n"
+                  "for law in sys.argv[1:]:\n"
+                  "    for curve in ('pdf', 'cdf'):\n"
+                  "        assert cli.main([curve, '--law', law, '--at', '3']) == 0\n"
+                  "        assert cli.main([curve, '--law', law, '--from', '0', '--to', '4',\n"
+                  "                         '--step', '0.5']) == 0\n"
+                  "print(*sorted(m for m in sys.modules if m.startswith('punctorus.')))\n")
+        out = fresh_python("-c", script, *laws).stdout.splitlines()
+        assert set(out[-1].split()) == {"punctorus.cli", "punctorus.mc",
+                                        "punctorus.closedform", "punctorus.tabular"}
+
+    @pytest.mark.parametrize("argv", [["teich", "--stats"],
+                                      ["sample", "--law", "teich", "--n", "1000"]])
+    def test_modulus_map_commands_leave_the_solver_out(self, fresh_python, capsys, argv):
+        out, mods = self.modules(fresh_python, "-m", "punctorus.cli", *argv)
+        code, want, _ = run(capsys, argv)
+        assert code == 0 and out == want.replace("\r\n", "\n")  # read in text mode
+        assert "punctorus.modmap" in mods
+        assert not self.NOT_FOR_LAWS & mods
+
+    def test_one_shot_map_law_reads_the_default_table(self, fresh_python):
+        out, mods = self.modules(fresh_python, "-m", "punctorus.cli", "pdf", "--law",
+                                 "modulus", "--at", "2")
+        assert float(out) == modmap.modulus_pdf(2.0)
+        assert "punctorus.modmap" in mods and not self.NOT_FOR_LAWS & mods

@@ -211,17 +211,24 @@ class TestTableConstruction:
         assert rec["lambda_acc"] == pytest.approx(cold.lambda_acc, abs=1e-11)
 
     def test_build_work_count(self, monkeypatch):
-        calls = []
-        invariants = lame.circle_invariants
+        calls, solves = [], []
+        invariants, solve = lame.circle_invariants, lame.solve_accessory
 
         def counted(data):
             calls.append(None)
             return invariants(data)
 
+        def counted_solve(tau, bracket=None):
+            solves.append(tau)
+            return solve(tau, bracket=bracket)
+
         monkeypatch.setattr(lame, "circle_invariants", counted)
+        monkeypatch.setattr(lame, "solve_accessory", counted_solve)
         build_cr_table()
-        # 16 nodes at 4-7 lambda trials each; the lower end also shows the
-        # calls still go through the module global
+        # one solve per node, and 4-7 lambda trials each; both counts also
+        # show that a build, which imports lame itself, still calls it
+        # through the module's attributes
+        assert len(solves) == 16
         assert 16 * 4 <= len(calls) <= 16 * 7
 
 

@@ -69,11 +69,22 @@ def test_emitted_bytes_are_pinned(capsys):
 FAILING = (["accessory", "--tau", "6"], "fe744059c6dca56f")
 
 
-def test_failing_solve_is_pinned(capsys):
+def _check_failure(out: str, err: str) -> None:
     argv, want = FAILING
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    got = hashlib.sha256(captured.err.encode()).hexdigest()[:16]
+    assert out == ""
+    got = hashlib.sha256(err.encode()).hexdigest()[:16]
     assert got == want, (f"`punctorus {' '.join(argv)}` wrote stderr digest {got}, pinned "
                          f"{want} under numpy {NUMPY}; running numpy {np.__version__}")
+
+
+def test_failing_solve_is_pinned(capsys):
+    assert cli.main(FAILING[0]) == 3
+    captured = capsys.readouterr()
+    _check_failure(captured.out, captured.err)
+
+
+def test_failing_solve_is_pinned_in_a_fresh_interpreter(fresh_python):
+    # the solver loads only inside the command, so main's mapping of its
+    # failure to exit 3 is checked where nothing imported lame beforehand
+    proc = fresh_python("-m", "punctorus.cli", *FAILING[0], returncode=3)
+    _check_failure(proc.stdout, proc.stderr)
