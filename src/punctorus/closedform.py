@@ -505,6 +505,19 @@ def _clip(x, lo: float, hi: float):
     return min(max(x, lo), hi) if isinstance(x, float) else np.clip(x, lo, hi)
 
 
+def _quantile_variable(u):
+    """z = log(1 - log(1 - u)) of u clamped to [0, _U_MAX], a float array
+    or one float.
+
+    The variable of every quantile series in the package, here and in
+    modmap; it maps every double u < 1 into [0, _Z_MAX].  u = -0.0 gives
+    z = -0.0, which a domain map sends to the same point as z = 0.  On
+    one float it stays on numpy's scalar route, so :func:`_length_draw`
+    gets the bits the array route gives.
+    """
+    return np.log1p(-np.log1p(-_clip(u, 0.0, _U_MAX)))
+
+
 class QuadCrInverseCdf:
     """Inverse CDF of the quadrilateral law as one Chebyshev series.
 
@@ -524,13 +537,8 @@ class QuadCrInverseCdf:
         return _apply(self._quantile, u)
 
     def _quantile(self, u):
-        """The quantile at u, a float array or one float.
-
-        u is clamped to [0, _U_MAX]; u = -0.0 gives z = -0.0, which the
-        domain map sends to the same t as z = 0.
-        """
-        z = np.log1p(-np.log1p(-_clip(u, 0.0, _U_MAX)))
-        return _clip(np.exp(_clenshaw(self._log_r, z)), 2.0, math.inf)
+        """The quantile at u, a float array or one float, u clamped to [0, _U_MAX]."""
+        return _clip(np.exp(_clenshaw(self._log_r, _quantile_variable(u))), 2.0, math.inf)
 
 
 _INVERSE = QuadCrInverseCdf()

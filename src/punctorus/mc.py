@@ -9,9 +9,10 @@ load it.
 Samplers draw i.i.d. uniform points on the circle, or push the
 quadrilateral law's inverse-CDF draws through the relevant change of
 variables: the substitution orbit here, the perpendicular length in
-closedform, the modulus laws through modmap's inverse of the modulus
-map.  Uniform circle points are drawn as their half-angle tangents:
-the Cayley map exp(i th) -> tan(th/2) is a Moebius map onto the real
+closedform; the modulus laws come from the same uniforms through
+modmap's log-modulus quantile, one series in the quantile variable.
+Uniform circle points are drawn as their half-angle tangents: the
+Cayley map exp(i th) -> tan(th/2) is a Moebius map onto the real
 line, so it gives the star law's Cauchy draws and leaves every cross
 ratio as it is.  Each sample is then summarized from one sorted copy:
 its KS distance against the closed form CDF, its histogram, its median,
@@ -219,15 +220,12 @@ def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
     if law in ("crossratio_full", "quad_cr"):
         cr = _circle_cross_ratio(_half_angle_tangents(rng, (count, 4)))
         return cr if law == "crossratio_full" else _orbit_max(cr)
-    q = cf.sample_quad_cr_values(count, rng)
     if law == "length":
-        return cf.perpendicular_length(q)
+        return cf.perpendicular_length(cf.sample_quad_cr_values(count, rng))
     from . import modmap
 
-    m = modmap.modulus_of_cr(q, table)
-    if law == "modulus":
-        return m
-    return np.log(m)  # teich
+    d = modmap._sample_log_modulus(count, rng, table)
+    return np.exp(d, out=d) if law == "modulus" else d
 
 
 def _ks_grids(xs: np.ndarray, at: np.ndarray, cdf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,17 +2,20 @@
 
 Tangency solves at Chebyshev points in s = 1/m back one Chebyshev
 series for the increasing map m -> CR(m) from [1, inf) onto [2, inf),
-and a second series for its inverse.  From them come the derivative
-at 1, the functional-equation extension below m = 1, the modulus and
-log-modulus densities and CDFs, their summary statistics, and the
-quasi-Moebius comparison constant.  Both series reach s = 0, so one
-smooth map serves every modulus, beyond the last node included.  Only
-this module knows that the map starts at the square, m = 1/tau = 1.
+a second series for its inverse, and a third for the log-modulus
+law's quantile.  From the map come the derivative at 1, the
+functional-equation extension below m = 1, and the modulus and
+log-modulus densities and CDFs; from its inverse the summary
+statistics and the quasi-Moebius comparison constant; from the
+quantile the modulus and Teichmueller samplers.  The map's two series
+reach s = 0, so one smooth map serves every modulus, beyond the last
+node included.  Only this module knows that the map starts at the
+square, m = 1/tau = 1.
 The default table ships as data: the 16 solved nodes of
 ``build_cr_table()``, read without a solve.  Only a build imports the
 solver, ``lame``, so the laws, ``teich`` and ``quasimobius`` run
 without loading it.
-Both series are evaluated by closedform's one series evaluator,
+All three series are evaluated by closedform's one series evaluator,
 ``_clenshaw``; the Chebyshev objects only hold their coefficients.
 """
 from __future__ import annotations
@@ -27,8 +30,9 @@ from numpy.polynomial import Chebyshev
 from numpy.polynomial.chebyshev import chebpts2
 
 from .tabular import csv_text
-from .closedform import (_apply, _clenshaw, _quad_law_expression, _quad_law_rule, _Series,
-                         quad_cr_cdf, quad_cr_median)
+from .closedform import (_Z_MAX, _apply, _clenshaw, _log_quantile, _quad_law_expression,
+                         _quad_law_rule, _quantile_variable, _Series, quad_cr_cdf,
+                         quad_cr_median)
 
 __all__ = [
     "CrMapTable",
@@ -60,6 +64,13 @@ _MAX_NODES = 48
 _INVERSE_POINTS = 24
 _NEWTON_STEPS = 8
 
+# Degree of the log-modulus quantile series.  Against the inverse series
+# at the quantile by Newton's method on the exact survival function,
+# over dense u, degrees 36, 40, 41, 42, 43 and 46 reach 1.6e-12,
+# 3.9e-13, 1.0e-12, 2.0e-13, 1.1e-12 and 2.8e-13 in log m on the
+# default table; from degree 38 up the worst point is z = _Z_MAX.
+_LOG_MODULUS_DEGREE = 42
+
 
 def _chebpts(lo: float, hi: float, n: int) -> np.ndarray:
     """n Chebyshev points of the second kind on [lo, hi], ends exact."""
@@ -79,7 +90,13 @@ class CrMapTable:
     domain and no node sits there.  The inverse is a second series
     k(t) = y - m on t = 1/y in [0, 1/y(1)], interpolating at 24
     Chebyshev points where Newton's method solves k = g(t / (1 - t k));
-    a lookup is then m = 1/t - k(t).  Both are pure functions of the
+    a lookup is then m = 1/t - k(t), the one inverse of the map.  The
+    third series, L(z) = log m in the quadrilateral law's quantile
+    variable z = log(1 - log(1 - u)) on [0, log(1 + 53 log 2)], is
+    the log-modulus law's quantile, from which the modulus and
+    Teichmueller laws are sampled; it interpolates, at degree 42, the
+    inverse applied to the quantile that Newton's method finds on the
+    exact survival function.  All three are pure functions of the
     nodes.
 
     a_estimate is CR'(1) and curvature_gap is |CR''(1) - (a^2 - a)|,
@@ -131,6 +148,10 @@ class CrMapTable:
             k -= ((k - _clenshaw(self._deficit, s))
                   / (1.0 - s * s * _clenshaw(self._deficit_d1, s)))
         self._excess = _Series(Chebyshev.fit(ts, k, _INVERSE_POINTS - 1, domain=[0.0, t_hi]))
+
+        self._log_modulus = _Series(Chebyshev.interpolate(
+            lambda z: np.log(self._modulus(np.maximum(np.exp(_log_quantile(z)), 2.0))),
+            _LOG_MODULUS_DEGREE, domain=[0.0, _Z_MAX]))
 
     def _y(self, m):
         """y = (pi/2) sqrt(CR(m)) at moduli m >= 1."""
@@ -200,7 +221,7 @@ class CrMapTable:
     def from_csv(cls, path) -> "CrMapTable":
         """Rebuild a table from its CSV emission, without re-solving.
 
-        All derived quantities (both series, a_estimate, c_hat) are
+        All derived quantities (the three series, a_estimate, c_hat) are
         recomputed from the stored rows, so a write/read cycle is a
         faithful round trip.
         """
@@ -304,6 +325,15 @@ def _lookup(method: str, x, table: CrMapTable | None, invalid=None, message=""):
     if invalid is not None and invalid(np.asarray(x, dtype=float)).any():
         raise ValueError(message)
     return _apply(getattr(t, method), x)
+
+
+def _sample_log_modulus(n: int, rng: np.random.Generator,
+                        table: CrMapTable | None = None) -> np.ndarray:
+    """n draws of the log-modulus law, by the table's quantile series
+    (the default table's if None) at n uniforms from rng, at least 0."""
+    t = table if table is not None else default_table()
+    d = _clenshaw(t._log_modulus, _quantile_variable(rng.uniform(size=n)))
+    return np.maximum(d, 0.0, out=d)
 
 
 def cr_of_modulus(m, table: CrMapTable | None = None):

@@ -556,6 +556,6 @@ class TestClenshaw:
         rng = np.random.default_rng(31)
         series = [closedform._INVERSE._log_r.cheb, cr_table._deficit.cheb,
                   cr_table._deficit_d1.cheb, cr_table._deficit.cheb.deriv(2),
-                  cr_table._excess.cheb]
+                  cr_table._excess.cheb, cr_table._log_modulus.cheb]
         for s in series:
             self.assert_same(s, self.points(*s.domain, rng))

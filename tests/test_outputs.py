@@ -33,8 +33,8 @@ DIGESTS = [
     (["sample", "--law", "quad_cr", *_SAMPLE, "--format", "json"], "58ff5108b62fabfe"),
     (["sample", "--law", "length", *_SAMPLE, "--format", "json"], "a21b35699db6c46b"),
     (["sample", "--law", "star", *_SAMPLE, "--format", "json"], "23649d16a11af829"),
-    (["sample", "--law", "modulus", *_SAMPLE, "--format", "json"], "09c67909a64e80c7"),
-    (["sample", "--law", "teich", *_SAMPLE, "--format", "json"], "ef180433e003546f"),
+    (["sample", "--law", "modulus", *_SAMPLE, "--format", "json"], "5dc0914818677d7b"),
+    (["sample", "--law", "teich", *_SAMPLE, "--format", "json"], "9f314f837d2a5a65"),
     (["teich", "--stats"], "4a33643ab528adc8"),
     (["cr-map", "--table"], "69826f17fa5cea75"),
     (["pdf", "--law", "quad_cr", "--from", "2", "--to", "25", "--step", "0.25"], "be2b0681731c4075"),
