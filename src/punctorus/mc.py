@@ -14,18 +14,22 @@ modmap's log-modulus quantile, one series in the quantile variable.
 Uniform circle points are drawn as their half-angle tangents: the
 Cayley map exp(i th) -> tan(th/2) is a Moebius map onto the real
 line, so it gives the star law's Cauchy draws and leaves every cross
-ratio as it is.  Each sample is then summarized from one sorted copy:
-its KS distance against the closed form CDF, its histogram, its median,
-its clipped fraction and the star law's quartiles all read that copy, each
-equal bit for bit to its plain numpy definition.  The CDF is taken at
+ratio as it is.  A rotation of the circle keeps the uniform law, so a
+quadrilateral's first point is put at th = pi, where its tangent is
+infinite, and the circle laws draw three tangents per sample.
+Each sample is then summarized from one sorted copy: its KS distance
+against the closed form CDF, its histogram, its median, its clipped
+fraction and the star law's quartiles all read that copy, each equal
+bit for bit to its plain numpy definition.  The CDF is taken at
 every 64th order statistic, then in full only over the spans where the
 largest KS gap can lie, one block at a time, so the sample and its
 sorted copy are the only arrays of its size.
-Randomness is counter-based: the sample index alone determines the
-stream position, and chunks run in index order on the calling thread,
-so the worker count never changes the output.  A summary hands its
-histogram to the command line as ``rows()``, which writes every CSV
-through one writer.
+Each chunk of 2^14 samples draws from its own PCG64DXSM stream, keyed
+by the seed and the chunk index through a SeedSequence spawn key, and
+chunks run in index order on the calling thread, so the output is a
+function of (seed, n) alone and the worker count never changes it.
+A summary hands its histogram to the command line as ``rows()``,
+which writes every CSV through one writer.
 """
 from __future__ import annotations
 
@@ -51,7 +55,6 @@ __all__ = [
 LAWS = ("crossratio_full", "quad_cr", "length", "star", "modulus", "teich")
 
 _CHUNK = 1 << 14
-_ADVANCE_PER_CHUNK = 1 << 20
 _BINS = 200
 _HIST_COLUMNS = ("bin_left", "bin_right", "count", "density")
 # KS scoring takes F at every _KS_STRIDE-th order statistic, then in full
@@ -113,7 +116,8 @@ class McConfig:
             raise ValueError(f"sample count n_samples = {self.n_samples!r} is not an integer")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
-        # Philox takes a 128-bit key; None would draw from OS entropy
+        # identical configs must give identical outputs: None would draw
+        # from OS entropy and a float would be silently rounded
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**128:
             raise ValueError(f"seed = {self.seed!r} is not an integer in [0, 2**128)")
         if not isinstance(self.workers, (int, np.integer)):
@@ -149,9 +153,12 @@ class EmpiricalSummary:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    bg = np.random.Philox(key=seed)
-    bg.advance(chunk_index * _ADVANCE_PER_CHUNK)
-    return np.random.Generator(bg)
+    """The stream of chunk ``chunk_index``: PCG64DXSM seeded by the
+    SeedSequence of ``seed`` spawned at key (chunk_index,).  Each chunk's
+    draws depend on (seed, chunk_index) alone, and no two chunks share a
+    stream."""
+    return np.random.Generator(np.random.PCG64DXSM(
+        np.random.SeedSequence(seed, spawn_key=(chunk_index,))))
 
 
 def _half_angle_tangents(rng: np.random.Generator, shape) -> np.ndarray:
@@ -169,22 +176,24 @@ def _half_angle_tangents(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _circle_cross_ratio(t: np.ndarray) -> np.ndarray:
-    """(t_a - t_c)(t_b - t_d) / ((t_a - t_b)(t_c - t_d)) of each row of t.
+    """(t_b - t_d) / (t_c - t_d) for the rows t = (t_b, t_c, t_d): the
+    cross ratio (t_a - t_c)(t_b - t_d) / ((t_a - t_b)(t_c - t_d)) of four
+    circle points whose first, a, sits at th = pi, where its half-angle
+    tangent t_a is infinite.
 
-    Cross ratios are Moebius-invariant, so on the half-angle tangents of
-    four circle points this is the points' own: with
-    t_a - t_c = sin((a - c)/2) / (cos(a/2) cos(c/2)) the four cosines
-    cancel from the half-angle sine form.  t is consumed.
+    Cross ratios are Moebius-invariant, so on half-angle tangents this is
+    the points' own.  Pinning a keeps the law: the cross ratio of four
+    circle points depends only on their angle differences, and given th_a
+    the rotated angles th_j - th_a + pi (mod 2 pi) of the other three are
+    again i.i.d. uniform, since a rotation is a Moebius map that keeps the
+    uniform law.  So three uniform points and one at pi give the law of
+    four uniform ones.  t is consumed; the result is its first row.
     """
-    a, b, c, d = t.T
-    ac = a - c
-    a -= b
+    b, c, d = t
     b -= d
     c -= d
-    ac *= b  # (t_a - t_c)(t_b - t_d)
-    a *= c  # (t_a - t_b)(t_c - t_d)
-    ac /= a
-    return ac
+    b /= c
+    return b
 
 
 def _orbit_images(lam):
@@ -218,14 +227,24 @@ def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
     if law == "star":
         return _half_angle_tangents(rng, count)
     if law in ("crossratio_full", "quad_cr"):
-        cr = _circle_cross_ratio(_half_angle_tangents(rng, (count, 4)))
+        cr = _circle_cross_ratio(_half_angle_tangents(rng, (3, count)))
         return cr if law == "crossratio_full" else _orbit_max(cr)
     if law == "length":
-        return cf.perpendicular_length(cf.sample_quad_cr_values(count, rng))
+        # the quantile is clipped at 2, so perpendicular_length's range
+        # check could never fire here
+        return cf._short_length(cf.sample_quad_cr_values(count, rng))
     from . import modmap
 
     d = modmap._sample_log_modulus(count, rng, table)
     return np.exp(d, out=d) if law == "modulus" else d
+
+
+def _sample(law: str, seed: int, n: int, table: modmap.CrMapTable | None) -> np.ndarray:
+    """n draws of ``law``, chunk by chunk into one preallocated array."""
+    values = np.empty(n)
+    for c, start in enumerate(range(0, n, _CHUNK)):
+        values[start:start + _CHUNK] = _sample_chunk(law, seed, c, min(_CHUNK, n - start), table)
+    return values
 
 
 def _ks_grids(xs: np.ndarray, at: np.ndarray, cdf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -331,22 +350,18 @@ def _summary(values: np.ndarray, law: str, table: modmap.CrMapTable | None
 def run_law(cfg: McConfig, table: modmap.CrMapTable | None = None) -> EmpiricalSummary:
     """Sample one law per the config and summarize.
 
-    Chunks of 2^14 samples each own a fixed slice of the Philox counter
-    space and are drawn in index order on the calling thread, so the
-    output is a function of (seed, n) only; ``cfg.workers`` is accepted
-    and changes nothing.  The modulus-map laws pass ``table`` to
+    Chunks of 2^14 samples each draw from their own stream, keyed by
+    (seed, chunk index) (see ``_chunk_rng``), in index order on the
+    calling thread, so the output is a function of (seed, n) only, and
+    runs at two sizes share their full chunks; ``cfg.workers`` is
+    accepted and changes nothing.  The modulus-map laws pass ``table`` to
     ``modmap`` as it is, where None means the default table.  Each chunk
     is written into one preallocated sample, and the summary reads one
     sorted copy of it (see ``_summary``), so run_law's peak memory is
     two arrays of the sample's size plus block-sized scratch.
     """
     n = cfg.n_samples
-    values = np.empty(n)
-    for c, start in enumerate(range(0, n, _CHUNK)):
-        values[start:start + _CHUNK] = _sample_chunk(
-            cfg.law, cfg.seed, c, min(_CHUNK, n - start), table)
-
-    ks, counts, edges, stats = _summary(values, cfg.law, table)
+    ks, counts, edges, stats = _summary(_sample(cfg.law, cfg.seed, n, table), cfg.law, table)
     return EmpiricalSummary(
         law=cfg.law, n=n, seed=cfg.seed, bin_edges=edges, counts=counts,
         ks_distance=ks, stats=stats)

@@ -55,17 +55,20 @@ def circle_cr_by_sines(th: np.ndarray) -> np.ndarray:
 
 
 def circle_cr_condition(th: np.ndarray) -> np.ndarray:
-    """kappa = 1 + pi sum_j |d log CR / d th_j| of each row of four angles.
+    """kappa = 1 + pi sum_j |d log CR / d th_j| of each row (pi, b, c, d).
 
     log CR = log sin((a-c)/2) + log sin((b-d)/2) - log sin((a-b)/2)
-    - log sin((c-d)/2), so each partial is a sum of half cotangents.  An
-    angle in [0, 2 pi) carries a rounding error of at most about pi eps,
-    so eps kappa scales the relative error that rounding the four angles
-    alone puts on the cross ratio.
+    - log sin((c-d)/2), so each partial is a sum of half cotangents.  The
+    sum runs over the three free angles b, c and d only: the first point
+    is the samplers' pinned one, whose half-angle tangent is exactly
+    infinite, so its angle carries no rounding.  A free angle in
+    [0, 2 pi) carries a rounding error of at most about pi eps, so eps
+    kappa scales the relative error that rounding the three angles alone
+    puts on the cross ratio.
     """
     a, b, c, d = th.T
     ac, bd, ab, cd = (0.5 / np.tan(0.5 * x) for x in (a - c, b - d, a - b, c - d))
-    grad = np.abs(ac - ab) + np.abs(bd + ab) + np.abs(ac + cd) + np.abs(bd - cd)
+    grad = np.abs(bd + ab) + np.abs(ac + cd) + np.abs(bd - cd)
     return 1.0 + math.pi * grad
 
 

@@ -28,6 +28,7 @@ from punctorus.mc import (
     _chunk_rng,
     _ks_distance,
     _orbit_max,
+    _sample,
     _sample_chunk,
     _sorted_quantile,
     _summary,
@@ -66,7 +67,7 @@ class TestConfig:
     @pytest.mark.parametrize("seed", [None, 1.5, -1, 2**128])
     def test_seed_must_be_a_128_bit_key(self, seed):
         # identical configs must give identical outputs, so no OS entropy
-        # (None) and no silent rounding (1.5); Philox takes a 128-bit key
+        # (None) and no silent rounding (1.5)
         with pytest.raises(ValueError, match=r"seed = .* is not an integer in \[0, 2\*\*128\)"):
             McConfig(n_samples=10, seed=seed)
 
@@ -179,6 +180,31 @@ class TestDeterminism:
         out = run_law(McConfig(n_samples=1, seed=2, law="quad_cr"))
         assert out.counts.sum() == 1
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**100 + 3])
+    def test_each_chunk_has_its_own_keyed_stream(self, seed):
+        # chunk c draws from PCG64DXSM seeded by the seed's SeedSequence
+        # spawned at key (c,), whatever the other chunks hold
+        for c, count in ((0, _CHUNK), (1, 1001), (5, 1)):
+            u = np.random.Generator(np.random.PCG64DXSM(
+                np.random.SeedSequence(seed, spawn_key=(c,)))).random(count)
+            want = np.tan(math.pi * u)
+            got = _sample_chunk("star", seed, c, count, None)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_a_larger_run_starts_with_a_smaller_one(self, law):
+        small = _sample(law, 5, _CHUNK, None)
+        large = _sample(law, 5, 3 * _CHUNK + 5, None)
+        np.testing.assert_array_equal(large[:_CHUNK].view(np.int64), small.view(np.int64))
+        assert not np.array_equal(large[_CHUNK:2 * _CHUNK], small)
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_numpy_and_python_integer_seeds_agree(self, law):
+        want = _sample(law, 11, _CHUNK + 3, None)
+        for seed in (np.int64(11), np.uint64(11)):
+            got = _sample(law, seed, _CHUNK + 3, None)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestAgainstClosedForm:
     @pytest.mark.parametrize("law", ["crossratio_full", "quad_cr", "length",
@@ -226,8 +252,10 @@ class TestAgainstClosedForm:
 
 
 def _circle_angles(seed: int, chunk: int, count: int) -> np.ndarray:
-    """The circle samplers' angle draw: the same stream, as angles."""
-    return _chunk_rng(seed, chunk).random((count, 4)) * (2.0 * math.pi)
+    """The circle samplers' draw as rows of four angles: th_a = pi, the
+    pinned point, then the three free angles of the (3, count) draw."""
+    free = _chunk_rng(seed, chunk).random((3, count)) * (2.0 * math.pi)
+    return np.column_stack((np.full(count, math.pi), free.T))
 
 
 def _sine_route_sample(law: str, seed: int, n: int) -> np.ndarray:
@@ -245,10 +273,14 @@ def _sine_route_sample(law: str, seed: int, n: int) -> np.ndarray:
 class TestHalfAngleTangents:
     """The circle cross ratios from tangents, against the sine route.
 
-    Both routes compute the cross ratio of the same four float angles;
-    each stays within eps kappa (``circle_cr_condition``) of that
-    exact value, so they differ only where kappa is large: on
-    near-coincident quadruples.
+    Both routes compute the cross ratio of the same three float angles
+    and a fourth at pi, which the tangent route reads exactly as an
+    infinite tangent and the sine route (and mpmath) as fl(pi); each
+    stays within eps kappa (``circle_cr_condition``, over the three free
+    angles) of the exact value, so they differ only where kappa is
+    large: on near-coincident quadruples.  fl(pi) lies 1.2e-16 from pi,
+    and the four partials of log CR sum to zero, so reading fl(pi) for
+    pi moves the cross ratio by under 0.2 eps kappa.
     """
 
     EPS = np.finfo(float).eps

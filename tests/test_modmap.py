@@ -388,19 +388,24 @@ def _dense_u() -> np.ndarray:
 class TestLogModulusSampler:
     # Against log m at the quantile by Newton's method on the exact
     # survival function, the sampler's series read at most 2.0e-13
-    # (default table) and 2.1e-13 (24 nodes) over _dense_u; the bound
-    # leaves a margin of about 2.  The degree-30 quadrilateral quantile
-    # series followed by the inverse map reads 4.9e-13 on both.
+    # (default table), 2.1e-13 (24 nodes), 2.2e-13 (32 nodes) and
+    # 3.7e-13 (40 nodes) over _dense_u; the bound leaves a margin of
+    # about 2 up to 32 nodes but only 7% at 40.  The degree-30
+    # quadrilateral quantile series followed by the inverse map reads
+    # 4.9e-13 on the default and 24-node tables.
     BOUND = 4e-13
+    # 48 nodes read 1.39e-12, worst at z = 0.65: the forward series'
+    # wiggles reach the degree-42 fit; the bound leaves a margin of 2.2
+    BOUND_48 = 3e-12
 
-    @pytest.mark.parametrize("nodes", [16, 24])
+    @pytest.mark.parametrize("nodes", [16, 24, 32, 40, 48])
     def test_matches_the_newton_quantile(self, nodes):
         table = modmap.default_table() if nodes == 16 else build_cr_table(n=nodes)
         u = _dense_u()
         z = np.log1p(-np.log1p(-np.clip(u, 0.0, _U_MAX)))
         want = np.log(modulus_of_cr(np.maximum(np.exp(_log_quantile(z)), 2.0), table))
         got = modmap._sample_log_modulus(len(u), _FixedUniforms(u), table)
-        assert np.max(np.abs(got - want)) <= self.BOUND
+        assert np.max(np.abs(got - want)) <= (self.BOUND_48 if nodes == 48 else self.BOUND)
 
     def test_default_table_when_none(self):
         a = modmap._sample_log_modulus(1000, np.random.default_rng(4))

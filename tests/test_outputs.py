@@ -23,25 +23,25 @@ NUMPY = "2.4.6"
 _SAMPLE = ["--n", "100000", "--seed", "7"]
 
 DIGESTS = [
-    (["sample", "--law", "crossratio_full", *_SAMPLE], "78fb6f1c84085fa7"),
-    (["sample", "--law", "quad_cr", *_SAMPLE], "c592a9b1e9000721"),
-    (["sample", "--law", "length", *_SAMPLE], "c68e7a2849124fd4"),
-    (["sample", "--law", "star", *_SAMPLE], "08ae8638f433728e"),
-    (["sample", "--law", "modulus", *_SAMPLE], "fd914a6709b687a4"),
-    (["sample", "--law", "teich", *_SAMPLE], "1f74cf64c71834bc"),
-    (["sample", "--law", "crossratio_full", *_SAMPLE, "--format", "json"], "cc7523133664e1bf"),
-    (["sample", "--law", "quad_cr", *_SAMPLE, "--format", "json"], "58ff5108b62fabfe"),
-    (["sample", "--law", "length", *_SAMPLE, "--format", "json"], "a21b35699db6c46b"),
-    (["sample", "--law", "star", *_SAMPLE, "--format", "json"], "23649d16a11af829"),
-    (["sample", "--law", "modulus", *_SAMPLE, "--format", "json"], "5dc0914818677d7b"),
-    (["sample", "--law", "teich", *_SAMPLE, "--format", "json"], "9f314f837d2a5a65"),
+    (["sample", "--law", "crossratio_full", *_SAMPLE], "de6d61cfdafb33f9"),
+    (["sample", "--law", "quad_cr", *_SAMPLE], "173862f633083497"),
+    (["sample", "--law", "length", *_SAMPLE], "46313fd5c40b7366"),
+    (["sample", "--law", "star", *_SAMPLE], "689b2fe1171bb730"),
+    (["sample", "--law", "modulus", *_SAMPLE], "b714247947e51c29"),
+    (["sample", "--law", "teich", *_SAMPLE], "19a67fa8dfc205b9"),
+    (["sample", "--law", "crossratio_full", *_SAMPLE, "--format", "json"], "5e470da2bf67aee9"),
+    (["sample", "--law", "quad_cr", *_SAMPLE, "--format", "json"], "123b9b9d8fb372b8"),
+    (["sample", "--law", "length", *_SAMPLE, "--format", "json"], "b56ab28c58d56778"),
+    (["sample", "--law", "star", *_SAMPLE, "--format", "json"], "26d11dce3d89e8f1"),
+    (["sample", "--law", "modulus", *_SAMPLE, "--format", "json"], "0d213e161dab24f0"),
+    (["sample", "--law", "teich", *_SAMPLE, "--format", "json"], "46ad6462a80e4cc8"),
     (["teich", "--stats"], "4a33643ab528adc8"),
     (["cr-map", "--table"], "69826f17fa5cea75"),
     (["pdf", "--law", "quad_cr", "--from", "2", "--to", "25", "--step", "0.25"], "be2b0681731c4075"),
     (["cdf", "--law", "crossratio_full", "--from", "-5", "--to", "5", "--step", "0.125"], "834d290e370ee361"),
     (["accessory", "--tau", "0.5"], "f1aad0b5eaa77abd"),
     (["quasimobius", "--src", "3", "--dst", "7"], "a6d6d439d3fabaa4"),
-    (["verify", "--quick"], "c0bf6e08e64cc23d"),
+    (["verify", "--quick"], "4f28f01d02713a7c"),
 ]
 
 _SECONDS = re.compile(r", [0-9.]+s$", re.MULTILINE)
