@@ -4,8 +4,10 @@ Implements the full cross-ratio law on the line, the canonical
 quadrilateral law on [2, inf), the geodesic length laws with their dual
 branch, and the normalized Cauchy law, together with closed-form
 cumulative distributions built on the quadrilateral law's exact survival
-function, the quadrilateral median, and inverse-CDF sampling by one
-Chebyshev series, used by the group samplers and the Monte Carlo module.
+function, the quadrilateral median, and the quadrilateral inverse CDF
+as one Chebyshev series, which the torus length draw
+:func:`_length_draw` reads (the Monte Carlo samplers draw circle points
+instead).
 Every Chebyshev series in the package, here and in modmap, is evaluated
 by one Clenshaw recurrence, :func:`_clenshaw`.  Every law evaluation,
 here and in modmap, takes scalars or arrays through one protocol,
@@ -525,8 +527,8 @@ class QuadCrInverseCdf:
     tail.  A degree-30 series interpolates it, at nodes where Newton's
     method inverts the exact survival function, over the image of every
     double u < 1, so one expression covers the whole law.  Instances are
-    immutable and shareable across threads; every sampler in the package
-    reads the module's one instance.
+    immutable and shareable across threads; the module's one instance
+    serves :func:`_length_draw` and :func:`sample_quad_cr_values`.
     """
 
     def __init__(self):

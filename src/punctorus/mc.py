@@ -6,24 +6,25 @@ modulus and Teichmueller pairs are modmap's, which owns their domain.
 This module imports only closedform: modmap loads on the first call of
 a modulus or Teichmueller curve or sampler, so the other laws never
 load it.
-Samplers draw i.i.d. uniform points on the circle, or push the
-quadrilateral law's inverse-CDF draws through the relevant change of
-variables: the substitution orbit here, the perpendicular length in
-closedform; the modulus laws come from the same uniforms through
-modmap's log-modulus quantile, one series in the quantile variable.
+Samplers draw i.i.d. uniform points on the circle; the modulus laws
+come from uniforms through modmap's log-modulus quantile, one series in
+the quantile variable.
 Uniform circle points are drawn as their half-angle tangents: the
 Cayley map exp(i th) -> tan(th/2) is a Moebius map onto the real
 line, so it gives the star law's Cauchy draws and leaves every cross
 ratio as it is.  A rotation of the circle keeps the uniform law, so a
 quadrilateral's first point is put at th = pi, where its tangent is
-infinite, and the circle laws draw three tangents per sample.
-Each sample is then summarized from one sorted copy: its KS distance
+infinite, and the circle laws draw three tangents per sample.  The
+quadrilateral law reads its canonical cross ratio straight from the
+sorted gaps of those three, and the length law is the perpendicular
+length of the same draws.
+Each sample is then sorted in place and summarized: its KS distance
 against the closed form CDF, its histogram, its median, its clipped
-fraction and the star law's quartiles all read that copy, each equal
-bit for bit to its plain numpy definition.  The CDF is taken at
+fraction and the star law's quartiles all read the sorted sample, each
+equal bit for bit to its plain numpy definition.  The CDF is taken at
 every 64th order statistic, then in full only over the spans where the
-largest KS gap can lie, one block at a time, so the sample and its
-sorted copy are the only arrays of its size.
+largest KS gap can lie, one block at a time, so the sample is the only
+array of its size, next to the sd's temporary where a law reports one.
 Each chunk of 2^14 samples draws from its own PCG64DXSM stream, keyed
 by the seed and the chunk index through a SeedSequence spawn key, and
 chunks run in index order on the calling thread, so the output is a
@@ -196,29 +197,34 @@ def _circle_cross_ratio(t: np.ndarray) -> np.ndarray:
     return b
 
 
-def _orbit_images(lam):
-    """The six substitution images of lam, a scalar or a numpy array."""
-    return (
-        lam,
-        1.0 - lam,
-        lam / (lam - 1.0),
-        1.0 / lam,
-        1.0 / (1.0 - lam),
-        (lam - 1.0) / lam,
-    )
+def _canonical_cross_ratio(t: np.ndarray) -> np.ndarray:
+    """The canonical cross ratio Q >= 2 of the rows t = (t_b, t_c, t_d),
+    half-angle tangents of three circle points whose fourth sits at
+    th = pi, where its tangent is infinite (see ``_circle_cross_ratio``).
 
-
-def _orbit_max(cr: np.ndarray) -> np.ndarray:
-    """The canonical representative of each cross ratio: the largest of
-    its six orbit images, >= 2.  Five pairwise maxima run in place, with
-    no stacked copy of the images, and give ``np.max`` over the stack
-    bit for bit, nan and +-inf included.  cr is consumed.
+    Three pairwise minima and maxima sort each column into
+    t1 <= t2 <= t3, with gaps g1 = t2 - t1 and g2 = t3 - t2.  One orbit
+    member is (t3 - t1)/(t2 - t1) = 1 + g2/g1, and the orbit of 1 + rho
+    holds 1 + 1/rho, so Q = 1 + max(g1, g2)/min(g1, g2).  Each gap is
+    one rounded subtraction of the drawn tangents, so Q stays within
+    about 2 eps of the canonical value of those tangents wherever they
+    lie, with no cancellation near the orbit's fixed points.  Two equal
+    tangents give inf, three nan.  t is consumed.
     """
+    rows = [*t, np.empty_like(t[0])]  # the three draws and a spare row
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        np.minimum(rows[i], rows[j], out=rows[3])
+        np.maximum(rows[i], rows[j], out=rows[j])
+        rows[i], rows[3] = rows[3], rows[i]
+    t1, t2, t3, _ = rows
+    t3 -= t2
+    t2 -= t1
+    np.maximum(t2, t3, out=t1)
+    np.minimum(t2, t3, out=t2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        best, *rest = _orbit_images(cr)
-        for image in rest:
-            np.maximum(best, image, out=best)
-    return best
+        t1 /= t2
+    t1 += 1.0
+    return t1
 
 
 def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
@@ -226,13 +232,11 @@ def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
     rng = _chunk_rng(seed, chunk_index)
     if law == "star":
         return _half_angle_tangents(rng, count)
-    if law in ("crossratio_full", "quad_cr"):
-        cr = _circle_cross_ratio(_half_angle_tangents(rng, (3, count)))
-        return cr if law == "crossratio_full" else _orbit_max(cr)
-    if law == "length":
-        # the quantile is clipped at 2, so perpendicular_length's range
-        # check could never fire here
-        return cf._short_length(cf.sample_quad_cr_values(count, rng))
+    if law == "crossratio_full":
+        return _circle_cross_ratio(_half_angle_tangents(rng, (3, count)))
+    if law in ("quad_cr", "length"):
+        q = _canonical_cross_ratio(_half_angle_tangents(rng, (3, count)))
+        return q if law == "quad_cr" else cf._short_length(q)
     from . import modmap
 
     d = modmap._sample_log_modulus(count, rng, table)
@@ -291,7 +295,7 @@ def _sorted_quantile(xs: np.ndarray, q: float) -> float:
     value at j = -1; then ``_lerp``, a + (b - a) gamma, or
     b - (b - a)(1 - gamma) once gamma >= 0.5.  Python floats round as
     the ufuncs do.  A nan, which sorts last, makes the quantile nan.
-    Where -0.0 and 0.0 tie, the sign read is the sorted copy's, while
+    Where -0.0 and 0.0 tie, the sign read is the sorted sample's, while
     np.quantile's partition may pick either.
     """
     n = len(xs)
@@ -310,19 +314,24 @@ def _summary(values: np.ndarray, law: str, table: modmap.CrMapTable | None
              ) -> tuple[float, np.ndarray, np.ndarray, dict]:
     """KS distance, histogram counts and edges, and stats of one sample.
 
-    Every order statistic comes from one sorted copy xs, and each number
-    equals its plain numpy definition bit for bit: the largest KS gap
-    against two arange grids over n, taken only over the spans of xs
-    where it can lie (``_ks_distance``),
-    ``np.histogram`` of the sample clipped to the law's range (bin i is
-    [e_i, e_i+1), the last bin closed, nan dropped), ``np.median``,
-    ``np.quantile`` (``_sorted_quantile``) and the mean of the clip
-    mask.  The mean and sd read the unsorted values, whose summation
-    order they depend on, after xs is freed, so the sd's sample-sized
-    temporary never meets it.
+    The mean and sd read values first, unsorted, since they depend on
+    its summation order; then values is sorted in place, and every order
+    statistic comes from it.  Each number equals its plain numpy
+    definition bit for bit: the largest KS gap against two arange grids
+    over n, taken only over the spans of the sorted sample where it can
+    lie (``_ks_distance``), ``np.histogram`` of the sample clipped to
+    the law's range (bin i is [e_i, e_i+1), the last bin closed, nan
+    dropped), ``np.median``, ``np.quantile`` (``_sorted_quantile``) and
+    the mean of the clip mask.  values is consumed: it is left sorted.
     """
     n = len(values)
-    xs = np.sort(values)
+    moments = {}
+    if law in ("length", "teich", "modulus"):
+        moments["mean"] = float(values.mean())
+    if law in ("length", "teich"):
+        moments["sd"] = float(values.std())
+    values.sort()
+    xs = values
     curve = CURVES[law][1]
     ks = _ks_distance(xs, (lambda x: curve(x, table)) if law in _MAP_LAWS else curve)
 
@@ -339,11 +348,7 @@ def _summary(values: np.ndarray, law: str, table: modmap.CrMapTable | None
     out: dict = {"median": float(median), "clipped_fraction": clipped.item() / n}
     if law == "star":
         out["iqr"] = _sorted_quantile(xs, 0.75) - _sorted_quantile(xs, 0.25)
-    del xs
-    if law in ("length", "teich", "modulus"):
-        out["mean"] = float(values.mean())
-    if law in ("length", "teich"):
-        out["sd"] = float(values.std())
+    out.update(moments)
     return ks, counts, edges, out
 
 
@@ -356,9 +361,10 @@ def run_law(cfg: McConfig, table: modmap.CrMapTable | None = None) -> EmpiricalS
     runs at two sizes share their full chunks; ``cfg.workers`` is
     accepted and changes nothing.  The modulus-map laws pass ``table`` to
     ``modmap`` as it is, where None means the default table.  Each chunk
-    is written into one preallocated sample, and the summary reads one
-    sorted copy of it (see ``_summary``), so run_law's peak memory is
-    two arrays of the sample's size plus block-sized scratch.
+    is written into one preallocated sample, which the summary sorts in
+    place (see ``_summary``), so run_law's peak memory is one array of
+    the sample's size plus block-sized scratch, and two for the laws
+    whose sd takes a sample-sized temporary.
     """
     n = cfg.n_samples
     ks, counts, edges, stats = _summary(_sample(cfg.law, cfg.seed, n, table), cfg.law, table)

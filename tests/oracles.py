@@ -83,10 +83,26 @@ def circle_cr_mpmath(th: np.ndarray, dps: int = 50) -> np.ndarray:
     return np.array(out)
 
 
+def canonical_gap_ratio_mpmath(t: np.ndarray, dps: int = 40) -> np.ndarray:
+    """1 + max(g1, g2)/min(g1, g2) of each row of three float tangents,
+    at dps digits, where g1 and g2 are the gaps of the sorted row: the
+    exact canonical cross ratio of the three points and a fourth at
+    infinity."""
+    out = []
+    with mpmath.workdps(dps):
+        for row in t.tolist():
+            t1, t2, t3 = sorted(mpmath.mpf(x) for x in row)
+            g1, g2 = t2 - t1, t3 - t2
+            out.append(float(1 + max(g1, g2) / min(g1, g2)))
+    return np.array(out)
+
+
 def orbit_images(lam):
     """The six substitution images of lam, a scalar or a numpy array, in
-    the order of ``s4_orbit``.  The package's sampler keeps its own copy
-    (``mc._orbit_images``), which the tests check against this one."""
+    the order of ``s4_orbit``; their largest is the canonical cross ratio.
+    The package reads that one from the sorted gaps of its tangent draws
+    (``mc._canonical_cross_ratio``), and the tests take the stacked
+    maximum of these images as the independent route."""
     return (lam, 1.0 - lam, lam / (lam - 1.0), 1.0 / lam, 1.0 / (1.0 - lam), (lam - 1.0) / lam)
 
 

@@ -163,21 +163,6 @@ class TestOrbit:
         with pytest.raises(ValueError):
             canonical_representative(lam)
 
-    def test_scalar_and_sampler_orbits_agree(self):
-        """The quad_cr sampler's array canonicalisation is the scalar one.
-
-        Both evaluate the one orbit expression.  The sixth image spelled
-        1 - 1/L instead of (L - 1)/L rounds differently on about 5% of
-        uniform draws, all with the cross ratio in [-1, 0), so the draws
-        must reach that interval.
-        """
-        n, seed = 1 << 14, 7
-        lam = _sample_chunk("crossratio_full", seed, 0, n, None)
-        assert np.count_nonzero((lam >= -1.0) & (lam < 0.0)) >= 1000
-        want = np.array([canonical_representative(x) for x in lam.tolist()])
-        got = _sample_chunk("quad_cr", seed, 0, n, None)
-        np.testing.assert_array_equal(got, want)
-
 
 class _FixedUniform:
     """Stands in for a Generator whose uniform draws are given."""
@@ -243,6 +228,16 @@ class TestLengthDictionary:
         one = [closedform._length_draw(v) for v in u.tolist()]
         assert all(type(x) is float for x in one)
         np.testing.assert_array_equal(np.array(one).view(np.int64), many.view(np.int64))
+
+    @pytest.mark.parametrize("seed, chunk, count", [(7, 0, 1 << 14), (523, 3, 1 << 14),
+                                                    (11, 1, 1001)])
+    def test_length_sampler_reads_the_quad_cr_draws(self, seed, chunk, count):
+        # the length law is the short length of the quadrilateral law's
+        # own draws, at the same (seed, chunk)
+        q = _sample_chunk("quad_cr", seed, chunk, count, None)
+        got = _sample_chunk("length", seed, chunk, count, None)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      closedform._short_length(q).view(np.int64))
 
     def test_dual_fixed_point(self):
         # the involution fixes the threshold, where Q = 2 and the two

@@ -25,13 +25,13 @@ _SAMPLE = ["--n", "100000", "--seed", "7"]
 DIGESTS = [
     (["sample", "--law", "crossratio_full", *_SAMPLE], "de6d61cfdafb33f9"),
     (["sample", "--law", "quad_cr", *_SAMPLE], "173862f633083497"),
-    (["sample", "--law", "length", *_SAMPLE], "46313fd5c40b7366"),
+    (["sample", "--law", "length", *_SAMPLE], "67757c9461fc2e92"),
     (["sample", "--law", "star", *_SAMPLE], "689b2fe1171bb730"),
     (["sample", "--law", "modulus", *_SAMPLE], "b714247947e51c29"),
     (["sample", "--law", "teich", *_SAMPLE], "19a67fa8dfc205b9"),
     (["sample", "--law", "crossratio_full", *_SAMPLE, "--format", "json"], "5e470da2bf67aee9"),
-    (["sample", "--law", "quad_cr", *_SAMPLE, "--format", "json"], "123b9b9d8fb372b8"),
-    (["sample", "--law", "length", *_SAMPLE, "--format", "json"], "b56ab28c58d56778"),
+    (["sample", "--law", "quad_cr", *_SAMPLE, "--format", "json"], "ae5ac6b2c68da7af"),
+    (["sample", "--law", "length", *_SAMPLE, "--format", "json"], "c85a8be072569bfb"),
     (["sample", "--law", "star", *_SAMPLE, "--format", "json"], "26d11dce3d89e8f1"),
     (["sample", "--law", "modulus", *_SAMPLE, "--format", "json"], "0d213e161dab24f0"),
     (["sample", "--law", "teich", *_SAMPLE, "--format", "json"], "46ad6462a80e4cc8"),
