@@ -23,8 +23,9 @@ against the closed form CDF, its histogram, its median, its clipped
 fraction and the star law's quartiles all read the sorted sample, each
 equal bit for bit to its plain numpy definition.  The CDF is taken at
 every 64th order statistic, then in full only over the spans where the
-largest KS gap can lie, one block at a time, so the sample is the only
-array of its size, next to the sd's temporary where a law reports one.
+largest KS gap can lie, one block at a time, and the sd squares its
+deviations one block at a time, so every law's run holds the sample as
+its only array of that size.
 Each chunk of 2^14 samples draws from its own PCG64DXSM stream, keyed
 by the seed and the chunk index through a SeedSequence spawn key, and
 chunks run in index order on the calling thread, so the output is a
@@ -310,6 +311,38 @@ def _sorted_quantile(xs: np.ndarray, q: float) -> float:
     return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
+def _squared_deviation_sum(values: np.ndarray, mean: float, scratch: np.ndarray) -> float:
+    """sum((values - mean)^2) in numpy's pairwise order, one block at a time.
+
+    A span of more than 128 points splits at n // 2 rounded down to a
+    multiple of 8, and the halves' sums are added.  The split is walked
+    down to spans of at most one block; each span's squared deviations
+    go into ``scratch`` and ``np.add.reduce`` sums them by the same
+    recursion, and the spans' sums are added back in the tree's order.
+    It recurses at module level: a nested recursive function would hold
+    the sample in a reference cycle until the next garbage collection.
+    """
+    n = len(values)
+    if n > cf._BLOCK:
+        n2 = n // 2
+        n2 -= n2 % 8
+        return (_squared_deviation_sum(values[:n2], mean, scratch)
+                + _squared_deviation_sum(values[n2:], mean, scratch))
+    d = np.subtract(values, mean, out=scratch[:n])
+    np.multiply(d, d, out=d)
+    return np.add.reduce(d).item()
+
+
+def _sd(values: np.ndarray, mean: float) -> float:
+    """``values.std()`` of a contiguous float64 array whose mean, as
+    ``values.mean()`` takes it, is ``mean``, bit for bit, nan and inf
+    included, but with one block of scratch in place of its sample-sized
+    temporary: sqrt(sum((x - mean)^2) / n), the sum taken in numpy's
+    own order (``_squared_deviation_sum``)."""
+    scratch = np.empty(min(len(values), cf._BLOCK))
+    return math.sqrt(_squared_deviation_sum(values, mean, scratch) / len(values))
+
+
 def _summary(values: np.ndarray, law: str, table: modmap.CrMapTable | None
              ) -> tuple[float, np.ndarray, np.ndarray, dict]:
     """KS distance, histogram counts and edges, and stats of one sample.
@@ -317,19 +350,21 @@ def _summary(values: np.ndarray, law: str, table: modmap.CrMapTable | None
     The mean and sd read values first, unsorted, since they depend on
     its summation order; then values is sorted in place, and every order
     statistic comes from it.  Each number equals its plain numpy
-    definition bit for bit: the largest KS gap against two arange grids
+    definition bit for bit: ``values.mean()``, ``values.std()`` taken
+    block by block (``_sd``), the largest KS gap against two arange grids
     over n, taken only over the spans of the sorted sample where it can
     lie (``_ks_distance``), ``np.histogram`` of the sample clipped to
     the law's range (bin i is [e_i, e_i+1), the last bin closed, nan
     dropped), ``np.median``, ``np.quantile`` (``_sorted_quantile``) and
-    the mean of the clip mask.  values is consumed: it is left sorted.
+    the mean of the clip mask.  No step allocates another array of the
+    sample's size.  values is consumed: it is left sorted.
     """
     n = len(values)
     moments = {}
     if law in ("length", "teich", "modulus"):
         moments["mean"] = float(values.mean())
     if law in ("length", "teich"):
-        moments["sd"] = float(values.std())
+        moments["sd"] = _sd(values, moments["mean"])
     values.sort()
     xs = values
     curve = CURVES[law][1]
@@ -362,9 +397,8 @@ def run_law(cfg: McConfig, table: modmap.CrMapTable | None = None) -> EmpiricalS
     accepted and changes nothing.  The modulus-map laws pass ``table`` to
     ``modmap`` as it is, where None means the default table.  Each chunk
     is written into one preallocated sample, which the summary sorts in
-    place (see ``_summary``), so run_law's peak memory is one array of
-    the sample's size plus block-sized scratch, and two for the laws
-    whose sd takes a sample-sized temporary.
+    place (see ``_summary``), so for every law run_law's peak memory is
+    one array of the sample's size plus block-sized scratch.
     """
     n = cfg.n_samples
     ks, counts, edges, stats = _summary(_sample(cfg.law, cfg.seed, n, table), cfg.law, table)

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from punctorus.mc import (
     _ks_distance,
     _sample,
     _sample_chunk,
+    _sd,
     _sorted_quantile,
     _summary,
 )
@@ -560,9 +562,10 @@ class TestSortedSummary:
     def test_peak_memory(self, law):
         # the sample, sorted in place, plus the KS scratch (the CDF and
         # gaps at every 64th order statistic, then one block of candidate
-        # spans at a time): 1.12-1.20 arrays measured for the laws without
-        # an sd, and 2.0 for length and teich, whose sd takes a
-        # sample-sized temporary before the sort
+        # spans at a time) and, for length and teich, the sd's one block
+        # of squared deviations: 1.12-1.16 arrays measured for the laws
+        # without an sd, 1.20 for modulus, 1.18 for length and 1.21 for
+        # teich
         n = 1 << 20
         run_law(McConfig(n_samples=1000, seed=1, law=law))
         tracemalloc.start()
@@ -571,7 +574,42 @@ class TestSortedSummary:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (2.4 if law in ("length", "teich") else 1.4) * 8 * n
+        assert peak <= 1.4 * 8 * n
+
+
+class TestBlockwiseSd:
+    """``_sd`` walks numpy's pairwise summation split, so it is
+    ``values.std()`` bit for bit without a sample-sized temporary."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, (1 << 15) - 1, 1 << 15,
+                                   (1 << 15) + 1, (1 << 16) + 3, 10**6 + 3])
+    def test_equals_numpy_std(self, n):
+        rng = np.random.default_rng(n)
+        # heavy tails, a large offset over a small spread, and a sample's
+        # own law, where the summation order moves the last bits
+        for values in (rng.standard_cauchy(n), 7e3 + rng.random(n),
+                       _sample("teich", 11, n, None)):
+            assert _bits(_sd(values, float(values.mean()))) == _bits(values.std())
+
+    @pytest.mark.parametrize("n", [1, 9, 129, (1 << 15) + 1, (1 << 16) + 3])
+    @pytest.mark.parametrize("special", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])
+    def test_nan_and_inf(self, n, special):
+        rng = np.random.default_rng(n)
+        with np.errstate(invalid="ignore"):
+            for where in (0, n // 2, n - 1):
+                values = rng.standard_normal(n)
+                values[where:where + len(special)] = special[:n - where]
+                assert _bits(_sd(values, float(values.mean()))) == _bits(values.std())
+
+
+    def test_leaves_no_reference_to_the_sample(self):
+        # a reference cycle through the sample would keep it alive until
+        # the next garbage collection, one more sample-sized array
+        values = np.random.default_rng(4).standard_normal(3 * _BLOCK)
+        ref = weakref.ref(values)
+        _sd(values, float(values.mean()))
+        del values
+        assert ref() is None
 
 
 class _CountingCdf:

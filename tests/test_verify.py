@@ -85,7 +85,7 @@ def test_failed_names_the_bounds_that_failed(monkeypatch, offset, failed):
 
 def test_monte_carlo_clause_runs_one_config_per_law(monkeypatch):
     # run_law ignores McConfig.workers, so clause 04 leaves it at its
-    # default; its verdict is that three runs of the quad_cr config agree
+    # default; its verdict is that two runs of the quad_cr config agree
     configs = []
 
     def record(cfg, table=None):
@@ -96,7 +96,27 @@ def test_monte_carlo_clause_runs_one_config_per_law(monkeypatch):
     [result] = verify._check_mc(True, None)
     assert result.failed == ()
     assert [c.law for c in configs] == ["crossratio_full", "quad_cr", "length", "star",
-                                        "quad_cr", "quad_cr"]
+                                        "quad_cr"]
     default = verify.mc.McConfig(n_samples=1, seed=0).workers
     assert {(c.n_samples, c.seed, c.workers) for c in configs} == {
         (10**5, verify._SEED, default)}
+
+
+@pytest.mark.parametrize("counts, ks, failed", [
+    ((0, 1, 2), 1e-3, ()),
+    ((0, 1, 3), 1e-3, ("deterministic",)),
+    ((0, 1, 2), float(np.nextafter(1e-3, 1.0)), ("deterministic",)),
+])
+def test_monte_carlo_clause_compares_the_quad_cr_rerun(monkeypatch, counts, ks, failed):
+    # the rerun must give the first quad_cr run's counts and KS exactly
+    runs = []
+
+    def record(cfg, table=None):
+        runs.append(cfg.law)
+        rerun = runs.count("quad_cr") == 2
+        return SimpleNamespace(ks_distance=ks if rerun else 1e-3,
+                               counts=np.array(counts if rerun else (0, 1, 2)))
+
+    monkeypatch.setattr(verify.mc, "run_law", record)
+    [result] = verify._check_mc(True, None)
+    assert result.failed == failed
