@@ -5,9 +5,8 @@ quadrilateral law on [2, inf), the geodesic length laws with their dual
 branch, and the normalized Cauchy law, together with closed-form
 cumulative distributions built on the quadrilateral law's exact survival
 function, the quadrilateral median, and the quadrilateral inverse CDF
-as one Chebyshev series, which the torus length draw
-:func:`_length_draw` reads (the Monte Carlo samplers draw circle points
-instead).
+as one Chebyshev series, which :func:`sample_quad_cr_values` reads (the
+Monte Carlo samplers and the torus sampler draw circle points instead).
 Every Chebyshev series in the package, here and in modmap, is evaluated
 by one Clenshaw recurrence, :func:`_clenshaw`.  Every law evaluation,
 here and in modmap, takes scalars or arrays through one protocol,
@@ -93,54 +92,24 @@ def _elementwise(fn):
     return functools.wraps(fn)(lambda x: _apply(fn, x))
 
 
-class _Series:
-    """A fitted Chebyshev series as :func:`_clenshaw` reads it.
-
-    cheb is the series; off and scl its domain map t = off + scl x and
-    rc its coefficients from the top degree down, as Python floats for
-    the one-float route, read here once rather than on every evaluation.
-    The package's owners of series, :class:`QuadCrInverseCdf` and
-    ``modmap.CrMapTable``, are immutable and hold one per series.
-    """
-
-    __slots__ = ("cheb", "off", "scl", "rc")
-
-    def __init__(self, cheb: Chebyshev):
-        off, scl = cheb.mapparms()
-        self.cheb, self.off, self.scl = cheb, float(off), float(scl)
-        self.rc = cheb.coef[::-1].tolist()
-
-
-def _clenshaw(series: _Series, x):
+def _clenshaw(series: Chebyshev, x):
     """series(x), numpy's Clenshaw recurrence op for op.
 
     The domain map off + scl x to t, x2 = 2t, then per coefficient
     c0, c1 = c[-i] - c1, c0 + c1 x2, and c0 + c1 t last, as
-    ``Chebyshev.__call__`` does; so the values agree bit for bit.  The
-    route is chosen by type.  On one float (a numpy float64 included),
-    which gives a float, the recurrence runs over Python floats, whose
-    *, + and - round as the ufuncs do.  On an array of any shape and
-    size it runs in place: the new c1 alternates between two scratch
-    arrays and c0 overwrites its own, so a call allocates five arrays
-    the size of x, whatever the degree.  This is the package's one
-    series evaluator; the Chebyshev objects only hold fitted
-    coefficients.
+    ``Chebyshev.__call__`` does, reading ``mapparms()`` and ``coef`` on
+    each call; so the values agree bit for bit, in the shape of x (a
+    float gives a 0-d array).  The recurrence runs in place: the new c1
+    alternates between two scratch arrays and c0 overwrites its own, so
+    a call allocates five arrays the size of x, whatever the degree.
+    This is the package's one series evaluator.
     """
-    if isinstance(x, float):
-        rc = series.rc
-        t = float(x) * series.scl + series.off
-        if len(rc) == 1:
-            return t * 0.0 + rc[0]
-        c1, c0 = rc[0], rc[1]
-        x2 = t * 2.0
-        for ci in rc[2:]:
-            c0, c1 = ci - c1, c0 + c1 * x2
-        return c0 + c1 * t
-    c = series.cheb.coef
+    off, scl = series.mapparms()
+    c = series.coef
     shape = np.shape(x)
     t = np.array(x, dtype=float).reshape(-1)
-    t *= series.scl
-    t += series.off
+    t *= scl
+    t += off
     c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
     if len(c) > 2:
         x2 = t * 2.0
@@ -497,27 +466,14 @@ def _quad_law_rule() -> tuple[np.ndarray, np.ndarray]:
     return q, 0.5 * _Z_MAX * w * np.exp(z - np.expm1(z))
 
 
-def _clip(x, lo: float, hi: float):
-    """np.clip(x, lo, hi) for numbers lo <= hi, on one float by Python's
-    max and min.
-
-    Both pick the same double, a nan or -0.0 x included; on one float the
-    ufunc's call costs about ten times Python's.
-    """
-    return min(max(x, lo), hi) if isinstance(x, float) else np.clip(x, lo, hi)
-
-
 def _quantile_variable(u):
-    """z = log(1 - log(1 - u)) of u clamped to [0, _U_MAX], a float array
-    or one float.
+    """z = log(1 - log(1 - u)) of u clamped to [0, _U_MAX].
 
     The variable of every quantile series in the package, here and in
     modmap; it maps every double u < 1 into [0, _Z_MAX].  u = -0.0 gives
-    z = -0.0, which a domain map sends to the same point as z = 0.  On
-    one float it stays on numpy's scalar route, so :func:`_length_draw`
-    gets the bits the array route gives.
+    z = -0.0, which a domain map sends to the same point as z = 0.
     """
-    return np.log1p(-np.log1p(-_clip(u, 0.0, _U_MAX)))
+    return np.log1p(-np.log1p(-np.clip(u, 0.0, _U_MAX)))
 
 
 class QuadCrInverseCdf:
@@ -528,19 +484,18 @@ class QuadCrInverseCdf:
     method inverts the exact survival function, over the image of every
     double u < 1, so one expression covers the whole law.  Instances are
     immutable and shareable across threads; the module's one instance
-    serves :func:`_length_draw` and :func:`sample_quad_cr_values`.
+    serves :func:`sample_quad_cr_values`.
     """
 
     def __init__(self):
-        self._log_r = _Series(Chebyshev.interpolate(_log_quantile, _INVERSE_DEGREE,
-                                                    domain=[0.0, _Z_MAX]))
+        self._log_r = Chebyshev.interpolate(_log_quantile, _INVERSE_DEGREE, domain=[0.0, _Z_MAX])
 
     def __call__(self, u):
         return _apply(self._quantile, u)
 
     def _quantile(self, u):
-        """The quantile at u, a float array or one float, u clamped to [0, _U_MAX]."""
-        return _clip(np.exp(_clenshaw(self._log_r, _quantile_variable(u))), 2.0, math.inf)
+        """The quantile at u, u clamped to [0, _U_MAX]."""
+        return np.clip(np.exp(_clenshaw(self._log_r, _quantile_variable(u))), 2.0, math.inf)
 
 
 _INVERSE = QuadCrInverseCdf()
@@ -549,19 +504,3 @@ _INVERSE = QuadCrInverseCdf()
 def sample_quad_cr_values(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n values from the quadrilateral law by inverse-CDF sampling."""
     return _INVERSE(rng.uniform(size=n))
-
-
-def _length_draw(v: float) -> float:
-    """One draw from the full-line length density X at the uniform v.
-
-    A fair coin picks the branch; each branch is the image of the
-    quadrilateral law under its half-angle substitution: v < 1/2 gives
-    the short length at the quantile of 1 - 2v, v >= 1/2 the dual one at
-    that of 2v - 1.  Only the drawn branch is evaluated, on one double,
-    through numpy's ufuncs, which round there as their array loops do
-    (``math``'s log1p, exp, atanh and acosh do not); so the value is the
-    one both branches evaluated as arrays give, bit for bit.
-    """
-    if v < 0.5:
-        return float(_short_length(_INVERSE._quantile(1.0 - 2.0 * v)))
-    return float(_dual_length(_INVERSE._quantile(2.0 * v - 1.0)))

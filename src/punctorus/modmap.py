@@ -31,8 +31,7 @@ from numpy.polynomial.chebyshev import chebpts2
 
 from .tabular import csv_text
 from .closedform import (_Z_MAX, _apply, _clenshaw, _log_quantile, _quad_law_expression,
-                         _quad_law_rule, _quantile_variable, _Series, quad_cr_cdf,
-                         quad_cr_median)
+                         _quad_law_rule, _quantile_variable, quad_cr_cdf, quad_cr_median)
 
 __all__ = [
     "CrMapTable",
@@ -130,17 +129,17 @@ class CrMapTable:
         self.cr_max = crs[-1].item()
         self.c_hat = 0.5 * _PI * math.sqrt(self.cr_max) - self.m_max
 
-        deficit = Chebyshev.fit(1.0 / ms, 0.5 * _PI * np.sqrt(crs) - ms,
-                                len(ms) - 1, domain=[0.0, 1.0])
-        self._deficit = _Series(deficit)
-        self._deficit_d1 = _Series(deficit.deriv())
+        self._deficit = Chebyshev.fit(1.0 / ms, 0.5 * _PI * np.sqrt(crs) - ms,
+                                      len(ms) - 1, domain=[0.0, 1.0])
+        self._deficit_d1 = self._deficit.deriv()
 
         # y'' = s^4 g''(s) + 2 s^3 g'(s), at s = 1
-        y0, dy0 = self._y(1.0), self._dy(1.0)
-        d2y0 = _clenshaw(_Series(deficit.deriv(2)), 1.0) + 2.0 * _clenshaw(self._deficit_d1, 1.0)
+        y0, dy0 = self._y(1.0).item(), self._dy(1.0).item()
+        d2y0 = (_clenshaw(self._deficit.deriv(2), 1.0)
+                + 2.0 * _clenshaw(self._deficit_d1, 1.0)).item()
         a = 8.0 * y0 * dy0 / _PI2
         self.a_estimate = a
-        self.curvature_gap = float(abs(8.0 * (dy0**2 + y0 * d2y0) / _PI2 - (a * a - a)))
+        self.curvature_gap = abs(8.0 * (dy0**2 + y0 * d2y0) / _PI2 - (a * a - a))
 
         t_hi = 2.0 / (_PI * math.sqrt(crs[0]))
         ts = _chebpts(0.0, t_hi, _INVERSE_POINTS)
@@ -149,11 +148,11 @@ class CrMapTable:
             s = ts / (1.0 - ts * k)
             k -= ((k - _clenshaw(self._deficit, s))
                   / (1.0 - s * s * _clenshaw(self._deficit_d1, s)))
-        self._excess = _Series(Chebyshev.fit(ts, k, _INVERSE_POINTS - 1, domain=[0.0, t_hi]))
+        self._excess = Chebyshev.fit(ts, k, _INVERSE_POINTS - 1, domain=[0.0, t_hi])
 
-        self._log_modulus = _Series(Chebyshev.interpolate(
+        self._log_modulus = Chebyshev.interpolate(
             lambda z: np.log(self._modulus(np.maximum(np.exp(_log_quantile(z)), 2.0))),
-            _LOG_MODULUS_DEGREE, domain=[0.0, _Z_MAX]))
+            _LOG_MODULUS_DEGREE, domain=[0.0, _Z_MAX])
 
     def _y(self, m):
         """y = (pi/2) sqrt(CR(m)) at moduli m >= 1."""

@@ -3,11 +3,12 @@
 Builds the two-generator Moebius groups whose quotient is a punctured
 torus: the rectangular pair with tangent isometric circles, the twisted
 pair at general twist parameters, commutators, the length/angle
-closure relation, and a sampler for random tori driven by the geodesic
-length law.  The identities are built from plain complex entries: a
-commutator constructs only the ``MoebiusMap`` it returns, and the
-tangency vertices read the isometric circles' centres from the pair's
-raw entries and their radii from the pair, building no record.
+closure relation, and a sampler for random tori whose two lengths are
+drawn from circle points, as the Monte Carlo length law draws them.
+The identities are built from plain complex entries: a commutator
+constructs only the ``MoebiusMap`` it returns, and the tangency
+vertices read the isometric circles' centres from the pair's raw
+entries and their radii from the pair, building no record.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closedform import _length_draw
+from .closedform import _dual_length, _short_length
 from .hypgeom import MoebiusMap
 
 __all__ = [
@@ -216,20 +217,41 @@ def angle_relation(ell1: float, ell2: float) -> AngleRelation:
     return AngleRelation(theta=theta, quad_cr=quad_cr)
 
 
+def _circle_length(t: list[float], coin: float) -> float:
+    """The short length of the canonical cross ratio Q of three circle
+    points with half-angle tangents t if coin < 1/2, else the dual one;
+    nan at a zero gap, where Q is infinite, which fails the closure test.
+
+    Q = 1 + max(g1, g2)/min(g1, g2) over the sorted tangents' gaps, as
+    ``mc._canonical_cross_ratio`` takes it, in Python floats, which
+    round as the ufuncs do.
+    """
+    t1, t2, t3 = sorted(t)
+    lo, hi = sorted((t2 - t1, t3 - t2))
+    if lo == 0.0:
+        return math.nan
+    q = 1.0 + hi / lo
+    return float(_short_length(q) if coin < 0.5 else _dual_length(q))
+
+
 def sample_torus(rng_seed) -> TorusSample:
     """Draw one random punctured torus.
 
-    Both lengths come from the geodesic length law by inverse-CDF
-    sampling; pairs that violate the closure inequality
-    sinh(x/2) sinh(y/2) >= 1 are redrawn together, so the accepted pair
-    is i.i.d.-from-the-law conditioned on describing an actual torus.
-    Each attempt reads ``rng.uniform(size=2)`` and draws each length from
-    its uniform on one double, the value the same uniform gives among
-    many drawn as arrays, bit for bit.
+    Both lengths come from the geodesic length law; pairs that violate
+    the closure inequality sinh(x/2) sinh(y/2) >= 1 are redrawn
+    together, as is a pair with a zero gap, so the accepted pair is
+    i.i.d.-from-the-law conditioned on describing an actual torus.  Each
+    attempt reads ``rng.random((2, 4))``, a row per length: three
+    uniforms U give circle points with half-angle tangents tan(U pi), as
+    ``mc._half_angle_tangents`` takes them, and the fourth is the coin
+    of :func:`_circle_length`, so each length has the bits of the Monte
+    Carlo construction on the same row.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     while True:
-        x, y = map(_length_draw, rng.uniform(size=2).tolist())
+        u = rng.random((2, 4))
+        t = u[:, :3] * math.pi
+        x, y = map(_circle_length, np.tan(t, out=t).tolist(), u[:, 3].tolist())
         prod = math.sinh(0.5 * x) * math.sinh(0.5 * y)
         if prod >= 1.0:
             theta = math.asin(min(1.0 / prod, 1.0))

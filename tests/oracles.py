@@ -23,8 +23,8 @@ def sample_length_values(n: int, rng: np.random.Generator) -> np.ndarray:
     A fair coin picks the branch: u < 1/2 gives the short length at the
     quantile of 1 - 2u, u >= 1/2 the dual one at that of 2u - 1.  All n
     draws read ``rng.uniform(size=n)`` and go through both branches as
-    arrays; ``closedform._length_draw`` must give the same value at one
-    uniform bit for bit.
+    arrays.  An inverse-CDF route, independent of the circle draws that
+    ``torusgroup.sample_torus`` and the Monte Carlo samplers read.
     """
     u = rng.uniform(size=n)
     short = u < 0.5

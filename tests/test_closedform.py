@@ -483,8 +483,8 @@ class TestInverseCdf:
         np.testing.assert_allclose(closedform._quad_sf(r), 1.0 - u, rtol=1e-10)
 
     def test_one_float_equals_the_array_path(self):
-        # the one-float length draw calls the quantile on one float; at
-        # the edge uniforms it gives the array path's bits,
+        # the quantile on one float, a Python or a numpy one, gives a
+        # float with the array path's bits at the edge uniforms,
         # u = -0.0 (whose z = -0.0 maps to the same t as z = 0) included
         edges = [-0.0, 0.0, 2.0**-60, 1e-300, 0.5 - 2.0**-53, 0.5, 1.0 - 2.0**-53,
                  1.0, 2.0, -1.0, math.nan]
@@ -518,6 +518,22 @@ class TestInverseCdf:
         d = np.max(np.abs(f - (np.arange(1, n + 1) - 0.5) / n))
         assert d < 0.01
 
+    def test_short_branch_pushforward_is_quad_law(self):
+        # the sampling mechanism: on the short branch the squared
+        # coth of the half-length has exactly the quadrilateral law
+        x = sample_length_values(1 << 18, np.random.default_rng(31))
+        short = x[x <= LENGTH_THRESHOLD]
+        q = np.sort(1.0 / np.tanh(0.5 * short) ** 2)
+        f = np.asarray(quad_cr_cdf(np.maximum(q, 2.0)))
+        n = len(q)
+        d = np.max(np.abs(f - (np.arange(1, n + 1) - 0.5) / n))
+        assert d < 0.005
+
+    def test_short_branch_median(self):
+        x = sample_length_values(1 << 18, np.random.default_rng(32))
+        short = x[x <= LENGTH_THRESHOLD]
+        assert np.median(short) == pytest.approx(0.99929, abs=0.01)
+
 
 def _bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.int64)
@@ -538,7 +554,7 @@ class TestClenshaw:
 
     def assert_same(self, series, xs) -> None:
         for x in xs:
-            want, got = series(x), closedform._clenshaw(closedform._Series(series), x)
+            want, got = series(x), closedform._clenshaw(series, x)
             assert np.shape(got) == np.shape(want)
             np.testing.assert_array_equal(_bits(got), _bits(want))
 
@@ -554,8 +570,7 @@ class TestClenshaw:
 
     def test_the_package_series(self, cr_table):
         rng = np.random.default_rng(31)
-        series = [closedform._INVERSE._log_r.cheb, cr_table._deficit.cheb,
-                  cr_table._deficit_d1.cheb, cr_table._deficit.cheb.deriv(2),
-                  cr_table._excess.cheb, cr_table._log_modulus.cheb]
+        series = [closedform._INVERSE._log_r, cr_table._deficit, cr_table._deficit_d1,
+                  cr_table._deficit.deriv(2), cr_table._excess, cr_table._log_modulus]
         for s in series:
             self.assert_same(s, self.points(*s.domain, rng))

@@ -219,16 +219,6 @@ class TestLengthDictionary:
         np.testing.assert_allclose(np.sinh(short / 2) * np.sinh(long / 2), 1.0,
                                    rtol=1e-12)
 
-    def test_two_lengths_equal_the_array_path(self):
-        # sample_torus draws each length from its uniform on one double;
-        # it equals the same uniform's length drawn among many as arrays
-        u = np.random.default_rng(41).uniform(size=2000)
-        u[:9] = 0.0, 0.5, 0.5 - 2.0**-53, 1.0 - 2.0**-53, 2.0**-60, 0.25, 0.75, 1e-300, -0.0
-        many = sample_length_values(len(u), _FixedUniform(u))
-        one = [closedform._length_draw(v) for v in u.tolist()]
-        assert all(type(x) is float for x in one)
-        np.testing.assert_array_equal(np.array(one).view(np.int64), many.view(np.int64))
-
     @pytest.mark.parametrize("seed, chunk, count", [(7, 0, 1 << 14), (523, 3, 1 << 14),
                                                     (11, 1, 1001)])
     def test_length_sampler_reads_the_quad_cr_draws(self, seed, chunk, count):

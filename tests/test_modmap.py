@@ -38,6 +38,10 @@ class TestTableConstruction:
         np.testing.assert_array_equal(back.crs, cr_table.crs)
         assert back.a_estimate == cr_table.a_estimate
         assert back.c_hat == cr_table.c_hat
+        assert back.curvature_gap == cr_table.curvature_gap
+        for table in (back, cr_table):
+            for value in (table.a_estimate, table.curvature_gap, table.c_hat):
+                assert type(value) is float
 
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -299,7 +303,7 @@ class TestForwardMap:
         relative of pi^2 / 12.
         """
         assert cr_table._y(1e8) - 1e8 == pytest.approx(math.log(16.0) / math.pi, abs=1e-6)
-        assert cr_table._deficit_d1.cheb(0.0) == pytest.approx(math.pi**2 / 12.0, rel=1e-4)
+        assert cr_table._deficit_d1(0.0) == pytest.approx(math.pi**2 / 12.0, rel=1e-4)
 
     def test_asymptotic_continuation_is_continuous(self, cr_table):
         below = cr_of_modulus(cr_table.m_max - 1e-9, cr_table)

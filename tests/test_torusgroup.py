@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from oracles import (apply, circles, commutator_by_records, compose, inverse, isometric_circle,
-                     normalized, sample_length_values, tangency_vertices_by_circles)
-from punctorus.closedform import LENGTH_THRESHOLD, quad_cr_cdf
-from punctorus import torusgroup
+                     normalized, tangency_vertices_by_circles)
+from punctorus.closedform import _dual_length, _short_length
+from punctorus import mc, torusgroup
 from punctorus.hypgeom import MoebiusMap, cross_ratio
 from punctorus.torusgroup import (
     angle_relation,
@@ -543,46 +543,69 @@ class TestSampleTorus:
             assert closure == pytest.approx(1.0, rel=1e-12)
 
     def test_equals_the_array_path(self):
-        # sample_torus draws each pair of lengths one at a time on
-        # doubles; the same pairs, read from a twin generator and pushed
-        # through the array path, give the same tori bit for bit, and
-        # leave the twin where the sampler left its generator
-        rng, twin = np.random.default_rng(2113), np.random.default_rng(2113)
-        got, want = [], []
+        # sample_torus takes each attempt's two lengths from one
+        # random((2, 4)) on Python floats; the same rows, read from a twin
+        # generator in one draw and pushed through mc's construction as
+        # arrays (half-angle tangents in place, the canonical cross ratio
+        # of their sorted gaps, the length dictionary), give the same
+        # tori bit for bit, and sample_torus reads 8 doubles per attempt
+        rng = np.random.default_rng(2113)
+        got = []
         for _ in range(2000):
             s = sample_torus(rng)
             got.append((s.x_sigma, s.y_sigma, s.theta))
             assert all(type(v) is float for v in got[-1])
-            while True:
-                x, y = sample_length_values(2, twin).tolist()
-                prod = math.sinh(0.5 * x) * math.sinh(0.5 * y)
-                if prod >= 1.0:
-                    want.append((x, y, math.asin(min(1.0 / prod, 1.0))))
+        u = np.random.default_rng(2113).random((8000, 2, 4))
+        t = np.ascontiguousarray(u[..., :3].reshape(-1, 3).T)
+        t *= math.pi
+        q = mc._canonical_cross_ratio(np.tan(t, out=t))
+        coin = u[..., 3].reshape(-1)
+        lengths = np.where(coin < 0.5, _short_length(q), _dual_length(q)).reshape(-1, 2)
+        want, attempts = [], 0
+        for (x, y), (qx, qy) in zip(lengths.tolist(), q.reshape(-1, 2).tolist()):
+            attempts += 1
+            if math.isinf(qx) or math.isinf(qy):
+                continue
+            prod = math.sinh(0.5 * x) * math.sinh(0.5 * y)
+            if prod >= 1.0:
+                want.append((x, y, math.asin(min(1.0 / prod, 1.0))))
+                if len(want) == len(got):
                     break
         np.testing.assert_array_equal(np.array(got).view(np.int64),
                                       np.array(want).view(np.int64))
-        assert rng.uniform() == twin.uniform()
+        assert rng.random() == np.random.default_rng(2113).random(8 * attempts + 1)[-1]
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_zero_gap_is_redrawn(self, row):
+        # a repeated angle makes one gap 0 and Q infinite: the attempt is
+        # redrawn, and the torus is the second attempt's
+        first = np.array([[0.25, 0.6, 0.9, 0.3], [0.1, 0.45, 0.8, 0.7]])
+        first[row, 1] = first[row, 0]
+        second = np.array([[0.05, 0.35, 0.85, 0.9], [0.2, 0.55, 0.7, 0.6]])
+        stub = _Rows([first, second])
+        s = sample_torus(stub)
+        assert stub.rows == []
+        t = second[:, :3].T * math.pi
+        x, y = _dual_length(mc._canonical_cross_ratio(np.tan(t))).tolist()
+        assert (s.x_sigma, s.y_sigma) == (x, y)
+        assert s.theta == math.asin(min(1.0 / (math.sinh(0.5 * x) * math.sinh(0.5 * y)), 1.0))
 
     def test_deterministic_under_seed(self):
         a = sample_torus(77)
         b = sample_torus(77)
         assert (a.x_sigma, a.y_sigma, a.theta) == (b.x_sigma, b.y_sigma, b.theta)
 
-    def test_short_branch_pushforward_is_quad_law(self):
-        # the sampling mechanism: on the short branch the squared
-        # coth of the half-length has exactly the quadrilateral law
-        x = sample_length_values(1 << 18, np.random.default_rng(31))
-        short = x[x <= LENGTH_THRESHOLD]
-        q = np.sort(1.0 / np.tanh(0.5 * short) ** 2)
-        f = np.asarray(quad_cr_cdf(np.maximum(q, 2.0)))
-        n = len(q)
-        d = np.max(np.abs(f - (np.arange(1, n + 1) - 0.5) / n))
-        assert d < 0.005
 
-    def test_short_branch_median(self):
-        x = sample_length_values(1 << 18, np.random.default_rng(32))
-        short = x[x <= LENGTH_THRESHOLD]
-        assert np.median(short) == pytest.approx(0.99929, abs=0.01)
+class _Rows(np.random.Generator):
+    """A generator whose random((2, 4)) returns the given arrays in turn."""
+
+    def __init__(self, rows):
+        super().__init__(np.random.PCG64(0))
+        self.rows = list(rows)
+
+    def random(self, size):
+        assert size == (2, 4)
+        return self.rows.pop(0)
 
 
 @pytest.mark.parametrize("call, name", [
