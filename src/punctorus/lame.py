@@ -17,8 +17,8 @@ then builds the sixth-order Magnus step matrices of both legs at once
 (Iserles, Munthe-Kaas, Norsett and Zanna, "Lie-group methods", Acta
 Numerica 2000; the three-point scheme of Blanes, Casas, Oteo and Ros,
 Phys. Rep. 470, 2009) and takes their prefix products as a blocked
-parallel scan, every 2x2 product a few elementwise ufunc calls over
-the stacked legs.  The work per integration is fixed by the grid.
+parallel scan, each stage of 2x2 products one einsum call over the
+stacked legs.  The work per integration is fixed by the grid.
 """
 from __future__ import annotations
 
@@ -63,9 +63,10 @@ def _check_tau(tau: float) -> None:
 # runs over _NB blocks of _BLOCK steps: _BLOCK - 1 sequential products
 # inside all blocks at once, then log2(_NB) doubling rounds across them.
 # Short blocks keep the sequential part short and long ones the doubling
-# part: a whole trial (both legs, tau = 0.5) took a median 0.51, 0.48,
-# 0.48, 0.54 and 0.71 ms at _BLOCK = 2, 4, 8, 16 and 32 (2-core Xeon,
-# numpy 2.4).
+# part; each stage is one einsum call, so the call count sets the cost.
+# A whole trial (both legs, tau = 0.5) took a median 0.18, 0.16, 0.16 and
+# 0.19 ms at _BLOCK = 2, 4, 8 and 16 (2-core Xeon, numpy 2.4).  Another
+# block size changes the association of the products, and so the bits.
 _N = 1024
 _BLOCK = 4
 _NB = _N // _BLOCK
@@ -206,11 +207,14 @@ class _Legs:
     and sign V at the middle points.  Each is a (leg, _BLOCK, _NB)
     array holding step b _BLOCK + j of a leg at [leg, j, b], so one
     trial builds the steps of both legs at once and each step of a
-    block is one contiguous slice.  A trial writes everything else into
-    the scratch, so it allocates no array of a leg's length: when it
-    did, glibc could return and map afresh tens of pages per trial,
-    depending on how its allocation thresholds had moved before.  Every
-    solve makes its own, so concurrent solves share nothing.
+    block is one contiguous slice.  A trial writes every array it
+    computes into the scratch: when it allocated them, glibc could
+    return and map afresh tens of pages per trial, depending on how its
+    allocation thresholds had moved before.  What a trial still
+    allocates is a few arrays of at most eight numbers and numpy's
+    iteration buffers, each freed by the call that made it; the largest
+    is the node product's einsum buffer of 8192 numbers.  Every solve
+    makes its own scratch, so concurrent solves share nothing.
     """
 
     def __init__(self, tau: float):
@@ -220,7 +224,6 @@ class _Legs:
                                       np.stack(_leg_potentials(tau, _GAUSS)),
                                       self.signs[:, 0])
         self.work = np.empty((5, 2, _BLOCK, _NB))
-        self.grow = np.empty((2, _BLOCK, _NB), dtype=bool)
         self.steps = np.empty((2, 2, 2, _BLOCK, _NB))
         self.starts = np.empty((2, 2, 2, _NB))
         self.nodes = np.empty((2, 2, 2, _BLOCK, _NB))
@@ -249,18 +252,6 @@ class _Legs:
         return by_step.reshape(6, 2, _NB, _BLOCK).transpose(0, 1, 3, 2).copy()
 
 
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-             t0: np.ndarray, t1: np.ndarray) -> None:
-    """out = a b for stacks of 2x2 matrices laid out (leg, row, col, ...).
-
-    t0 and t1 are scratch shaped like out.  Both are written before out,
-    so out may be a or b as long as neither scratch overlaps them.
-    """
-    np.multiply(a[:, :, 0, None], b[:, None, 0], out=t0)
-    np.multiply(a[:, :, 1, None], b[:, None, 1], out=t1)
-    np.add(t0, t1, out=out)
-
-
 def _magnus_legs(legs: _Legs, lambda_acc: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transfer y'' = q(t) y for the (c, s) columns over both legs of legs.
 
@@ -274,7 +265,11 @@ def _magnus_legs(legs: _Legs, lambda_acc: float) -> tuple[np.ndarray, np.ndarray
     their applications", 1990): _BLOCK - 1 sequential products inside
     all blocks at once, an exclusive doubling scan over the _NB block
     products (Hillis and Steele, "Data parallel algorithms", CACM 1986),
-    and one product of each block's prefixes with its start.
+    and one product of each block's prefixes with its start.  Each is
+    one einsum over the stacked legs.  An einsum's output must not
+    overlap its operands, so the block prefixes go into the nodes'
+    buffer, each doubling round into the other of two buffers, and the
+    nodes into the steps' buffer.
 
     Returns (endpoints, census, drift), indexed by leg: the far node
     [[c, s], [c', s']], the count of sign changes of each of its entries
@@ -292,44 +287,53 @@ def _magnus_legs(legs: _Legs, lambda_acc: float) -> tuple[np.ndarray, np.ndarray
     np.multiply(e, f, out=delta)
     delta += np.multiply(d, d, out=r)
     np.sqrt(np.abs(delta, out=r), out=r)
-    grow = np.greater(delta, 0.0, out=legs.grow)
-    shrink = ~grow
+    # the census's buffer holds the step build's masks
+    masks = legs.negative.reshape(4, 2, _BLOCK, _NB)
+    grow = np.greater(delta, 0.0, out=masks[0])
+    shrink = np.logical_not(grow, out=masks[1])
     S = delta  # Delta's buffer, free once its signs are read
     np.cosh(r, out=C, where=grow)
     np.cos(r, out=C, where=shrink)
     np.sinh(r, out=S, where=grow)
     np.sin(r, out=S, where=shrink)
-    np.divide(S, r, out=S, where=r > 0.0)
-    np.copyto(S, 1.0, where=r == 0.0)
+    np.divide(S, r, out=S, where=np.greater(r, 0.0, out=masks[2]))
+    np.copyto(S, 1.0, where=np.equal(r, 0.0, out=masks[3]))
     step, start, nodes = legs.steps, legs.starts, legs.nodes
     d *= S
     np.add(C, d, out=step[:, 0, 0])
     np.subtract(C, d, out=step[:, 1, 1])
     np.multiply(S, e, out=step[:, 0, 1])
     np.multiply(S, f, out=step[:, 1, 0])
-    # the work buffers are scratch for the products from here on
-    spare = legs.work.reshape(-1)
-    t0, t1 = spare[:2 * start.size].reshape(2, *start.shape)
-    # step[..., j, b] becomes the product of steps 0..j of block b ...
+    # nodes[..., j, b] becomes the product of steps 0..j of block b ...
+    nodes[..., 0, :] = step[..., 0, :]
     for j in range(1, _BLOCK):
-        _product(step[..., j, :], step[..., j - 1, :], step[..., j, :], t0, t1)
-    # ... start[..., b] that of blocks 0..b-1, doubling the span per round ...
+        np.einsum("lijm,ljkm->likm", step[..., j, :], nodes[..., j - 1, :],
+                  out=nodes[..., j, :])
+    # ... start[..., b] that of blocks 0..b-1, doubling the span per round
+    # and passing it between start and the free work buffers ...
     start[..., 0] = _EYE
-    start[..., 1:] = step[..., -1, :-1]
+    start[..., 1:] = nodes[..., -1, :-1]
+    spare = legs.work.reshape(-1)[:start.size].reshape(start.shape)
     span = 1
     while span < _NB:
-        _product(start[..., span:], start[..., :-span], start[..., span:],
-                 t0[..., span:], t1[..., span:])
+        spare[..., :span] = start[..., :span]
+        np.einsum("lijm,ljkm->likm", start[..., span:], start[..., :-span],
+                  out=spare[..., span:])
+        start, spare = spare, start
         span *= 2
-    # ... and every node is the product of the two
-    _product(step, start[..., None, :], nodes, nodes, spare[:nodes.size].reshape(nodes.shape))
-    # sign changes between consecutive nodes: inside each block, across
-    # each block edge, and off node 0 = I into the spare last slot
-    signs = step
-    np.multiply(nodes[..., :-1, :], nodes[..., 1:, :], out=signs[..., :-1, :])
+    # ... and every node is the product of the two, into the steps' buffer
+    np.einsum("lijbm,ljkm->likbm", nodes, start, out=step)
+    nodes, signs = step, nodes
+    # sign changes between consecutive nodes: inside each block, in one
+    # pass over the flat buffers (its products at j = _BLOCK - 1 pair one
+    # entry's last row with the next entry's first), then across each
+    # block edge over those slots, and off node 0 = I into the last slot
+    np.multiply(nodes.reshape(-1)[:-_NB], nodes.reshape(-1)[_NB:],
+                out=signs.reshape(-1)[:-_NB])
     np.multiply(nodes[..., -1, :-1], nodes[..., 0, 1:], out=signs[..., -1, :-1])
     np.multiply(_EYE, nodes[..., 0, 0], out=signs[..., -1, -1])
-    census = np.count_nonzero(np.less(signs, 0.0, out=legs.negative), axis=(3, 4))
+    negative = np.less(signs, 0.0, out=legs.negative).reshape(8, _N)
+    census = np.array([np.count_nonzero(entry) for entry in negative]).reshape(2, 2, 2)
     end = nodes[..., -1, -1].copy()
     drift = np.abs(end[:, 0, 0] * end[:, 1, 1] - end[:, 1, 0] * end[:, 0, 1] - 1.0)
     return end, census, drift

@@ -8,12 +8,14 @@ import math
 import re
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from oracles import magnus_legs_by_ufuncs
 from punctorus import lame
 from punctorus.lame import (
     TAU_MAX,
@@ -277,6 +279,47 @@ class TestTwoLegIntegration:
             with pytest.raises(BracketError, match=re.escape(
                     f"overflowed on a leg of length {(1.0, tau)[leg]}")):
                 integrate_lame(tau, lam)
+
+    def test_scan_keeps_every_bit_of_the_ufunc_scan(self):
+        # one einsum per stage of products keeps each product's
+        # association order, so endpoints, census and drift are those of
+        # the three-ufunc scan it replaced; int64 views tell -0.0 from
+        # 0.0 and one nan from another.  The last four pairs overflow
+        # (the first two) or oscillate.
+        grid = (-3.0, -2.0, -1.0, -0.5, -0.2, 0.0, 0.2, 0.5, 1.0, 2.0)
+        cases = [(tau, grid) for tau in np.geomspace(TAU_MIN, TAU_MAX, 13).tolist()]
+        cases += [(0.02, (1e6,)), (50.0, (-1e4, 1e4)), (1.0, (-15.0,))]
+        for tau, lams in cases:
+            legs = lame._Legs(tau)
+            for lam in lams:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    end, census, drift = lame._magnus_legs(legs, lam)
+                    want_end, want_census, want_drift = magnus_legs_by_ufuncs(legs, lam)
+                assert end.view(np.int64).tolist() == want_end.view(np.int64).tolist(), (tau, lam)
+                assert census.dtype == want_census.dtype
+                assert census.tolist() == want_census.tolist(), (tau, lam)
+                assert drift.view(np.int64).tolist() == want_drift.view(np.int64).tolist(), (tau, lam)
+
+    def test_trial_allocates_only_iteration_buffers(self):
+        # A trial writes its arrays into the scratch of _Legs.  Its peak
+        # measured 69,866 bytes (numpy 2.4): the node product's einsum
+        # iterates through a buffer of 8192 numbers (65,536 bytes), the
+        # rest is smaller buffers and arrays of at most eight numbers.
+        # The bound leaves about a third.  The ufunc scan peaked at
+        # 153,864 bytes in its strided sign products, and its census,
+        # counted along two axes at once, took 66 kB on its own.
+        legs = lame._Legs(0.5)
+        lame._magnus_legs(legs, -0.3)
+        tracemalloc.start()
+        try:
+            peaks = []
+            for lam in (-0.3, 0.3, -15.0):
+                tracemalloc.reset_peak()
+                lame._magnus_legs(legs, lam)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) <= 96_000, peaks
 
     def test_square_legs_swap_under_lambda_reflection(self):
         # wp(iz) = -wp(z) on the square lattice, so the imaginary leg's
