@@ -12,19 +12,21 @@ Everything is real arithmetic on the two legs (the potential is real on
 both axes), with series and quotients arranged so no intermediate ever
 overflows over the supported range tau in [0.005, 50].  The potential
 is evaluated once per tau, as arrays at the three Gauss points of
-every step of a fixed 1024-step grid on each leg; every lambda trial
-then builds the sixth-order Magnus step matrices of both legs at once
+every step of a grid of 256, 512 or 1024 steps on each leg, sized by
+the nome scale max(tau, 1/tau) (see _grid); every lambda trial then
+builds the sixth-order Magnus step matrices of both legs at once
 (Iserles, Munthe-Kaas, Norsett and Zanna, "Lie-group methods", Acta
 Numerica 2000; the three-point scheme of Blanes, Casas, Oteo and Ros,
 Phys. Rep. 470, 2009) and takes their prefix products as a blocked
 parallel scan, each stage of 2x2 products one einsum call over the
-stacked legs.  The work per integration is fixed by the grid.
+stacked legs.  The work per integration is fixed by tau's grid.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,25 +59,77 @@ def _check_tau(tau: float) -> None:
 
 
 # Steps per leg.  The nodes t_k = L sin(pi k / 2N) crowd toward the far
-# end of the leg, where the potential grows fastest.  At N = 1024 the
-# sixth-order endpoint data agree with the same scheme on 16384 steps to
-# about 1e-13 over the supported tau range.  A trial's prefix product
-# runs over _NB blocks of _BLOCK steps: _BLOCK - 1 sequential products
-# inside all blocks at once, then log2(_NB) doubling rounds across them.
-# Short blocks keep the sequential part short and long ones the doubling
+# end of the leg, where the potential grows fastest.  The sixth-order
+# error of the endpoint data depends on sqrt(M)/N alone, M = max(tau,
+# 1/tau): (M, N) = (50, 256) and (200, 512) both read 1.8e-11 in the
+# cross ratio, (50, 512) and (200, 1024) 2.7e-13 and 3.0e-13.  So tau
+# gets N = 128 sqrt(M) rounded up to a power of two, within [256, 1024]
+# (see _grid), which keeps sqrt(M)/N at or below its value at M = 64 on
+# 1024 steps; tau and 1/tau share M, and so their grid.  Against the
+# same scheme on 16384 steps, seeded at each root, the cross ratio is
+# off by at most 4.3e-13 relative over 41 tau in [0.005, 5.3], at
+# tau = 0.33, where the 1024-step grid reads the same; it reads 2.9e-13
+# at TAU_MIN.  A trial's prefix product runs over N / _BLOCK blocks of
+# _BLOCK steps: _BLOCK - 1 sequential products inside all blocks at
+# once, then log2(N / _BLOCK) doubling rounds across them.  Short
+# blocks keep the sequential part short and long ones the doubling
 # part; each stage is one einsum call, so the call count sets the cost.
-# A whole trial (both legs, tau = 0.5) took a median 0.18, 0.16, 0.16 and
-# 0.19 ms at _BLOCK = 2, 4, 8 and 16 (2-core Xeon, numpy 2.4).  Another
-# block size changes the association of the products, and so the bits.
-_N = 1024
+# A whole trial (both legs, tau = 0.5, 1024 steps) took a median 0.18,
+# 0.16, 0.16 and 0.19 ms at _BLOCK = 2, 4, 8 and 16 (2-core Xeon,
+# numpy 2.4).  Another block size changes the association of the
+# products, and so the bits.
 _BLOCK = 4
-_NB = _N // _BLOCK
 _EYE = np.eye(2)
-_NODES = np.sin(np.linspace(0.0, _PI / 2.0, _N + 1))
-_STEPS = np.diff(_NODES)
-# the three Gauss points of every step, as fractions of the leg
-_GAUSS = (_NODES[:-1, None]
-          + _STEPS[:, None] * (0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0))
+# The potential's series never keep more than these frequencies (the
+# 1e-18 cut of _theta_terms keeps the most terms at M = 1).
+_SINE_FREQUENCIES = np.arange(1, 8, 2)
+_COSINE_FREQUENCIES = np.arange(2, 7, 2)
+
+
+class _Points(NamedTuple):
+    """Fractions s of a leg as the potential reads them: u = (pi/2) s,
+    flattened, the rows sin((2n+1) u) for n = 0..3 and cos(2n u) for
+    n = 1..3, none of which depends on tau, and the shape of s."""
+
+    shape: tuple[int, ...]
+    u: np.ndarray
+    sines: np.ndarray
+    cosines: np.ndarray
+
+
+def _points(s) -> _Points:
+    u = _PI / 2.0 * np.ravel(s)
+    return _Points(np.shape(s), u, np.sin(_SINE_FREQUENCIES[:, None] * u),
+                   np.cos(_COSINE_FREQUENCIES[:, None] * u))
+
+
+class _Grid(NamedTuple):
+    """One grid of sin-graded steps, as fractions of a leg: its nodes,
+    its steps and the potential's points at the three Gauss points of
+    every step."""
+
+    nodes: np.ndarray
+    steps: np.ndarray
+    gauss: _Points
+
+
+def _make_grid(n: int) -> _Grid:
+    nodes = np.sin(np.linspace(0.0, _PI / 2.0, n + 1))
+    steps = np.diff(nodes)
+    gauss = (nodes[:-1, None]
+             + steps[:, None] * (0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0))
+    return _Grid(nodes, steps, _points(gauss))
+
+
+_GRIDS = {n: _make_grid(n) for n in (256, 512, 1024)}
+
+
+def _grid(tau: float) -> _Grid:
+    """The grid of tau: 128 sqrt(M) steps, M = max(tau, 1/tau), rounded
+    up to a power of two within [256, 1024]."""
+    M = tau if tau >= 1.0 else 1.0 / tau
+    return _GRIDS[256 if M <= 4.0 else 512 if M <= 16.0 else 1024]
+
 
 # Secant steps a seeded solve may take before it falls back to the node
 # search, and steps the polish of the search's bracket may take.
@@ -137,8 +191,9 @@ def _theta_terms(logq: float) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray]
             (K3[t3], 2 * n[t3], np.full(np.count_nonzero(t3), 2.0)))
 
 
-def _leg_potentials(tau: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The potential at the fractions s of the two half-period legs.
+def _leg_potentials(tau: float, points: _Points) -> tuple[np.ndarray, np.ndarray]:
+    """The potential at the fractions of the two half-period legs that
+    points holds (see :func:`_points`).
 
     Returns (V(s) on the real axis, V(i tau s) on the imaginary one),
     each shaped like s.  Below tau = 1 the lattice is evaluated through
@@ -151,8 +206,9 @@ def _leg_potentials(tau: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pref = _PI * _PI * math.exp(logq) * ((c1 @ m1) / (1.0 + c3.sum())) ** 2
     K1, m1, K3, m3 = K1[:, None], m1[:, None], K3[:, None], m3[:, None]
 
-    def osc(u):
-        return (c1 @ np.sin(m1 * u) / (1.0 + c3 @ np.cos(m3 * u))) ** 2
+    def osc():
+        # the kept terms are the first rows: the exponents fall with n
+        return (c1 @ points.sines[:len(c1)] / (1.0 + c3 @ points.cosines[:len(c3)])) ** 2
 
     def hyp(y):
         # e^{-y}-scaled sinh/cosh sums: every exponent K + (m-1)y stays
@@ -161,12 +217,11 @@ def _leg_potentials(tau: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s3 = np.exp(-y) + w3 @ (0.5 * (np.exp(K3 + (m3 - 1) * y) + np.exp(K3 - (m3 + 1) * y)))
         return (s1 / s3) ** 2
 
-    u = _PI / 2.0 * np.ravel(s)
     if tau >= 1.0:
-        real, imag = -pref * osc(u), pref * hyp(tau * u)
+        real, imag = -pref * osc(), pref * hyp(tau * points.u)
     else:
-        real, imag = -M * M * pref * hyp(M * u), M * M * pref * osc(u)
-    return real.reshape(np.shape(s)), imag.reshape(np.shape(s))
+        real, imag = -M * M * pref * hyp(M * points.u), M * M * pref * osc()
+    return real.reshape(points.shape), imag.reshape(points.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +259,7 @@ class _Legs:
     q2 the value of q at the middle Gauss point.  consts keeps what no
     trial changes: e, d0, d1, f0 and f1, which depend only on the step
     and on the differences of V across it, from which lambda cancels,
-    and sign V at the middle points.  Each is a (leg, _BLOCK, _NB)
+    and sign V at the middle points.  Each is a (leg, _BLOCK, blocks)
     array holding step b _BLOCK + j of a leg at [leg, j, b], so one
     trial builds the steps of both legs at once and each step of a
     block is one contiguous slice.  A trial writes every array it
@@ -213,33 +268,38 @@ class _Legs:
     allocation thresholds had moved before.  What a trial still
     allocates is a few arrays of at most eight numbers and numpy's
     iteration buffers, each freed by the call that made it; the largest
-    is the node product's einsum buffer of 8192 numbers.  Every solve
-    makes its own scratch, so concurrent solves share nothing.
+    is the node product's einsum buffer of 8 N numbers.  Every solve
+    makes its own scratch, so concurrent solves share nothing.  n is
+    the grid's step count N per leg (see :func:`_grid`) and blocks its
+    N / _BLOCK blocks.
     """
 
     def __init__(self, tau: float):
+        grid = _grid(tau)
+        self.n = len(grid.steps)
+        self.blocks = blocks = self.n // _BLOCK
         self.lengths = (1.0, tau)
         self.signs = np.array([1.0, -1.0])[:, None, None]
-        self.consts = self._constants(np.array(self.lengths)[:, None],
-                                      np.stack(_leg_potentials(tau, _GAUSS)),
+        self.consts = self._constants(np.array(self.lengths)[:, None] * grid.steps,
+                                      np.stack(_leg_potentials(tau, grid.gauss)),
                                       self.signs[:, 0])
-        self.work = np.empty((5, 2, _BLOCK, _NB))
-        self.steps = np.empty((2, 2, 2, _BLOCK, _NB))
-        self.starts = np.empty((2, 2, 2, _NB))
-        self.nodes = np.empty((2, 2, 2, _BLOCK, _NB))
-        self.negative = np.empty((2, 2, 2, _BLOCK, _NB), dtype=bool)
+        self.work = np.empty((5, 2, _BLOCK, blocks))
+        self.steps = np.empty((2, 2, 2, _BLOCK, blocks))
+        self.starts = np.empty((2, 2, 2, blocks))
+        self.nodes = np.empty((2, 2, 2, _BLOCK, blocks))
+        self.negative = np.empty((2, 2, 2, _BLOCK, blocks), dtype=bool)
 
     @staticmethod
-    def _constants(L: np.ndarray, V: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    def _constants(h: np.ndarray, V: np.ndarray, sign: np.ndarray) -> np.ndarray:
         """(e, d0, d1, f0, f1, sign V2) for q = sign (lambda - V), in the
-        block layout; L and sign are (leg, 1) and V is (leg, _N, 3).
+        block layout; h, the step lengths, is (leg, N), V is (leg, N, 3)
+        and sign is (leg, 1).
 
         With A = E + q F (E, F, H the sl2 basis) the scheme's
         alpha1 = h E + h q2 F, alpha2 = a F and alpha3 = b F, where
         a = (sqrt(15) h/3)(q3 - q1) and b = (10 h/3)(q3 - 2 q2 + q1);
         expanding its commutators gives the coefficients below.
         """
-        h = L * _STEPS
         a = (-sign * math.sqrt(15.0) / 3.0) * h * (V[..., 2] - V[..., 0])
         b = (-sign * 10.0 / 3.0) * h * (V[..., 2] - 2.0 * V[..., 1] + V[..., 0])
         hh, ha = h * h, h * a
@@ -249,7 +309,7 @@ class _Legs:
         f0 = b / 12.0 + h * (b * b - 30.0 * a * a) / 3600.0
         f1 = h + hh * (20.0 * b + ha * a) / 3600.0
         by_step = np.stack([e, d0, d1, f0, f1, sign * V[..., 1]])
-        return by_step.reshape(6, 2, _NB, _BLOCK).transpose(0, 1, 3, 2).copy()
+        return by_step.reshape(6, 2, -1, _BLOCK).transpose(0, 1, 3, 2).copy()
 
 
 def _magnus_legs(legs: _Legs, lambda_acc: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -263,7 +323,7 @@ def _magnus_legs(legs: _Legs, lambda_acc: float) -> tuple[np.ndarray, np.ndarray
     sin for Delta < 0), and its determinant is exactly 1.  The nodes are
     a parallel prefix product of the steps (Blelloch, "Prefix sums and
     their applications", 1990): _BLOCK - 1 sequential products inside
-    all blocks at once, an exclusive doubling scan over the _NB block
+    all blocks at once, an exclusive doubling scan over the block
     products (Hillis and Steele, "Data parallel algorithms", CACM 1986),
     and one product of each block's prefixes with its start.  Each is
     one einsum over the stacked legs.  An einsum's output must not
@@ -278,6 +338,7 @@ def _magnus_legs(legs: _Legs, lambda_acc: float) -> tuple[np.ndarray, np.ndarray
     is not finite.
     """
     e, d0, d1, f0, f1, shift = legs.consts
+    nb = legs.blocks
     delta, d, f, r, C = legs.work
     q2 = np.subtract(legs.signs * lambda_acc, shift, out=delta)
     np.multiply(d1, q2, out=d)
@@ -288,7 +349,7 @@ def _magnus_legs(legs: _Legs, lambda_acc: float) -> tuple[np.ndarray, np.ndarray
     delta += np.multiply(d, d, out=r)
     np.sqrt(np.abs(delta, out=r), out=r)
     # the census's buffer holds the step build's masks
-    masks = legs.negative.reshape(4, 2, _BLOCK, _NB)
+    masks = legs.negative.reshape(4, 2, _BLOCK, nb)
     grow = np.greater(delta, 0.0, out=masks[0])
     shrink = np.logical_not(grow, out=masks[1])
     S = delta  # Delta's buffer, free once its signs are read
@@ -315,7 +376,7 @@ def _magnus_legs(legs: _Legs, lambda_acc: float) -> tuple[np.ndarray, np.ndarray
     start[..., 1:] = nodes[..., -1, :-1]
     spare = legs.work.reshape(-1)[:start.size].reshape(start.shape)
     span = 1
-    while span < _NB:
+    while span < nb:
         spare[..., :span] = start[..., :span]
         np.einsum("lijm,ljkm->likm", start[..., span:], start[..., :-span],
                   out=spare[..., span:])
@@ -328,11 +389,11 @@ def _magnus_legs(legs: _Legs, lambda_acc: float) -> tuple[np.ndarray, np.ndarray
     # pass over the flat buffers (its products at j = _BLOCK - 1 pair one
     # entry's last row with the next entry's first), then across each
     # block edge over those slots, and off node 0 = I into the last slot
-    np.multiply(nodes.reshape(-1)[:-_NB], nodes.reshape(-1)[_NB:],
-                out=signs.reshape(-1)[:-_NB])
+    np.multiply(nodes.reshape(-1)[:-nb], nodes.reshape(-1)[nb:],
+                out=signs.reshape(-1)[:-nb])
     np.multiply(nodes[..., -1, :-1], nodes[..., 0, 1:], out=signs[..., -1, :-1])
     np.multiply(_EYE, nodes[..., 0, 0], out=signs[..., -1, -1])
-    negative = np.less(signs, 0.0, out=legs.negative).reshape(8, _N)
+    negative = np.less(signs, 0.0, out=legs.negative).reshape(8, legs.n)
     census = np.array([np.count_nonzero(entry) for entry in negative]).reshape(2, 2, 2)
     end = nodes[..., -1, -1].copy()
     drift = np.abs(end[:, 0, 0] * end[:, 1, 1] - end[:, 1, 0] * end[:, 0, 1] - 1.0)
@@ -591,8 +652,9 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
     :class:`SolverFailure`, and that is every tau from about 5.4 up.
 
     diagnostics holds the tangency residual, the Wronskian drift,
-    lambda_trials (integrations made) and warm (True when the seed pair
-    gave the root; bracket is then the seed pair itself).
+    lambda_trials (integrations made), warm (True when the seed pair
+    gave the root; bracket is then the seed pair itself) and grid (the
+    Magnus steps per leg, a function of tau alone).
     """
     _check_tau(tau)
     legs = _Legs(tau)
@@ -621,6 +683,7 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
         "wronskian_drift": data.wronskian_drift,
         "lambda_trials": trials,
         "warm": warm,
+        "grid": legs.n,
     }
     return AccessorySolve(
         tau=tau, lambda_acc=lam, bracket=(lo, hi),

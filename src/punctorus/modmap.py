@@ -63,14 +63,18 @@ _MAX_NODES = 48
 _INVERSE_POINTS = 24
 _NEWTON_STEPS = 8
 
-# Degree of the log-modulus quantile series.  Against the inverse series
-# at the quantile by Newton's method on the exact survival function,
-# over dense u, degrees 36, 40, 41, 42, 43 and 46 reach 1.6e-12,
-# 3.9e-13, 1.0e-12, 2.0e-13, 1.1e-12 and 2.8e-13 in log m on the
-# default table; from degree 38 up the worst point is z = _Z_MAX.
-# Degree 42 reads 2.0-3.7e-13 on tables of 16 to 40 nodes, but 1.4e-12
-# at 48, worst at z = 0.65, where the forward series' wiggles reach it.
-_LOG_MODULUS_DEGREE = 42
+
+# Degree of the log-modulus quantile series, by the table's node count.
+# Against the inverse series at the quantile by Newton's method on the
+# exact survival function, over dense u, degrees 36, 40, 41, 42, 43 and
+# 46 reach 1.6e-12, 3.9e-13, 1.0e-12, 2.0e-13, 1.1e-12 and 2.8e-13 in
+# log m on the default table; from degree 38 up the worst point is
+# z = _Z_MAX.  Degree 42 reads 2.0-2.1e-13 on tables of 16 to 32 nodes,
+# but 4.6e-13 at 40 and 7.8e-13 at 48, where the forward series'
+# wiggles reach it; degree 46 reads 2.9e-13 and 3.1e-13 there, and
+# 2.8e-13 on 16 to 32 nodes, so those keep the cheaper degree 42.
+def _log_modulus_degree(nodes: int) -> int:
+    return 42 if nodes <= 32 else 46
 
 
 def _chebpts(lo: float, hi: float, n: int) -> np.ndarray:
@@ -95,10 +99,10 @@ class CrMapTable:
     third series, L(z) = log m in the quadrilateral law's quantile
     variable z = log(1 - log(1 - u)) on [0, log(1 + 53 log 2)], is
     the log-modulus law's quantile, from which the modulus and
-    Teichmueller laws are sampled; it interpolates, at degree 42, the
-    inverse applied to the quantile that Newton's method finds on the
-    exact survival function.  All three are pure functions of the
-    nodes.
+    Teichmueller laws are sampled; it interpolates, at degree 42 (46
+    above 32 nodes), the inverse applied to the quantile that Newton's
+    method finds on the exact survival function.  All three are pure
+    functions of the nodes.
 
     a_estimate is CR'(1) and curvature_gap is |CR''(1) - (a^2 - a)|,
     the residual of the curvature relation the functional equation
@@ -152,7 +156,7 @@ class CrMapTable:
 
         self._log_modulus = Chebyshev.interpolate(
             lambda z: np.log(self._modulus(np.maximum(np.exp(_log_quantile(z)), 2.0))),
-            _LOG_MODULUS_DEGREE, domain=[0.0, _Z_MAX])
+            _log_modulus_degree(len(ms)), domain=[0.0, _Z_MAX])
 
     def _y(self, m):
         """y = (pi/2) sqrt(CR(m)) at moduli m >= 1."""
@@ -278,8 +282,8 @@ def build_cr_table(*, n: int = 16) -> CrMapTable:
     [1.01, 200] to 2.6e-11 relative, and from 49 nodes up the degree
     n - 1 series reaches s = 0 worse (6.1e-11 at 49, 1.3e-9 at 64).  The
     modulus and Teichmueller samplers' series matches the Newton-route
-    log m to 2.0-3.7e-13 for n <= 40, but only to 1.4e-12 at n = 48.  A
-    solver failure at a node propagates.
+    log m to 2.0-3.1e-13 for every such n.  A solver failure at a node
+    propagates.
     """
     from . import lame
 

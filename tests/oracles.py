@@ -245,7 +245,7 @@ def magnus_legs_by_ufuncs(legs: lame._Legs, lambda_acc: float) -> tuple[np.ndarr
     three broadcast ufunc calls, each product in place, and the census
     counted along two axes at once.  Same steps and association order,
     in fresh arrays rather than the scratch of legs."""
-    block, nb, eye = lame._BLOCK, lame._NB, lame._EYE
+    block, nb, eye = lame._BLOCK, legs.blocks, lame._EYE
     e, d0, d1, f0, f1, shift = legs.consts
     q2 = legs.signs * lambda_acc - shift
     d = d1 * q2

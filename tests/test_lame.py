@@ -190,7 +190,7 @@ class TestLatticePotential:
     @pytest.mark.parametrize("tau", [1.7, 0.44])
     def test_leg_potentials_match_general_evaluation(self, tau):
         s = np.array([[0.21, 0.8], [0.3, 0.9]])
-        on_real, on_imag = _leg_potentials(tau, s)
+        on_real, on_imag = _leg_potentials(tau, lame._points(s))
         assert on_real.shape == on_imag.shape == s.shape
         np.testing.assert_allclose(
             on_real, np.vectorize(lambda x: wp(x, tau).real)(s), rtol=1e-13)
@@ -231,7 +231,7 @@ class TestTwoLegIntegration:
         # changes of c, c', s and s' between the grid's nodes, which must
         # be those of a dense DOP853 solution sampled at the same nodes
         tau, lam = 50.0, 1e4
-        dense = _dop853(tau, lam, 1, dense_output=True).sol(tau * lame._NODES)
+        dense = _dop853(tau, lam, 1, dense_output=True).sol(tau * lame._grid(tau).nodes)
         census = tuple(np.count_nonzero(dense[:, :-1] * dense[:, 1:] < 0.0, axis=1).tolist())
         assert census == (418, 417, 417, 418)
         with pytest.raises(BracketError, match=re.escape(
@@ -433,9 +433,9 @@ class TestAccessorySolve:
 
     @pytest.mark.parametrize("tau,most", [(0.05, 14), (0.5, 14), (1.0, 9), (2.0, 15), (5.0, 19)])
     def test_cold_solve_integrates_each_lambda_once(self, monkeypatch, tau, most):
-        # most: the node bisection plus the polish, 11, 11, 6, 12 and 16
-        # integrations, with a margin of 3; the linear walk up the same
-        # nodes made 37, 43, 43, 51 and 54
+        # most: the node bisection plus the polish, 11, 11, 6, 12 and 15
+        # integrations, with a margin of 3 (4 at tau = 5); the linear
+        # walk up the same nodes made 37, 43, 43, 51 and 54
         tried = []
         integrate = lame._integrate_with
 
@@ -451,14 +451,43 @@ class TestAccessorySolve:
         assert abs(sol.diagnostics["tangency_residual"]) < 1e-13
 
     def test_cold_scan_takes_an_exact_zero_at_the_square(self):
-        # at tau = 1 the legs are mirror images, so the root function is
-        # exactly 0 at lambda = 0, node 42 of the grid; missing it would
-        # end the search without a sign change.  The bisection ends
-        # there after 6 integrations (nodes 32, 48, 40, 44, 42 and 41).
+        # at tau = 1 the legs are mirror images only up to rounding: on
+        # the 256-step grid their potentials differ by up to 4.2e-14
+        # relative and their endpoint matrices in three entries, by at
+        # most 2.2e-16, yet the circle invariants come out equal and the
+        # root function rounds to exactly 0 at lambda = 0, node 42 (on
+        # 512 steps it reads -1.8e-15).  Missing that zero would end the
+        # search without a sign change.  The bisection ends there after
+        # 6 integrations (nodes 32, 48, 40, 44, 42 and 41).
         sol = solve_accessory(1.0)
         assert sol.lambda_acc == 0.0 and sol.bracket == (0.0, 0.0)
         assert sol.diagnostics["lambda_trials"] == 6
         assert abs(sol.diagnostics["tangency_residual"]) < 1e-10
+
+    def test_each_grid_keeps_the_cross_ratio_of_a_fine_grid(self, monkeypatch):
+        # tau's grid has 128 sqrt(M) steps, M = max(tau, 1/tau), rounded
+        # up to a power of two in [256, 1024].  Against the same scheme
+        # on 16384 steps, seeded at each solve's root, the cross ratios
+        # read 2.9e-13, 4.6e-14, 2.1e-14, 2.2e-14, 6.7e-16, 8.4e-15 and
+        # 2.1e-15 relative; the bound leaves a margin of 3.5 at
+        # tau = 0.005 and of 22 or more elsewhere.
+        taus = (0.005, 0.02, 0.1, 0.5, 1.0, 2.0, 5.0)
+        sols = [solve_accessory(tau) for tau in taus]
+        assert [sol.diagnostics["grid"] for sol in sols] == [1024, 1024, 512, 256, 256, 256, 512]
+        # the twin 1/tau, seeded by lambda(1/tau) = -lambda(tau) tau^2
+        # since cold solves fail above tau = 5.4, shares the grid
+        for tau, sol in zip(taus, sols):
+            if 1.0 / tau <= TAU_MAX:
+                lam = -sol.lambda_acc * tau * tau
+                twin = solve_accessory(1.0 / tau, bracket=(lam, lam + 1e-6))
+                assert twin.diagnostics["warm"], tau
+                assert twin.diagnostics["grid"] == sol.diagnostics["grid"], tau
+        fine = lame._make_grid(16384)
+        monkeypatch.setattr(lame, "_grid", lambda tau: fine)
+        for tau, sol in zip(taus, sols):
+            ref = solve_accessory(tau, bracket=(sol.lambda_acc, sol.lambda_acc + 1e-6))
+            assert ref.diagnostics["warm"] and ref.diagnostics["grid"] == 16384
+            assert abs(sol.cross_ratio / ref.cross_ratio - 1.0) <= 1e-12, tau
 
     @pytest.mark.parametrize("tau", [13.85, 25.52, 34.14, 38.15])
     def test_cold_scan_rejects_a_cancelled_zero(self, tau):

@@ -120,7 +120,7 @@ class TestTableConstruction:
 
     def test_most_nodes_keep_the_map_agreement(self, monkeypatch):
         # 48 nodes match direct solves to the 3.2e-11 of the default
-        # build (measured 1.7e-12); from 49 up the degree n - 1 series
+        # build (measured 2.9e-12); from 49 up the degree n - 1 series
         # reaches s = 0 worse (6.1e-11 at 49, 1.3e-9 at 64)
         ms = np.geomspace(1.01, 200.0, 40)
         direct = np.array([lame.solve_accessory(1.0 / m).cross_ratio for m in ms])
@@ -257,7 +257,7 @@ class TestForwardMap:
         assert np.isin(cr_table.ms, fine.ms).all()
         ms = np.geomspace(1.0, 200.0, 2001)
         est = np.abs(cr_of_modulus(ms, cr_table) / cr_of_modulus(ms, fine) - 1.0)
-        # the estimate over the true error: 0.99-1.02 measured at these m
+        # the estimate over the true error: 0.96-1.03 measured at these m
         for m in (1.6, 2.5, 4.2, 13.0, 27.0):
             true = abs(cr_of_modulus(m, cr_table) / lame.solve_accessory(1.0 / m).cross_ratio
                        - 1.0)
@@ -413,14 +413,16 @@ def _dense_u() -> np.ndarray:
 class TestLogModulusSampler:
     # Against log m at the quantile by Newton's method on the exact
     # survival function, the sampler's series read at most 2.0e-13
-    # (default table), 2.1e-13 (24 nodes), 2.2e-13 (32 nodes) and
-    # 3.7e-13 (40 nodes) over _dense_u; the bound leaves a margin of
-    # about 2 up to 32 nodes but only 7% at 40.  The degree-30
-    # quadrilateral quantile series followed by the inverse map reads
-    # 4.9e-13 on the default and 24-node tables.
+    # (default table), 2.0e-13 (24 nodes), 2.1e-13 (32 nodes) at
+    # degree 42, and 2.9e-13 (40 nodes) at degree 46, over _dense_u;
+    # the bound leaves a margin of about 2 up to 32 nodes and 1.4 at
+    # 40.  Degree 42 read 4.6e-13 at 40 nodes, over the bound.  The
+    # degree-30 quadrilateral quantile series followed by the inverse
+    # map reads 4.9e-13 on the default and 24-node tables.
     BOUND = 4e-13
-    # 48 nodes read 1.39e-12, worst at z = 0.65: the forward series'
-    # wiggles reach the degree-42 fit; the bound leaves a margin of 2.2
+    # 48 nodes read 3.1e-13 at degree 46, worst near z = _Z_MAX; at
+    # degree 42 the forward series' wiggles reached the fit (1.39e-12
+    # at z = 0.65, on the 1024-step grid of every tau)
     BOUND_48 = 3e-12
 
     @pytest.mark.parametrize("nodes", [16, 24, 32, 40, 48])
