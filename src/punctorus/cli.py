@@ -46,16 +46,18 @@ def _write(out: str | None, text: str) -> None:
 
 
 def _json_text(doc, precision: int) -> str:
-    """doc as indented JSON and a newline.  Each float in its dicts and
-    lists is first rounded to the double its ``float_text`` reads as, so
-    it is written with at most ``precision`` significant digits; at 17
-    it keeps its value and its text."""
+    """doc as indented JSON and a newline.  Each float in its dicts,
+    lists, tuples and numpy arrays is first rounded to the double its
+    ``float_text`` reads as, so it is written with at most ``precision``
+    significant digits; at 17 it keeps its value and its text."""
     def rounded(v):
         if isinstance(v, float):
             return float(float_text(v, precision))
         if isinstance(v, dict):
             return {k: rounded(x) for k, x in v.items()}
-        return [rounded(x) for x in v] if isinstance(v, list) else v
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        return [rounded(x) for x in v] if isinstance(v, (list, tuple)) else v
 
     return json.dumps(rounded(doc), indent=2) + "\n"
 
@@ -162,6 +164,9 @@ def _cmd_verify(args) -> int:
     from . import verify  # its checks reach torusgroup; no other command needs them
 
     results = verify.run_checks(quick=args.quick)
+    if args.format == "json":
+        _write(None, _json_text([r.to_json_dict() for r in results], 17))
+        return 0 if all(r.nominal for r in results) else 1
     wide = max(len(r.name) for r in results)
     lines = []
     for r in results:
@@ -298,6 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_UNITS_EPILOG)
     p.add_argument("--quick", action="store_true",
                    help="smaller sample sizes and fewer solves")
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="a line per check, or each check's result as JSON")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -92,31 +92,34 @@ def _elementwise(fn):
     return functools.wraps(fn)(lambda x: _apply(fn, x))
 
 
-def _clenshaw(series: Chebyshev, x):
+def _clenshaw(series: Chebyshev, x, work=None):
     """series(x), numpy's Clenshaw recurrence op for op.
 
     The domain map off + scl x to t, x2 = 2t, then per coefficient
     c0, c1 = c[-i] - c1, c0 + c1 x2, and c0 + c1 t last, as
     ``Chebyshev.__call__`` does, reading ``mapparms()`` and ``coef`` on
     each call; so the values agree bit for bit, in the shape of x (a
-    float gives a 0-d array).  The recurrence runs in place: the new c1
-    alternates between two scratch arrays and c0 overwrites its own, so
-    a call allocates five arrays the size of x, whatever the degree.
-    This is the package's one series evaluator.
+    float gives a 0-d array).  The recurrence runs in place in five
+    arrays the size of x: t, a copy of x, which ends as the result; x2;
+    c1 and a spare, between which the new c1 alternates; and c0.  So a
+    call allocates five arrays, whatever the degree.  Given ``work``,
+    four float arrays shaped like x for x2, c1, c0 and the spare, t is
+    x itself, a float array, which is consumed and returned, and
+    nothing is allocated.  This is the package's one series evaluator.
     """
     off, scl = series.mapparms()
     c = series.coef
     shape = np.shape(x)
-    t = np.array(x, dtype=float).reshape(-1)
+    t = np.array(x, dtype=float).reshape(-1) if work is None else x
     t *= scl
     t += off
     c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
     if len(c) > 2:
-        x2 = t * 2.0
-        acc = x2 * c1
+        x2, acc, buf, spare = work if work is not None else (np.empty_like(t) for _ in range(4))
+        np.multiply(t, 2.0, out=x2)
+        np.multiply(x2, c1, out=acc)
         acc += c0
         c0, c1 = c[-3] - c1, acc
-        buf, spare = np.empty_like(t), np.empty_like(t)
         for i in range(4, len(c) + 1):
             np.multiply(c1, x2, out=spare)
             spare += c0
@@ -469,8 +472,8 @@ def _quad_law_rule() -> tuple[np.ndarray, np.ndarray]:
 def _quantile_variable(u):
     """z = log(1 - log(1 - u)) of u clamped to [0, _U_MAX].
 
-    The variable of every quantile series in the package, here and in
-    modmap; it maps every double u < 1 into [0, _Z_MAX].  u = -0.0 gives
+    The variable of the quadrilateral inverse-CDF series; it maps every
+    double u < 1 into [0, _Z_MAX].  u = -0.0 gives
     z = -0.0, which a domain map sends to the same point as z = 0.
     """
     return np.log1p(-np.log1p(-np.clip(u, 0.0, _U_MAX)))

@@ -6,18 +6,22 @@ modulus and Teichmueller pairs are modmap's, which owns their domain.
 This module imports only closedform: modmap loads on the first call of
 a modulus or Teichmueller curve or sampler, so the other laws never
 load it.
-Samplers draw i.i.d. uniform points on the circle; the modulus laws
-come from uniforms through modmap's log-modulus quantile, one series in
-the quantile variable.
+Every sampler draws i.i.d. uniform points on the circle.
 Uniform circle points are drawn as their half-angle tangents: the
 Cayley map exp(i th) -> tan(th/2) is a Moebius map onto the real
 line, so it gives the star law's Cauchy draws and leaves every cross
 ratio as it is.  A rotation of the circle keeps the uniform law, so a
 quadrilateral's first point is put at th = pi, where its tangent is
-infinite, and the circle laws draw three tangents per sample.  The
-quadrilateral law reads its canonical cross ratio straight from the
-sorted gaps of those three, and the length law is the perpendicular
-length of the same draws.
+infinite, and every law but the star law draws three tangents per
+sample.  The quadrilateral law reads its canonical cross ratio straight
+from the sorted gaps of those three; the length law is the
+perpendicular length of the same draws, and the modulus and
+Teichmueller laws are their modulus and its log, through modmap's
+inverse of the map.  A run allocates its sample and one work array of
+``_WORK_ROWS`` chunk-sized rows, and each chunk is drawn into those:
+the draws, the sort network and the map laws' series run there and in
+the sample's own slice, so only the length law's short length
+allocates arrays of a chunk's size.
 Each sample is then sorted in place and summarized: its KS distance
 against the closed form CDF, its histogram, its median, its clipped
 fraction and the star law's quartiles all read the sorted sample, each
@@ -57,6 +61,10 @@ __all__ = [
 LAWS = ("crossratio_full", "quad_cr", "length", "star", "modulus", "teich")
 
 _CHUNK = 1 << 14
+# Rows of a run's work array: the three draws, the sort network's spare
+# and one more, so that beside the cross ratio the map laws' series has
+# the four rows it needs
+_WORK_ROWS = 5
 _BINS = 200
 _HIST_COLUMNS = ("bin_left", "bin_right", "count", "density")
 # KS scoring takes F at every _KS_STRIDE-th order statistic, then in full
@@ -163,8 +171,9 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(chunk_index,))))
 
 
-def _half_angle_tangents(rng: np.random.Generator, shape) -> np.ndarray:
-    """tan(th/2) of uniform angles th in [0, 2 pi), drawn as ``shape``.
+def _half_angle_tangents(rng: np.random.Generator, shape, out=None) -> np.ndarray:
+    """tan(th/2) of uniform angles th in [0, 2 pi), drawn as ``shape``
+    into ``out`` if given (a C-contiguous float array of that shape).
 
     The Cayley map exp(i th) -> tan(th/2), a Moebius map, carries uniform
     circle points to standard Cauchy draws on the real line.  The half
@@ -172,7 +181,7 @@ def _half_angle_tangents(rng: np.random.Generator, shape) -> np.ndarray:
     ``np.tan(0.5 * (U * (2 pi)))``: fl(2 pi) = 2 fl(pi), and scaling by
     2 or 0.5 is exact.
     """
-    th = rng.random(shape)
+    th = rng.random(shape, out=out)
     th *= math.pi
     return np.tan(th, out=th)
 
@@ -198,7 +207,7 @@ def _circle_cross_ratio(t: np.ndarray) -> np.ndarray:
     return b
 
 
-def _canonical_cross_ratio(t: np.ndarray) -> np.ndarray:
+def _canonical_cross_ratio(t: np.ndarray, spare=None) -> np.ndarray:
     """The canonical cross ratio Q >= 2 of the rows t = (t_b, t_c, t_d),
     half-angle tangents of three circle points whose fourth sits at
     th = pi, where its tangent is infinite (see ``_circle_cross_ratio``).
@@ -210,9 +219,10 @@ def _canonical_cross_ratio(t: np.ndarray) -> np.ndarray:
     one rounded subtraction of the drawn tangents, so Q stays within
     about 2 eps of the canonical value of those tangents wherever they
     lie, with no cancellation near the orbit's fixed points.  Two equal
-    tangents give inf, three nan.  t is consumed.
+    tangents give inf, three nan.  t is consumed, and so is ``spare``, a
+    row like t's if given (else allocated); Q is written over t[1].
     """
-    rows = [*t, np.empty_like(t[0])]  # the three draws and a spare row
+    rows = [*t, np.empty_like(t[0]) if spare is None else spare]
     for i, j in ((0, 1), (1, 2), (0, 1)):
         np.minimum(rows[i], rows[j], out=rows[3])
         np.maximum(rows[i], rows[j], out=rows[j])
@@ -229,26 +239,39 @@ def _canonical_cross_ratio(t: np.ndarray) -> np.ndarray:
 
 
 def _sample_chunk(law: str, seed: int, chunk_index: int, count: int,
-                  table: modmap.CrMapTable | None) -> np.ndarray:
+                  table: modmap.CrMapTable | None, out=None, work=None) -> np.ndarray:
+    """count draws of ``law`` from chunk ``chunk_index``'s stream, written
+    to ``out`` and returned.  ``work`` holds at least ``_WORK_ROWS`` count
+    floats of scratch; either is allocated if not given.  Only the
+    length law's short length allocates other arrays of count floats."""
     rng = _chunk_rng(seed, chunk_index)
+    out = np.empty(count) if out is None else out
     if law == "star":
-        return _half_angle_tangents(rng, count)
+        return _half_angle_tangents(rng, count, out)
+    rows = (np.empty(_WORK_ROWS * count) if work is None
+            else work[:_WORK_ROWS * count]).reshape(_WORK_ROWS, count)
+    t = _half_angle_tangents(rng, (3, count), rows[:3])
     if law == "crossratio_full":
-        return _circle_cross_ratio(_half_angle_tangents(rng, (3, count)))
+        out[:] = _circle_cross_ratio(t)
+        return out
+    q = _canonical_cross_ratio(t, rows[3])
     if law in ("quad_cr", "length"):
-        q = _canonical_cross_ratio(_half_angle_tangents(rng, (3, count)))
-        return q if law == "quad_cr" else cf._short_length(q)
+        out[:] = q if law == "quad_cr" else cf._short_length(q)
+        return out
     from . import modmap
 
-    d = modmap._sample_log_modulus(count, rng, table)
-    return np.exp(d, out=d) if law == "modulus" else d
+    # Q sits in row 1, so the other four rows are free for the series
+    return modmap._map_law_draws(law, q, out, (rows[0], *rows[2:]), table)
 
 
 def _sample(law: str, seed: int, n: int, table: modmap.CrMapTable | None) -> np.ndarray:
-    """n draws of ``law``, chunk by chunk into one preallocated array."""
+    """n draws of ``law``, chunk by chunk into one preallocated array,
+    with one work array for every chunk's scratch."""
     values = np.empty(n)
+    work = np.empty(_WORK_ROWS * min(n, _CHUNK))
     for c, start in enumerate(range(0, n, _CHUNK)):
-        values[start:start + _CHUNK] = _sample_chunk(law, seed, c, min(_CHUNK, n - start), table)
+        count = min(_CHUNK, n - start)
+        _sample_chunk(law, seed, c, count, table, values[start:start + count], work)
     return values
 
 

@@ -1,21 +1,20 @@
 """The modulus-to-cross-ratio map and the laws pushed through it.
 
 Tangency solves at Chebyshev points in s = 1/m back one Chebyshev
-series for the increasing map m -> CR(m) from [1, inf) onto [2, inf),
-a second series for its inverse, and a third for the log-modulus
-law's quantile.  From the map come the derivative at 1, the
-functional-equation extension below m = 1, and the modulus and
-log-modulus densities and CDFs; from its inverse the summary
-statistics and the quasi-Moebius comparison constant; from the
-quantile the modulus and Teichmueller samplers.  The map's two series
-reach s = 0, so one smooth map serves every modulus, beyond the last
-node included.  Only this module knows that the map starts at the
-square, m = 1/tau = 1.
+series for the increasing map m -> CR(m) from [1, inf) onto [2, inf)
+and a second series for its inverse.  From the map come the
+derivative at 1, the functional-equation extension below m = 1, and
+the modulus and log-modulus densities and CDFs; from its inverse the
+summary statistics, the quasi-Moebius comparison constant and the
+modulus and Teichmueller draws, which mc reads from its circle draw of
+the canonical cross ratio.  The map's two series reach s = 0, so one
+smooth map serves every modulus, beyond the last node included.  Only
+this module knows that the map starts at the square, m = 1/tau = 1.
 The default table ships as data: the 16 solved nodes of
 ``build_cr_table()``, read without a solve.  Only a build imports the
 solver, ``lame``, so the laws, ``teich`` and ``quasimobius`` run
 without loading it.
-All three series are evaluated by closedform's one series evaluator,
+Both series are evaluated by closedform's one series evaluator,
 ``_clenshaw``; the Chebyshev objects only hold their coefficients.
 """
 from __future__ import annotations
@@ -30,8 +29,8 @@ from numpy.polynomial import Chebyshev
 from numpy.polynomial.chebyshev import chebpts2
 
 from .tabular import csv_text
-from .closedform import (_Z_MAX, _apply, _clenshaw, _log_quantile, _quad_law_expression,
-                         _quad_law_rule, _quantile_variable, quad_cr_cdf, quad_cr_median)
+from .closedform import (_apply, _clenshaw, _quad_law_expression, _quad_law_rule, quad_cr_cdf,
+                         quad_cr_median)
 
 __all__ = [
     "CrMapTable",
@@ -64,19 +63,6 @@ _INVERSE_POINTS = 24
 _NEWTON_STEPS = 8
 
 
-# Degree of the log-modulus quantile series, by the table's node count.
-# Against the inverse series at the quantile by Newton's method on the
-# exact survival function, over dense u, degrees 36, 40, 41, 42, 43 and
-# 46 reach 1.6e-12, 3.9e-13, 1.0e-12, 2.0e-13, 1.1e-12 and 2.8e-13 in
-# log m on the default table; from degree 38 up the worst point is
-# z = _Z_MAX.  Degree 42 reads 2.0-2.1e-13 on tables of 16 to 32 nodes,
-# but 4.6e-13 at 40 and 7.8e-13 at 48, where the forward series'
-# wiggles reach it; degree 46 reads 2.9e-13 and 3.1e-13 there, and
-# 2.8e-13 on 16 to 32 nodes, so those keep the cheaper degree 42.
-def _log_modulus_degree(nodes: int) -> int:
-    return 42 if nodes <= 32 else 46
-
-
 def _chebpts(lo: float, hi: float, n: int) -> np.ndarray:
     """n Chebyshev points of the second kind on [lo, hi], ends exact."""
     x = lo + 0.5 * (hi - lo) * (1.0 + chebpts2(n))
@@ -95,14 +81,10 @@ class CrMapTable:
     domain and no node sits there.  The inverse is a second series
     k(t) = y - m on t = 1/y in [0, 1/y(1)], interpolating at 24
     Chebyshev points where Newton's method solves k = g(t / (1 - t k));
-    a lookup is then m = 1/t - k(t), the one inverse of the map.  The
-    third series, L(z) = log m in the quadrilateral law's quantile
-    variable z = log(1 - log(1 - u)) on [0, log(1 + 53 log 2)], is
-    the log-modulus law's quantile, from which the modulus and
-    Teichmueller laws are sampled; it interpolates, at degree 42 (46
-    above 32 nodes), the inverse applied to the quantile that Newton's
-    method finds on the exact survival function.  All three are pure
-    functions of the nodes.
+    a lookup is then m = 1/t - k(t), the one inverse of the map, which
+    the lookups, the summary statistics and the modulus and
+    Teichmueller draws all read.  Both series are pure functions of the
+    nodes.
 
     a_estimate is CR'(1) and curvature_gap is |CR''(1) - (a^2 - a)|,
     the residual of the curvature relation the functional equation
@@ -154,10 +136,6 @@ class CrMapTable:
                   / (1.0 - s * s * _clenshaw(self._deficit_d1, s)))
         self._excess = Chebyshev.fit(ts, k, _INVERSE_POINTS - 1, domain=[0.0, t_hi])
 
-        self._log_modulus = Chebyshev.interpolate(
-            lambda z: np.log(self._modulus(np.maximum(np.exp(_log_quantile(z)), 2.0))),
-            _log_modulus_degree(len(ms)), domain=[0.0, _Z_MAX])
-
     def _y(self, m):
         """y = (pi/2) sqrt(CR(m)) at moduli m >= 1."""
         return m + _clenshaw(self._deficit, 1.0 / m)
@@ -207,10 +185,19 @@ class CrMapTable:
             e = np.exp(d)
         return np.where(d < 0.0, 0.0, self._cdf(e))
 
-    def _modulus(self, Q: np.ndarray) -> np.ndarray:
-        """The modulus of cross ratio Q >= 2, through y = (pi/2) sqrt(Q), at least 1."""
-        y = 0.5 * _PI * np.sqrt(Q)
-        return np.maximum(y - _clenshaw(self._excess, 1.0 / y), 1.0)
+    def _modulus(self, Q: np.ndarray, out=None, work=None) -> np.ndarray:
+        """The modulus of cross ratio Q >= 2, through y = (pi/2) sqrt(Q), at least 1.
+
+        Given ``out`` and ``work``, four float arrays shaped like Q for
+        the series (see ``_clenshaw``), nothing is allocated: Q is
+        consumed, y takes its place, and 1/y and then the modulus are
+        written to out.
+        """
+        y = np.sqrt(Q, out=None if out is None else Q)
+        y *= 0.5 * _PI
+        m = _clenshaw(self._excess, np.divide(1.0, y, out=out), work)
+        np.subtract(y, m, out=m)
+        return np.maximum(m, 1.0, out=m)
 
     def rows(self) -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
         """Column names and the per-node solve records by increasing m."""
@@ -226,7 +213,7 @@ class CrMapTable:
     def from_csv(cls, path) -> "CrMapTable":
         """Rebuild a table from its CSV emission, without re-solving.
 
-        All derived quantities (the three series, a_estimate, c_hat) are
+        All derived quantities (the two series, a_estimate, c_hat) are
         recomputed from the stored rows, so a write/read cycle is a
         faithful round trip.
         """
@@ -280,10 +267,8 @@ def build_cr_table(*, n: int = 16) -> CrMapTable:
     -lambda(1/tau)).  Raises ValueError before any solve unless
     16 <= n <= 48: every such n matches 40 direct solves over m in
     [1.01, 200] to 2.6e-11 relative, and from 49 nodes up the degree
-    n - 1 series reaches s = 0 worse (6.1e-11 at 49, 1.3e-9 at 64).  The
-    modulus and Teichmueller samplers' series matches the Newton-route
-    log m to 2.0-3.1e-13 for every such n.  A solver failure at a node
-    propagates.
+    n - 1 series reaches s = 0 worse (6.1e-11 at 49, 1.3e-9 at 64).  A
+    solver failure at a node propagates.
     """
     from . import lame
 
@@ -334,13 +319,16 @@ def _lookup(method: str, x, table: CrMapTable | None, invalid=None, message=""):
     return _apply(getattr(t, method), x)
 
 
-def _sample_log_modulus(n: int, rng: np.random.Generator,
-                        table: CrMapTable | None = None) -> np.ndarray:
-    """n draws of the log-modulus law, by the table's quantile series
-    (the default table's if None) at n uniforms from rng, at least 0."""
+def _map_law_draws(law: str, Q: np.ndarray, out: np.ndarray, work,
+                   table: CrMapTable | None = None) -> np.ndarray:
+    """The modulus draws of canonical cross ratios Q, or for ``teich``
+    their logs, through the table's inverse (the default table's if
+    None), written to out with ``work`` as the series' scratch; Q is
+    consumed (see ``CrMapTable._modulus``).  The modulus is at least 1,
+    so its log is at least 0."""
     t = table if table is not None else default_table()
-    d = _clenshaw(t._log_modulus, _quantile_variable(rng.uniform(size=n)))
-    return np.maximum(d, 0.0, out=d)
+    m = t._modulus(Q, out, work)
+    return np.log(m, out=m) if law == "teich" else m
 
 
 def cr_of_modulus(m, table: CrMapTable | None = None):

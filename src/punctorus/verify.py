@@ -53,6 +53,11 @@ class CheckResult:
         """True when the outcome matches what a healthy build produces."""
         return self.passed == self.expected_pass
 
+    def to_json_dict(self) -> dict:
+        """Name, expected status, failed bounds, detail and values."""
+        return {"name": self.name, "expected_pass": self.expected_pass,
+                "failed": self.failed, "detail": self.detail, "values": self.values}
+
 
 def _result(name: str, bounds: dict[str, bool], detail: str, values: dict) -> CheckResult:
     """The check's result; bounds maps what each bound constrains to its verdict."""

@@ -6,12 +6,13 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from punctorus import cli, lame, mc, modmap
+from punctorus import cli, lame, mc, modmap, verify
 from punctorus.tabular import csv_text
 from punctorus.closedform import (
     LENGTH_THRESHOLD,
@@ -377,6 +378,28 @@ class TestVerifyCommand:
         assert "** NOT NOMINAL **" not in out
         assert out.rstrip().endswith("result: nominal")
 
+    def test_json_reads_back_as_the_checks(self, capsys):
+        # the same checks as run_checks(quick=True), each with its name,
+        # expected status, failed bounds, detail and values; the seconds
+        # differ from run to run and are left out of the comparison
+        code, out, _ = run(capsys, ["verify", "--quick", "--format", "json"])
+        assert code == 0
+        got, want = json.loads(out), verify.run_checks(quick=True)
+        assert [doc["name"] for doc in got] == [r.name for r in want]
+
+        def timeless(values):
+            # JSON object keys are strings
+            return {str(k): timeless(v) if isinstance(v, dict) else v
+                    for k, v in values.items() if k != "seconds"}
+
+        for doc, r in zip(got, want):
+            assert doc["expected_pass"] is r.expected_pass
+            assert [f for f in doc["failed"] if f != "seconds"] == [
+                f for f in r.failed if f != "seconds"]
+            seconds = re.compile(r", [0-9.]+s$")
+            assert seconds.sub("", doc["detail"]) == seconds.sub("", r.detail)
+            np.testing.assert_equal(timeless(doc["values"]), timeless(r.values))
+
 
 class TestParserSurface:
     def test_missing_subcommand(self):
@@ -392,7 +415,7 @@ class TestParserSurface:
     @pytest.mark.parametrize("argv", [
         ["teich", "--pdf"],
         ["verify", "--out", "report.txt"],
-        ["verify", "--format", "json"],
+        ["verify", "--format", "json", "--precision", "6"],
         ["verify", "--seed", "1"],
         ["verify", "--precision", "6"],
         ["pdf", "--law", "star", "--at", "1", "--seed", "1"],

@@ -564,7 +564,7 @@ class TestSortedSummary:
         # gaps at every 64th order statistic, then one block of candidate
         # spans at a time) and, for length and teich, the sd's one block
         # of squared deviations: 1.12-1.16 arrays measured for the laws
-        # without an sd, 1.20 for modulus, 1.18 for length and 1.21 for
+        # without an sd, 1.17 for modulus, 1.18 for length and 1.19 for
         # teich
         n = 1 << 20
         run_law(McConfig(n_samples=1000, seed=1, law=law))

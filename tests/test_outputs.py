@@ -27,14 +27,14 @@ DIGESTS = [
     (["sample", "--law", "quad_cr", *_SAMPLE], "173862f633083497"),
     (["sample", "--law", "length", *_SAMPLE], "67757c9461fc2e92"),
     (["sample", "--law", "star", *_SAMPLE], "689b2fe1171bb730"),
-    (["sample", "--law", "modulus", *_SAMPLE], "b714247947e51c29"),
-    (["sample", "--law", "teich", *_SAMPLE], "19a67fa8dfc205b9"),
+    (["sample", "--law", "modulus", *_SAMPLE], "94b56ef4d128b88a"),
+    (["sample", "--law", "teich", *_SAMPLE], "01a1a3ef2bd2cd89"),
     (["sample", "--law", "crossratio_full", *_SAMPLE, "--format", "json"], "5e470da2bf67aee9"),
     (["sample", "--law", "quad_cr", *_SAMPLE, "--format", "json"], "ae5ac6b2c68da7af"),
     (["sample", "--law", "length", *_SAMPLE, "--format", "json"], "c85a8be072569bfb"),
     (["sample", "--law", "star", *_SAMPLE, "--format", "json"], "26d11dce3d89e8f1"),
-    (["sample", "--law", "modulus", *_SAMPLE, "--format", "json"], "7ce8c52923257723"),
-    (["sample", "--law", "teich", *_SAMPLE, "--format", "json"], "a0fe100e78f25831"),
+    (["sample", "--law", "modulus", *_SAMPLE, "--format", "json"], "0ce885711ba76fa2"),
+    (["sample", "--law", "teich", *_SAMPLE, "--format", "json"], "7fa76569465a88ed"),
     (["teich", "--stats"], "9670257b009e586b"),
     (["cr-map", "--table"], "5fe434a4376ca1b0"),
     (["pdf", "--law", "quad_cr", "--from", "2", "--to", "25", "--step", "0.25"], "be2b0681731c4075"),
