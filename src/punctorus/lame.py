@@ -149,7 +149,9 @@ class BracketError(RuntimeError):
     imaginary leg [0, i tau], which grows the faster the lower lambda
     is, overflowed; it is False for the mirror cases.  The first check
     that fires decides: overflow before sign changes before ratios, the
-    real leg before the imaginary one.
+    real leg before the imaginary one, unless both overflowed: V is
+    negative on the real leg and positive on the imaginary one, so the
+    leg that grows is the imaginary one exactly when lambda < 0.
     """
 
     def __init__(self, message: str, below: bool):
@@ -160,9 +162,9 @@ class BracketError(RuntimeError):
 class SolverFailure(RuntimeError):
     """The tangency root could not be bracketed.
 
-    Carries a ``diagnostics`` dict: when the node search found no
-    bracket, tau and lambda_trials, the integrations the solve made, as
-    in a solve's own diagnostics.
+    Carries a ``diagnostics`` dict: when a solve raises it, tau and
+    lambda_trials, the integrations the solve made, as in a solve's own
+    diagnostics.
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None):
@@ -250,7 +252,8 @@ class LameEndpointData:
 
 
 class _Legs:
-    """One tau's two legs, ready for lambda trials, and their scratch.
+    """One tau's two legs, ready for lambda trials, their scratch and the
+    count of trials made on them.
 
     On [0, 1] the equation reads y'' = (lambda - V) y and on [0, i tau]
     y'' = (V - lambda) y, V the potential at the three Gauss points of
@@ -269,25 +272,51 @@ class _Legs:
     allocates is a few arrays of at most eight numbers and numpy's
     iteration buffers, each freed by the call that made it; the largest
     is the node product's einsum buffer of 8 N numbers.  Every solve
-    makes its own scratch, so concurrent solves share nothing.  n is
-    the grid's step count N per leg (see :func:`_grid`) and blocks its
-    N / _BLOCK blocks.
+    makes its own scratch, so concurrent solves share nothing, and binds
+    here, once, each view of it that a trial writes through; no view
+    refers back to the instance.  n is the grid's step count N per leg
+    (see :func:`_grid`) and blocks its N / _BLOCK blocks.
     """
 
     def __init__(self, tau: float):
         grid = _grid(tau)
-        self.n = len(grid.steps)
-        self.blocks = blocks = self.n // _BLOCK
-        self.lengths = (1.0, tau)
+        self.tau, self.trials, self.n = tau, 0, len(grid.steps)
+        self.blocks = nb = self.n // _BLOCK
         self.signs = np.array([1.0, -1.0])[:, None, None]
-        self.consts = self._constants(np.array(self.lengths)[:, None] * grid.steps,
-                                      np.stack(_leg_potentials(tau, grid.gauss)),
-                                      self.signs[:, 0])
-        self.work = np.empty((5, 2, _BLOCK, blocks))
-        self.steps = np.empty((2, 2, 2, _BLOCK, blocks))
-        self.starts = np.empty((2, 2, 2, blocks))
-        self.nodes = np.empty((2, 2, 2, _BLOCK, blocks))
-        self.negative = np.empty((2, 2, 2, _BLOCK, blocks), dtype=bool)
+        self.consts = tuple(self._constants(np.array([1.0, tau])[:, None] * grid.steps,
+                                            np.stack(_leg_potentials(tau, grid.gauss)),
+                                            self.signs[:, 0]))
+        work = np.empty((5, 2, _BLOCK, nb))
+        self.work = tuple(work)
+        self.steps = step = np.empty((2, 2, 2, _BLOCK, nb))
+        nodes, start = np.empty((2, 2, 2, _BLOCK, nb)), np.empty((2, 2, 2, nb))
+        negative = np.empty((2, 2, 2, _BLOCK, nb), dtype=bool)
+        # the step build's masks (Delta > 0, Delta <= 0, r > 0, r = 0), the
+        # step entries [0, 0], [1, 1], [0, 1] and [1, 0], and the operands
+        # of the scan's stages (see _magnus_legs)
+        self.masks = tuple(negative.reshape(4, 2, _BLOCK, nb))
+        self.entries = step[:, 0, 0], step[:, 1, 1], step[:, 0, 1], step[:, 1, 0]
+        self.first = nodes[..., 0, :], step[..., 0, :]
+        self.prefixes = [(step[..., j, :], nodes[..., j - 1, :], nodes[..., j, :])
+                         for j in range(1, _BLOCK)]
+        start[..., 0] = _EYE  # every round's head carries block 0's start along
+        self.block_ends = start[..., 1:], nodes[..., -1, :-1]
+        spare = work.reshape(-1)[:start.size].reshape(start.shape)
+        self.rounds, span = [], 1
+        while span < nb:
+            self.rounds.append((spare[..., :span], start[..., :span], start[..., span:],
+                                start[..., :-span], spare[..., span:]))
+            start, spare, span = spare, start, 2 * span
+        self.product, self.end = (nodes, start), step[..., -1, -1]
+        # _flips' sign products of c and s (the nodes' row 0) in the free
+        # nodes' buffer: in one pass over the flat rows (at j = _BLOCK - 1
+        # it pairs c's last with s's first), then over block edges and I
+        row = 2 * _BLOCK * nb
+        heads, signs = step.reshape(2, -1)[:, :row], nodes.reshape(2, -1)[:, :row]
+        self.flips = ((heads[:, :-nb], heads[:, nb:], signs[:, :-nb]),
+                      (step[:, 0, :, -1, :-1], step[:, 0, :, 0, 1:], nodes[:, 0, :, -1, :-1]),
+                      (_EYE[0], step[:, 0, :, 0, 0], nodes[:, 0, :, -1, -1]))
+        self.flip_signs = signs, negative.reshape(2, -1)[:, :row]
 
     @staticmethod
     def _constants(h: np.ndarray, V: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -312,7 +341,7 @@ class _Legs:
         return by_step.reshape(6, 2, -1, _BLOCK).transpose(0, 1, 3, 2).copy()
 
 
-def _magnus_legs(legs: _Legs, lambda_acc: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _magnus_legs(legs: _Legs, lambda_acc: float) -> list:
     """Transfer y'' = q(t) y for the (c, s) columns over both legs of legs.
 
     Each step is the sixth-order three-Gauss-point Magnus exponential
@@ -329,17 +358,15 @@ def _magnus_legs(legs: _Legs, lambda_acc: float) -> tuple[np.ndarray, np.ndarray
     one einsum over the stacked legs.  An einsum's output must not
     overlap its operands, so the block prefixes go into the nodes'
     buffer, each doubling round into the other of two buffers, and the
-    nodes into the steps' buffer.
+    nodes into the steps' buffer, legs.steps.
 
-    Returns (endpoints, census, drift), indexed by leg: the far node
-    [[c, s], [c', s']], the count of sign changes of each of its entries
-    over all N + 1 nodes, and |W - 1|.  Raises nothing; an endpoint that
-    overflowed, which happens only for lambda far outside the bracket,
-    is not finite.
+    Returns the far node of each leg, [[c, s], [c', s']], as nested
+    lists of floats.  Raises nothing; an endpoint that overflowed, which
+    happens only for lambda far outside the bracket, is not finite.
     """
     e, d0, d1, f0, f1, shift = legs.consts
-    nb = legs.blocks
     delta, d, f, r, C = legs.work
+    grow, shrink, positive, zero = legs.masks
     q2 = np.subtract(legs.signs * lambda_acc, shift, out=delta)
     np.multiply(d1, q2, out=d)
     d += d0
@@ -348,82 +375,63 @@ def _magnus_legs(legs: _Legs, lambda_acc: float) -> tuple[np.ndarray, np.ndarray
     np.multiply(e, f, out=delta)
     delta += np.multiply(d, d, out=r)
     np.sqrt(np.abs(delta, out=r), out=r)
-    # the census's buffer holds the step build's masks
-    masks = legs.negative.reshape(4, 2, _BLOCK, nb)
-    grow = np.greater(delta, 0.0, out=masks[0])
-    shrink = np.logical_not(grow, out=masks[1])
+    np.greater(delta, 0.0, out=grow)
+    np.logical_not(grow, out=shrink)
     S = delta  # Delta's buffer, free once its signs are read
     np.cosh(r, out=C, where=grow)
     np.cos(r, out=C, where=shrink)
     np.sinh(r, out=S, where=grow)
     np.sin(r, out=S, where=shrink)
-    np.divide(S, r, out=S, where=np.greater(r, 0.0, out=masks[2]))
-    np.copyto(S, 1.0, where=np.equal(r, 0.0, out=masks[3]))
-    step, start, nodes = legs.steps, legs.starts, legs.nodes
+    np.divide(S, r, out=S, where=np.greater(r, 0.0, out=positive))
+    np.copyto(S, 1.0, where=np.equal(r, 0.0, out=zero))
+    s00, s11, s01, s10 = legs.entries
     d *= S
-    np.add(C, d, out=step[:, 0, 0])
-    np.subtract(C, d, out=step[:, 1, 1])
-    np.multiply(S, e, out=step[:, 0, 1])
-    np.multiply(S, f, out=step[:, 1, 0])
-    # nodes[..., j, b] becomes the product of steps 0..j of block b ...
-    nodes[..., 0, :] = step[..., 0, :]
-    for j in range(1, _BLOCK):
-        np.einsum("lijm,ljkm->likm", step[..., j, :], nodes[..., j - 1, :],
-                  out=nodes[..., j, :])
-    # ... start[..., b] that of blocks 0..b-1, doubling the span per round
-    # and passing it between start and the free work buffers ...
-    start[..., 0] = _EYE
-    start[..., 1:] = nodes[..., -1, :-1]
-    spare = legs.work.reshape(-1)[:start.size].reshape(start.shape)
-    span = 1
-    while span < nb:
-        spare[..., :span] = start[..., :span]
-        np.einsum("lijm,ljkm->likm", start[..., span:], start[..., :-span],
-                  out=spare[..., span:])
-        start, spare = spare, start
-        span *= 2
-    # ... and every node is the product of the two, into the steps' buffer
-    np.einsum("lijbm,ljkm->likbm", nodes, start, out=step)
-    nodes, signs = step, nodes
-    # sign changes between consecutive nodes: inside each block, in one
-    # pass over the flat buffers (its products at j = _BLOCK - 1 pair one
-    # entry's last row with the next entry's first), then across each
-    # block edge over those slots, and off node 0 = I into the last slot
-    np.multiply(nodes.reshape(-1)[:-nb], nodes.reshape(-1)[nb:],
-                out=signs.reshape(-1)[:-nb])
-    np.multiply(nodes[..., -1, :-1], nodes[..., 0, 1:], out=signs[..., -1, :-1])
-    np.multiply(_EYE, nodes[..., 0, 0], out=signs[..., -1, -1])
-    negative = np.less(signs, 0.0, out=legs.negative).reshape(8, legs.n)
-    census = np.array([np.count_nonzero(entry) for entry in negative]).reshape(2, 2, 2)
-    end = nodes[..., -1, -1].copy()
-    drift = np.abs(end[:, 0, 0] * end[:, 1, 1] - end[:, 1, 0] * end[:, 0, 1] - 1.0)
-    return end, census, drift
+    np.add(C, d, out=s00)
+    np.subtract(C, d, out=s11)
+    np.multiply(S, e, out=s01)
+    np.multiply(S, f, out=s10)
+    # each block's prefixes ...
+    np.copyto(*legs.first)
+    for step, prefix, out in legs.prefixes:
+        np.einsum("lijm,ljkm->likm", step, prefix, out=out)
+    # ... the product of the blocks before each one, doubling the span
+    # per round ...
+    np.copyto(*legs.block_ends)
+    for head, last_head, later, earlier, out in legs.rounds:
+        np.copyto(head, last_head)
+        np.einsum("lijm,ljkm->likm", later, earlier, out=out)
+    # ... and every node is the product of the two
+    np.einsum("lijbm,ljkm->likbm", *legs.product, out=legs.steps)
+    return legs.end.tolist()
 
 
-def _integrate_with(legs: _Legs, lambda_acc: float) -> LameEndpointData:
-    """Endpoint data of both legs at lambda_acc from one _magnus_legs call.
+def _flips(legs: _Legs) -> list[bool]:
+    """Whether c or s changes sign between consecutive nodes of the last
+    _magnus_legs call on legs, for the real and the imaginary leg."""
+    for a, b, out in legs.flips:
+        np.multiply(a, b, out=out)
+    signs, negative = legs.flip_signs
+    return np.less(signs, 0.0, out=negative).any(axis=1).tolist()
 
-    Raises :class:`BracketError` when a leg overflowed (naming the first
-    such leg's length) or when c or s changes sign along a leg.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        end, census, drift = _magnus_legs(legs, lambda_acc)
-    for leg, (L, leg_end) in enumerate(zip(legs.lengths, end)):
-        if not np.isfinite(leg_end).all():
-            raise BracketError(f"the solution overflowed on a leg of length {L}",
-                               below=leg == 1)
-    # (c, c', s, s') per leg
-    (c1, cp1, s1, sp1), (c2, cp2, s2, sp2) = end.transpose(0, 2, 1).reshape(2, 4).tolist()
-    if census[:, 0].any():
-        f1, f2 = map(tuple, census.transpose(0, 2, 1).reshape(2, 4).tolist())
-        raise BracketError(
-            "c or s changes sign along a leg (flip census "
-            f"{f1} on [0,1], {f2} on [0,i*tau]): lambda={lambda_acc} is "
-            "outside the oscillation-free bracket", below=bool(census[0, 0].any()))
-    return LameEndpointData(
-        c_1=c1, cp_1=cp1, s_1=s1, sp_1=sp1,
-        c_it=c2, cp_it=cp2, s_it_imag=s2, sp_it=sp2,
-        wronskian_drift=drift.max().item())
+
+def _ends(legs: _Legs, lambda_acc: float) -> list | bool:
+    """One lambda trial on legs, counted in legs.trials: the far nodes as
+    :func:`_magnus_legs` returns them or, when a leg overflowed or c or s
+    changes sign along one, :class:`BracketError`'s below.  The caller
+    ignores overflow and invalid operations."""
+    legs.trials += 1
+    end = _magnus_legs(legs, lambda_acc)
+    real, imag = (all(map(math.isfinite, leg[0] + leg[1])) for leg in end)
+    if not (real and imag):
+        return not imag and (real or bool(lambda_acc < 0.0))
+    flips = _flips(legs)
+    return flips[0] if any(flips) else end
+
+
+def _drift(end: list) -> float:
+    """|W - 1| of the far nodes, the larger of the two legs'."""
+    end = np.array(end)
+    return np.abs(end[:, 0, 0] * end[:, 1, 1] - end[:, 1, 0] * end[:, 0, 1] - 1.0).max().item()
 
 
 def integrate_lame(tau: float, lambda_acc: float) -> LameEndpointData:
@@ -438,7 +446,27 @@ def integrate_lame(tau: float, lambda_acc: float) -> LameEndpointData:
     _check_tau(tau)
     if math.isnan(lambda_acc):
         raise ValueError(f"accessory parameter lambda_acc = {lambda_acc!r} is not a number")
-    return _integrate_with(_Legs(tau), lambda_acc)
+    legs = _Legs(tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        end = _ends(legs, lambda_acc)
+        if isinstance(end, bool) and np.isfinite(legs.end).all():
+            # the flip census: sign changes of each entry over the N + 1 nodes
+            nodes = legs.steps.swapaxes(-1, -2).reshape(2, 2, 2, -1)
+            census = (np.count_nonzero(nodes[..., :-1] * nodes[..., 1:] < 0.0, axis=-1)
+                      + (_EYE * nodes[..., 0] < 0.0))
+            f1, f2 = map(tuple, census.transpose(0, 2, 1).reshape(2, 4).tolist())
+            raise BracketError(
+                "c or s changes sign along a leg (flip census "
+                f"{f1} on [0,1], {f2} on [0,i*tau]): lambda={lambda_acc} is "
+                "outside the oscillation-free bracket", below=end)
+    if isinstance(end, bool):
+        raise BracketError(f"the solution overflowed on a leg of length {(1.0, tau)[end]}",
+                           below=end)
+    ((c1, s1), (cp1, sp1)), ((c2, s2), (cp2, sp2)) = end
+    return LameEndpointData(
+        c_1=c1, cp_1=cp1, s_1=s1, sp_1=sp1,
+        c_it=c2, cp_it=cp2, s_it_imag=s2, sp_it=sp2,
+        wronskian_drift=_drift(end))
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +488,16 @@ class CircleInvariants:
         return (self.r1 / self.a1) ** 2 + (self.r2 / self.a2) ** 2 - 1.0
 
 
-def _signed_root(inv: CircleInvariants) -> float:
-    """Sign-changing reformulation of the tangency condition.
-
-    a1^2 - r1*sqrt(a1^2 + a2^2) vanishes together with the direct
-    residual but crosses zero transversally along the lambda sweep,
-    which makes it the better bisection target.
-    """
-    return inv.a1 * inv.a1 - inv.r1 * math.hypot(inv.a1, inv.a2)
+def _invariants(end) -> tuple[float, ...] | bool:
+    """(a1, r1, a2, r2) of the far nodes, as _magnus_legs returns them, or
+    BracketError's below when the circles do not exist."""
+    ((c1, s1), (cp1, sp1)), ((c2, s2), (cp2, sp2)) = end
+    if c1 == 0 or cp1 == 0 or c2 == 0 or cp2 == 0:
+        return c1 == 0 or cp1 == 0
+    q1, q2, q3, q4 = s1 / c1, sp1 / cp1, s2 / c2, sp2 / cp2
+    if min(q1, q2, q3, q4) <= 0:
+        return min(q1, q2) <= 0
+    return 0.5 * (q1 + q2), 0.5 * abs(q1 - q2), 0.5 * (q3 + q4), 0.5 * abs(q3 - q4)
 
 
 def circle_invariants(data: LameEndpointData) -> CircleInvariants:
@@ -478,20 +508,28 @@ def circle_invariants(data: LameEndpointData) -> CircleInvariants:
     all be positive for the circles to exist, anything else meaning the
     accessory parameter left the bracket.
     """
-    if data.c_1 == 0 or data.cp_1 == 0 or data.c_it == 0 or data.cp_it == 0:
-        raise BracketError("vanishing c or c' endpoint: no circle invariants",
-                           below=data.c_1 == 0 or data.cp_1 == 0)
-    q1 = data.s_1 / data.c_1
-    q2 = data.sp_1 / data.cp_1
-    q3 = data.s_it_imag / data.c_it
-    q4 = data.sp_it / data.cp_it
-    if min(q1, q2, q3, q4) <= 0:
-        raise BracketError(
-            f"endpoint ratios ({q1:.3g}, {q2:.3g}, {q3:.3g}, {q4:.3g}) "
-            "must all be positive", below=min(q1, q2) <= 0)
-    a1, r1 = 0.5 * (q1 + q2), 0.5 * abs(q1 - q2)
-    a2, r2 = 0.5 * (q3 + q4), 0.5 * abs(q3 - q4)
-    return CircleInvariants(a1=a1, r1=r1, a2=a2, r2=r2)
+    inv = _invariants((((data.c_1, data.s_1), (data.cp_1, data.sp_1)),
+                       ((data.c_it, data.s_it_imag), (data.cp_it, data.sp_it))))
+    if not isinstance(inv, tuple):
+        raise BracketError("vanishing c or c' endpoint or an endpoint ratio that is not "
+                           "positive: no circle invariants", below=bool(inv))
+    return CircleInvariants(*inv)
+
+
+def _trial(legs: _Legs, lambda_acc: float) -> tuple | bool:
+    """One lambda trial of a solve: (root value, far nodes, (a1, r1, a2,
+    r2)), or below when the circles do not exist (see :func:`_ends`).
+
+    The root value a1^2 - r1 sqrt(a1^2 + a2^2) vanishes together with
+    the tangency residual but crosses zero transversally along the
+    lambda sweep, which makes it the better bisection target.
+    """
+    end = _ends(legs, lambda_acc)
+    inv = end if isinstance(end, bool) else _invariants(end)
+    if isinstance(inv, bool):
+        return inv
+    a1, r1, a2, _ = inv
+    return a1 * a1 - r1 * math.hypot(a1, a2), end, inv
 
 
 @dataclass(frozen=True)
@@ -522,45 +560,46 @@ class AccessorySolve:
         }
 
 
-def _secant(trial, x0: float, x1: float):
+def _secant(legs: _Legs, x0: float, x1: float):
     """Secant iteration on the tangency root from the seed pair (x0, x1).
 
-    trial(lam) returns (root value, endpoint data, invariants); each
-    iterate is integrated once.  Returns (lambda, data, invariants) of
-    the last iterate once a step is within 1e-13 + 4e-16 |lambda|, or
-    None when an iterate has no invariants (BracketError), two root
-    values coincide, or the steps run out.
+    Each iterate is one :func:`_trial`.  Returns (lambda, trial) of the
+    last iterate once a step is within 1e-13 + 4e-16 |lambda|, or None
+    when an iterate has no circles, two root values coincide, or the
+    steps run out.
     """
-    try:
-        f0 = trial(x0)[0]
-        f1, data, inv = trial(x1)
-        for _ in range(_SECANT_STEPS):
-            if f1 == f0:
-                return None
-            x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
-            if x1 == x0:
-                return x0, data, inv
-            f1, data, inv = trial(x1)
-            if abs(x1 - x0) <= 1e-13 + 4e-16 * abs(x1):
-                return x1, data, inv
-    except BracketError:
+    got = _trial(legs, x0)
+    if isinstance(got, bool):
         return None
+    f0, got = got[0], _trial(legs, x1)
+    for _ in range(_SECANT_STEPS):
+        if isinstance(got, bool) or got[0] == f0:
+            return None
+        f1 = got[0]
+        x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+        if x1 == x0:
+            return x0, got
+        got = _trial(legs, x1)
+        if not isinstance(got, bool) and abs(x1 - x0) <= 1e-13 + 4e-16 * abs(x1):
+            return x1, got
     return None
 
 
-def _polish(trial, pre, cur):
+def _polish(legs: _Legs, pre, cur):
     """The tangency root between a sign-change pair of lambda nodes.
 
-    pre and cur are (lambda, trial(lambda)) at the two ends, as the node
-    search computed them.  Each step is the secant through the last two
+    pre and cur are (lambda, trial) at the two ends, as the node search
+    computed them.  Each step is the secant through the last two
     iterates, kept only while it is shorter than half the step before
     the last and lands in the three quarters of the bracket next to the
     best iterate; otherwise the step bisects (Brent, "Algorithms for
     Minimization without Derivatives", 1973, ch. 4).  A
     step shorter than the tolerance is lengthened to it, so the bracket
     also closes from the far side.  Stops once the bracket is within
-    1e-13 + 9e-16 |lambda| and returns (lambda, data, invariants) of the
-    end with the smaller root value; each iterate is integrated once.
+    1e-13 + 9e-16 |lambda| and returns (lambda, trial) of the end with
+    the smaller root value; each iterate is one :func:`_trial`.  Raises
+    :class:`SolverFailure` when the steps run out or an iterate has no
+    circles.
     """
     (xp, rp), (xc, rc) = pre, cur
     for _ in range(_POLISH_STEPS):
@@ -572,7 +611,7 @@ def _polish(trial, pre, cur):
         tol = 0.5 * (1e-13 + 9e-16 * abs(xc))
         half = 0.5 * (xb - xc)
         if rc[0] == 0.0 or abs(half) < tol:
-            return xc, rc[1], rc[2]
+            return xc, rc
         if abs(last) > tol and abs(rc[0]) < abs(rp[0]):
             secant = -rc[0] * (xc - xp) / (rc[0] - rp[0])
             if 2.0 * abs(secant) < min(abs(last), 3.0 * abs(half) - tol):
@@ -583,11 +622,14 @@ def _polish(trial, pre, cur):
             last = step = half
         xp, rp = xc, rc
         xc = xc + (step if abs(step) > tol else math.copysign(tol, half))
-        rc = trial(xc)
-    raise SolverFailure(f"the tangency root polish did not converge in {_POLISH_STEPS} steps")
+        rc = _trial(legs, xc)
+        if isinstance(rc, bool):
+            break
+    raise SolverFailure(f"the tangency root polish did not converge in {_POLISH_STEPS} steps",
+                        {"tau": legs.tau, "lambda_trials": legs.trials})
 
 
-def _search_nodes(trial):
+def _search_nodes(legs: _Legs):
     """The root or bracket on the _LAMBDAS nodes, by bisection on their index.
 
     Each node lies below the window of oscillation-free legs, above it
@@ -605,33 +647,26 @@ def _search_nodes(trial):
     there with a positive one at k - 1, which the bisection has tried
     too, is a bracket for _polish.
 
-    Returns (lambda, lo, hi, data, invariants), or None when the nodes
-    hold neither.  The bisection integrates no node twice.
+    Returns (lambda, lo, hi, trial), and raises :class:`SolverFailure`
+    when the nodes hold neither.  The bisection integrates no node twice.
     """
-    # A node without invariants keeps only BracketError.below: the error
-    # would hold its traceback, and through it this solve's _Legs, in a
-    # reference cycle until the next garbage collection.
     nodes: dict[int, tuple | bool] = {}
 
     def past(i: int) -> bool:
         """False below the window and where the root value is positive."""
-        try:
-            nodes[i] = trial(_LAMBDAS[i])
-        except BracketError as err:
-            nodes[i] = err.below
-            return not err.below
-        return not nodes[i][0] > 0.0
+        got = nodes[i] = _trial(legs, _LAMBDAS[i])
+        return not got if isinstance(got, bool) else not got[0] > 0.0
 
     k = bisect.bisect_left(range(len(_LAMBDAS)), True, key=past)
     pre, cur = nodes.get(k - 1), nodes.get(k)
     if isinstance(cur, tuple):
-        root, data, inv = cur
-        if root == 0.0 and abs(inv.tangency_residual()) < 1e-10:
-            return _LAMBDAS[k], _LAMBDAS[k], _LAMBDAS[k], data, inv
-        if root < 0.0 and isinstance(pre, tuple):
-            lam, data, inv = _polish(trial, (_LAMBDAS[k - 1], pre), (_LAMBDAS[k], cur))
-            return lam, _LAMBDAS[k - 1], _LAMBDAS[k], data, inv
-    return None
+        if cur[0] == 0.0 and abs(CircleInvariants(*cur[2]).tangency_residual()) < 1e-10:
+            return _LAMBDAS[k], _LAMBDAS[k], _LAMBDAS[k], cur
+        if cur[0] < 0.0 and isinstance(pre, tuple):
+            lam, got = _polish(legs, (_LAMBDAS[k - 1], pre), (_LAMBDAS[k], cur))
+            return lam, _LAMBDAS[k - 1], _LAMBDAS[k], got
+    raise SolverFailure(f"no sign change of the tangency root function at tau={legs.tau}",
+                        {"tau": legs.tau, "lambda_trials": legs.trials})
 
 
 def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> AccessorySolve:
@@ -649,7 +684,8 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
     the root inside the node and its lower neighbour, reusing their two
     root values, in at most 11 more trials over the supported range.
     When the nodes hold no sign change it raises
-    :class:`SolverFailure`, and that is every tau from about 5.4 up.
+    :class:`SolverFailure`, and that is every tau from about 5.4 up;
+    every SolverFailure it raises carries tau and lambda_trials.
 
     diagnostics holds the tangency residual, the Wronskian drift,
     lambda_trials (integrations made), warm (True when the seed pair
@@ -658,34 +694,19 @@ def solve_accessory(tau: float, bracket: tuple[float, float] | None = None) -> A
     """
     _check_tau(tau)
     legs = _Legs(tau)
-    trials = 0
-
-    def trial(lam: float) -> tuple[float, LameEndpointData, CircleInvariants]:
-        nonlocal trials
-        trials += 1
-        data = _integrate_with(legs, lam)
-        inv = circle_invariants(data)
-        return _signed_root(inv), data, inv
-
-    found = None if bracket is None else _secant(trial, *bracket)
-    warm = found is not None
-    if warm:
-        lam, data, inv = found
-        lo, hi = bracket
-    else:
-        found = _search_nodes(trial)
-        if found is None:
-            raise SolverFailure(f"no sign change of the tangency root function at tau={tau}",
-                                diagnostics={"tau": tau, "lambda_trials": trials})
-        lam, lo, hi, data, inv = found
+    with np.errstate(over="ignore", invalid="ignore"):
+        found = None if bracket is None else _secant(legs, *bracket)
+        warm = found is not None
+        lam, lo, hi, (_, end, inv) = (found[0], *bracket, found[1]) if warm else _search_nodes(legs)
+    circles = CircleInvariants(*inv)
     diagnostics = {
-        "tangency_residual": inv.tangency_residual(),
-        "wronskian_drift": data.wronskian_drift,
-        "lambda_trials": trials,
+        "tangency_residual": circles.tangency_residual(),
+        "wronskian_drift": _drift(end),
+        "lambda_trials": legs.trials,
         "warm": warm,
         "grid": legs.n,
     }
     return AccessorySolve(
         tau=tau, lambda_acc=lam, bracket=(lo, hi),
-        cross_ratio=(inv.a1 / inv.r1) ** 2, modulus=1.0 / tau,
-        circles=inv, diagnostics=diagnostics)
+        cross_ratio=(circles.a1 / circles.r1) ** 2, modulus=1.0 / tau,
+        circles=circles, diagnostics=diagnostics)

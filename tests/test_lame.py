@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import gc
 import math
@@ -110,32 +111,27 @@ def _walk(tau: float):
     It tries the 64 lambda nodes of [-2, 1] upward and stops at the
     first node that is a touching exact zero or that changes sign
     against the node before it, which it then polishes; a node without
-    invariants breaks the adjacency of its neighbours.  When nothing
+    circles breaks the adjacency of its neighbours.  When nothing
     brackets it raises SolverFailure with tau.  Returns (lambda,
-    bracket, data, invariants).
+    bracket, far nodes, invariants).
     """
     legs = lame._Legs(tau)
-
-    def trial(lam):
-        data = lame._integrate_with(legs, lam)
-        inv = circle_invariants(data)
-        return lame._signed_root(inv), data, inv
-
     xs = np.linspace(-2.0, 1.0, 64).tolist()
     pre = None
-    for x in xs:
-        try:
-            cur = (x, trial(x))
-        except BracketError:
-            pre = None
-            continue
-        root, data, inv = cur[1]
-        if root == 0.0 and abs(inv.tangency_residual()) < 1e-10:
-            return x, (x, x), data, inv
-        if pre is not None and pre[1][0] * root < 0.0:
-            lam, data, inv = lame._polish(trial, pre, cur)
-            return lam, (pre[0], x), data, inv
-        pre = cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in xs:
+            got = lame._trial(legs, x)
+            if isinstance(got, bool):
+                pre = None
+                continue
+            cur = (x, got)
+            root, end, inv = got
+            if root == 0.0 and abs(lame.CircleInvariants(*inv).tangency_residual()) < 1e-10:
+                return x, (x, x), end, lame.CircleInvariants(*inv)
+            if pre is not None and pre[1][0] * root < 0.0:
+                lam, (_, end, inv) = lame._polish(legs, pre, cur)
+                return lam, (pre[0], x), end, lame.CircleInvariants(*inv)
+            pre = cur
     raise SolverFailure(f"no sign change of the tangency root function at tau={tau}",
                         diagnostics={"tau": tau})
 
@@ -247,10 +243,10 @@ class TestTwoLegIntegration:
         # DOP853's c vanishes at that end.
         legs = lame._Legs(tau)
         for leg, outward in ((0, -1.0), (1, 1.0)):
-            def oscillates(lam):
+            def oscillates(lam):  # c or s changes sign
                 with np.errstate(over="ignore", invalid="ignore"):
-                    flips = lame._magnus_legs(legs, lam)[1][leg]
-                return flips[0].any()  # c or s
+                    lame._magnus_legs(legs, lam)
+                    return lame._flips(legs)[leg]
 
             calm, wild = 0.0, outward
             while not oscillates(wild):
@@ -270,52 +266,69 @@ class TestTwoLegIntegration:
         assert time.perf_counter() - t0 < 2.0
 
     def test_overflow_raises_bracket_error(self):
-        # only the growing leg overflows, the other one oscillates; the
-        # message names the leg that overflowed
-        for tau, lam, leg in ((0.02, 1e6, 0), (50.0, -1e4, 1)):
+        # the growing leg overflows and the other one oscillates; from
+        # |lambda| of about 1e50 (1e200 at tau = 50) the oscillating
+        # leg's steps overflow too.  The message names the growing leg.
+        cases = ((0.02, 1e6, 0, [False, True]), (50.0, -1e4, 1, [True, False]),
+                 (0.5, -1e50, 1, [False, False]), (0.5, 1e50, 0, [False, False]),
+                 (0.02, -1e50, 1, [False, False]), (50.0, 1e200, 0, [False, False]),
+                 (0.5, -math.inf, 1, [False, False]))
+        for tau, lam, leg, finite in cases:
             with np.errstate(over="ignore", invalid="ignore"):
-                ends = lame._magnus_legs(lame._Legs(tau), lam)[0]
-            assert [np.isfinite(end).all() for end in ends] == [leg == 1, leg == 0]
+                ends = lame._magnus_legs(lame._Legs(tau), lam)
+            assert [np.isfinite(end).all() for end in ends] == finite, (tau, lam)
             with pytest.raises(BracketError, match=re.escape(
                     f"overflowed on a leg of length {(1.0, tau)[leg]}")):
                 integrate_lame(tau, lam)
 
     def test_scan_keeps_every_bit_of_the_ufunc_scan(self):
         # one einsum per stage of products keeps each product's
-        # association order, so endpoints, census and drift are those of
-        # the three-ufunc scan it replaced; int64 views tell -0.0 from
-        # 0.0 and one nan from another.  The last four pairs overflow
-        # (the first two) or oscillate.
+        # association order, so endpoints, c and s flips, drift and the
+        # flip census are those of the three-ufunc scan it replaced;
+        # int64 views tell -0.0 from 0.0 and one nan from another.  The
+        # last four pairs overflow (the first two) or oscillate.
         grid = (-3.0, -2.0, -1.0, -0.5, -0.2, 0.0, 0.2, 0.5, 1.0, 2.0)
         cases = [(tau, grid) for tau in np.geomspace(TAU_MIN, TAU_MAX, 13).tolist()]
         cases += [(0.02, (1e6,)), (50.0, (-1e4, 1e4)), (1.0, (-15.0,))]
+        censuses = 0
         for tau, lams in cases:
             legs = lame._Legs(tau)
             for lam in lams:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    end, census, drift = lame._magnus_legs(legs, lam)
+                    end = lame._magnus_legs(legs, lam)
+                    flips = lame._flips(legs)
+                    drift = lame._drift(end)
                     want_end, want_census, want_drift = magnus_legs_by_ufuncs(legs, lam)
-                assert end.view(np.int64).tolist() == want_end.view(np.int64).tolist(), (tau, lam)
-                assert census.dtype == want_census.dtype
-                assert census.tolist() == want_census.tolist(), (tau, lam)
-                assert drift.view(np.int64).tolist() == want_drift.view(np.int64).tolist(), (tau, lam)
+                assert _bits(*np.ravel(end)) == want_end.view(np.int64).ravel().tolist(), (tau, lam)
+                assert flips == (want_census[:, 0] > 0).any(axis=1).tolist(), (tau, lam)
+                assert _bits(drift) == _bits(want_drift.max()), (tau, lam)
+                if np.isfinite(want_end).all() and any(flips):
+                    # integrate_lame reports the full census of the nodes
+                    f1, f2 = want_census.transpose(0, 2, 1).reshape(2, 4).tolist()
+                    with pytest.raises(BracketError, match=re.escape(
+                            f"census {tuple(f1)} on [0,1], {tuple(f2)} on [0,i*tau]")):
+                        integrate_lame(tau, lam)
+                    censuses += 1
+        assert censuses >= 20
 
     def test_trial_allocates_only_iteration_buffers(self):
-        # A trial writes its arrays into the scratch of _Legs.  Its peak
-        # measured 69,866 bytes (numpy 2.4): the node product's einsum
-        # iterates through a buffer of 8192 numbers (65,536 bytes), the
-        # rest is smaller buffers and arrays of at most eight numbers.
-        # The bound leaves about a third.  The ufunc scan peaked at
-        # 153,864 bytes in its strided sign products, and its census,
-        # counted along two axes at once, took 66 kB on its own.
+        # A trial writes its arrays into the scratch of _Legs.  On the
+        # 256 steps of tau = 0.5 its peak measured 18,458 bytes (numpy
+        # 2.4): the node product's einsum iterates through a buffer of
+        # 8 N = 2048 numbers (16,384 bytes), the rest is smaller
+        # buffers, arrays of at most eight numbers and the far nodes'
+        # lists.  The bound left about a third over the 69,866 bytes of
+        # 1024 steps; on those the ufunc scan peaked at 153,864 bytes in
+        # its strided sign products, and its census, counted along two
+        # axes at once, took 66 kB on its own.
         legs = lame._Legs(0.5)
-        lame._magnus_legs(legs, -0.3)
+        lame._trial(legs, -0.3)
         tracemalloc.start()
         try:
             peaks = []
             for lam in (-0.3, 0.3, -15.0):
                 tracemalloc.reset_peak()
-                lame._magnus_legs(legs, lam)
+                lame._trial(legs, lam)
                 peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -326,8 +339,8 @@ class TestTwoLegIntegration:
         # equation at lambda is the real leg's at -lambda
         legs = lame._Legs(1.0)
         for lam in (-0.5, -0.1, 0.1, 0.5):
-            imag = lame._magnus_legs(legs, lam)[0][1]
-            real = lame._magnus_legs(legs, -lam)[0][0]
+            imag = lame._magnus_legs(legs, lam)[1]
+            real = lame._magnus_legs(legs, -lam)[0]
             np.testing.assert_allclose(imag, real, rtol=1e-14, atol=0.0)
 
     def test_rejects_nonpositive_tau(self):
@@ -363,6 +376,10 @@ class TestCircleGeometry:
                          wronskian_drift=data.wronskian_drift)
         with pytest.raises(BracketError):
             circle_invariants(bad)
+        # numpy scalars take the same path
+        with pytest.raises(BracketError) as err:
+            circle_invariants(type(data)(*map(np.float64, dataclasses.astuple(bad))))
+        assert err.value.below is True
 
 
 class TestAccessorySolve:
@@ -416,13 +433,13 @@ class TestAccessorySolve:
         lam = cold.lambda_acc
         assert not cold.diagnostics["warm"]
         tried = []
-        integrate = lame._integrate_with
+        integrate = lame._magnus_legs
 
         def record(legs, lam_):
             tried.append(lam_)
             return integrate(legs, lam_)
 
-        monkeypatch.setattr(lame, "_integrate_with", record)
+        monkeypatch.setattr(lame, "_magnus_legs", record)
         seeds = (lam + 1e-3, lam + 2e-3)
         warm = solve_accessory(0.5, bracket=seeds)
         assert warm.diagnostics["warm"] and warm.bracket == seeds
@@ -437,13 +454,13 @@ class TestAccessorySolve:
         # integrations, with a margin of 3 (4 at tau = 5); the linear
         # walk up the same nodes made 37, 43, 43, 51 and 54
         tried = []
-        integrate = lame._integrate_with
+        integrate = lame._magnus_legs
 
         def record(legs, lam_):
             tried.append(lam_)
             return integrate(legs, lam_)
 
-        monkeypatch.setattr(lame, "_integrate_with", record)
+        monkeypatch.setattr(lame, "_magnus_legs", record)
         sol = solve_accessory(tau)
         assert not sol.diagnostics["warm"]
         assert len(set(tried)) == len(tried) == sol.diagnostics["lambda_trials"] <= most
@@ -494,7 +511,8 @@ class TestAccessorySolve:
         # here a1^2 and r1 hypot(a1, a2) cancel to an exact 0 at
         # lambda = 0, far from tangency: the scan must not take it
         inv = circle_invariants(integrate_lame(tau, 0.0))
-        assert lame._signed_root(inv) == 0.0 and inv.tangency_residual() > 1e-10
+        assert inv.a1 * inv.a1 - inv.r1 * math.hypot(inv.a1, inv.a2) == 0.0
+        assert inv.tangency_residual() > 1e-10
         try:
             sol = solve_accessory(tau)
         except SolverFailure:
@@ -508,13 +526,13 @@ class TestAccessorySolve:
         # the 6 nodes of one bisection, each integrated once, and reports
         # them as lambda_trials.
         tried = []
-        integrate = lame._integrate_with
+        integrate = lame._magnus_legs
 
         def record(legs, lam_):
             tried.append(lam_)
             return integrate(legs, lam_)
 
-        monkeypatch.setattr(lame, "_integrate_with", record)
+        monkeypatch.setattr(lame, "_magnus_legs", record)
         with pytest.raises(SolverFailure, match=re.escape(
                 "no sign change of the tangency root function at tau=6.0")) as err:
             solve_accessory(6.0)
@@ -539,7 +557,7 @@ class TestAccessorySolve:
         failed = 0
         for tau in self._ORACLE_TAUS:
             try:
-                lam, bracket, data, inv = _walk(tau)
+                lam, bracket, end, inv = _walk(tau)
             except SolverFailure as want:
                 with pytest.raises(SolverFailure) as got:
                     solve_accessory(tau)
@@ -551,23 +569,52 @@ class TestAccessorySolve:
             assert _bits(sol.lambda_acc, *sol.bracket) == _bits(lam, *bracket), tau
             c, ref = sol.circles, inv
             assert _bits(c.a1, c.r1, c.a2, c.r2) == _bits(ref.a1, ref.r1, ref.a2, ref.r2), tau
+            drift = max(abs(c * sp - cp * s - 1.0) for (c, s), (cp, sp) in end)
             assert _bits(sol.cross_ratio, sol.diagnostics["tangency_residual"],
                          sol.diagnostics["wronskian_drift"]) == _bits(
-                (ref.a1 / ref.r1) ** 2, ref.tangency_residual(), data.wronskian_drift), tau
+                (ref.a1 / ref.r1) ** 2, ref.tangency_residual(), drift), tau
         # every tau from about 5.4 up fails, on the sweep and on the list
         assert failed == sum(tau >= 5.4 for tau in self._ORACLE_TAUS)
 
     def test_bracket_errors_tell_the_side(self):
         # below the window the real leg oscillates and above it the
         # imaginary one; far below, the imaginary leg overflows, and far
-        # above (at tau = 0.02) the real one does
+        # above (at tau = 0.02) the real one does.  From |lambda| of about
+        # 1e50 (1e200 at tau = 50) the oscillating leg's steps overflow
+        # too, and the sign of lambda tells which leg grows.
         cases = ((6.0, -2.0, True), (6.0, -1e4, True), (50.0, -1e4, True),
                  (6.0, 0.0476, False), (6.0, 1.0, False), (50.0, 1e4, False),
                  (0.02, 1e6, False))
+        far = ((0.5, 1e50), (0.02, 1e50), (50.0, 1e200), (0.5, 1e308), (0.5, math.inf))
+        cases += tuple((tau, -lam, True) for tau, lam in far)
+        cases += tuple((tau, lam, False) for tau, lam in far)
         for tau, lam, below in cases:
-            with pytest.raises(BracketError) as err:
-                circle_invariants(integrate_lame(tau, lam))
-            assert err.value.below is below, (tau, lam)
+            for lam in (lam, np.float64(lam)):
+                with pytest.raises(BracketError) as err:
+                    circle_invariants(integrate_lame(tau, lam))
+                assert err.value.below is below, (tau, lam)
+
+    def test_solves_build_no_per_trial_records(self, monkeypatch):
+        # a trial returns plain floats or the side of the window, so a
+        # solve builds no BracketError and at most the one
+        # CircleInvariants its result holds
+        built = []
+        for cls in (BracketError, lame.LameEndpointData, lame.CircleInvariants):
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        cold = solve_accessory(0.5)
+        assert cold.diagnostics["lambda_trials"] == 11
+        assert built == ["CircleInvariants"]
+        built.clear()
+        with pytest.raises(SolverFailure):
+            solve_accessory(6.0)
+        assert built == []
+        lam = cold.lambda_acc
+        warm = solve_accessory(0.5, bracket=(lam + 1e-3, lam + 2e-3))
+        assert warm.diagnostics["warm"]
+        assert built == ["CircleInvariants"]
 
     def test_cold_solves_leave_no_reference_cycles(self):
         # a node search that kept each BracketError kept its traceback
@@ -628,3 +675,11 @@ class TestAccessorySolve:
     def test_failure_carries_diagnostics(self):
         err = SolverFailure("no bracket", {"tau": 3.0})
         assert err.diagnostics == {"tau": 3.0}
+
+    def test_polish_failure_carries_the_solve_diagnostics(self, monkeypatch):
+        # tau = 0.5 polishes in 5 steps after the 6 node trials; with one
+        # step allowed the polish gives up after 7 trials
+        monkeypatch.setattr(lame, "_POLISH_STEPS", 1)
+        with pytest.raises(SolverFailure, match="did not converge in 1 steps") as err:
+            solve_accessory(0.5)
+        assert err.value.diagnostics == {"tau": 0.5, "lambda_trials": 7}
