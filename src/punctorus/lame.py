@@ -273,8 +273,9 @@ class _Legs:
     iteration buffers, each freed by the call that made it; the largest
     is the node product's einsum buffer of 8 N numbers.  Every solve
     makes its own scratch, so concurrent solves share nothing, and binds
-    here, once, each view of it that a trial writes through; no view
-    refers back to the instance.  n is the grid's step count N per leg
+    here, once, each view of it that a trial writes through and the view
+    of the nodes' c and s whose signs _flips reads; no view refers back
+    to the instance.  n is the grid's step count N per leg
     (see :func:`_grid`) and blocks its N / _BLOCK blocks.
     """
 
@@ -290,11 +291,11 @@ class _Legs:
         self.work = tuple(work)
         self.steps = step = np.empty((2, 2, 2, _BLOCK, nb))
         nodes, start = np.empty((2, 2, 2, _BLOCK, nb)), np.empty((2, 2, 2, nb))
-        negative = np.empty((2, 2, 2, _BLOCK, nb), dtype=bool)
-        # the step build's masks (Delta > 0, Delta <= 0, r > 0, r = 0), the
-        # step entries [0, 0], [1, 1], [0, 1] and [1, 0], and the operands
-        # of the scan's stages (see _magnus_legs)
-        self.masks = tuple(negative.reshape(4, 2, _BLOCK, nb))
+        masks = np.empty((3, 2, _BLOCK, nb), dtype=bool)
+        # the step build's masks (Delta > 0, Delta <= 0, r = 0), the step
+        # entries [0, 0], [1, 1], [0, 1] and [1, 0], and the operands of
+        # the scan's stages (see _magnus_legs)
+        self.masks = tuple(masks)
         self.entries = step[:, 0, 0], step[:, 1, 1], step[:, 0, 1], step[:, 1, 0]
         self.first = nodes[..., 0, :], step[..., 0, :]
         self.prefixes = [(step[..., j, :], nodes[..., j - 1, :], nodes[..., j, :])
@@ -308,15 +309,9 @@ class _Legs:
                                 start[..., :-span], spare[..., span:]))
             start, spare, span = spare, start, 2 * span
         self.product, self.end = (nodes, start), step[..., -1, -1]
-        # _flips' sign products of c and s (the nodes' row 0) in the free
-        # nodes' buffer: in one pass over the flat rows (at j = _BLOCK - 1
-        # it pairs c's last with s's first), then over block edges and I
-        row = 2 * _BLOCK * nb
-        heads, signs = step.reshape(2, -1)[:, :row], nodes.reshape(2, -1)[:, :row]
-        self.flips = ((heads[:, :-nb], heads[:, nb:], signs[:, :-nb]),
-                      (step[:, 0, :, -1, :-1], step[:, 0, :, 0, 1:], nodes[:, 0, :, -1, :-1]),
-                      (_EYE[0], step[:, 0, :, 0, 0], nodes[:, 0, :, -1, -1]))
-        self.flip_signs = signs, negative.reshape(2, -1)[:, :row]
+        # _flips' view of c and s, the nodes' row 0, and its verdict's
+        # scratch in two of the masks, both laid out (leg, column, j, b)
+        self.flip_signs = step[:, 0], masks[:2]
 
     @staticmethod
     def _constants(h: np.ndarray, V: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -366,7 +361,7 @@ def _magnus_legs(legs: _Legs, lambda_acc: float) -> list:
     """
     e, d0, d1, f0, f1, shift = legs.consts
     delta, d, f, r, C = legs.work
-    grow, shrink, positive, zero = legs.masks
+    grow, shrink, zero = legs.masks
     q2 = np.subtract(legs.signs * lambda_acc, shift, out=delta)
     np.multiply(d1, q2, out=d)
     d += d0
@@ -382,7 +377,7 @@ def _magnus_legs(legs: _Legs, lambda_acc: float) -> list:
     np.cos(r, out=C, where=shrink)
     np.sinh(r, out=S, where=grow)
     np.sin(r, out=S, where=shrink)
-    np.divide(S, r, out=S, where=np.greater(r, 0.0, out=positive))
+    S /= r  # 0/0 where r = 0, which the next line overwrites
     np.copyto(S, 1.0, where=np.equal(r, 0.0, out=zero))
     s00, s11, s01, s10 = legs.entries
     d *= S
@@ -406,12 +401,12 @@ def _magnus_legs(legs: _Legs, lambda_acc: float) -> list:
 
 
 def _flips(legs: _Legs) -> list[bool]:
-    """Whether c or s changes sign between consecutive nodes of the last
-    _magnus_legs call on legs, for the real and the imaginary leg."""
-    for a, b, out in legs.flips:
-        np.multiply(a, b, out=out)
+    """Whether c or s is negative at a node of the last _magnus_legs call
+    on legs, for the real and the imaginary leg.  c(0) = 1, s(0) = 0 and
+    s'(0) = 1, so a sign change along a leg means a negative value at a
+    node."""
     signs, negative = legs.flip_signs
-    return np.less(signs, 0.0, out=negative).any(axis=1).tolist()
+    return np.less(signs, 0.0, out=negative).any(axis=(1, 2, 3)).tolist()
 
 
 def _ends(legs: _Legs, lambda_acc: float) -> list | bool:

@@ -244,7 +244,9 @@ def magnus_legs_by_ufuncs(legs: lame._Legs, lambda_acc: float) -> tuple[np.ndarr
     """``lame._magnus_legs`` as the scan it replaced: every 2x2 product
     three broadcast ufunc calls, each product in place, and the census
     counted along two axes at once.  Same steps and association order,
-    in fresh arrays rather than the scratch of legs."""
+    in fresh arrays rather than the scratch of legs.  Returns the far
+    nodes, the census, each leg's drift and each leg's sign verdict:
+    whether c or s is negative at some node."""
     block, nb, eye = lame._BLOCK, legs.blocks, lame._EYE
     e, d0, d1, f0, f1, shift = legs.consts
     q2 = legs.signs * lambda_acc - shift
@@ -282,6 +284,7 @@ def magnus_legs_by_ufuncs(legs: lame._Legs, lambda_acc: float) -> tuple[np.ndarr
         span *= 2
     nodes = np.empty_like(step)
     _ufunc_product(step, start[..., None, :], nodes, nodes, np.empty_like(nodes))
+    negative = (nodes[:, 0] < 0.0).any(axis=(1, 2, 3))
     signs = step
     np.multiply(nodes[..., :-1, :], nodes[..., 1:, :], out=signs[..., :-1, :])
     np.multiply(nodes[..., -1, :-1], nodes[..., 0, 1:], out=signs[..., -1, :-1])
@@ -289,4 +292,4 @@ def magnus_legs_by_ufuncs(legs: lame._Legs, lambda_acc: float) -> tuple[np.ndarr
     census = np.count_nonzero(signs < 0.0, axis=(3, 4))
     end = nodes[..., -1, -1].copy()
     drift = np.abs(end[:, 0, 0] * end[:, 1, 1] - end[:, 1, 0] * end[:, 0, 1] - 1.0)
-    return end, census, drift
+    return end, census, drift, negative

@@ -283,14 +283,16 @@ class TestTwoLegIntegration:
 
     def test_scan_keeps_every_bit_of_the_ufunc_scan(self):
         # one einsum per stage of products keeps each product's
-        # association order, so endpoints, c and s flips, drift and the
-        # flip census are those of the three-ufunc scan it replaced;
+        # association order, so endpoints, drift and the flip census are
+        # those of the three-ufunc scan it replaced, and c and s flip
+        # where that scan has a negative c or s at a node; with no node
+        # exactly 0.0 that is where its census counts a sign change.
         # int64 views tell -0.0 from 0.0 and one nan from another.  The
         # last four pairs overflow (the first two) or oscillate.
         grid = (-3.0, -2.0, -1.0, -0.5, -0.2, 0.0, 0.2, 0.5, 1.0, 2.0)
         cases = [(tau, grid) for tau in np.geomspace(TAU_MIN, TAU_MAX, 13).tolist()]
         cases += [(0.02, (1e6,)), (50.0, (-1e4, 1e4)), (1.0, (-15.0,))]
-        censuses = 0
+        censuses = zero_free = 0
         for tau, lams in cases:
             legs = lame._Legs(tau)
             for lam in lams:
@@ -298,9 +300,12 @@ class TestTwoLegIntegration:
                     end = lame._magnus_legs(legs, lam)
                     flips = lame._flips(legs)
                     drift = lame._drift(end)
-                    want_end, want_census, want_drift = magnus_legs_by_ufuncs(legs, lam)
+                    want_end, want_census, want_drift, want_flips = magnus_legs_by_ufuncs(legs, lam)
                 assert _bits(*np.ravel(end)) == want_end.view(np.int64).ravel().tolist(), (tau, lam)
-                assert flips == (want_census[:, 0] > 0).any(axis=1).tolist(), (tau, lam)
+                assert flips == want_flips.tolist(), (tau, lam)
+                if not (legs.steps[:, 0] == 0.0).any():
+                    assert flips == (want_census[:, 0] > 0).any(axis=1).tolist(), (tau, lam)
+                    zero_free += 1
                 assert _bits(drift) == _bits(want_drift.max()), (tau, lam)
                 if np.isfinite(want_end).all() and any(flips):
                     # integrate_lame reports the full census of the nodes
@@ -310,29 +315,35 @@ class TestTwoLegIntegration:
                         integrate_lame(tau, lam)
                     censuses += 1
         assert censuses >= 20
+        assert zero_free == sum(len(lams) for _, lams in cases)
+
+    @pytest.mark.parametrize("leg, column, block", [(0, 0, 5), (1, 1, 7)], ids=["c", "s"])
+    def test_flips_see_a_sign_change_through_an_exact_zero(self, leg, column, block):
+        # c or s passing 0.0, -1.0, 0.0 at three nodes changes sign
+        # although no product of neighbouring nodes is negative
+        legs = lame._Legs(0.5)
+        lame._trial(legs, -0.27)
+        assert lame._flips(legs) == [False, False]
+        legs.steps[leg, 0, column, 0:3, block] = (0.0, -1.0, 0.0)
+        assert lame._flips(legs) == [leg == 0, leg == 1]
 
     def test_trial_allocates_only_iteration_buffers(self):
-        # A trial writes its arrays into the scratch of _Legs.  On the
-        # 256 steps of tau = 0.5 its peak measured 18,458 bytes (numpy
-        # 2.4): the node product's einsum iterates through a buffer of
-        # 8 N = 2048 numbers (16,384 bytes), the rest is smaller
-        # buffers, arrays of at most eight numbers and the far nodes'
-        # lists.  The bound left about a third over the 69,866 bytes of
-        # 1024 steps; on those the ufunc scan peaked at 153,864 bytes in
-        # its strided sign products, and its census, counted along two
-        # axes at once, took 66 kB on its own.
-        legs = lame._Legs(0.5)
-        lame._trial(legs, -0.3)
-        tracemalloc.start()
-        try:
-            peaks = []
-            for lam in (-0.3, 0.3, -15.0):
-                tracemalloc.reset_peak()
-                lame._trial(legs, lam)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert max(peaks) <= 96_000, peaks
+        # A trial writes its arrays into the scratch of _Legs; on N steps
+        # its peak measured 64 N + 2,074 to 2,914 bytes (numpy 2.4): the
+        # node einsum's buffer of 8 N numbers, plus small arrays.
+        for tau in (0.5, 0.1, 0.02):  # N = 256, 512 and 1024
+            legs = lame._Legs(tau)
+            lame._trial(legs, -0.3)
+            tracemalloc.start()
+            try:
+                peaks = []
+                for lam in (-0.3, 0.3, -15.0):
+                    tracemalloc.reset_peak()
+                    lame._trial(legs, lam)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert max(peaks) <= 64 * legs.n + 4_096, (tau, peaks)
 
     def test_square_legs_swap_under_lambda_reflection(self):
         # wp(iz) = -wp(z) on the square lattice, so the imaginary leg's
