@@ -110,10 +110,11 @@ def _walk(tau: float):
 
     It tries the 64 lambda nodes of [-2, 1] upward and stops at the
     first node that is a touching exact zero or that changes sign
-    against the node before it, which it then polishes; a node without
-    circles breaks the adjacency of its neighbours.  When nothing
-    brackets it raises SolverFailure with tau.  Returns (lambda,
-    bracket, far nodes, invariants).
+    against the node before it, from which it runs the package's root
+    iteration; a node without circles breaks the adjacency of its
+    neighbours.  When nothing brackets it, or the iteration gives no
+    root, it raises SolverFailure with tau.  Returns (lambda, bracket,
+    far nodes, invariants).
     """
     legs = lame._Legs(tau)
     xs = np.linspace(-2.0, 1.0, 64).tolist()
@@ -129,7 +130,10 @@ def _walk(tau: float):
             if root == 0.0 and abs(lame.CircleInvariants(*inv).tangency_residual()) < 1e-10:
                 return x, (x, x), end, lame.CircleInvariants(*inv)
             if pre is not None and pre[1][0] * root < 0.0:
-                lam, (_, end, inv) = lame._polish(legs, pre, cur)
+                found = lame._root(legs, pre, cur)
+                if found is None:
+                    break
+                lam, (_, end, inv) = found
                 return lam, (pre[0], x), end, lame.CircleInvariants(*inv)
             pre = cur
     raise SolverFailure(f"no sign change of the tangency root function at tau={tau}",
@@ -461,9 +465,9 @@ class TestAccessorySolve:
 
     @pytest.mark.parametrize("tau,most", [(0.05, 14), (0.5, 14), (1.0, 9), (2.0, 15), (5.0, 19)])
     def test_cold_solve_integrates_each_lambda_once(self, monkeypatch, tau, most):
-        # most: the node bisection plus the polish, 11, 11, 6, 12 and 15
-        # integrations, with a margin of 3 (4 at tau = 5); the linear
-        # walk up the same nodes made 37, 43, 43, 51 and 54
+        # most: the node bisection plus the root iteration, 11, 11, 6,
+        # 11 and 15 integrations, with a margin of 3 (4 at tau = 2 and
+        # 5); the linear walk up the same nodes made 37, 43, 43, 50 and 53
         tried = []
         integrate = lame._magnus_legs
 
@@ -520,15 +524,17 @@ class TestAccessorySolve:
     @pytest.mark.parametrize("tau", [13.85, 25.52, 34.14, 38.15])
     def test_cold_scan_rejects_a_cancelled_zero(self, tau):
         # here a1^2 and r1 hypot(a1, a2) cancel to an exact 0 at
-        # lambda = 0, far from tangency: the scan must not take it
+        # lambda = 0, far from tangency: neither the scan nor a seed
+        # pair on that zero, in either order, may take it
         inv = circle_invariants(integrate_lame(tau, 0.0))
         assert inv.a1 * inv.a1 - inv.r1 * math.hypot(inv.a1, inv.a2) == 0.0
         assert inv.tangency_residual() > 1e-10
-        try:
-            sol = solve_accessory(tau)
-        except SolverFailure:
-            return
-        assert abs(sol.diagnostics["tangency_residual"]) < 1e-10
+        for bracket in (None, (0.0, 1e-6), (1e-6, 0.0)):
+            try:
+                sol = solve_accessory(tau, bracket=bracket)
+            except SolverFailure:
+                continue
+            assert abs(sol.diagnostics["tangency_residual"]) < 1e-10, bracket
 
     def test_unbracketed_tau_fails_after_one_scan(self, monkeypatch):
         # from about tau = 5.4 up no pair of neighbouring nodes of the
@@ -552,8 +558,9 @@ class TestAccessorySolve:
         assert err.value.diagnostics == {"tau": 6.0, "lambda_trials": 6}
 
     def test_failure_counts_every_trial_of_the_solve(self):
-        # a seed outside the window costs the secant one trial before the
-        # node search's six; lambda_trials counts both, as a solve's does
+        # a seed outside the window costs one trial, its pair's second
+        # seed none, before the node search's six; lambda_trials counts
+        # both, as a solve's does
         with pytest.raises(SolverFailure) as err:
             solve_accessory(6.0, bracket=(50.0, 50.0 + 1e-6))
         assert err.value.diagnostics == {"tau": 6.0, "lambda_trials": 7}
@@ -682,15 +689,21 @@ class TestAccessorySolve:
             solve_accessory(TAU_MIN / 2.0)
         with pytest.raises(ValueError):
             solve_accessory(TAU_MAX + 1.0)
+        # a bracket that is not two seeds is named, not a TypeError
+        for bracket in ((1.0,), (1.0, 2.0, 3.0)):
+            with pytest.raises(ValueError, match="bracket"):
+                solve_accessory(0.5, bracket=bracket)
 
     def test_failure_carries_diagnostics(self):
         err = SolverFailure("no bracket", {"tau": 3.0})
         assert err.diagnostics == {"tau": 3.0}
 
-    def test_polish_failure_carries_the_solve_diagnostics(self, monkeypatch):
-        # tau = 0.5 polishes in 5 steps after the 6 node trials; with one
-        # step allowed the polish gives up after 7 trials
-        monkeypatch.setattr(lame, "_POLISH_STEPS", 1)
-        with pytest.raises(SolverFailure, match="did not converge in 1 steps") as err:
+    def test_root_failure_carries_the_solve_diagnostics(self, monkeypatch):
+        # tau = 0.5 finds the root in 5 steps from the node bracket after
+        # the 6 node trials; with one step allowed the root iteration
+        # gives up after 7 trials
+        monkeypatch.setattr(lame, "_ROOT_STEPS", 1)
+        with pytest.raises(SolverFailure, match=re.escape(
+                "no sign change of the tangency root function at tau=0.5")) as err:
             solve_accessory(0.5)
         assert err.value.diagnostics == {"tau": 0.5, "lambda_trials": 7}

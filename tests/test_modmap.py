@@ -225,7 +225,7 @@ class TestTableConstruction:
 
         monkeypatch.setattr(lame, "solve_accessory", counted_solve)
         build_cr_table()
-        # one solve per node, and 4-7 lambda trials each (94 in all); the
+        # one solve per node, and 2-7 lambda trials each (93 in all); the
         # solve count also shows that a build, which imports lame itself,
         # still calls it through the module's attributes
         assert len(trials) == 16

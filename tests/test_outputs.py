@@ -39,9 +39,9 @@ DIGESTS = [
     (["cr-map", "--table"], "5fe434a4376ca1b0"),
     (["pdf", "--law", "quad_cr", "--from", "2", "--to", "25", "--step", "0.25"], "be2b0681731c4075"),
     (["cdf", "--law", "crossratio_full", "--from", "-5", "--to", "5", "--step", "0.125"], "834d290e370ee361"),
-    (["accessory", "--tau", "0.5"], "9a42ff40b4acf805"),
+    (["accessory", "--tau", "0.5"], "5e8560e425c0c500"),
     (["quasimobius", "--src", "3", "--dst", "7"], "30686ca9f2e606e0"),
-    (["verify", "--quick"], "c11d5ca6713fa9ee"),
+    (["verify", "--quick"], "455743533320ef8e"),
 ]
 
 _SECONDS = re.compile(r", [0-9.]+s$", re.MULTILINE)
